@@ -23,10 +23,10 @@ from pathlib import Path
 
 from . import __version__, cli_io
 from .carbon_model import PackageKind
-from .design_explorer import DesignSpace, pareto_front, run_ga
+from .design_explorer import pareto_front, run_ga
 from .edc_scheduler import ci_to_threshold, search_mapping, select_variant
 from .errors import IoFailure, ToolkitError, ValidationFailure
-from .runtime_sim import PoissonArrivals, SimConfig, run_simulation
+from .runtime_sim import PoissonArrivals, SimConfig, amortized_report, run_simulation
 
 log = logging.getLogger("edcarb")
 
@@ -58,10 +58,10 @@ def _cmd_explore(args: argparse.Namespace) -> int:
         exact = [m for m in space.multipliers if m.accuracy_drop_pct == 0.0]
         if not exact:
             raise ValidationFailure("multiplier library has no exact (zero-drop) variant")
-        space = _replace_space(space, multipliers=(exact[0],))
+        space = replace(space, multipliers=(exact[0],))
     if args.stacking:
         kind = PackageKind.STACKED_3D if args.stacking == "3d" else PackageKind.PLANAR_2D
-        space = _replace_space(space, stacking=kind)
+        space = replace(space, stacking=kind)
 
     log.info("exploring %d designs (fitness=%s)", space.size, args.fitness)
     result = run_ga(space, config.ga_params, workload, fitness=args.fitness)
@@ -111,10 +111,6 @@ def _cmd_explore(args: argparse.Namespace) -> int:
     for p in paths:
         print(p)
     return 0
-
-
-def _replace_space(space: DesignSpace, **updates) -> DesignSpace:
-    return replace(space, **updates)
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +189,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     sim = config.sim
 
     if args.arrivals.startswith("poisson:"):
-        rate = float(args.arrivals.split(":", 1)[1])
+        text = args.arrivals.split(":", 1)[1]
+        try:
+            rate = float(text)
+        except ValueError:
+            raise ValidationFailure(f"--arrivals poisson:<rate>: {text!r} is not a number") from None
         arrivals = PoissonArrivals(rate_per_s=rate, seed=config.seed)
     elif args.arrivals == "poisson":
         arrivals = PoissonArrivals(rate_per_s=sim.arrival_rate_per_s, seed=config.seed)
@@ -212,7 +212,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         idle_power_w=sim.idle_power_w,
         tokens_per_request=sim.tokens_per_request,
         tps_floor=config.policy.tps_floor or 0.0,
-        seed=config.seed,
     )
     workloads = None
     if sim.mode == "mapping":
@@ -229,11 +228,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         search_params=config.search,
     )
     if sim.embodied_total_kg is not None and sim.lifetime_inferences is not None:
-        # config supplies the embodied total as a scalar; same arithmetic as
-        # amortized_report over a full EmbodiedReport
-        report.embodied_amortized_g_per_inference = (
-            sim.embodied_total_kg * 1000.0 / sim.lifetime_inferences
-        )
+        amortized_report(sim.embodied_total_kg, report, sim.lifetime_inferences)
 
     meta = cli_io.RunMeta(command="simulate", config_hash=config.config_hash, seed=config.seed)
     bundle = cli_io.ResultBundle(meta=meta)

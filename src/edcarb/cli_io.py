@@ -270,8 +270,6 @@ def load_node(path: str | Path) -> EdgeNode:
     return EdgeNode(
         units=tuple(units),
         transfer_bytes_per_ms=float(doc["transfer_bytes_per_ms"]),
-        power_budget_min_w=float(doc.get("power_budget_min_w", 0.0)),
-        power_budget_max_w=float(doc.get("power_budget_max_w", math.inf)),
     )
 
 

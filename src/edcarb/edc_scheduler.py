@@ -98,8 +98,6 @@ class ProcessingUnit:
 class EdgeNode:
     units: tuple[ProcessingUnit, ...]
     transfer_bytes_per_ms: float
-    power_budget_min_w: float = 0.0
-    power_budget_max_w: float = float("inf")
 
     def __post_init__(self) -> None:
         if not self.units:

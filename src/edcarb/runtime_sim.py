@@ -15,7 +15,8 @@ Three execution modes share the loop:
 - "mapping": continuous-flow multi-DNN plans re-searched at every threshold
   change.
 
-Everything is a pure function of (inputs, seed): the decision log and step
+Everything is a pure function of the inputs; the only randomness is the
+Poisson arrival model, which carries its own seed. The decision log and step
 series are byte-reproducible.
 """
 
@@ -26,7 +27,6 @@ import random
 from collections import deque
 from dataclasses import dataclass
 
-from .carbon_model import EmbodiedReport
 from .edc_scheduler import (
     EdgeNode,
     ModelVariant,
@@ -112,8 +112,8 @@ class PoissonArrivals:
     kinds: tuple[str, ...] = ("default",)
 
     def __post_init__(self) -> None:
-        if self.rate_per_s <= 0:
-            raise ValidationFailure("Poisson rate must be > 0")
+        if not (math.isfinite(self.rate_per_s) and self.rate_per_s > 0):
+            raise ValidationFailure(f"Poisson rate must be a finite number > 0, got {self.rate_per_s}")
         if not self.kinds:
             raise ValidationFailure("PoissonArrivals needs at least one kind")
 
@@ -354,7 +354,6 @@ class SimConfig:
     idle_power_w: float = 0.0
     tokens_per_request: int = 128
     tps_floor: float = 0.0
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.mode not in ("batch", "llm", "mapping"):
@@ -404,16 +403,16 @@ class SimReport:
     embodied_amortized_g_per_inference: float | None = None
 
 
-def amortized_report(embodied: EmbodiedReport, sim: SimReport, lifetime_inferences: float) -> float:
+def amortized_report(embodied_kg: float, sim: SimReport, lifetime_inferences: float) -> float:
     """Embodied carbon spread over the device lifetime, in grams per inference.
 
     Stamps the figure on the sim report so it travels with the operational
     numbers; the two fields stay independent (a zero-inference sim still
     amortizes).
     """
-    if lifetime_inferences <= 0:
+    if not lifetime_inferences > 0:
         raise ValidationFailure("lifetime_inferences must be > 0")
-    grams = embodied.total_kg * 1000.0 / lifetime_inferences
+    grams = embodied_kg * 1000.0 / lifetime_inferences
     sim.embodied_amortized_g_per_inference = grams
     return grams
 
@@ -494,23 +493,24 @@ def run_simulation(
     operational_g = 0.0
     inferences = 0
     misses = 0
-    tokens_served = 0
-    llm_busy_s = 0.0
+    busy_s = 0.0
     flow_inferences = 0.0
     flow_misses = 0.0
 
     queue: deque[_Request] = deque()
     next_arrival = 0
     device_free = 0.0
-    llm_choice: LlmChoice | None = None
+    # the selected LLM variant's fixed per-request cost; stays None in batch mode
+    llm_dispatch: tuple[int, dict, float, float, float] | None = None
     mapping_solution = None
     deadline_s = config.deadline_ms / 1000.0
 
     def reselect(t: float, threshold: float, ci: float) -> None:
-        nonlocal llm_choice, mapping_solution
+        nonlocal llm_dispatch, mapping_solution
         if config.mode == "llm":
             level = ci_level_of(ci, ci_trace.ci_min, ci_trace.ci_max)
             llm_choice = llm_select(llm_variants, threshold, level, config.tps_floor)
+            llm_dispatch = _llm_dispatch(llm_choice, config.tokens_per_request)
             log.append(
                 LogEvent(
                     t_s=t,
@@ -556,75 +556,32 @@ def run_simulation(
             reselect(t, threshold, ci)
 
         step_energy_j = 0.0
-        busy_in_window = max(0.0, min(device_free, step_end) - t)
 
-        if config.mode == "batch":
-            now = max(device_free, t)
-            gated = False
-            while True:
-                while next_arrival < len(arrival_events) and arrival_events[next_arrival][0] <= now:
-                    at, kind = arrival_events[next_arrival]
-                    queue.append(_Request(at, kind))
-                    next_arrival += 1
-                if not queue:
-                    if (
-                        next_arrival < len(arrival_events)
-                        and arrival_events[next_arrival][0] < step_end
-                    ):
-                        now = max(now, arrival_events[next_arrival][0])
-                        continue
-                    break
-                if now >= step_end or gated:
-                    break
-                dispatch = _plan_batch_dispatch(
-                    queue, table, config, threshold, now
+        if config.mode == "mapping":
+            assert mapping_solution is not None
+            power_w = mapping_solution.estimate.power_w
+            energy_j = power_w * dt
+            step_energy_j += energy_j
+            total_energy_j += energy_j
+            done = mapping_solution.estimate.throughput_inf_per_s * dt
+            flow_inferences += done
+            violated = any(
+                plan_bottleneck_ms(plan, variant, node) > config.deadline_ms
+                for variant, plan in zip(workloads, mapping_solution.plans)
+            )
+            if violated:
+                flow_misses += done
+            log.append(
+                LogEvent(
+                    t_s=t,
+                    kind="power",
+                    detail={"energy_j": energy_j, "power_w": power_w, "ci": ci},
                 )
-                if dispatch is None:
-                    gated = True
-                    log.append(
-                        LogEvent(t_s=now, kind="power_gated", detail={"threshold_w": threshold, "ci": ci})
-                    )
-                    break
-                sizes, k, f, duration_s, energy_j, power_w = dispatch
-                served: list[_Request] = []
-                for b in sizes:
-                    for _ in range(b):
-                        served.append(queue.popleft())
-                completion = now + duration_s
-                n_miss = sum(1 for r in served if completion > r.arrival_s + deadline_s)
-                inferences += len(served)
-                misses += n_miss
-                step_energy_j += energy_j
-                total_energy_j += energy_j
-                busy_in_window += min(completion, step_end) - now
-                log.append(
-                    LogEvent(
-                        t_s=now,
-                        kind="dispatch",
-                        detail={
-                            "batches": list(sizes),
-                            "streams": k,
-                            "freq_idx": f,
-                            "duration_s": duration_s,
-                            "energy_j": energy_j,
-                            "power_w": power_w,
-                            "completion_s": completion,
-                            "misses": n_miss,
-                            "arrivals": [r.arrival_s for r in served],
-                            "ci": ci,
-                        },
-                    )
-                )
-                now = completion
-                device_free = completion
+            )
 
-        elif config.mode == "llm":
+        else:
+            busy_in_window = max(0.0, min(device_free, step_end) - t)
             now = max(device_free, t)
-            choice = llm_choice
-            assert choice is not None
-            tps = choice.variant.tokens_per_s[choice.freq_idx]
-            power_w = choice.variant.power_w[choice.freq_idx]
-            per_request_s = config.tokens_per_request / tps
             while True:
                 while next_arrival < len(arrival_events) and arrival_events[next_arrival][0] <= now:
                     at, kind = arrival_events[next_arrival]
@@ -640,14 +597,25 @@ def run_simulation(
                     break
                 if now >= step_end:
                     break
-                request = queue.popleft()
-                completion = now + per_request_s
-                missed = completion > request.arrival_s + deadline_s
-                energy_j = power_w * per_request_s
-                inferences += 1
-                misses += 1 if missed else 0
-                tokens_served += config.tokens_per_request
-                llm_busy_s += per_request_s
+                # batch re-plans every dispatch against the queue
+                dispatch = llm_dispatch or _plan_batch_dispatch(queue, table, config, threshold, now)
+                if dispatch is None:
+                    log.append(
+                        LogEvent(t_s=now, kind="power_gated", detail={"threshold_w": threshold, "ci": ci})
+                    )
+                    break
+                n_served, head_detail, duration_s, energy_j, power_w = dispatch
+                completion = now + duration_s
+                arrival_times = []
+                n_miss = 0
+                for _ in range(n_served):
+                    arrival_s = queue.popleft().arrival_s
+                    arrival_times.append(arrival_s)
+                    if completion > arrival_s + deadline_s:
+                        n_miss += 1
+                inferences += n_served
+                misses += n_miss
+                busy_s += duration_s
                 step_energy_j += energy_j
                 total_energy_j += energy_j
                 busy_in_window += min(completion, step_end) - now
@@ -656,15 +624,13 @@ def run_simulation(
                         t_s=now,
                         kind="dispatch",
                         detail={
-                            "variant": choice.variant.name,
-                            "freq_idx": choice.freq_idx,
-                            "tokens": config.tokens_per_request,
-                            "duration_s": per_request_s,
+                            **head_detail,
+                            "duration_s": duration_s,
                             "energy_j": energy_j,
                             "power_w": power_w,
                             "completion_s": completion,
-                            "misses": 1 if missed else 0,
-                            "arrivals": [request.arrival_s],
+                            "misses": n_miss,
+                            "arrivals": arrival_times,
                             "ci": ci,
                         },
                     )
@@ -672,30 +638,6 @@ def run_simulation(
                 now = completion
                 device_free = completion
 
-        else:  # mapping
-            assert mapping_solution is not None
-            power_w = mapping_solution.estimate.power_w
-            energy_j = power_w * dt
-            step_energy_j += energy_j
-            total_energy_j += energy_j
-            done = mapping_solution.estimate.throughput_inf_per_s * dt
-            flow_inferences += done
-            violated = any(
-                plan_bottleneck_ms(plan, variant, node) > config.deadline_ms
-                for variant, plan in zip(workloads, mapping_solution.plans)
-            )
-            if violated:
-                flow_misses += done
-            busy_in_window = dt
-            log.append(
-                LogEvent(
-                    t_s=t,
-                    kind="power",
-                    detail={"energy_j": energy_j, "power_w": power_w, "ci": ci},
-                )
-            )
-
-        if config.mode != "mapping":
             idle_s = max(0.0, dt - busy_in_window)
             if idle_s > 0 and config.idle_power_w > 0:
                 idle_energy = config.idle_power_w * idle_s
@@ -726,7 +668,9 @@ def run_simulation(
     if config.mode == "mapping":
         inferences = int(flow_inferences)
         misses = min(inferences, int(flow_misses))
-    mean_tps = tokens_served / llm_busy_s if llm_busy_s > 0 else 0.0
+    mean_tps = 0.0
+    if config.mode == "llm" and busy_s > 0:
+        mean_tps = inferences * config.tokens_per_request / busy_s
     return SimReport(
         total_energy_kwh=total_energy_j / J_PER_KWH,
         operational_g=operational_g,
@@ -744,11 +688,13 @@ def _plan_batch_dispatch(
     config: SimConfig,
     threshold_w: float,
     now: float,
-) -> tuple[tuple[int, ...], int, int, float, float, float] | None:
+) -> tuple[int, dict, float, float, float] | None:
     """Apply the policy hierarchy to the queue head; None means the step is
     power-gated (no frequency fits under the threshold).
 
-    Returns (batch sizes, streams, freq, duration_s, energy_j, power_w).
+    Returns (requests served, head detail, duration_s, energy_j, power_w),
+    where the head detail holds the leading dispatch log keys: the batch
+    sizes, the stream count and the frequency index.
     """
     top_freq = table.n_freqs - 1
     wait_ms = (now - queue[0].arrival_s) * 1000.0
@@ -808,4 +754,15 @@ def _plan_batch_dispatch(
     duration_s = serial_ms / t_scale / 1000.0
     energy_j = serial_energy * p_scale / t_scale
     power_w = serial_energy * 1000.0 / serial_ms * p_scale
-    return sizes, k_eff, f, duration_s, energy_j, power_w
+    head_detail = {"batches": list(sizes), "streams": k_eff, "freq_idx": f}
+    return sum(sizes), head_detail, duration_s, energy_j, power_w
+
+
+def _llm_dispatch(choice: LlmChoice, tokens: int) -> tuple[int, dict, float, float, float]:
+    """One request on the selected variant at its fixed per-request cost, in
+    the shape of `_plan_batch_dispatch` (head keys: variant, frequency index,
+    tokens). The cost holds until the next re-selection."""
+    power_w = choice.variant.power_w[choice.freq_idx]
+    duration_s = tokens / choice.variant.tokens_per_s[choice.freq_idx]
+    head_detail = {"variant": choice.variant.name, "freq_idx": choice.freq_idx, "tokens": tokens}
+    return 1, head_detail, duration_s, power_w * duration_s, power_w

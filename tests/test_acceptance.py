@@ -363,7 +363,7 @@ def test_c08_adaptive_policy_strictly_cuts_operational_carbon():
     def run(policy: str):
         config = SimConfig(
             mode="batch", horizon_s=horizon, step_s=1.0, policy=policy,
-            deadline_ms=60.0, p_min_w=8.0, p_max_w=20.0, idle_power_w=0.5, seed=7,
+            deadline_ms=60.0, p_min_w=8.0, p_max_w=20.0, idle_power_w=0.5,
         )
         return run_simulation(config, trace, arrivals, table=ACCEPT_TABLE)
 
@@ -506,7 +506,7 @@ def test_c11_report_totals_recomputable_from_decision_log():
                 policy=rng.choice(["adaptive", "static"]),
                 deadline_ms=rng.uniform(10.0, 80.0),
                 p_min_w=rng.uniform(1.0, 5.0), p_max_w=rng.uniform(50.0, 400.0),
-                idle_power_w=rng.uniform(0.0, 2.0), seed=scenario,
+                idle_power_w=rng.uniform(0.0, 2.0),
             )
             report = run_simulation(
                 config, trace,
@@ -522,7 +522,7 @@ def test_c11_report_totals_recomputable_from_decision_log():
                 p_min_w=min_power + 1.0, p_max_w=min_power + rng.uniform(10.0, 30.0),
                 idle_power_w=rng.uniform(0.0, 1.0),
                 tokens_per_request=rng.randint(16, 128),
-                tps_floor=rng.uniform(5.0, 20.0), seed=scenario,
+                tps_floor=rng.uniform(5.0, 20.0),
             )
             report = run_simulation(
                 config, trace,

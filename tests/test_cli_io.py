@@ -381,6 +381,36 @@ def test_cli_simulate_poisson_rate_override(demo_copy, tmp_path):
     assert 10 <= report["inferences_done"] <= 60
 
 
+def test_cli_simulate_bad_poisson_rate_is_validation(demo_copy, tmp_path, capsys):
+    rc = cli.main(
+        [
+            "simulate", "--config", str(demo_copy / "demo.json"),
+            "--trace", str(demo_copy / "ci_trace.csv"),
+            "--arrivals", "poisson:abc", "--out", str(tmp_path / "o"),
+        ]
+    )
+    assert rc == 2
+    assert capsys.readouterr().err.splitlines()[0].startswith("error[VALIDATION]: ")
+
+
+@pytest.mark.parametrize("lifetime", [0, -5, float("nan")])
+def test_cli_simulate_bad_lifetime_inferences_is_validation(demo_copy, tmp_path, capsys, lifetime):
+    config = json.loads((demo_copy / "demo.json").read_text())
+    config["sim"]["horizon_s"] = 60.0
+    config["sim"]["lifetime_inferences"] = lifetime
+    path = demo_copy / "lifetime.json"
+    path.write_text(json.dumps(config))
+    rc = cli.main(
+        [
+            "simulate", "--config", str(path),
+            "--trace", str(demo_copy / "ci_trace.csv"),
+            "--arrivals", "poisson", "--out", str(tmp_path / "o"),
+        ]
+    )
+    assert rc == 2
+    assert capsys.readouterr().err.splitlines()[0].startswith("error[VALIDATION]: ")
+
+
 def test_emit_to_unwritable_target_is_io_error(tmp_path, capsys):
     blocker = tmp_path / "blocked"
     blocker.write_text("a file, not a directory")
