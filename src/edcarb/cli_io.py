@@ -5,6 +5,14 @@ tables are CSV so they stay diff-able and trivially scriptable. Validation
 collects every problem it finds before failing, so a broken config reports
 all of its errors at once.
 
+Every config section (``technology`` entries, ``area_params``,
+``design_space``, ``ga``, ``policy``, ``sim``, ``search``) must be a JSON
+object. Its scalar keys are read under the names of the dataclass fields
+they fill, and an absent key takes that field's default: the defaults live
+on ``GaParams``, ``SearchParams``, ``PolicyParams`` and ``SimSettings``, not
+here. Numbers, in the config and in every CSV and JSON input, must be
+finite: ``nan`` and ``inf`` are rejected where they are read.
+
 All artifacts carry a header with the config hash, seed and tool version;
 the only nondeterministic output is the generated_at timestamp, which sits
 on its own header line so reruns diff clean apart from it.
@@ -30,7 +38,8 @@ import datetime
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
+from functools import cache
 from pathlib import Path
 
 from . import __version__
@@ -92,6 +101,16 @@ class PolicyParams:
     accuracy_floor: float = 0.0
     latency_constraint_ms: float = 100.0
 
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.hysteresis_fraction <= 1.0:
+            raise ValidationFailure(
+                f"policy.hysteresis_fraction: must be in [0, 1], got {self.hysteresis_fraction}"
+            )
+        if self.p_min_w > self.p_max_w:
+            raise ValidationFailure(
+                f"policy.p_min_w: must be <= p_max_w, got {self.p_min_w} > {self.p_max_w}"
+            )
+
 
 @dataclass(frozen=True)
 class SimSettings:
@@ -106,6 +125,15 @@ class SimSettings:
     embodied_total_kg: float | None = None
     exec_table: ExecLookupTable | None = None
     llm_variants: tuple[LlmVariant, ...] | None = None
+
+    def __post_init__(self) -> None:
+        if self.mode not in ("batch", "llm", "mapping"):
+            raise ValidationFailure(f"sim.mode: unknown mode {self.mode!r}")
+        lifetime, embodied = self.lifetime_inferences, self.embodied_total_kg
+        if lifetime is not None and not (math.isfinite(lifetime) and lifetime > 0):
+            raise ValidationFailure(f"sim.lifetime_inferences: must be a finite number > 0, got {lifetime}")
+        if embodied is not None and not (math.isfinite(embodied) and embodied >= 0):
+            raise ValidationFailure(f"sim.embodied_total_kg: must be a finite number >= 0, got {embodied}")
 
 
 @dataclass
@@ -145,6 +173,80 @@ class ResultBundle:
 # CSV / JSON primitives
 # ---------------------------------------------------------------------------
 
+# What a malformed value raises while it is parsed: wrong JSON type, bad
+# text, an int out of range (int(inf)), or a violated dataclass check.
+_VALUE_ERRORS = (TypeError, ValueError, OverflowError, ValidationFailure)
+
+
+def _finite(value) -> float:
+    """The loaders' one float coercion: a number or numeric text, finite."""
+    if isinstance(value, bool):
+        raise TypeError(f"expected a number, got {value!r}")
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return number
+
+
+def _integer(value) -> int:
+    if isinstance(value, bool):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
+def _text(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {value!r}")
+    return value
+
+
+def _object(value) -> dict:
+    if not isinstance(value, dict):
+        raise TypeError(f"must be a JSON object, got {type(value).__name__}")
+    return value
+
+
+# Coercion per declared field type, as the string a postponed annotation is.
+_SCALAR_COERCIONS = {
+    "float": _finite,
+    "int": _integer,
+    "str": _text,
+    "float | None": lambda value: None if value is None else _finite(value),
+    "PackageKind": PackageKind,
+    "UnitKind": UnitKind,
+}
+
+
+@cache
+def _scalar_fields(cls) -> tuple[tuple[str, object, bool], ...]:
+    """(name, coercion, required) of each field of `cls` with a scalar type."""
+    return tuple(
+        (f.name, _SCALAR_COERCIONS[f.type], f.default is MISSING)
+        for f in fields(cls)
+        if f.type in _SCALAR_COERCIONS
+    )
+
+
+def _from_spec(cls, spec, **given):
+    """Build a dataclass from one JSON object.
+
+    Each scalar field not in `given` is read under its own name and coerced
+    to its declared type; an absent key keeps the dataclass's own default.
+    Keys that name no scalar field are ignored.
+    """
+    _object(spec)
+    for name, coerce, required in _scalar_fields(cls):
+        if name in given:
+            continue
+        if name in spec:
+            try:
+                given[name] = coerce(spec[name])
+            except _VALUE_ERRORS as exc:
+                raise ValueError(f"{name}: {exc}") from exc
+        elif required:
+            raise ValueError(f"missing key {name!r}")
+    return cls(**given)
+
 
 def _read_text(path: Path) -> str:
     try:
@@ -153,47 +255,48 @@ def _read_text(path: Path) -> str:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
 
 
-def _read_csv(path: Path, required_columns: list[str]) -> list[dict[str, str]]:
-    text = _read_text(path)
-    lines = [ln for ln in text.splitlines() if ln and not ln.startswith("#")]
-    reader = csv.DictReader(lines)
-    if reader.fieldnames is None or [c.strip() for c in reader.fieldnames] != required_columns:
-        raise ParseError(
-            f"{path}: expected header {','.join(required_columns)!r}, got {reader.fieldnames}"
-        )
-    return list(reader)
+def _parse_csv(path: Path, columns: list[str], parse_row) -> list:
+    """Parse every row of a CSV with a fixed header; a bad row fails as
+    ``file:line: reason``, keeping the type of a ParseError it raised."""
+    lines = [ln for ln in _read_text(path).splitlines() if ln and not ln.startswith("#")]
+    reader = csv.DictReader(lines, restval="")
+    if reader.fieldnames is None or [c.strip() for c in reader.fieldnames] != columns:
+        raise ParseError(f"{path}: expected header {','.join(columns)!r}, got {reader.fieldnames}")
+    parsed = []
+    for line, row in enumerate(reader, start=2):
+        try:
+            parsed.append(parse_row(row))
+        except _VALUE_ERRORS as exc:
+            kind = type(exc) if isinstance(exc, ParseError) else ParseError
+            raise kind(f"{path}:{line}: {exc}") from exc
+    return parsed
 
 
-def _parse_timestamp(value: str, path: Path, line: int) -> float:
-    value = value.strip()
+def _parse_timestamp(value: str) -> float:
+    """Seconds as a finite number, or an ISO-8601 time."""
     try:
-        return float(value)
+        return _finite(value)
     except ValueError:
-        pass
-    try:
-        return datetime.datetime.fromisoformat(value.replace("Z", "+00:00")).timestamp()
-    except ValueError as exc:
-        raise ParseError(f"{path}:{line}: bad timestamp {value!r}") from exc
+        return datetime.datetime.fromisoformat(value.strip().replace("Z", "+00:00")).timestamp()
+
+
+def _ci_sample(row: dict[str, str]) -> tuple[float, float]:
+    ts = _parse_timestamp(row["timestamp"])
+    ci = _finite(row["ci_g_per_kwh"])
+    if ci < 0:
+        raise NegativeCi(f"negative carbon intensity {ci}")
+    return ts, ci
 
 
 def load_ci_trace(path: str | Path) -> CiTrace:
     """Load a carbon-intensity forecast; step-hold semantics, times rebased to 0."""
     path = Path(path)
-    rows = _read_csv(path, ["timestamp", "ci_g_per_kwh"])
-    if not rows:
+    samples = _parse_csv(path, ["timestamp", "ci_g_per_kwh"], _ci_sample)
+    if not samples:
         raise ParseError(f"{path}: trace has no samples")
-    samples: list[tuple[float, float]] = []
-    for i, row in enumerate(rows, start=2):
-        ts = _parse_timestamp(row["timestamp"], path, i)
-        try:
-            ci = float(row["ci_g_per_kwh"])
-        except ValueError as exc:
-            raise ParseError(f"{path}:{i}: bad ci value {row['ci_g_per_kwh']!r}") from exc
-        if ci < 0:
-            raise NegativeCi(f"{path}:{i}: negative carbon intensity {ci}")
-        if samples and ts <= samples[-1][0]:
-            raise NonMonotonicTimestamps(f"{path}:{i}: timestamp {ts} not after previous")
-        samples.append((ts, ci))
+    for line, ((prev, _), (ts, _)) in enumerate(zip(samples, samples[1:]), start=3):
+        if ts <= prev:
+            raise NonMonotonicTimestamps(f"{path}:{line}: timestamp {ts} not after previous")
     base = samples[0][0]
     rebased = tuple((ts - base, ci) for ts, ci in samples)
     if len(rebased) >= 2:
@@ -205,27 +308,21 @@ def load_ci_trace(path: str | Path) -> CiTrace:
 
 
 def load_arrivals(path: str | Path) -> TraceArrivals:
-    path = Path(path)
-    rows = _read_csv(path, ["time_s", "kind"])
-    events = []
-    for i, row in enumerate(rows, start=2):
-        try:
-            t = float(row["time_s"])
-        except ValueError as exc:
-            raise ParseError(f"{path}:{i}: bad time {row['time_s']!r}") from exc
-        events.append((t, row["kind"].strip() or "default"))
+    events = _parse_csv(
+        Path(path),
+        ["time_s", "kind"],
+        lambda row: (_finite(row["time_s"]), row["kind"].strip() or "default"),
+    )
     return TraceArrivals(events=tuple(events))
 
 
 def load_workload(path: str | Path) -> DnnWorkload:
     path = Path(path)
-    rows = _read_csv(path, ["n", "c", "k", "r", "s", "p", "q", "elem_bytes"])
-    layers = []
-    for i, row in enumerate(rows, start=2):
-        try:
-            layers.append(ConvLayer(**{key: int(row[key]) for key in row}))
-        except (ValueError, ValidationFailure) as exc:
-            raise ParseError(f"{path}:{i}: bad layer: {exc}") from exc
+    layers = _parse_csv(
+        path,
+        ["n", "c", "k", "r", "s", "p", "q", "elem_bytes"],
+        lambda row: ConvLayer(**{key: int(value) for key, value in row.items()}),
+    )
     if not layers:
         raise ParseError(f"{path}: workload has no layers")
     return DnnWorkload(name=path.stem, layers=tuple(layers))
@@ -237,40 +334,37 @@ def _load_json(path: Path):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}:{exc.lineno}: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:  # an over-long integer, too deep nesting
+        raise ParseError(f"{path}: {exc}") from exc
+
+
+def _float_table(path: str | Path, columns: list[str], key) -> dict:
+    """A CSV table mapping key(row) to the floats in its last two columns."""
+    a, b = columns[-2:]
+    return dict(_parse_csv(Path(path), columns, lambda row: (key(row), (_finite(row[a]), _finite(row[b])))))
 
 
 def load_unit_profile(path: str | Path) -> dict[tuple[str, int], tuple[float, float]]:
-    path = Path(path)
-    rows = _read_csv(path, ["layer", "freq_index", "latency_ms", "power_w"])
-    profile: dict[tuple[str, int], tuple[float, float]] = {}
-    for i, row in enumerate(rows, start=2):
-        try:
-            key = (row["layer"].strip(), int(row["freq_index"]))
-            profile[key] = (float(row["latency_ms"]), float(row["power_w"]))
-        except ValueError as exc:
-            raise ParseError(f"{path}:{i}: bad profile row: {exc}") from exc
-    return profile
+    return _float_table(
+        path,
+        ["layer", "freq_index", "latency_ms", "power_w"],
+        lambda row: (row["layer"].strip(), int(row["freq_index"])),
+    )
 
 
 def load_node(path: str | Path) -> EdgeNode:
     path = Path(path)
-    doc = _load_json(path)
-    units = []
-    for spec in doc.get("units", []):
-        profile = load_unit_profile(path.parent / spec["profile_file"])
-        units.append(
-            ProcessingUnit(
-                id=spec["id"],
-                kind=UnitKind(spec["kind"]),
-                freq_levels_hz=tuple(float(f) for f in spec["freq_levels_hz"]),
-                idle_power_w=float(spec["idle_power_w"]),
-                profile=profile,
-            )
+    doc = _object(_load_json(path))
+    units = tuple(
+        _from_spec(
+            ProcessingUnit,
+            spec,
+            freq_levels_hz=tuple(map(_finite, spec["freq_levels_hz"])),
+            profile=load_unit_profile(path.parent / spec["profile_file"]),
         )
-    return EdgeNode(
-        units=tuple(units),
-        transfer_bytes_per_ms=float(doc["transfer_bytes_per_ms"]),
+        for spec in doc.get("units", [])
     )
+    return _from_spec(EdgeNode, doc, units=units)
 
 
 def load_variant_sets(path: str | Path) -> list[ModelVariantSet]:
@@ -281,14 +375,7 @@ def load_variant_sets(path: str | Path) -> list[ModelVariantSet]:
     sets = []
     for entry in doc:
         variants = tuple(
-            ModelVariant(
-                name=v["name"],
-                accuracy=float(v["accuracy"]),
-                layers=tuple(
-                    VariantLayer(id=layer["id"], output_bytes=int(layer["output_bytes"]))
-                    for layer in v["layers"]
-                ),
-            )
+            _from_spec(ModelVariant, v, layers=tuple(_from_spec(VariantLayer, layer) for layer in v["layers"]))
             for v in entry["variants"]
         )
         sets.append(ModelVariantSet(name=entry["model"], variants=variants))
@@ -296,30 +383,18 @@ def load_variant_sets(path: str | Path) -> list[ModelVariantSet]:
 
 
 def load_exec_table(entries_path: str | Path, concurrency_path: str | Path | None = None) -> ExecLookupTable:
-    entries_path = Path(entries_path)
-    rows = _read_csv(entries_path, ["batch", "freq_index", "latency_ms", "energy_j"])
-    entries: dict[tuple[int, int], tuple[float, float]] = {}
-    for i, row in enumerate(rows, start=2):
-        try:
-            entries[(int(row["batch"]), int(row["freq_index"]))] = (
-                float(row["latency_ms"]),
-                float(row["energy_j"]),
-            )
-        except ValueError as exc:
-            raise ParseError(f"{entries_path}:{i}: bad table row: {exc}") from exc
+    entries = _float_table(
+        entries_path,
+        ["batch", "freq_index", "latency_ms", "energy_j"],
+        lambda row: (int(row["batch"]), int(row["freq_index"])),
+    )
     concurrency = None
     if concurrency_path is not None:
-        concurrency_path = Path(concurrency_path)
-        crows = _read_csv(concurrency_path, ["streams", "throughput_scale", "power_scale"])
-        concurrency = {}
-        for i, row in enumerate(crows, start=2):
-            try:
-                concurrency[int(row["streams"])] = (
-                    float(row["throughput_scale"]),
-                    float(row["power_scale"]),
-                )
-            except ValueError as exc:
-                raise ParseError(f"{concurrency_path}:{i}: bad concurrency row: {exc}") from exc
+        concurrency = _float_table(
+            concurrency_path,
+            ["streams", "throughput_scale", "power_scale"],
+            lambda row: int(row["streams"]),
+        )
     return ExecLookupTable(entries=entries, concurrency=concurrency)
 
 
@@ -330,9 +405,9 @@ def load_llm_variants(path: str | Path) -> tuple[LlmVariant, ...]:
         LlmVariant(
             name=v["name"],
             precision=v["precision"],
-            quality_score=float(v["quality_score"]),
-            tokens_per_s=tuple(float(x) for x in v["tokens_per_s"]),
-            power_w=tuple(float(x) for x in v["power_w"]),
+            quality_score=_finite(v["quality_score"]),
+            tokens_per_s=tuple(_finite(x) for x in v["tokens_per_s"]),
+            power_w=tuple(_finite(x) for x in v["power_w"]),
         )
         for v in doc
     )
@@ -344,8 +419,9 @@ def load_llm_variants(path: str | Path) -> tuple[LlmVariant, ...]:
 # Config loading
 # ---------------------------------------------------------------------------
 
-_DATAFLOW_BY_NAME = {d.value: d for d in Dataflow}
-_STACKING_BY_NAME = {k.value: k for k in PackageKind}
+# What a config section's parse may raise besides _VALUE_ERRORS: a missing
+# key, or an OSError from a file name the file system rejects (too long).
+_SECTION_ERRORS = (KeyError, OSError) + _VALUE_ERRORS
 
 
 def config_hash_of(raw: dict) -> str:
@@ -360,217 +436,81 @@ def load_config(path: str | Path) -> ToolkitConfig:
     if not isinstance(raw, dict):
         raise ParseError(f"{path}: config must be a JSON object")
     errors: list[str] = []
-    base = path.parent
 
-    def fail(msg: str) -> None:
-        errors.append(msg)
+    def parse(where: str, build, *args, **kwargs):
+        """Run one guarded parse; a failure gives None and is recorded as
+        ``where: reason``, or as the reason alone if it names ``where.<field>``."""
+        try:
+            return build(*args, **kwargs)
+        except _SECTION_ERRORS as exc:
+            reason = str(exc)
+            errors.append(reason if reason.startswith(f"{where}.") else f"{where}: {reason}")
+            return None
+
+    def referenced(where: str, rel, loader):
+        """Load a file named relative to the config; None if the key is absent or null."""
+
+        def load():
+            target = path.parent / _text(rel)
+            if not target.exists():
+                raise ValueError(f"{target} does not exist")
+            return loader(target)
+
+        return None if rel is None else parse(where, load)
 
     seed = raw.get("seed", 0)
-    if not isinstance(seed, int):
-        fail("seed: must be an integer")
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        errors.append("seed: must be an integer")
         seed = 0
 
-    technology: dict[str, TechnologyParams] = {}
-    for label, spec in raw.get("technology", {}).items():
-        try:
-            technology[label] = TechnologyParams(
-                node_label=label,
-                cfpa_kg_per_cm2=float(spec["cfpa_kg_per_cm2"]),
-                cfpa_si_kg_per_cm2=float(spec["cfpa_si_kg_per_cm2"]),
-                wafer_diameter_cm=float(spec["wafer_diameter_cm"]),
-                packaging_kg=float(spec["packaging_kg"]),
-                bonding_kg_per_cm2=float(spec.get("bonding_kg_per_cm2", 0.0)),
-                tsv_kg_per_via=float(spec.get("tsv_kg_per_via", 0.0)),
-            )
-        except (KeyError, TypeError, ValueError, ValidationFailure) as exc:
-            fail(f"technology.{label}: {exc}")
+    technology = {
+        label: parse(f"technology.{label}", _from_spec, TechnologyParams, spec, node_label=label)
+        for label, spec in (parse("technology", _object, raw.get("technology", {})) or {}).items()
+    }
 
-    area_params = None
-    if "area_params" in raw:
-        try:
-            spec = raw["area_params"]
-            area_params = AreaParams(
-                sram_mm2_per_byte=float(spec["sram_mm2_per_byte"]),
-                fixed_overhead_mm2=float(spec["fixed_overhead_mm2"]),
-                mac_adder_mm2=float(spec["mac_adder_mm2"]),
-            )
-        except (KeyError, TypeError, ValueError, ValidationFailure) as exc:
-            fail(f"area_params: {exc}")
+    area_params = parse("area_params", _from_spec, AreaParams, raw["area_params"]) if "area_params" in raw else None
 
-    design_space = None
-    if "design_space" in raw:
-        spec = raw["design_space"]
-        try:
-            tech_node = spec["tech_node"]
-            if tech_node not in technology:
-                raise KeyError(f"tech_node {tech_node!r} not in technology table")
-            if area_params is None:
-                raise KeyError("design_space requires area_params")
-            multipliers = tuple(
-                MultiplierVariant(
-                    name=m["name"],
-                    area_mm2=float(m["area_mm2"]),
-                    accuracy_drop_pct=float(m["accuracy_drop_pct"]),
-                )
-                for m in spec["multipliers"]
-            )
-            design_space = DesignSpace(
-                px_values=tuple(int(v) for v in spec["px"]),
-                py_values=tuple(int(v) for v in spec["py"]),
-                b_local_values=tuple(int(v) for v in spec["b_local"]),
-                b_global_values=tuple(int(v) for v in spec["b_global"]),
-                dataflows=tuple(_DATAFLOW_BY_NAME[d] for d in spec["dataflows"]),
-                multipliers=multipliers,
-                tech=technology[tech_node],
-                area_params=area_params,
-                stacking=_STACKING_BY_NAME[spec.get("stacking", "planar2D")],
-                clock_hz=float(spec.get("clock_hz", 1e9)),
-                dram_bytes_per_cycle=float(spec.get("dram_bytes_per_cycle", 16)),
-                tsv_count=int(spec.get("tsv_count", 0)),
-                accuracy_threshold_pct=float(
-                    spec.get(
-                        "accuracy_threshold_pct",
-                        raw.get("policy", {}).get("accuracy_threshold_pct", 2.0),
-                    )
-                ),
-                max_area_cm2=spec.get("max_area_cm2"),
-            )
-        except (KeyError, TypeError, ValueError, ValidationFailure) as exc:
-            fail(f"design_space: {exc}")
+    policy = parse("policy", _from_spec, PolicyParams, raw.get("policy", {}))
 
-    try:
-        ga_spec = raw.get("ga", {})
-        ga_params = GaParams(
-            population_size=int(ga_spec.get("population_size", 64)),
-            generations=int(ga_spec.get("generations", 50)),
-            tournament_k=int(ga_spec.get("tournament_k", 3)),
-            crossover_rate=float(ga_spec.get("crossover_rate", 0.9)),
-            mutation_rate=float(ga_spec.get("mutation_rate", 0.1)),
-            elitism_count=int(ga_spec.get("elitism_count", 2)),
-            rng_seed=seed,
+    def build_space(spec: dict) -> DesignSpace:
+        tech_node = _object(spec)["tech_node"]
+        if tech_node not in technology:
+            raise ValueError(f"tech_node {tech_node!r} not in technology table")
+        if area_params is None:
+            raise ValueError("design_space requires area_params")
+        if policy is not None:
+            spec = {"accuracy_threshold_pct": policy.accuracy_threshold_pct, **spec}
+        return _from_spec(
+            DesignSpace,
+            spec,
+            **{f"{gene}_values": tuple(map(_integer, spec[gene])) for gene in ("px", "py", "b_local", "b_global")},
+            dataflows=tuple(map(Dataflow, spec["dataflows"])),
+            multipliers=tuple(_from_spec(MultiplierVariant, m) for m in spec["multipliers"]),
+            tech=technology[tech_node],
+            area_params=area_params,
         )
-    except (TypeError, ValueError, ValidationFailure) as exc:
-        fail(f"ga: {exc}")
-        ga_params = GaParams(rng_seed=seed)
 
-    workload = None
-    if "workload_file" in raw:
-        wpath = base / raw["workload_file"]
-        if not wpath.exists():
-            fail(f"workload_file: {wpath} does not exist")
-        else:
-            try:
-                workload = load_workload(wpath)
-            except ValidationFailure as exc:
-                fail(f"workload_file: {exc}")
+    design_space = parse("design_space", build_space, raw["design_space"]) if "design_space" in raw else None
 
-    node = None
-    if "node_file" in raw:
-        npath = base / raw["node_file"]
-        if not npath.exists():
-            fail(f"node_file: {npath} does not exist")
-        else:
-            try:
-                node = load_node(npath)
-            except (KeyError, TypeError, ValueError, ValidationFailure) as exc:
-                fail(f"node_file: {exc}")
+    ga_params = parse("ga", _from_spec, GaParams, raw.get("ga", {}), rng_seed=seed)
+    workload = referenced("workload_file", raw.get("workload_file"), load_workload)
+    node = referenced("node_file", raw.get("node_file"), load_node)
+    variant_sets = referenced("variants_file", raw.get("variants_file"), load_variant_sets) or []
 
-    variant_sets: list[ModelVariantSet] = []
-    if "variants_file" in raw:
-        vpath = base / raw["variants_file"]
-        if not vpath.exists():
-            fail(f"variants_file: {vpath} does not exist")
-        else:
-            try:
-                variant_sets = load_variant_sets(vpath)
-            except (KeyError, TypeError, ValueError, ValidationFailure) as exc:
-                fail(f"variants_file: {exc}")
+    def build_sim(spec: dict) -> SimSettings:
+        exec_table = None
+        if "exec_table_file" in _object(spec):
+            concurrency = referenced("sim.concurrency_file", spec.get("concurrency_file"), Path)
+            exec_table = referenced(
+                "sim.exec_table_file",
+                spec["exec_table_file"],
+                lambda target: load_exec_table(target, concurrency),
+            )
+        llm_variants = referenced("sim.llm_variants_file", spec.get("llm_variants_file"), load_llm_variants)
+        return _from_spec(SimSettings, spec, exec_table=exec_table, llm_variants=llm_variants)
 
-    policy_spec = raw.get("policy", {})
-    hysteresis = policy_spec.get("hysteresis_fraction", 0.10)
-    if not isinstance(hysteresis, (int, float)) or not 0.0 <= hysteresis <= 1.0:
-        fail(f"policy.hysteresis_fraction: must be in [0, 1], got {hysteresis}")
-        hysteresis = 0.10
-    policy = PolicyParams(
-        accuracy_threshold_pct=float(policy_spec.get("accuracy_threshold_pct", 2.0)),
-        hysteresis_fraction=float(hysteresis),
-        p_min_w=float(policy_spec.get("p_min_w", 1.0)),
-        p_max_w=float(policy_spec.get("p_max_w", 10.0)),
-        ci_min=float(policy_spec.get("ci_min", 0.0)),
-        ci_max=float(policy_spec.get("ci_max", 1.0)),
-        tps_floor=(
-            float(policy_spec["tps_floor"]) if policy_spec.get("tps_floor") is not None else None
-        ),
-        accuracy_floor=float(policy_spec.get("accuracy_floor", 0.0)),
-        latency_constraint_ms=float(policy_spec.get("latency_constraint_ms", 100.0)),
-    )
-    if policy.p_min_w > policy.p_max_w:
-        fail("policy: p_min_w must be <= p_max_w")
-
-    sim_spec = raw.get("sim", {})
-    exec_table = None
-    if "exec_table_file" in sim_spec:
-        tpath = base / sim_spec["exec_table_file"]
-        cpath = base / sim_spec["concurrency_file"] if "concurrency_file" in sim_spec else None
-        if not tpath.exists():
-            fail(f"sim.exec_table_file: {tpath} does not exist")
-        elif cpath is not None and not cpath.exists():
-            fail(f"sim.concurrency_file: {cpath} does not exist")
-        else:
-            try:
-                exec_table = load_exec_table(tpath, cpath)
-            except ValidationFailure as exc:
-                fail(f"sim.exec_table_file: {exc}")
-    llm_variants = None
-    if "llm_variants_file" in sim_spec:
-        lpath = base / sim_spec["llm_variants_file"]
-        if not lpath.exists():
-            fail(f"sim.llm_variants_file: {lpath} does not exist")
-        else:
-            try:
-                llm_variants = load_llm_variants(lpath)
-            except (KeyError, TypeError, ValueError, ValidationFailure) as exc:
-                fail(f"sim.llm_variants_file: {exc}")
-    try:
-        sim = SimSettings(
-            mode=sim_spec.get("mode", "batch"),
-            horizon_s=float(sim_spec.get("horizon_s", 600.0)),
-            step_s=float(sim_spec.get("step_s", 1.0)),
-            deadline_ms=float(sim_spec.get("deadline_ms", 100.0)),
-            idle_power_w=float(sim_spec.get("idle_power_w", 0.0)),
-            tokens_per_request=int(sim_spec.get("tokens_per_request", 128)),
-            arrival_rate_per_s=float(sim_spec.get("arrival_rate_per_s", 1.0)),
-            lifetime_inferences=(
-                float(sim_spec["lifetime_inferences"])
-                if sim_spec.get("lifetime_inferences") is not None
-                else None
-            ),
-            embodied_total_kg=(
-                float(sim_spec["embodied_total_kg"])
-                if sim_spec.get("embodied_total_kg") is not None
-                else None
-            ),
-            exec_table=exec_table,
-            llm_variants=llm_variants,
-        )
-    except (TypeError, ValueError) as exc:
-        fail(f"sim: {exc}")
-        sim = SimSettings()
-    if sim.mode not in ("batch", "llm", "mapping"):
-        fail(f"sim.mode: unknown mode {sim.mode!r}")
-
-    search_spec = raw.get("search", {})
-    try:
-        search = SearchParams(
-            beam_width=int(search_spec.get("beam_width", 8)),
-            local_search_moves=int(search_spec.get("local_search_moves", 200)),
-            max_segments=int(search_spec.get("max_segments", 4)),
-            candidate_cap=int(search_spec.get("candidate_cap", 256)),
-            rng_seed=seed,
-        )
-    except (TypeError, ValueError) as exc:
-        fail(f"search: {exc}")
-        search = SearchParams(rng_seed=seed)
+    sim = parse("sim", build_sim, raw.get("sim", {}))
+    search = parse("search", _from_spec, SearchParams, raw.get("search", {}), rng_seed=seed)
 
     if errors:
         raise ConfigError(errors)

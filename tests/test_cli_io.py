@@ -95,6 +95,22 @@ def test_all_errors_collected_not_just_first(tmp_path):
     assert len(exc_info.value.errors) >= 3
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("lifetime_inferences", 0),
+        ("lifetime_inferences", -5),
+        ("lifetime_inferences", float("nan")),
+        ("embodied_total_kg", -1.0),
+    ],
+)
+def test_bad_amortization_inputs_fail_at_load(tmp_path, key, value):
+    path = write_config(tmp_path, {"sim": {key: value}})
+    with pytest.raises(ConfigError) as exc_info:
+        load_config(path)
+    assert any(e.startswith("sim") and key in e for e in exc_info.value.errors)
+
+
 def test_config_round_trip_is_identity(demo_copy):
     original = load_config(demo_copy / "demo.json")
     saved = save_config(original, demo_copy / "roundtrip.json")
@@ -184,6 +200,18 @@ def test_single_sample_trace_covers_everything(tmp_path):
     trace = load_ci_trace(path)
     assert trace.horizon_s == float("inf")
     assert trace.ci_at(1e9) == 150.0
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["{\"seed\": " + "9" * 5000 + "}", "[" * 100_000 + "]" * 100_000],
+    ids=["long-integer", "deep-nesting"],
+)
+def test_unreadable_json_is_parse_error(tmp_path, text):
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    with pytest.raises(ParseError):
+        load_config(path)
 
 
 def test_non_object_config_rejected(tmp_path):
@@ -409,6 +437,54 @@ def test_cli_simulate_bad_lifetime_inferences_is_validation(demo_copy, tmp_path,
     )
     assert rc == 2
     assert capsys.readouterr().err.splitlines()[0].startswith("error[VALIDATION]: ")
+
+
+def test_cli_simulate_nan_ci_sample_is_validation(demo_copy, tmp_path, capsys):
+    config = json.loads((demo_copy / "demo.json").read_text())
+    config["sim"]["horizon_s"] = 60.0
+    path = demo_copy / "tiny.json"
+    path.write_text(json.dumps(config))
+    trace = tmp_path / "nan_trace.csv"
+    trace.write_text("timestamp,ci_g_per_kwh\n0,100\n30,nan\n60,200\n")
+    rc = cli.main(
+        [
+            "simulate", "--config", str(path), "--trace", str(trace),
+            "--arrivals", "poisson", "--out", str(tmp_path / "o"),
+        ]
+    )
+    assert rc == 2
+    first = capsys.readouterr().err.splitlines()[0]
+    assert first.startswith("error[VALIDATION]: ") and f"{trace}:3:" in first
+
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("policy", None, []),
+        ("technology", None, []),
+        ("sim", None, "x"),
+        ("ga", None, []),
+        ("search", None, 3),
+        ("policy", "p_min_w", "abc"),
+        ("workload_file", None, 5),
+        ("design_space", "max_area_cm2", "abc"),
+        ("ga", "population_size", float("inf")),
+        ("seed", None, True),
+    ],
+)
+def test_cli_malformed_config_is_validation(demo_copy, tmp_path, capsys, section, key, value):
+    config = json.loads((demo_copy / "demo.json").read_text())
+    if key is None:
+        config[section] = value
+    else:
+        config[section][key] = value
+    path = demo_copy / "malformed.json"
+    path.write_text(json.dumps(config))
+    rc = cli.main(["explore", "--config", str(path), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.splitlines()[0].startswith("error[VALIDATION]: ")
+    assert "Traceback" not in err
 
 
 def test_emit_to_unwritable_target_is_io_error(tmp_path, capsys):
