@@ -224,10 +224,15 @@ def accelerator_embodied(
     config: AcceleratorConfig,
     tech: TechnologyParams,
     params: AreaParams,
+    breakdown: AreaBreakdown | None = None,
 ) -> EmbodiedReport:
     """Embodied carbon of the config: one die when planar, compute+memory dies
-    (bond interface = the larger die, configured TSV count) when stacked."""
-    breakdown = estimate_area(config, params)
+    (bond interface = the larger die, configured TSV count) when stacked.
+
+    `breakdown`, when given, must be `estimate_area(config, params)`; a caller
+    that already holds it passes it in to skip the second estimate."""
+    if breakdown is None:
+        breakdown = estimate_area(config, params)
     if config.stacking is PackageKind.STACKED_3D:
         dies = [
             DieSpec(area_cm2=breakdown.compute_die_cm2, tech=tech),

@@ -198,8 +198,8 @@ def embodied_carbon(dies: list[DieSpec] | tuple[DieSpec, ...], package: PackageS
     if package.kind is PackageKind.STACKED_3D and len(dies) < 2:
         raise InvalidStack("a 3D stack needs at least two dies")
 
-    per_die = tuple(die_carbon(d) for d in dies)
     wasted = tuple(wasted_area(d.area_cm2, d.tech.wafer_diameter_cm) for d in dies)
+    per_die = tuple(die_carbon(d, wasted_override_cm2=w) for d, w in zip(dies, wasted))
     pkg_tech = dies[0].tech
     packaging = pkg_tech.packaging_kg
     if package.kind is PackageKind.STACKED_3D:

@@ -257,17 +257,24 @@ def _read_text(path: Path) -> str:
 
 def _parse_csv(path: Path, columns: list[str], parse_row) -> list:
     """Parse every row of a CSV with a fixed header; a bad row fails as
-    ``file:line: reason``, keeping the type of a ParseError it raised."""
-    lines = [ln for ln in _read_text(path).splitlines() if ln and not ln.startswith("#")]
-    reader = csv.DictReader(lines, restval="")
+    ``file:line: reason``, keeping the type of a ParseError it raised.
+
+    Blank and ``#`` comment lines are skipped, but ``line`` is the row's
+    physical line in the file, counting them.
+    """
+    numbered = [
+        (n, ln) for n, ln in enumerate(_read_text(path).splitlines(), start=1) if ln and not ln.startswith("#")
+    ]
+    reader = csv.DictReader((ln for _, ln in numbered), restval="")
     if reader.fieldnames is None or [c.strip() for c in reader.fieldnames] != columns:
         raise ParseError(f"{path}: expected header {','.join(columns)!r}, got {reader.fieldnames}")
     parsed = []
-    for line, row in enumerate(reader, start=2):
+    for row in reader:
         try:
             parsed.append(parse_row(row))
         except _VALUE_ERRORS as exc:
             kind = type(exc) if isinstance(exc, ParseError) else ParseError
+            line = numbered[reader.line_num - 1][0]
             raise kind(f"{path}:{line}: {exc}") from exc
     return parsed
 
@@ -291,12 +298,19 @@ def _ci_sample(row: dict[str, str]) -> tuple[float, float]:
 def load_ci_trace(path: str | Path) -> CiTrace:
     """Load a carbon-intensity forecast; step-hold semantics, times rebased to 0."""
     path = Path(path)
-    samples = _parse_csv(path, ["timestamp", "ci_g_per_kwh"], _ci_sample)
+    previous = -math.inf
+
+    def sample(row: dict[str, str]) -> tuple[float, float]:
+        nonlocal previous
+        ts, ci = _ci_sample(row)
+        if ts <= previous:
+            raise NonMonotonicTimestamps(f"timestamp {ts} not after previous")
+        previous = ts
+        return ts, ci
+
+    samples = _parse_csv(path, ["timestamp", "ci_g_per_kwh"], sample)
     if not samples:
         raise ParseError(f"{path}: trace has no samples")
-    for line, ((prev, _), (ts, _)) in enumerate(zip(samples, samples[1:]), start=3):
-        if ts <= prev:
-            raise NonMonotonicTimestamps(f"{path}:{line}: timestamp {ts} not after previous")
     base = samples[0][0]
     rebased = tuple((ts - base, ci) for ts, ci in samples)
     if len(rebased) >= 2:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from .accelerator_model import (
     AcceleratorConfig,
@@ -81,16 +81,24 @@ class DesignSpace:
         for name in ("px_values", "py_values", "b_local_values", "b_global_values", "dataflows", "multipliers"):
             if not getattr(self, name):
                 raise ValidationFailure(f"design space: candidate list {name} is empty")
-
-    def candidates(self, gene: str) -> tuple:
-        return {
+        genes = {
             "px": self.px_values,
             "py": self.py_values,
             "b_local": self.b_local_values,
             "b_global": self.b_global_values,
             "dataflow": self.dataflows,
             "multiplier": self.multipliers,
-        }[gene]
+        }
+        # gene -> {value: its first index}, the position `tuple.index` gives
+        index = {gene: {} for gene in genes}
+        for gene, values in genes.items():
+            for i, value in enumerate(values):
+                index[gene].setdefault(value, i)
+        object.__setattr__(self, "_genes", genes)
+        object.__setattr__(self, "_gene_index", index)
+
+    def candidates(self, gene: str) -> tuple:
+        return self._genes[gene]
 
     @property
     def size(self) -> int:
@@ -108,7 +116,7 @@ class DesignSpace:
 
     def index_key(self, c: Chromosome) -> tuple[int, ...]:
         """Lexicographic position of a chromosome; the global tie-break order."""
-        return tuple(self.candidates(g).index(getattr(c, g)) for g in _GENES)
+        return tuple(self._gene_index[g][getattr(c, g)] for g in _GENES)
 
     def chromosomes(self):
         """All chromosomes in lexicographic gene order."""
@@ -187,27 +195,68 @@ class GaResult:
     evaluated: tuple[EvaluatedDesign, ...]
 
 
-def evaluate(chromosome: Chromosome, workload: DnnWorkload, space: DesignSpace) -> EvaluatedDesign:
-    """Score one design point; infeasibility is a value, never an error."""
-    config = space.to_config(chromosome)
-    report = accelerator_embodied(config, space.tech, space.area_params)
-    latency = estimate_latency(config, workload)
+@dataclass
+class CostTables:
+    """The separable cost model's results, kept across one search.
+
+    Latency depends only on (px, py, b_global, dataflow); embodied carbon and
+    the feasibility verdict only on (px, py, b_local, b_global, multiplier).
+    Every other input is fixed by the space and the workload, so one table
+    serves one (workload, space) pair and lives for one search call.
+    """
+
+    latency_s: dict[tuple, float] = field(default_factory=dict)
+    embodied: dict[tuple, tuple[float, str | None]] = field(default_factory=dict)
+
+
+def evaluate(
+    chromosome: Chromosome,
+    workload: DnnWorkload,
+    space: DesignSpace,
+    tables: CostTables | None = None,
+) -> EvaluatedDesign:
+    """Score one design point; infeasibility is a value, never an error.
+
+    `tables` carries the model's results between the calls of one search;
+    without it the evaluation is one-shot.
+    """
+    if tables is None:
+        tables = CostTables()
+    c = chromosome
+    config = None
+    embodied_key = (c.px, c.py, c.b_local, c.b_global, c.multiplier)
+    embodied = tables.embodied.get(embodied_key)
+    if embodied is None:
+        config = space.to_config(c)
+        embodied = tables.embodied[embodied_key] = _embodied_verdict(config, space)
+    latency_key = (c.px, c.py, c.b_global, c.dataflow)
+    latency = tables.latency_s.get(latency_key)
+    if latency is None:
+        if config is None:
+            config = space.to_config(c)
+        latency = tables.latency_s[latency_key] = estimate_latency(config, workload)
+    embodied_kg, reason = embodied
+    feasible = reason is None
+    return EvaluatedDesign(
+        chromosome=c,
+        embodied_kg=embodied_kg,
+        latency_s=latency,
+        cdp_kg_s=cdp(embodied_kg, latency).value if feasible else math.inf,
+        feasible=feasible,
+        infeasibility_reason=reason,
+    )
+
+
+def _embodied_verdict(config: AcceleratorConfig, space: DesignSpace) -> tuple[float, str | None]:
+    """(embodied kg, infeasibility reason or None) of one config."""
+    area = estimate_area(config, space.area_params)
+    report = accelerator_embodied(config, space.tech, space.area_params, area)
     reasons = []
     if not accuracy_feasible(config, space.accuracy_threshold_pct):
         reasons.append("accuracy")
-    if space.max_area_cm2 is not None:
-        if estimate_area(config, space.area_params).total_2d_equiv_cm2 > space.max_area_cm2:
-            reasons.append("area")
-    feasible = not reasons
-    value = cdp(report.total_kg, latency).value if feasible else math.inf
-    return EvaluatedDesign(
-        chromosome=chromosome,
-        embodied_kg=report.total_kg,
-        latency_s=latency,
-        cdp_kg_s=value,
-        feasible=feasible,
-        infeasibility_reason="+".join(reasons) if reasons else None,
-    )
+    if space.max_area_cm2 is not None and area.total_2d_equiv_cm2 > space.max_area_cm2:
+        reasons.append("area")
+    return report.total_kg, "+".join(reasons) if reasons else None
 
 
 def crossover(a: Chromosome, b: Chromosome, rng: random.Random) -> tuple[Chromosome, Chromosome]:
@@ -254,11 +303,12 @@ def run_ga(
         raise ValidationFailure(f"unknown fitness {fitness!r}")
     rng = random.Random(params.rng_seed)
     cache: dict[Chromosome, EvaluatedDesign] = {}
+    tables = CostTables()
 
     def eval_cached(c: Chromosome) -> EvaluatedDesign:
         hit = cache.get(c)
         if hit is None:
-            hit = evaluate(c, workload, space)
+            hit = evaluate(c, workload, space, tables)
             cache[c] = hit
         return hit
 
@@ -321,8 +371,9 @@ def exhaustive_search(
         raise SpaceTooLarge(f"space has {space.size} designs, cap is {cap}")
     best: EvaluatedDesign | None = None
     best_fit = math.inf
+    tables = CostTables()
     for chromosome in space.chromosomes():
-        design = evaluate(chromosome, workload, space)
+        design = evaluate(chromosome, workload, space, tables)
         fit = _fitness_of(design, fitness)
         if design.feasible and fit < best_fit:
             best = design

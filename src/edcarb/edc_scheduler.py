@@ -8,9 +8,17 @@ charged once per segment boundary using the producing layer's output bytes.
 The mapping search maximizes inferences-per-watt under a power threshold
 that tracks grid carbon intensity: minimum intensity maps to the maximum
 power budget and vice versa, with re-planning gated by a hysteresis rule so
-small intensity wiggles do not cause oscillation. Throughput/power estimates
-can optionally be routed through a classify-into-bins estimator that mirrors
-a discrete-class predictor; the default estimator is exact table lookup.
+small intensity wiggles do not cause oscillation. The exact throughput/power
+estimate can optionally be refined through a classify-into-bins estimator
+that mirrors a discrete-class predictor; by default the search ranks on the
+exact estimate.
+
+The pipeline model is a fold: each mapped DNN contributes a summary (its
+throughput term and the max active power it puts on each unit), and the
+system estimate folds the summaries in DNN order. The search memoizes
+segment costs and candidate summaries for one call and carries the fold
+state with each beam partial, so every estimate it ranks on is bit-identical
+to `system_estimate` over the same plans.
 """
 
 from __future__ import annotations
@@ -104,15 +112,16 @@ class EdgeNode:
             raise ValidationFailure("node needs at least one processing unit")
         if self.transfer_bytes_per_ms <= 0:
             raise ValidationFailure("transfer_bytes_per_ms must be > 0")
-        ids = [u.id for u in self.units]
-        if len(set(ids)) != len(ids):
+        unit_index = {u.id: i for i, u in enumerate(self.units)}
+        if len(unit_index) != len(self.units):
             raise ValidationFailure("duplicate unit ids in node")
+        object.__setattr__(self, "_unit_index", unit_index)
 
     def unit_by_id(self, unit_id: str) -> ProcessingUnit:
-        for unit in self.units:
-            if unit.id == unit_id:
-                return unit
-        raise ValidationFailure(f"unknown unit id {unit_id!r}")
+        index = self._unit_index.get(unit_id)
+        if index is None:
+            raise ValidationFailure(f"unknown unit id {unit_id!r}")
+        return self.units[index]
 
 
 @dataclass(frozen=True)
@@ -213,7 +222,17 @@ class VariantChoice:
     constraint_violated: bool
 
 
-Estimator = Callable[[Sequence[tuple[ModelVariant, MappingPlan]], EdgeNode], SystemEstimate]
+# Refines the exact estimate of a set of plans into the estimate the search
+# ranks on.
+Estimator = Callable[[SystemEstimate], SystemEstimate]
+
+# One mapped DNN's share of the pipeline model: its throughput term
+# (1000 / slowest segment ms) and the max active power per unit it uses.
+_PlanSummary = tuple[float, dict[str, float]]
+
+# Running sum of throughput terms and per-unit max active power. Summaries
+# and fold states share dicts and are never mutated.
+_Fold = tuple[float, dict[str, float]]
 
 
 def validate_plan(plan: MappingPlan, variant: ModelVariant, node: EdgeNode) -> None:
@@ -261,6 +280,39 @@ def plan_bottleneck_ms(plan: MappingPlan, variant: ModelVariant, node: EdgeNode)
     return max(segment_cost(seg, variant, node)[0] for seg in plan.segments)
 
 
+def _plan_summary(plan: MappingPlan, costs: Sequence[tuple[float, float]]) -> _PlanSummary:
+    """Summary of one mapped DNN from the (latency ms, power W) of its segments."""
+    unit_power: dict[str, float] = {}
+    for seg, (_, power) in zip(plan.segments, costs):
+        unit_power[seg.unit_id] = max(unit_power.get(seg.unit_id, 0.0), power)
+    bottleneck, _ = max(costs)  # the pair with the largest latency
+    return 1000.0 / bottleneck, unit_power
+
+
+def _fold(state: _Fold, summary: _PlanSummary) -> _Fold:
+    throughput, unit_power = state
+    term, powers = summary
+    if not unit_power:
+        return throughput + term, powers
+    merged = unit_power.copy()
+    for unit_id, power in powers.items():
+        merged[unit_id] = max(merged.get(unit_id, 0.0), power)
+    return throughput + term, merged
+
+
+def _estimate(throughput: float, power: float) -> SystemEstimate:
+    if power > 0:
+        ipw = throughput / power
+    else:
+        ipw = float("inf") if throughput > 0 else 0.0
+    return SystemEstimate(throughput_inf_per_s=throughput, power_w=power, ipw=ipw)
+
+
+def _folded_estimate(state: _Fold, node: EdgeNode) -> SystemEstimate:
+    throughput, unit_power = state
+    return _estimate(throughput, sum(unit_power.get(u.id, u.idle_power_w) for u in node.units))
+
+
 def system_estimate(
     assignments: Sequence[tuple[ModelVariant, MappingPlan]],
     node: EdgeNode,
@@ -270,20 +322,11 @@ def system_estimate(
     Each DNN runs at the reciprocal of its slowest segment; units pay the max
     active power over their resident segments, or idle power when empty.
     """
-    unit_power: dict[str, float] = {}
-    throughput = 0.0
+    state: _Fold = (0.0, {})
     for variant, plan in assignments:
         costs = [segment_cost(seg, variant, node) for seg in plan.segments]
-        bottleneck = max(latency for latency, _ in costs)
-        throughput += 1000.0 / bottleneck
-        for seg, (_, power) in zip(plan.segments, costs):
-            unit_power[seg.unit_id] = max(unit_power.get(seg.unit_id, 0.0), power)
-    power = sum(unit_power.get(u.id, u.idle_power_w) for u in node.units)
-    if power > 0:
-        ipw = throughput / power
-    else:
-        ipw = float("inf") if throughput > 0 else 0.0
-    return SystemEstimate(throughput_inf_per_s=throughput, power_w=power, ipw=ipw)
+        state = _fold(state, _plan_summary(plan, costs))
+    return _folded_estimate(state, node)
 
 
 def classify(value: float, bins: ClassBins) -> tuple[float, ...]:
@@ -318,15 +361,11 @@ def classified_estimator(throughput_bins: ClassBins, power_bins: ClassBins) -> E
     point estimate. Swapping in a real model only changes the distribution.
     """
 
-    def estimate(assignments: Sequence[tuple[ModelVariant, MappingPlan]], node: EdgeNode) -> SystemEstimate:
-        raw = system_estimate(assignments, node)
-        throughput = point_estimate(classify(raw.throughput_inf_per_s, throughput_bins), throughput_bins)
-        power = point_estimate(classify(raw.power_w, power_bins), power_bins)
-        if power > 0:
-            ipw = throughput / power
-        else:
-            ipw = float("inf") if throughput > 0 else 0.0
-        return SystemEstimate(throughput_inf_per_s=throughput, power_w=power, ipw=ipw)
+    def estimate(raw: SystemEstimate) -> SystemEstimate:
+        return _estimate(
+            point_estimate(classify(raw.throughput_inf_per_s, throughput_bins), throughput_bins),
+            point_estimate(classify(raw.power_w, power_bins), power_bins),
+        )
 
     return estimate
 
@@ -374,16 +413,19 @@ def _cut_masks(n_layers: int, max_segments: int):
             yield (0,) + cuts + (n_layers,)
 
 
+def _plan(dnn: str, cuts: tuple[int, ...], combo: tuple[tuple[str, int], ...]) -> MappingPlan:
+    return MappingPlan(
+        dnn=dnn,
+        segments=tuple(
+            Segment(start=cuts[i], end=cuts[i + 1], unit_id=u, freq_idx=f)
+            for i, (u, f) in enumerate(combo)
+        ),
+    )
+
+
 def _plans_for_cuts(dnn: str, cuts: tuple[int, ...], choices: list[tuple[str, int]]):
-    n_segments = len(cuts) - 1
-    for combo in itertools.product(choices, repeat=n_segments):
-        yield MappingPlan(
-            dnn=dnn,
-            segments=tuple(
-                Segment(start=cuts[i], end=cuts[i + 1], unit_id=u, freq_idx=f)
-                for i, (u, f) in enumerate(combo)
-            ),
-        )
+    for combo in itertools.product(choices, repeat=len(cuts) - 1):
+        yield _plan(dnn, cuts, combo)
 
 
 def _candidate_plans(
@@ -405,28 +447,22 @@ def _candidate_plans(
             plans.extend(_plans_for_cuts(dnn, cuts, choices))
         return plans
 
-    plans = list(_plans_for_cuts(dnn, (0, n_layers), choices))
-    seen = set(plans)
+    whole = (0, n_layers)
+    plans = list(_plans_for_cuts(dnn, whole, choices))
+    seen = {(whole, (choice,)) for choice in choices}
     attempts = 0
     while len(plans) < params.candidate_cap and attempts < params.candidate_cap * 10:
         attempts += 1
         cuts = rng.choice(masks)
         combo = tuple(rng.choice(choices) for _ in range(len(cuts) - 1))
-        plan = MappingPlan(
-            dnn=dnn,
-            segments=tuple(
-                Segment(start=cuts[i], end=cuts[i + 1], unit_id=u, freq_idx=f)
-                for i, (u, f) in enumerate(combo)
-            ),
-        )
-        if plan not in seen:
-            seen.add(plan)
-            plans.append(plan)
+        if (cuts, combo) not in seen:
+            seen.add((cuts, combo))
+            plans.append(_plan(dnn, cuts, combo))
     return plans
 
 
 def _plan_key(plans: Sequence[MappingPlan], node: EdgeNode) -> tuple:
-    unit_index = {u.id: i for i, u in enumerate(node.units)}
+    unit_index = node._unit_index
     return tuple(
         (seg.start, seg.end, unit_index[seg.unit_id], seg.freq_idx)
         for plan in plans
@@ -493,9 +529,12 @@ def search_mapping(
 
     Beam search assigns DNNs one at a time over enumerated (or sampled)
     per-DNN candidate plans, then first-improvement local search perturbs
-    single segments. Ranking goes through `estimator` (exact table lookup by
-    default); the power-threshold filter always uses exact costs, so returned
-    plans respect the budget regardless of estimator error. Deterministic for
+    single segments. Ranking uses `estimator(exact estimate)`, or the exact
+    estimate itself when no estimator is given; the power-threshold filter
+    always uses exact costs, so returned plans respect the budget regardless
+    of estimator error. Segment costs are memoized per (DNN, segment) for the
+    call, and each beam partial carries its fold state, so an extension costs
+    one fold instead of a re-estimate of the whole prefix. Deterministic for
     a fixed seed.
     """
     if power_threshold_w <= 0:
@@ -503,7 +542,6 @@ def search_mapping(
     if not workloads:
         raise ValidationFailure("search_mapping needs at least one workload")
     params = params or SearchParams()
-    estimator = estimator or system_estimate
     rng = random.Random(params.rng_seed)
 
     coverings: list[list[ProcessingUnit]] = []
@@ -533,36 +571,57 @@ def search_mapping(
         for d, variant in enumerate(workloads)
     ]
 
-    def rank(plans: tuple[MappingPlan, ...], upto: int) -> tuple:
-        pairs = [(workloads[i], plans[i]) for i in range(upto)]
-        est = estimator(pairs, node)
-        return (-est.ipw, _plan_key(plans, node))
+    segment_costs: dict[tuple[int, Segment], tuple[float, float]] = {}
 
-    partials: list[tuple[MappingPlan, ...]] = [()]
+    def summary(d: int, plan: MappingPlan) -> _PlanSummary:
+        costs = []
+        for seg in plan.segments:
+            cost = segment_costs.get((d, seg))
+            if cost is None:
+                cost = segment_costs[(d, seg)] = segment_cost(seg, workloads[d], node)
+            costs.append(cost)
+        return _plan_summary(plan, costs)
+
+    def exact_estimate(plans: tuple[MappingPlan, ...]) -> SystemEstimate:
+        state: _Fold = (0.0, {})
+        for d, plan in enumerate(plans):
+            state = _fold(state, summary(d, plan))
+        return _folded_estimate(state, node)
+
+    def score(exact: SystemEstimate) -> float:
+        return (exact if estimator is None else estimator(exact)).ipw
+
+    # Each beam entry is (plans, plan key, fold state). Extensions are ranked
+    # by (-score, plan key); only the survivors' fold states are kept.
+    beam: list[tuple[tuple[MappingPlan, ...], tuple, _Fold]] = [((), (), (0.0, {}))]
     for d in range(len(workloads)):
-        extended = [partial + (plan,) for partial in partials for plan in candidates[d]]
-        extended.sort(key=lambda plans: rank(plans, d + 1))
-        partials = extended[: params.beam_width]
+        options = [(plan, _plan_key((plan,), node), summary(d, plan)) for plan in candidates[d]]
+        ranked = []
+        for i, (_, key, state) in enumerate(beam):
+            for j, (_, plan_key, plan_sum) in enumerate(options):
+                exact = _folded_estimate(_fold(state, plan_sum), node)
+                ranked.append((-score(exact), key + plan_key, i, j))
+        ranked.sort()
+        beam = [
+            (beam[i][0] + (options[j][0],), key, _fold(beam[i][2], options[j][2]))
+            for _, key, i, j in ranked[: params.beam_width]
+        ]
 
-    pool = partials + [fb for fb in fallbacks if fb not in partials]
-    feasible = []
-    for plans in pool:
-        pairs = list(zip(workloads, plans))
-        exact = system_estimate(pairs, node)
-        if exact.power_w <= power_threshold_w:
-            feasible.append((plans, exact))
+    partials = [plans for plans, _, _ in beam]
+    pool = [(plans, _folded_estimate(state, node)) for plans, _, state in beam]
+    pool += [(fb, exact_estimate(fb)) for fb in fallbacks if fb not in partials]
+    feasible = [(plans, exact) for plans, exact in pool if exact.power_w <= power_threshold_w]
     if not feasible:
         raise NoFeasiblePlan(
             f"no plan fits under {power_threshold_w} W, even single-unit lowest-frequency mappings"
         )
 
     def feasible_rank(entry: tuple[tuple[MappingPlan, ...], SystemEstimate]) -> tuple:
-        plans, _ = entry
-        est = estimator(list(zip(workloads, plans)), node)
-        return (-est.ipw, _plan_key(plans, node))
+        plans, exact = entry
+        return (-score(exact), _plan_key(plans, node))
 
     best_plans, best_exact = min(feasible, key=feasible_rank)
-    best_score = estimator(list(zip(workloads, best_plans)), node).ipw
+    best_score = score(best_exact)
 
     budget = params.local_search_moves
     improved = True
@@ -570,11 +629,11 @@ def search_mapping(
         improved = False
         for neighbor in _neighbor_plans(best_plans, coverings, node):
             budget -= 1
-            exact = system_estimate(list(zip(workloads, neighbor)), node)
+            exact = exact_estimate(neighbor)
             if exact.power_w <= power_threshold_w:
-                score = estimator(list(zip(workloads, neighbor)), node).ipw
-                if score > best_score:
-                    best_plans, best_exact, best_score = neighbor, exact, score
+                neighbor_score = score(exact)
+                if neighbor_score > best_score:
+                    best_plans, best_exact, best_score = neighbor, exact, neighbor_score
                     improved = True
                     break
             if budget <= 0:

@@ -173,6 +173,21 @@ def test_trace_duplicate_timestamp_rejected(tmp_path):
         load_ci_trace(path)
 
 
+def test_csv_row_error_names_the_physical_line(tmp_path):
+    # the comment and blank lines before the bad row still count
+    path = tmp_path / "trace.csv"
+    path.write_text("timestamp,ci_g_per_kwh\n# comment\n0,100\n\n30,nan\n")
+    with pytest.raises(ParseError, match=r"trace\.csv:5: "):
+        load_ci_trace(path)
+
+
+def test_trace_non_monotonic_names_the_physical_line(tmp_path):
+    path = tmp_path / "trace.csv"
+    path.write_text("# forecast\ntimestamp,ci_g_per_kwh\n0,100\n# comment\n60,200\n\n60,300\n")
+    with pytest.raises(NonMonotonicTimestamps, match=r"trace\.csv:7: timestamp 60\.0 not after previous"):
+        load_ci_trace(path)
+
+
 def test_trace_negative_ci_rejected(tmp_path):
     path = tmp_path / "trace.csv"
     path.write_text("timestamp,ci_g_per_kwh\n0,-5\n")

@@ -2,12 +2,21 @@
 
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
-from edcarb.accelerator_model import Dataflow, MultiplierVariant
+from edcarb.accelerator_model import (
+    Dataflow,
+    MultiplierVariant,
+    accelerator_embodied,
+    estimate_area,
+    estimate_latency,
+)
+from edcarb.carbon_model import PackageKind
 from edcarb.design_explorer import (
     Chromosome,
+    CostTables,
     DesignSpace,
     EvaluatedDesign,
     GaParams,
@@ -88,6 +97,69 @@ def test_bigger_global_buffer_trades_latency_for_carbon():
     )
     assert big.latency_s <= small.latency_s
     assert big.embodied_kg >= small.embodied_kg
+
+
+@pytest.mark.parametrize("stacking", [PackageKind.PLANAR_2D, PackageKind.STACKED_3D])
+def test_search_evaluator_matches_the_direct_model(stacking):
+    # a narrow DRAM bus and a small global buffer make latency depend on b_global
+    base = make_space(
+        b_global_values=(512, 65536),
+        dram_bytes_per_cycle=1.0,
+        multipliers=(EXACT_MULT, APX_MULT, BAD_MULT),
+        stacking=stacking,
+        tsv_count=200,
+    )
+    areas = sorted(
+        estimate_area(base.to_config(c), base.area_params).total_2d_equiv_cm2 for c in base.chromosomes()
+    )
+    space = replace(base, max_area_cm2=areas[len(areas) // 2])
+    workload = make_workload()
+    tables = CostTables()
+    reasons = set()
+    for c in space.chromosomes():
+        config = space.to_config(c)
+        embodied = accelerator_embodied(config, space.tech, space.area_params).total_kg
+        latency = estimate_latency(config, workload)
+        area = estimate_area(config, space.area_params).total_2d_equiv_cm2
+        why = [
+            reason
+            for reason, failed in (
+                ("accuracy", c.multiplier.accuracy_drop_pct > space.accuracy_threshold_pct),
+                ("area", area > space.max_area_cm2),
+            )
+            if failed
+        ]
+        expected = EvaluatedDesign(
+            chromosome=c,
+            embodied_kg=embodied,
+            latency_s=latency,
+            cdp_kg_s=math.inf if why else embodied * latency,
+            feasible=not why,
+            infeasibility_reason="+".join(why) if why else None,
+        )
+        assert evaluate(c, workload, space, tables) == expected
+        assert evaluate(c, workload, space) == expected
+        reasons.add(expected.infeasibility_reason)
+    assert reasons == {None, "accuracy", "area", "accuracy+area"}
+    assert len(tables.latency_s) < len(tables.embodied) < space.size
+    by_global_buffer = {}
+    for (px, py, _, df), latency in tables.latency_s.items():
+        by_global_buffer.setdefault((px, py, df), set()).add(latency)
+    assert any(len(latencies) > 1 for latencies in by_global_buffer.values())
+
+
+def test_index_key_is_the_first_tuple_index_of_each_gene():
+    exact_again = MultiplierVariant(EXACT_MULT.name, EXACT_MULT.area_mm2, EXACT_MULT.accuracy_drop_pct)
+    space = make_space(
+        px_values=(4, 2, 4, 8),
+        dataflows=(Dataflow.OUTPUT_STATIONARY, Dataflow.WEIGHT_STATIONARY, Dataflow.OUTPUT_STATIONARY),
+        multipliers=(EXACT_MULT, APX_MULT, exact_again),
+    )
+    genes = ("px", "py", "b_local", "b_global", "dataflow", "multiplier")
+    for c in space.chromosomes():
+        assert space.index_key(c) == tuple(space.candidates(g).index(getattr(c, g)) for g in genes)
+    repeated = Chromosome(4, 2, 64, 4096, Dataflow.OUTPUT_STATIONARY, exact_again)
+    assert space.index_key(repeated) == (0, 0, 0, 0, 0, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -194,7 +194,7 @@ def test_classified_estimator_quantizes_but_keeps_structure():
     bins_t = ClassBins(tuple(float(x) for x in range(0, 401, 25)))
     bins_p = ClassBins(tuple(float(x) for x in range(0, 41, 2)))
     estimator = classified_estimator(bins_t, bins_p)
-    quantized = estimator([(variant, plan)], node)
+    quantized = estimator(raw)
     assert abs(quantized.throughput_inf_per_s - raw.throughput_inf_per_s) <= 12.5
     assert abs(quantized.power_w - raw.power_w) <= 1.0
 
@@ -307,6 +307,33 @@ def test_search_deterministic():
     first = search_mapping(workloads, node, 20.0, params)
     second = search_mapping(workloads, node, 20.0, params)
     assert first == second
+
+
+@pytest.mark.parametrize("classified", [False, True], ids=["exact", "classified"])
+def test_search_estimate_is_bit_identical_to_system_estimate(classified):
+    estimator = (
+        classified_estimator(
+            ClassBins(tuple(float(x) for x in range(0, 2001, 50))),
+            ClassBins(tuple(float(x) for x in range(0, 61, 2))),
+        )
+        if classified
+        else None
+    )
+    rng = random.Random(2718)
+    checked = 0
+    for _ in range(20):
+        workloads, node = random_scheduler_instance(rng)
+        threshold = rng.uniform(4.0, 30.0)
+        # without local search the estimate comes straight from the beam
+        for moves in (0, 100):
+            params = SearchParams(beam_width=16, candidate_cap=128, local_search_moves=moves, rng_seed=3)
+            try:
+                solution = search_mapping(workloads, node, threshold, params, estimator=estimator)
+            except NoFeasiblePlan:
+                continue
+            assert solution.estimate == system_estimate(list(zip(workloads, solution.plans)), node)
+            checked += 1
+    assert checked >= 20
 
 
 def test_search_with_classified_estimator_still_respects_threshold():
