@@ -575,6 +575,9 @@ def sim_report_to_dict(report: SimReport) -> dict:
         "deadline_misses": report.deadline_misses,
         "mean_tps": report.mean_tps,
         "embodied_amortized_g_per_inference": report.embodied_amortized_g_per_inference,
+        "arrivals_total": report.arrivals_total,
+        "backlog_at_horizon": report.backlog_at_horizon,
+        "max_queue_len": report.max_queue_len,
         "decision_log": [
             {"t_s": ev.t_s, "kind": ev.kind, **ev.detail} for ev in report.decision_log
         ],

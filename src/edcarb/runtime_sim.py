@@ -24,8 +24,9 @@ from __future__ import annotations
 
 import math
 import random
-from collections import deque
-from dataclasses import dataclass
+from bisect import bisect_right
+from collections import Counter
+from dataclasses import dataclass, field
 
 from .edc_scheduler import (
     EdgeNode,
@@ -52,42 +53,42 @@ class NoVariantUnderPowerThreshold(InfeasibleError):
 @dataclass(frozen=True)
 class CiTrace:
     """Step-interpolated carbon-intensity forecast: each sample's value holds
-    until the next timestamp; coverage ends at horizon_s."""
+    until the next timestamp; coverage ends at horizon_s.
+
+    The sample times and the value bounds are derived once, at construction.
+    """
 
     samples: tuple[tuple[float, float], ...]
     horizon_s: float
+    times: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    ci_min: float = field(init=False, repr=False, compare=False)
+    ci_max: float = field(init=False, repr=False, compare=False)
+    ci_range: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.samples:
             raise ValidationFailure("CiTrace needs at least one sample")
-        times = [t for t, _ in self.samples]
+        times = tuple(t for t, _ in self.samples)
+        values = [ci for _, ci in self.samples]
+        if not all(math.isfinite(t) for t in times):
+            raise ValidationFailure("CiTrace timestamps must be finite")
         if any(b <= a for a, b in zip(times, times[1:])):
             raise ValidationFailure("CiTrace timestamps must be strictly increasing")
-        if any(ci < 0 for _, ci in self.samples):
-            raise ValidationFailure("carbon intensity must be >= 0")
-        if self.horizon_s < times[-1]:
-            raise ValidationFailure("horizon_s must cover the last sample")
+        if not all(0 <= ci < math.inf for ci in values):
+            raise ValidationFailure("carbon intensity must be finite and >= 0")
+        # +inf is a valid horizon: a single-sample trace covers all time
+        if not self.horizon_s >= times[-1]:
+            raise ValidationFailure("horizon_s must be a number covering the last sample")
+        object.__setattr__(self, "times", times)
+        object.__setattr__(self, "ci_min", min(values))
+        object.__setattr__(self, "ci_max", max(values))
+        object.__setattr__(self, "ci_range", self.ci_max - self.ci_min)
 
     def ci_at(self, t_s: float) -> float:
-        value = self.samples[0][1]
-        for ts, ci in self.samples:
-            if ts <= t_s:
-                value = ci
-            else:
-                break
-        return value
-
-    @property
-    def ci_min(self) -> float:
-        return min(ci for _, ci in self.samples)
-
-    @property
-    def ci_max(self) -> float:
-        return max(ci for _, ci in self.samples)
-
-    @property
-    def ci_range(self) -> float:
-        return self.ci_max - self.ci_min
+        """Value of the last sample at or before t_s; the first sample's
+        value before it."""
+        i = bisect_right(self.times, t_s)
+        return self.samples[i - 1 if i else 0][1]
 
 
 @dataclass(frozen=True)
@@ -158,8 +159,10 @@ class ExecLookupTable:
                 if (b, f) not in entries:
                     raise ValidationFailure(f"table is not rectangular: missing (b={b}, f={f})")
                 latency, energy = entries[(b, f)]
-                if latency <= 0 or energy < 0:
-                    raise ValidationFailure(f"entry (b={b}, f={f}): latency must be > 0, energy >= 0")
+                if not (0 < latency < math.inf and 0 <= energy < math.inf):
+                    raise ValidationFailure(
+                        f"entry (b={b}, f={f}): latency must be finite and > 0, energy finite and >= 0"
+                    )
         for f in freqs:
             for b_lo, b_hi in zip(batch_sizes, batch_sizes[1:]):
                 if entries[(b_hi, f)][0] < entries[(b_lo, f)][0]:
@@ -178,8 +181,8 @@ class ExecLookupTable:
                 raise ValidationFailure("stream counts must be >= 1")
             if not 0 < t_scale <= k:
                 raise ValidationFailure(f"throughput scale for k={k} must be in (0, k]")
-            if p_scale < 1.0:
-                raise ValidationFailure(f"power scale for k={k} must be >= 1")
+            if not 1.0 <= p_scale < math.inf:
+                raise ValidationFailure(f"power scale for k={k} must be finite and >= 1")
         self.entries = dict(entries)
         self.concurrency = concurrency
         self.batch_sizes = tuple(batch_sizes)
@@ -220,8 +223,13 @@ class LlmVariant:
             raise ValidationFailure(
                 f"variant {self.name!r}: tokens_per_s and power_w need equal, non-zero length"
             )
-        if any(tps <= 0 for tps in self.tokens_per_s) or any(p < 0 for p in self.power_w):
-            raise ValidationFailure(f"variant {self.name!r}: rates must be > 0, power >= 0")
+        if not math.isfinite(self.quality_score):
+            raise ValidationFailure(f"variant {self.name!r}: quality_score must be finite")
+        rates_ok = all(0 < tps < math.inf for tps in self.tokens_per_s)
+        if not (rates_ok and all(0 <= p < math.inf for p in self.power_w)):
+            raise ValidationFailure(
+                f"variant {self.name!r}: rates must be finite and > 0, power finite and >= 0"
+            )
 
 
 def validate_llm_variant_order(variants: tuple[LlmVariant, ...] | list[LlmVariant]) -> None:
@@ -360,18 +368,18 @@ class SimConfig:
             raise ValidationFailure(f"unknown sim mode {self.mode!r}")
         if self.policy not in ("adaptive", "static"):
             raise ValidationFailure(f"unknown policy {self.policy!r}")
-        if self.horizon_s <= 0 or self.step_s <= 0:
-            raise ValidationFailure("horizon_s and step_s must be > 0")
+        if not all(0 < x < math.inf for x in (self.horizon_s, self.step_s)):
+            raise ValidationFailure("horizon_s and step_s must be finite and > 0")
         if not 0.0 <= self.hysteresis_fraction <= 1.0:
             raise ValidationFailure("hysteresis_fraction must be in [0, 1]")
-        if self.p_min_w > self.p_max_w or self.p_min_w <= 0:
-            raise ValidationFailure("need 0 < p_min_w <= p_max_w")
-        if self.deadline_ms <= 0:
-            raise ValidationFailure("deadline_ms must be > 0")
+        if not 0 < self.p_min_w <= self.p_max_w < math.inf:
+            raise ValidationFailure("need 0 < p_min_w <= p_max_w, both finite")
+        if not 0 < self.deadline_ms < math.inf:
+            raise ValidationFailure("deadline_ms must be finite and > 0")
         if self.tokens_per_request < 1:
             raise ValidationFailure("tokens_per_request must be >= 1")
-        if self.idle_power_w < 0:
-            raise ValidationFailure("idle_power_w must be >= 0")
+        if not 0 <= self.idle_power_w < math.inf:
+            raise ValidationFailure("idle_power_w must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -398,6 +406,11 @@ class SimReport:
     inferences_done: int
     deadline_misses: int
     mean_tps: float
+    # request accounting (batch and llm; all 0 in mapping mode, which has no
+    # request queue): arrivals_total = inferences_done + backlog_at_horizon
+    arrivals_total: int
+    backlog_at_horizon: int
+    max_queue_len: int
     decision_log: list[LogEvent]
     steps: list[StepSample]
     embodied_amortized_g_per_inference: float | None = None
@@ -415,12 +428,6 @@ def amortized_report(embodied_kg: float, sim: SimReport, lifetime_inferences: fl
     grams = embodied_kg * 1000.0 / lifetime_inferences
     sim.embodied_amortized_g_per_inference = grams
     return grams
-
-
-@dataclass
-class _Request:
-    arrival_s: float
-    kind: str
 
 
 class _ThresholdController:
@@ -477,28 +484,37 @@ def run_simulation(
         if not llm_variants:
             raise ValidationFailure("llm mode needs llm_variants")
         validate_llm_variant_order(llm_variants)
-        if config.tps_floor <= 0:
-            raise ValidationFailure("llm mode requires an explicit tps_floor > 0")
+        if not 0 < config.tps_floor < math.inf:
+            raise ValidationFailure("llm mode requires an explicit finite tps_floor > 0")
     if config.mode == "mapping" and (node is None or not workloads):
         raise ValidationFailure("mapping mode needs a node and workloads")
     if config.mode in ("batch", "llm") and arrivals is None:
         raise ValidationFailure(f"{config.mode} mode needs an arrival model")
 
-    arrival_events = arrivals.materialize(config.horizon_s) if arrivals is not None else []
+    # mapping mode serves a continuous flow and ignores request arrivals
+    arrival_events = (
+        arrivals.materialize(config.horizon_s)
+        if arrivals is not None and config.mode != "mapping"
+        else []
+    )
+    arrivals_total = len(arrival_events)
     controller = _ThresholdController(config, ci_trace)
 
     log: list[LogEvent] = []
     steps: list[StepSample] = []
     total_energy_j = 0.0
     operational_g = 0.0
-    inferences = 0
     misses = 0
     busy_s = 0.0
     flow_inferences = 0.0
     flow_misses = 0.0
 
-    queue: deque[_Request] = deque()
+    # Arrivals are served in order, so the queue is arrival_events[head:next_arrival]
+    # and head counts the requests served. queued_kinds counts the queue by kind.
+    head = 0
     next_arrival = 0
+    queued_kinds: Counter[str] = Counter()
+    max_queue_len = 0
     device_free = 0.0
     # the selected LLM variant's fixed per-request cost; stays None in batch mode
     llm_dispatch: tuple[int, dict, float, float, float] | None = None
@@ -508,7 +524,7 @@ def run_simulation(
     def reselect(t: float, threshold: float, ci: float) -> None:
         nonlocal llm_dispatch, mapping_solution
         if config.mode == "llm":
-            level = ci_level_of(ci, ci_trace.ci_min, ci_trace.ci_max)
+            level = ci_level_of(ci, controller.ci_lo, controller.ci_hi)
             llm_choice = llm_select(llm_variants, threshold, level, config.tps_floor)
             llm_dispatch = _llm_dispatch(llm_choice, config.tokens_per_request)
             log.append(
@@ -583,13 +599,13 @@ def run_simulation(
             busy_in_window = max(0.0, min(device_free, step_end) - t)
             now = max(device_free, t)
             while True:
-                while next_arrival < len(arrival_events) and arrival_events[next_arrival][0] <= now:
-                    at, kind = arrival_events[next_arrival]
-                    queue.append(_Request(at, kind))
+                while next_arrival < arrivals_total and arrival_events[next_arrival][0] <= now:
+                    queued_kinds[arrival_events[next_arrival][1]] += 1
                     next_arrival += 1
-                if not queue:
+                max_queue_len = max(max_queue_len, next_arrival - head)
+                if head == next_arrival:
                     if (
-                        next_arrival < len(arrival_events)
+                        next_arrival < arrivals_total
                         and arrival_events[next_arrival][0] < step_end
                     ):
                         now = max(now, arrival_events[next_arrival][0])
@@ -598,7 +614,10 @@ def run_simulation(
                 if now >= step_end:
                     break
                 # batch re-plans every dispatch against the queue
-                dispatch = llm_dispatch or _plan_batch_dispatch(queue, table, config, threshold, now)
+                dispatch = llm_dispatch or _plan_batch_dispatch(
+                    arrival_events, head, next_arrival, len(queued_kinds),
+                    table, config, threshold, now,
+                )
                 if dispatch is None:
                     log.append(
                         LogEvent(t_s=now, kind="power_gated", detail={"threshold_w": threshold, "ci": ci})
@@ -608,12 +627,14 @@ def run_simulation(
                 completion = now + duration_s
                 arrival_times = []
                 n_miss = 0
-                for _ in range(n_served):
-                    arrival_s = queue.popleft().arrival_s
+                for arrival_s, kind in arrival_events[head : head + n_served]:
                     arrival_times.append(arrival_s)
                     if completion > arrival_s + deadline_s:
                         n_miss += 1
-                inferences += n_served
+                    queued_kinds[kind] -= 1
+                    if not queued_kinds[kind]:
+                        del queued_kinds[kind]
+                head += n_served
                 misses += n_miss
                 busy_s += duration_s
                 step_energy_j += energy_j
@@ -668,6 +689,11 @@ def run_simulation(
     if config.mode == "mapping":
         inferences = int(flow_inferences)
         misses = min(inferences, int(flow_misses))
+    else:
+        inferences = head
+    # every arrival before the horizon has arrived by then: the requests not
+    # yet taken in count towards the final queue
+    backlog = arrivals_total - head
     mean_tps = 0.0
     if config.mode == "llm" and busy_s > 0:
         mean_tps = inferences * config.tokens_per_request / busy_s
@@ -677,13 +703,19 @@ def run_simulation(
         inferences_done=inferences,
         deadline_misses=misses,
         mean_tps=mean_tps,
+        arrivals_total=arrivals_total,
+        backlog_at_horizon=backlog,
+        max_queue_len=max(max_queue_len, backlog),
         decision_log=log,
         steps=steps,
     )
 
 
 def _plan_batch_dispatch(
-    queue: deque,
+    events: list[tuple[float, str]],
+    head: int,
+    tail: int,
+    active_kinds: int,
     table: ExecLookupTable,
     config: SimConfig,
     threshold_w: float,
@@ -692,23 +724,25 @@ def _plan_batch_dispatch(
     """Apply the policy hierarchy to the queue head; None means the step is
     power-gated (no frequency fits under the threshold).
 
+    The queue is events[head:tail], (arrival_s, kind) in arrival order, and
+    holds active_kinds distinct kinds.
+
     Returns (requests served, head detail, duration_s, energy_j, power_w),
     where the head detail holds the leading dispatch log keys: the batch
     sizes, the stream count and the frequency index.
     """
     top_freq = table.n_freqs - 1
-    wait_ms = (now - queue[0].arrival_s) * 1000.0
-    active_kinds = len({r.kind for r in queue})
+    wait_ms = (now - events[head][0]) * 1000.0
     k = choose_concurrency(active_kinds, table)
 
     def group_sizes(k_try: int) -> tuple[int, ...]:
         sizes: list[int] = []
-        remaining = len(queue)
-        offset = 0
+        remaining = tail - head
+        offset = head
         for _ in range(k_try):
             if remaining < 1:
                 break
-            head_wait = (now - queue[offset].arrival_s) * 1000.0
+            head_wait = (now - events[offset][0]) * 1000.0
             b = choose_batch(remaining, table, config.deadline_ms, head_wait, top_freq)
             sizes.append(b)
             remaining -= b

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from edcarb.cli_io import sim_report_to_dict
 from edcarb.edc_scheduler import EdgeNode, SearchParams
 from edcarb.errors import ValidationFailure
 from edcarb.runtime_sim import (
@@ -101,6 +102,36 @@ def test_ci_trace_validation():
         CiTrace(samples=((0.0, 1.0), (50.0, 2.0)), horizon_s=10.0)
 
 
+def linear_ci_at(samples, t_s):
+    """The step-hold lookup as a plain scan: the last sample at or before
+    t_s, else the first one."""
+    value = samples[0][1]
+    for ts, ci in samples:
+        if ts > t_s:
+            break
+        value = ci
+    return value
+
+
+def test_ci_at_matches_a_linear_scan_reference():
+    rng = random.Random(31)
+    for n in [1, 2, 500] + [rng.randint(1, 500) for _ in range(40)]:
+        t = rng.uniform(-5.0, 5.0)
+        samples = []
+        for _ in range(n):
+            samples.append((t, rng.choice((0.0, 120.0, rng.uniform(0.0, 800.0)))))
+            t += rng.choice((1e-9, rng.uniform(0.01, 30.0)))
+        trace = CiTrace(samples=tuple(samples), horizon_s=t)
+        times = [ts for ts, _ in samples]
+        probes = [times[0] - 1.0, times[-1] + 1.0, trace.horizon_s, *times]
+        probes += [(a + b) / 2.0 for a, b in zip(times, times[1:])]
+        for probe in probes:
+            assert trace.ci_at(probe) == linear_ci_at(samples, probe)
+        assert trace.ci_min == min(ci for _, ci in samples)
+        assert trace.ci_max == max(ci for _, ci in samples)
+        assert trace.ci_range == trace.ci_max - trace.ci_min
+
+
 def test_poisson_arrivals_deterministic_and_bounded():
     model = PoissonArrivals(rate_per_s=5.0, seed=11)
     first = model.materialize(30.0)
@@ -121,6 +152,49 @@ def test_poisson_rate_must_be_finite_and_positive(rate):
     # would never advance time
     with pytest.raises(ValidationFailure):
         PoissonArrivals(rate_per_s=rate)
+
+
+NON_FINITE = (math.nan, math.inf, -math.inf)
+
+# one builder per validated number: each puts x into that field of an
+# otherwise valid object
+FINITE_FIELDS = {
+    "CiTrace.timestamp": lambda x: CiTrace(samples=((0.0, 1.0), (x, 2.0)), horizon_s=10.0),
+    "CiTrace.ci": lambda x: CiTrace(samples=((0.0, x),), horizon_s=10.0),
+    "CiTrace.horizon_s": lambda x: CiTrace(samples=((0.0, 1.0),), horizon_s=x),
+    "SimConfig.horizon_s": lambda x: batch_config(horizon_s=x),
+    "SimConfig.step_s": lambda x: batch_config(step_s=x),
+    "SimConfig.deadline_ms": lambda x: batch_config(deadline_ms=x),
+    "SimConfig.p_min_w": lambda x: batch_config(p_min_w=x),
+    "SimConfig.p_max_w": lambda x: batch_config(p_min_w=1.0, p_max_w=x),
+    "SimConfig.idle_power_w": lambda x: batch_config(idle_power_w=x),
+    "ExecLookupTable.latency": lambda x: ExecLookupTable(entries={(1, 0): (x, 1.0)}),
+    "ExecLookupTable.energy": lambda x: ExecLookupTable(entries={(1, 0): (5.0, x)}),
+    "ExecLookupTable.p_scale": lambda x: ExecLookupTable(
+        entries={(1, 0): (5.0, 1.0)}, concurrency={1: (1.0, 1.0), 2: (1.5, x)}
+    ),
+    "LlmVariant.tokens_per_s": lambda x: LlmVariant("v", "fp16", 0.9, (x,), (5.0,)),
+    "LlmVariant.power_w": lambda x: LlmVariant("v", "fp16", 0.9, (20.0,), (x,)),
+    "LlmVariant.quality_score": lambda x: LlmVariant("v", "fp16", x, (20.0,), (5.0,)),
+}
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        (name, value)
+        for name in FINITE_FIELDS
+        for value in NON_FINITE
+        # +inf is the horizon of a one-sample trace, which covers all time
+        # (test_cli_io's test_single_sample_trace_covers_everything)
+        if (name, value) != ("CiTrace.horizon_s", math.inf)
+    ],
+)
+def test_validators_reject_non_finite_numbers(field, value):
+    build = FINITE_FIELDS[field]
+    build(1.0)  # the same object with a finite value is valid
+    with pytest.raises(ValidationFailure):
+        build(value)
 
 
 # ---------------------------------------------------------------------------
@@ -311,6 +385,56 @@ def test_power_gated_requests_stay_queued_until_the_threshold_rises():
     assert_totals_recompute_from_log(report)
 
 
+def test_report_accounts_for_requests_queued_at_the_horizon():
+    # the power-gated scenario above: the last quarter's arrivals stay queued
+    config = batch_config(p_min_w=4.0)
+    arrivals = PoissonArrivals(rate_per_s=3.0, seed=7)
+    report = run_simulation(config, two_level_trace(100.0, 500.0, 60.0), arrivals, table=TWO_FREQ_TABLE)
+    arrived = [t for t, _ in arrivals.materialize(config.horizon_s)]
+    assert report.arrivals_total == len(arrived)
+    assert report.backlog_at_horizon == sum(1 for a in arrived if a >= 45.0) > 0
+    assert report.arrivals_total == report.inferences_done + report.backlog_at_horizon
+    # the queue held through the first gated quarter was longer still
+    assert report.max_queue_len > report.backlog_at_horizon
+    keys = list(sim_report_to_dict(report))
+    assert keys[-4:] == ["arrivals_total", "backlog_at_horizon", "max_queue_len", "decision_log"]
+
+
+@pytest.mark.parametrize("kinds", ["aaaaabaaaaaa", "abababaaaa"], ids=["one-b", "interleaved"])
+def test_stream_count_follows_the_queued_kinds(kinds):
+    # every request arrives at t=0; two streams beat one in this table
+    # (1.8 / 1.5 > 1), but only while two kinds are queued. No batch meets
+    # the 30 ms deadline, so each stream serves one request per dispatch.
+    arrivals = TraceArrivals(tuple((0.0, kind) for kind in kinds))
+    config = batch_config(idle_power_w=0.0, horizon_s=10.0, deadline_ms=30.0)
+    report = run_simulation(config, flat_trace(250.0, 10.0), arrivals, table=TWO_FREQ_TABLE)
+    assert report.inferences_done == len(kinds)
+    served = 0
+    streams = []
+    for ev in report.decision_log:
+        if ev.kind != "dispatch":
+            continue
+        queued = set(kinds[served:])
+        streams.append(ev.detail["streams"])
+        assert ev.detail["streams"] == (2 if queued == {"a", "b"} else 1)
+        served += sum(ev.detail["batches"])
+    assert streams[0] == 2 and streams[-1] == 1
+    assert served == len(kinds)
+
+
+def test_mapping_mode_has_no_request_queue():
+    layers = ("l0", "l1")
+    cpu = make_unit("cpu0", "CPU", layers, base_latency_ms=4.0, base_power_w=3.0)
+    node = EdgeNode(units=(cpu,), transfer_bytes_per_ms=1e5)
+    config = SimConfig(mode="mapping", horizon_s=10.0, p_min_w=1.0, p_max_w=16.0)
+    report = run_simulation(
+        config, flat_trace(200.0, 10.0), PoissonArrivals(rate_per_s=5.0),
+        node=node, workloads=[make_variant("m", layers)], search_params=SearchParams(rng_seed=0),
+    )
+    assert report.inferences_done > 0
+    assert (report.arrivals_total, report.backlog_at_horizon, report.max_queue_len) == (0, 0, 0)
+
+
 def test_operational_grams_consistent_with_carbon_model_trace():
     from edcarb.carbon_model import operational_carbon_trace
 
@@ -446,6 +570,15 @@ def test_llm_mode_serves_tokens_and_reports_tps():
     # the high-CI half forces a fallback away from the top-precision variant
     assert any(ev.detail["variant"] != "big" for ev in selects)
     assert any(ev.detail["variant"] == "big" for ev in selects)
+
+
+@pytest.mark.parametrize("tps_floor", [0.0, *NON_FINITE])
+def test_llm_mode_needs_a_finite_positive_tps_floor(tps_floor):
+    with pytest.raises(ValidationFailure):
+        run_simulation(
+            llm_config(tps_floor=tps_floor), flat_trace(100.0, 60.0),
+            PoissonArrivals(rate_per_s=0.5), llm_variants=LLM_VARIANTS,
+        )
 
 
 def test_llm_adaptive_saves_carbon_vs_static():
