@@ -117,13 +117,6 @@ class OperationalSample:
             raise ValidationFailure("energy must be >= 0")
 
 
-@dataclass(frozen=True)
-class CdpValue:
-    value: float
-    carbon_component: float
-    delay_component_s: float
-
-
 def dies_per_wafer(die_area_cm2: float, wafer_diameter_cm: float) -> int:
     """Estimate whole dies yielded by one wafer.
 
@@ -242,8 +235,8 @@ def operational_carbon_trace(
     return total
 
 
-def cdp(carbon: float, delay_s: float) -> CdpValue:
+def cdp(carbon: float, delay_s: float) -> float:
     """Carbon-delay product: the scalar trade-off metric carbon x latency."""
     if carbon < 0 or delay_s < 0:
         raise ValidationFailure("cdp needs non-negative carbon and delay")
-    return CdpValue(value=carbon * delay_s, carbon_component=carbon, delay_component_s=delay_s)
+    return carbon * delay_s

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 from dataclasses import replace
@@ -24,7 +25,7 @@ from pathlib import Path
 from . import __version__, cli_io
 from .carbon_model import PackageKind
 from .design_explorer import pareto_front, run_ga
-from .edc_scheduler import ci_to_threshold, search_mapping, select_variant
+from .edc_scheduler import ci_to_threshold, plan_bottleneck_ms, search_mapping, select_variant
 from .errors import IoFailure, ToolkitError, ValidationFailure
 from .runtime_sim import PoissonArrivals, SimConfig, amortized_report, run_simulation
 
@@ -119,6 +120,8 @@ def _cmd_explore(args: argparse.Namespace) -> int:
 
 
 def _cmd_schedule(args: argparse.Namespace) -> int:
+    if not 0 <= args.ci_now < math.inf:
+        raise ValidationFailure(f"--ci-now must be a finite number >= 0, got {args.ci_now}")
     config = cli_io.load_config(args.config)
     node = _require(config.node, "node_file")
     variant_sets = _require(config.variant_sets, "variants_file")
@@ -129,19 +132,17 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
     )
     log.info("ci=%.1f -> power threshold %.2f W", args.ci_now, threshold)
 
-    choices = []
-    for vset in variant_sets:
-        choice = select_variant(
+    chosen_variants = [
+        select_variant(
             vset,
             policy.latency_constraint_ms,
             policy.accuracy_floor,
             node,
             threshold,
             config.search,
-        )
-        choices.append((vset, choice))
-
-    chosen_variants = [choice.variant for _, choice in choices]
+        ).variant
+        for vset in variant_sets
+    ]
     solution = search_mapping(chosen_variants, node, threshold, config.search)
 
     meta = cli_io.RunMeta(command="schedule", config_hash=config.config_hash, seed=config.seed)
@@ -152,9 +153,12 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
         "models": [
             {
                 "model": vset.name,
-                "variant": choice.variant.name,
-                "accuracy": choice.variant.accuracy,
-                "constraint_violated": choice.constraint_violated,
+                "variant": variant.name,
+                "accuracy": variant.accuracy,
+                # judged on the jointly mapped plan written below
+                "constraint_violated": (
+                    plan_bottleneck_ms(plan, variant, node) > policy.latency_constraint_ms
+                ),
                 "segments": [
                     {
                         "start": seg.start,
@@ -165,7 +169,7 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
                     for seg in plan.segments
                 ],
             }
-            for (vset, choice), plan in zip(choices, solution.plans)
+            for vset, variant, plan in zip(variant_sets, chosen_variants, solution.plans)
         ],
         "system": {
             "throughput_inf_per_s": solution.estimate.throughput_inf_per_s,

@@ -633,7 +633,11 @@ def emit_report(bundle: ResultBundle, out_dir: str | Path) -> list[Path]:
                 },
                 **payload,
             }
-            target.write_text(json.dumps(doc, indent=2) + "\n")
+            try:
+                text = json.dumps(doc, indent=2, allow_nan=False) + "\n"
+            except ValueError as exc:
+                raise ValidationFailure(f"{name} would hold a non-finite number: {exc}") from exc
+            target.write_text(text)
             written.append(target)
     except OSError as exc:
         raise IoFailure(f"cannot write artifacts under {out}: {exc}") from exc

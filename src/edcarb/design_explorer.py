@@ -241,7 +241,7 @@ def evaluate(
         chromosome=c,
         embodied_kg=embodied_kg,
         latency_s=latency,
-        cdp_kg_s=cdp(embodied_kg, latency).value if feasible else math.inf,
+        cdp_kg_s=cdp(embodied_kg, latency) if feasible else math.inf,
         feasible=feasible,
         infeasibility_reason=reason,
     )

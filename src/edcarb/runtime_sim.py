@@ -430,39 +430,6 @@ def amortized_report(embodied_kg: float, sim: SimReport, lifetime_inferences: fl
     return grams
 
 
-class _ThresholdController:
-    """Owns the hysteresis state; the single writer of the power threshold."""
-
-    def __init__(self, config: SimConfig, trace: CiTrace):
-        self.config = config
-        self.ci_lo = trace.ci_min
-        self.ci_hi = trace.ci_max
-        self.range = trace.ci_range
-        self.threshold: float | None = None
-        self.ci_ref: float | None = None
-
-    def update(self, ci: float) -> tuple[float, bool, str]:
-        """Returns (threshold, changed, cause)."""
-        if self.threshold is None:
-            if self.config.policy == "static":
-                self.threshold = self.config.p_max_w
-            else:
-                self.threshold = ci_to_threshold(
-                    ci, self.ci_lo, self.ci_hi, self.config.p_min_w, self.config.p_max_w
-                )
-            self.ci_ref = ci
-            return self.threshold, True, "initial"
-        if self.config.policy == "static":
-            return self.threshold, False, ""
-        if hysteresis_update(self.ci_ref, ci, self.range, self.config.hysteresis_fraction):
-            self.threshold = ci_to_threshold(
-                ci, self.ci_lo, self.ci_hi, self.config.p_min_w, self.config.p_max_w
-            )
-            self.ci_ref = ci
-            return self.threshold, True, "ci_change"
-        return self.threshold, False, ""
-
-
 def run_simulation(
     config: SimConfig,
     ci_trace: CiTrace,
@@ -498,7 +465,6 @@ def run_simulation(
         else []
     )
     arrivals_total = len(arrival_events)
-    controller = _ThresholdController(config, ci_trace)
 
     log: list[LogEvent] = []
     steps: list[StepSample] = []
@@ -509,6 +475,9 @@ def run_simulation(
     flow_inferences = 0.0
     flow_misses = 0.0
 
+    def emit(t_s: float, kind: str, detail: dict) -> None:
+        log.append(LogEvent(t_s, kind, detail))
+
     # Arrivals are served in order, so the queue is arrival_events[head:next_arrival]
     # and head counts the requests served. queued_kinds counts the queue by kind.
     head = 0
@@ -516,84 +485,74 @@ def run_simulation(
     queued_kinds: Counter[str] = Counter()
     max_queue_len = 0
     device_free = 0.0
+    # The static policy holds p_max_w; the adaptive one moves the threshold
+    # whenever the hysteresis rule fires against the CI of the last change.
+    threshold = config.p_max_w
+    ci_ref: float | None = None
     # the selected LLM variant's fixed per-request cost; stays None in batch mode
     llm_dispatch: tuple[int, dict, float, float, float] | None = None
-    mapping_solution = None
+    # mapping mode: the current plan's (power_w, throughput, misses its deadline)
+    flow: tuple[float, float, bool] | None = None
     deadline_s = config.deadline_ms / 1000.0
-
-    def reselect(t: float, threshold: float, ci: float) -> None:
-        nonlocal llm_dispatch, mapping_solution
-        if config.mode == "llm":
-            level = ci_level_of(ci, controller.ci_lo, controller.ci_hi)
-            llm_choice = llm_select(llm_variants, threshold, level, config.tps_floor)
-            llm_dispatch = _llm_dispatch(llm_choice, config.tokens_per_request)
-            log.append(
-                LogEvent(
-                    t_s=t,
-                    kind="llm_select",
-                    detail={
-                        "variant": llm_choice.variant.name,
-                        "freq_idx": llm_choice.freq_idx,
-                        "ci_level": level,
-                        "tps_violated": llm_choice.tps_violated,
-                    },
-                )
-            )
-        elif config.mode == "mapping":
-            mapping_solution = search_mapping(
-                workloads, node, threshold, search_params
-            )
-            log.append(
-                LogEvent(
-                    t_s=t,
-                    kind="remap",
-                    detail={
-                        "power_w": mapping_solution.estimate.power_w,
-                        "throughput": mapping_solution.estimate.throughput_inf_per_s,
-                        "segments": sum(len(p.segments) for p in mapping_solution.plans),
-                    },
-                )
-            )
 
     t = 0.0
     while t < config.horizon_s - 1e-12:
         dt = min(config.step_s, config.horizon_s - t)
         step_end = t + dt
         ci = ci_trace.ci_at(t)
-        threshold, changed, cause = controller.update(ci)
-        if changed:
-            log.append(
-                LogEvent(
-                    t_s=t,
-                    kind="adapt",
-                    detail={"threshold_w": threshold, "ci": ci, "cause": cause},
+        if ci_ref is None:
+            cause = "initial"
+        elif config.policy == "adaptive" and hysteresis_update(
+            ci_ref, ci, ci_trace.ci_range, config.hysteresis_fraction
+        ):
+            cause = "ci_change"
+        else:
+            cause = ""
+        if cause:
+            ci_ref = ci
+            if config.policy == "adaptive":
+                threshold = ci_to_threshold(
+                    ci, ci_trace.ci_min, ci_trace.ci_max, config.p_min_w, config.p_max_w
                 )
-            )
-            reselect(t, threshold, ci)
+            emit(t, "adapt", {"threshold_w": threshold, "ci": ci, "cause": cause})
+            if config.mode == "llm":
+                level = ci_level_of(ci, ci_trace.ci_min, ci_trace.ci_max)
+                choice = llm_select(llm_variants, threshold, level, config.tps_floor)
+                llm_dispatch = _llm_dispatch(choice, config.tokens_per_request)
+                emit(t, "llm_select", {
+                    "variant": choice.variant.name,
+                    "freq_idx": choice.freq_idx,
+                    "ci_level": level,
+                    "tps_violated": choice.tps_violated,
+                })
+            elif config.mode == "mapping":
+                solution = search_mapping(workloads, node, threshold, search_params)
+                flow = (
+                    solution.estimate.power_w,
+                    solution.estimate.throughput_inf_per_s,
+                    any(
+                        plan_bottleneck_ms(plan, variant, node) > config.deadline_ms
+                        for variant, plan in zip(workloads, solution.plans)
+                    ),
+                )
+                emit(t, "remap", {
+                    "power_w": flow[0],
+                    "throughput": flow[1],
+                    "segments": sum(len(p.segments) for p in solution.plans),
+                })
 
         step_energy_j = 0.0
 
         if config.mode == "mapping":
-            assert mapping_solution is not None
-            power_w = mapping_solution.estimate.power_w
+            power_w, throughput, violated = flow
             energy_j = power_w * dt
             step_energy_j += energy_j
             total_energy_j += energy_j
-            done = mapping_solution.estimate.throughput_inf_per_s * dt
+            done = throughput * dt
             flow_inferences += done
-            violated = any(
-                plan_bottleneck_ms(plan, variant, node) > config.deadline_ms
-                for variant, plan in zip(workloads, mapping_solution.plans)
-            )
             if violated:
                 flow_misses += done
-            log.append(
-                LogEvent(
-                    t_s=t,
-                    kind="power",
-                    detail={"energy_j": energy_j, "power_w": power_w, "ci": ci},
-                )
-            )
+            emit(t, "power", {"energy_j": energy_j, "power_w": power_w, "ci": ci})
 
         else:
             busy_in_window = max(0.0, min(device_free, step_end) - t)
@@ -619,9 +578,7 @@ def run_simulation(
                     table, config, threshold, now,
                 )
                 if dispatch is None:
-                    log.append(
-                        LogEvent(t_s=now, kind="power_gated", detail={"threshold_w": threshold, "ci": ci})
-                    )
+                    emit(now, "power_gated", {"threshold_w": threshold, "ci": ci})
                     break
                 n_served, head_detail, duration_s, energy_j, power_w = dispatch
                 completion = now + duration_s
@@ -640,22 +597,16 @@ def run_simulation(
                 step_energy_j += energy_j
                 total_energy_j += energy_j
                 busy_in_window += min(completion, step_end) - now
-                log.append(
-                    LogEvent(
-                        t_s=now,
-                        kind="dispatch",
-                        detail={
-                            **head_detail,
-                            "duration_s": duration_s,
-                            "energy_j": energy_j,
-                            "power_w": power_w,
-                            "completion_s": completion,
-                            "misses": n_miss,
-                            "arrivals": arrival_times,
-                            "ci": ci,
-                        },
-                    )
-                )
+                emit(now, "dispatch", {
+                    **head_detail,
+                    "duration_s": duration_s,
+                    "energy_j": energy_j,
+                    "power_w": power_w,
+                    "completion_s": completion,
+                    "misses": n_miss,
+                    "arrivals": arrival_times,
+                    "ci": ci,
+                })
                 now = completion
                 device_free = completion
 
@@ -664,13 +615,7 @@ def run_simulation(
                 idle_energy = config.idle_power_w * idle_s
                 step_energy_j += idle_energy
                 total_energy_j += idle_energy
-                log.append(
-                    LogEvent(
-                        t_s=step_end,
-                        kind="idle",
-                        detail={"idle_s": idle_s, "energy_j": idle_energy, "ci": ci},
-                    )
-                )
+                emit(step_end, "idle", {"idle_s": idle_s, "energy_j": idle_energy, "ci": ci})
 
         step_g = ci * step_energy_j / J_PER_KWH
         operational_g += step_g

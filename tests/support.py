@@ -7,6 +7,7 @@ every plan, the policy oracles brute-force every option.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -200,6 +201,23 @@ def exhaustive_mapping_ipw(workloads, node, power_threshold_w: float):
         if est.power_w <= power_threshold_w and (best is None or est.ipw > best):
             best = est.ipw
     return best
+
+
+@functools.cache
+def tiny_mapping_oracle_suite() -> tuple:
+    """The 25 seed-4001 instances the scheduler is checked against exactly:
+    (workloads, node, threshold, exhaustive_mapping_ipw) tuples.
+
+    Cached, so the tests that share the suite pay for the enumeration once
+    per session. Callers must not mutate the returned workloads.
+    """
+    rng = random.Random(4001)
+    suite = []
+    for _ in range(25):
+        workloads, node = random_scheduler_instance(rng)
+        threshold = rng.uniform(4.0, 30.0)
+        suite.append((workloads, node, threshold, exhaustive_mapping_ipw(workloads, node, threshold)))
+    return tuple(suite)
 
 
 # ---------------------------------------------------------------------------

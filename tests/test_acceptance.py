@@ -48,7 +48,6 @@ from support import (
     EXACT_MULT,
     brute_force_batch,
     brute_force_frequency,
-    exhaustive_mapping_ipw,
     grid_placement_count,
     make_area_params,
     make_tech,
@@ -56,6 +55,7 @@ from support import (
     random_exec_table,
     random_scheduler_instance,
     strip_timestamp_lines,
+    tiny_mapping_oracle_suite,
 )
 
 DEMO_DIR = Path(__file__).resolve().parent.parent / "configs" / "demo"
@@ -283,12 +283,8 @@ def test_c06_scheduler_safety_and_tiny_oracle_equality():
     assert returned >= 300  # the sweep must actually exercise feasible cases
 
     strong = SearchParams(beam_width=128, candidate_cap=2048, local_search_moves=400, rng_seed=0)
-    oracle_rng = random.Random(4001)
     checked = 0
-    for _ in range(25):
-        workloads, node = random_scheduler_instance(oracle_rng)
-        threshold = oracle_rng.uniform(4.0, 30.0)
-        oracle = exhaustive_mapping_ipw(workloads, node, threshold)
+    for workloads, node, threshold, oracle in tiny_mapping_oracle_suite():
         if oracle is None:
             with pytest.raises(NoFeasiblePlan):
                 search_mapping(workloads, node, threshold, strong)

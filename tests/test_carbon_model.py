@@ -6,7 +6,6 @@ import random
 import pytest
 
 from edcarb.carbon_model import (
-    CdpValue,
     DieSpec,
     DieTooLarge,
     EmbodiedReport,
@@ -232,21 +231,21 @@ def test_operational_trace_matches_closed_form_on_random_constants():
 
 def test_cdp_values():
     value = cdp(0.7, 0.02)
-    assert isinstance(value, CdpValue)
-    assert value.value == pytest.approx(0.014)
-    assert cdp(123.0, 0.0).value == 0.0
+    assert isinstance(value, float)
+    assert value == pytest.approx(0.014)
+    assert cdp(123.0, 0.0) == 0.0
 
 
 def test_cdp_monotone_and_commutative():
     rng = random.Random(5)
     previous = -1.0
     for carbon in [0.1, 0.5, 1.0, 2.0, 10.0]:
-        value = cdp(carbon, 3.0).value
+        value = cdp(carbon, 3.0)
         assert value > previous
         previous = value
     for _ in range(50):
         a, b = rng.uniform(0, 10), rng.uniform(0, 10)
-        assert cdp(a, b).value == cdp(b, a).value
+        assert cdp(a, b) == cdp(b, a)
 
 
 def test_cdp_rejects_negative():

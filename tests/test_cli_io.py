@@ -1,12 +1,15 @@
 """Config loading, trace ingestion, artifact emission and CLI behavior."""
 
 import json
+import random
 import shutil
 from pathlib import Path
 
 import pytest
 
 from edcarb import cli, cli_io
+from edcarb.edc_scheduler import MappingPlan, Segment, plan_bottleneck_ms
+from edcarb.errors import ValidationFailure
 from edcarb.cli_io import (
     ConfigError,
     NegativeCi,
@@ -21,7 +24,7 @@ from edcarb.cli_io import (
     save_config,
 )
 
-from support import strip_timestamp_lines
+from support import random_scheduler_instance, strip_timestamp_lines
 
 DEMO_DIR = Path(__file__).resolve().parent.parent / "configs" / "demo"
 
@@ -357,6 +360,88 @@ def test_cli_schedule_infeasible_exit_code(demo_copy, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error[INFEASIBLE]: ")
 
 
+@pytest.mark.parametrize("ci_now", ["inf", "-inf", "nan", "-5"])
+def test_cli_schedule_rejects_a_non_finite_or_negative_ci_now(demo_copy, tmp_path, capsys, ci_now):
+    out = tmp_path / "o"
+    rc = cli.main(
+        ["schedule", "--config", str(demo_copy / "demo.json"), f"--ci-now={ci_now}", "--out", str(out)]
+    )
+    assert rc == 2
+    assert capsys.readouterr().err.splitlines()[0].startswith("error[VALIDATION]: --ci-now")
+    assert not (out / "plan.json").exists()
+
+
+def write_scheduler_config(folder: Path, workloads, node, **policy) -> Path:
+    """Config, node and one single-variant set per workload, as the loaders read them."""
+    units = []
+    for unit in node.units:
+        rows = ["layer,freq_index,latency_ms,power_w"] + [
+            f"{lid},{f},{latency!r},{power!r}" for (lid, f), (latency, power) in unit.profile.items()
+        ]
+        (folder / f"{unit.id}.csv").write_text("\n".join(rows) + "\n")
+        units.append(
+            {
+                "id": unit.id,
+                "kind": unit.kind.name,
+                "freq_levels_hz": list(unit.freq_levels_hz),
+                "idle_power_w": unit.idle_power_w,
+                "profile_file": f"{unit.id}.csv",
+            }
+        )
+    (folder / "node.json").write_text(
+        json.dumps({"transfer_bytes_per_ms": node.transfer_bytes_per_ms, "units": units})
+    )
+    sets = [
+        {
+            "model": w.name,
+            "variants": [
+                {
+                    "name": w.name,
+                    "accuracy": w.accuracy,
+                    "layers": [{"id": layer.id, "output_bytes": layer.output_bytes} for layer in w.layers],
+                }
+            ],
+        }
+        for w in workloads
+    ]
+    (folder / "variants.json").write_text(json.dumps(sets))
+    path = folder / "config.json"
+    path.write_text(
+        json.dumps(
+            {"seed": 0, "node_file": "node.json", "variants_file": "variants.json", "policy": policy}
+        )
+    )
+    return path
+
+
+def test_cli_schedule_constraint_flag_describes_the_joint_plan(tmp_path):
+    # m0's plan on its own takes 4.891 ms per stage, under the 5.149 ms
+    # constraint; mapped jointly with m1 it takes 5.407 ms
+    rng = random.Random(1)
+    workloads, node = random_scheduler_instance(rng, n_layers=3, n_units=3, n_freqs=2)
+    threshold = rng.uniform(5, 25)
+    constraint_ms = 5.149
+    # at ci_now = ci_min the threshold is exactly p_max_w
+    path = write_scheduler_config(
+        tmp_path, workloads, node,
+        p_min_w=1.0, p_max_w=threshold, ci_min=0.0, ci_max=1.0,
+        latency_constraint_ms=constraint_ms,
+    )
+    out = tmp_path / "plan"
+    assert cli.main(["schedule", "--config", str(path), "--ci-now", "0", "--out", str(out)]) == 0
+    plan = json.loads((out / "plan.json").read_text())
+    assert plan["power_threshold_w"] == threshold
+    flags = {}
+    for entry, variant in zip(plan["models"], workloads):
+        segments = tuple(
+            Segment(seg["start"], seg["end"], seg["unit"], seg["freq_idx"]) for seg in entry["segments"]
+        )
+        bottleneck = plan_bottleneck_ms(MappingPlan(variant.name, segments), variant, node)
+        assert entry["constraint_violated"] == (bottleneck > constraint_ms)
+        flags[entry["model"]] = entry["constraint_violated"]
+    assert flags == {"m0": True, "m1": False}
+
+
 def test_cli_simulate_and_report(demo_copy, tmp_path, capsys):
     out = tmp_path / "sim"
     config = json.loads((demo_copy / "demo.json").read_text())
@@ -512,6 +597,15 @@ def test_emit_to_unwritable_target_is_io_error(tmp_path, capsys):
     bundle.csv_artifacts["d.csv"] = (["x"], [])
     with pytest.raises(IoFailure):
         emit(bundle, blocker)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_emit_report_refuses_non_finite_json(tmp_path, bad):
+    bundle = ResultBundle(meta=RunMeta(command="x", config_hash="dead", seed=0))
+    bundle.json_artifacts["a.json"] = {"nested": {"values": [1.0, bad]}}
+    with pytest.raises(ValidationFailure, match="a.json"):
+        emit_report(bundle, tmp_path / "o")
+    assert not (tmp_path / "o" / "a.json").exists()
 
 
 def test_cli_trace_exhausted_is_validation(demo_copy, tmp_path, capsys):

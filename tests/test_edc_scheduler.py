@@ -33,10 +33,10 @@ from edcarb.edc_scheduler import (
 from edcarb.errors import ValidationFailure
 
 from support import (
-    exhaustive_mapping_ipw,
     make_unit,
     make_variant,
     random_scheduler_instance,
+    tiny_mapping_oracle_suite,
 )
 
 LAYERS = ("l0", "l1", "l2")
@@ -257,13 +257,9 @@ def test_degenerate_space_single_plan():
 
 
 def test_search_matches_exhaustive_on_tiny_instances():
-    rng = random.Random(4001)
     params = SearchParams(beam_width=128, candidate_cap=2048, local_search_moves=400, rng_seed=0)
     checked = 0
-    for _ in range(25):
-        workloads, node = random_scheduler_instance(rng)
-        threshold = rng.uniform(4.0, 30.0)
-        oracle = exhaustive_mapping_ipw(workloads, node, threshold)
+    for workloads, node, threshold, oracle in tiny_mapping_oracle_suite():
         if oracle is None:
             with pytest.raises(NoFeasiblePlan):
                 search_mapping(workloads, node, threshold, params)

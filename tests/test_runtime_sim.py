@@ -6,7 +6,7 @@ import random
 import pytest
 
 from edcarb.cli_io import sim_report_to_dict
-from edcarb.edc_scheduler import EdgeNode, SearchParams
+from edcarb.edc_scheduler import EdgeNode, SearchParams, ci_to_threshold, hysteresis_update
 from edcarb.errors import ValidationFailure
 from edcarb.runtime_sim import (
     CiTrace,
@@ -524,18 +524,78 @@ def test_adaptive_policy_on_sinusoidal_trace():
     assert len(adapt_events) >= 2  # threshold actually moved
 
 
+def reference_adapts(config: SimConfig, trace: CiTrace) -> list[tuple[float, float, str]]:
+    """(t_s, threshold_w, cause) of every threshold change, straight from the
+    hysteresis rule and the CI-to-threshold map."""
+    adapts = []
+    ci_ref = None
+    t = 0.0
+    while t < config.horizon_s - 1e-12:
+        ci = trace.ci_at(t)
+        if ci_ref is None:
+            cause = "initial"
+        elif config.policy == "adaptive" and hysteresis_update(
+            ci_ref, ci, trace.ci_range, config.hysteresis_fraction
+        ):
+            cause = "ci_change"
+        else:
+            cause = None
+        if cause:
+            ci_ref = ci
+            threshold = (
+                ci_to_threshold(ci, trace.ci_min, trace.ci_max, config.p_min_w, config.p_max_w)
+                if config.policy == "adaptive"
+                else config.p_max_w
+            )
+            adapts.append((t, threshold, cause))
+        t += min(config.step_s, config.horizon_s - t)
+    return adapts
+
+
+def logged_adapts(report) -> list[tuple[float, float, str]]:
+    return [
+        (ev.t_s, ev.detail["threshold_w"], ev.detail["cause"])
+        for ev in report.decision_log
+        if ev.kind == "adapt"
+    ]
+
+
 def test_remap_only_on_hysteresis_triggers():
     # small wiggles (< 10% of range) must not trigger re-adaptation
     samples = ((0.0, 300.0), (10.0, 310.0), (20.0, 305.0), (30.0, 300.0), (40.0, 500.0), (50.0, 100.0))
     trace = CiTrace(samples=samples, horizon_s=60.0)
-    report = run_simulation(
-        batch_config(horizon_s=60.0, idle_power_w=0.1),
-        trace,
-        TraceArrivals(()),
-        table=TWO_FREQ_TABLE,
-    )
-    adapt_times = [ev.t_s for ev in report.decision_log if ev.kind == "adapt"]
-    assert adapt_times == [0.0, 40.0, 50.0]
+    for policy, expected_times in (("adaptive", [0.0, 40.0, 50.0]), ("static", [0.0])):
+        config = batch_config(horizon_s=60.0, idle_power_w=0.1, policy=policy)
+        report = run_simulation(config, trace, TraceArrivals(()), table=TWO_FREQ_TABLE)
+        assert [t for t, _, _ in logged_adapts(report)] == expected_times
+        assert logged_adapts(report) == reference_adapts(config, trace)
+
+    rng = random.Random(17)
+    changes = 0
+    for _ in range(60):
+        horizon = rng.uniform(5.0, 80.0)
+        times = sorted(rng.sample(range(int(horizon)), rng.randint(1, min(12, int(horizon)))))
+        trace = CiTrace(
+            samples=tuple((float(t), rng.uniform(0.0, 600.0)) for t in times),
+            horizon_s=horizon,
+        )
+        config = batch_config(
+            horizon_s=horizon,
+            step_s=rng.choice([0.5, 1.0, 2.5, 7.0]),
+            policy=rng.choice(["adaptive", "static"]),
+            hysteresis_fraction=rng.uniform(0.0, 0.4),
+        )
+        report = run_simulation(config, trace, TraceArrivals(()), table=TWO_FREQ_TABLE)
+        adapts = logged_adapts(report)
+        assert adapts == reference_adapts(config, trace)
+        changes += len(adapts) - 1
+        # every step runs under the threshold of the latest change
+        thresholds = {t: w for t, w, _ in adapts}
+        current = None
+        for step in report.steps:
+            current = thresholds.get(step.t_s, current)
+            assert step.threshold_w == current
+    assert changes >= 50  # the traces must actually move the threshold
 
 
 # ---------------------------------------------------------------------------
@@ -616,6 +676,38 @@ def test_mapping_mode_continuous_flow():
     for ev in report.decision_log:
         if ev.kind == "power":
             assert ev.detail["power_w"] <= config.p_max_w + 1e-9
+
+
+@pytest.mark.parametrize("deadline_ms, misses", [(5.0, 3629), (9.0, 1129), (100.0, 0)])
+def test_mapping_mode_misses_follow_each_remaps_deadline_verdict(deadline_ms, misses):
+    layers = ("l0", "l1", "l2")
+    cpu = make_unit("cpu0", "CPU", layers, base_latency_ms=4.0, base_power_w=3.0)
+    gpu = make_unit("gpu0", "GPU", layers, base_latency_ms=2.0, base_power_w=6.0)
+    node = EdgeNode(units=(cpu, gpu), transfer_bytes_per_ms=1e5)
+    variant = make_variant("m", layers)
+    config = SimConfig(
+        mode="mapping", horizon_s=30.0, policy="adaptive", deadline_ms=deadline_ms,
+        p_min_w=5.0, p_max_w=16.0,
+    )
+    report = run_simulation(
+        config, two_level_trace(100.0, 500.0, 30.0), None,
+        node=node, workloads=[variant], search_params=SearchParams(rng_seed=0),
+    )
+    remaps = [(ev.t_s, ev.detail["power_w"]) for ev in report.decision_log if ev.kind == "remap"]
+    assert remaps == [(0.0, 7.0), (8.0, 4.0), (15.0, 7.0), (23.0, 4.0)]
+    # At 16 W every layer runs on the GPU at 7 W, at 5 W on the CPU at 4 W.
+    # The slowest stage is the third layer plus the 0.4 ms transfer into it:
+    # 6.4 ms on the GPU, 12.4 ms on the CPU.
+    bottleneck_ms = {7.0: 6.4, 4.0: 12.4}
+    expected_misses = 0.0
+    for ev in report.decision_log:
+        if ev.kind == "remap":
+            throughput = ev.detail["throughput"]
+            late = bottleneck_ms[ev.detail["power_w"]] > deadline_ms
+        elif ev.kind == "power" and late:
+            expected_misses += throughput * 1.0
+    assert report.inferences_done == 3629
+    assert report.deadline_misses == misses == int(expected_misses)
 
 
 # ---------------------------------------------------------------------------
