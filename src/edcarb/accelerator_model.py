@@ -46,10 +46,10 @@ class MultiplierVariant:
     accuracy_drop_pct: float
 
     def __post_init__(self) -> None:
-        if self.area_mm2 <= 0:
-            raise ValidationFailure(f"multiplier {self.name!r}: area_mm2 must be > 0")
-        if self.accuracy_drop_pct < 0:
-            raise ValidationFailure(f"multiplier {self.name!r}: accuracy_drop_pct must be >= 0")
+        if not 0 < self.area_mm2 < math.inf:
+            raise ValidationFailure(f"multiplier {self.name!r}: area_mm2 must be finite and > 0")
+        if not 0 <= self.accuracy_drop_pct < math.inf:
+            raise ValidationFailure(f"multiplier {self.name!r}: accuracy_drop_pct must be finite and >= 0")
 
 
 @dataclass(frozen=True)

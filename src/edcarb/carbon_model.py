@@ -64,10 +64,10 @@ class TechnologyParams:
             self.bonding_kg_per_cm2,
             self.tsv_kg_per_via,
         )
-        if any(c < 0 for c in coeffs):
-            raise ValidationFailure(f"technology {self.node_label!r}: carbon coefficients must be >= 0")
-        if self.wafer_diameter_cm <= 0:
-            raise ValidationFailure(f"technology {self.node_label!r}: wafer_diameter_cm must be > 0")
+        if not all(0 <= c < math.inf for c in coeffs):
+            raise ValidationFailure(f"technology {self.node_label!r}: carbon coefficients must be finite and >= 0")
+        if not 0 < self.wafer_diameter_cm < math.inf:
+            raise ValidationFailure(f"technology {self.node_label!r}: wafer_diameter_cm must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -76,8 +76,8 @@ class DieSpec:
     tech: TechnologyParams
 
     def __post_init__(self) -> None:
-        if self.area_cm2 <= 0:
-            raise ValidationFailure(f"die area must be > 0, got {self.area_cm2}")
+        if not 0 < self.area_cm2 < math.inf:
+            raise ValidationFailure(f"die area must be finite and > 0, got {self.area_cm2}")
 
 
 @dataclass(frozen=True)
@@ -111,10 +111,10 @@ class OperationalSample:
     energy_kwh: float
 
     def __post_init__(self) -> None:
-        if self.ci_g_per_kwh < 0:
-            raise ValidationFailure("carbon intensity must be >= 0")
-        if self.energy_kwh < 0:
-            raise ValidationFailure("energy must be >= 0")
+        if not 0 <= self.ci_g_per_kwh < math.inf:
+            raise ValidationFailure("carbon intensity must be finite and >= 0")
+        if not 0 <= self.energy_kwh < math.inf:
+            raise ValidationFailure("energy must be finite and >= 0")
 
 
 def dies_per_wafer(die_area_cm2: float, wafer_diameter_cm: float) -> int:
@@ -151,31 +151,21 @@ def wasted_area(die_area_cm2: float, wafer_diameter_cm: float) -> float:
     return (wafer_area - dpw * die_area_cm2) / dpw
 
 
-def die_carbon(
-    die: DieSpec,
-    *,
-    wasted_override_cm2: float | None = None,
-    yield_fraction: float = 1.0,
-) -> float:
+def die_carbon(die: DieSpec, *, wasted_override_cm2: float | None = None) -> float:
     """Fabrication carbon of one die in kgCO2.
 
     Carbon is charged for the die's own area at the node's per-area
     coefficient plus the per-die share of wasted wafer silicon at the wastage
     coefficient. `wasted_override_cm2` bypasses the wafer geometry (useful for
-    injecting measured wastage). `yield_fraction` is an optional extension:
-    the result is divided by it to spread carbon over good dies; the default
-    of 1.0 keeps the bare two-term equation.
+    injecting measured wastage).
     """
-    if not 0.0 < yield_fraction <= 1.0:
-        raise ValidationFailure("yield_fraction must be in (0, 1]")
     if wasted_override_cm2 is None:
         wasted = wasted_area(die.area_cm2, die.tech.wafer_diameter_cm)
     else:
-        if wasted_override_cm2 < 0:
-            raise ValidationFailure("wasted area must be >= 0")
+        if not 0 <= wasted_override_cm2 < math.inf:
+            raise ValidationFailure("wasted area must be finite and >= 0")
         wasted = wasted_override_cm2
-    carbon = die.tech.cfpa_kg_per_cm2 * die.area_cm2 + die.tech.cfpa_si_kg_per_cm2 * wasted
-    return carbon / yield_fraction
+    return die.tech.cfpa_kg_per_cm2 * die.area_cm2 + die.tech.cfpa_si_kg_per_cm2 * wasted
 
 
 def embodied_carbon(dies: list[DieSpec] | tuple[DieSpec, ...], package: PackageSpec) -> EmbodiedReport:

@@ -24,7 +24,7 @@ from pathlib import Path
 
 from . import __version__, cli_io
 from .carbon_model import PackageKind
-from .design_explorer import pareto_front, run_ga
+from .design_explorer import EvaluatedDesign, pareto_front, run_ga
 from .edc_scheduler import ci_to_threshold, plan_bottleneck_ms, search_mapping, select_variant
 from .errors import IoFailure, ToolkitError, ValidationFailure
 from .runtime_sim import PoissonArrivals, SimConfig, amortized_report, run_simulation
@@ -50,6 +50,22 @@ def _require(value, what: str):
 # ---------------------------------------------------------------------------
 
 
+def _design_fields(design: EvaluatedDesign) -> dict:
+    """One evaluated design as the `pareto.csv` columns and the `best_design.json` keys."""
+    c = design.chromosome
+    return {
+        "px": c.px,
+        "py": c.py,
+        "b_local": c.b_local,
+        "b_global": c.b_global,
+        "dataflow": c.dataflow.value,
+        "multiplier": c.multiplier.name,
+        "embodied_kg": design.embodied_kg,
+        "latency_s": design.latency_s,
+        "cdp_kg_s": design.cdp_kg_s,
+    }
+
+
 def _cmd_explore(args: argparse.Namespace) -> int:
     config = cli_io.load_config(args.config)
     space = _require(config.design_space, "design_space section")
@@ -70,41 +86,15 @@ def _cmd_explore(args: argparse.Namespace) -> int:
 
     meta = cli_io.RunMeta(command="explore", config_hash=config.config_hash, seed=config.seed)
     bundle = cli_io.ResultBundle(meta=meta)
-    bundle.csv_artifacts["pareto.csv"] = (
-        ["px", "py", "b_local", "b_global", "dataflow", "multiplier", "embodied_kg", "latency_s", "cdp_kg_s"],
-        [
-            [
-                d.chromosome.px,
-                d.chromosome.py,
-                d.chromosome.b_local,
-                d.chromosome.b_global,
-                d.chromosome.dataflow.value,
-                d.chromosome.multiplier.name,
-                d.embodied_kg,
-                d.latency_s,
-                d.cdp_kg_s,
-            ]
-            for d in front
-        ],
-    )
+    best = _design_fields(result.best)
+    bundle.csv_artifacts["pareto.csv"] = (list(best), [list(_design_fields(d).values()) for d in front])
     bundle.csv_artifacts["history.csv"] = (
         ["generation", "best", "mean"],
         [[h.generation, h.best_fitness, h.mean_fitness] for h in result.history],
     )
-    best = result.best
     bundle.json_artifacts["best_design.json"] = {
         "fitness": args.fitness,
-        "best": {
-            "px": best.chromosome.px,
-            "py": best.chromosome.py,
-            "b_local": best.chromosome.b_local,
-            "b_global": best.chromosome.b_global,
-            "dataflow": best.chromosome.dataflow.value,
-            "multiplier": best.chromosome.multiplier.name,
-            "embodied_kg": best.embodied_kg,
-            "latency_s": best.latency_s,
-            "cdp_kg_s": best.cdp_kg_s,
-        },
+        "best": best,
         "space_size": space.size,
         "pareto_size": len(front),
     }

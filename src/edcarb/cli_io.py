@@ -138,7 +138,6 @@ class SimSettings:
 
 @dataclass
 class ToolkitConfig:
-    path: Path
     raw: dict
     config_hash: str
     seed: int
@@ -529,7 +528,6 @@ def load_config(path: str | Path) -> ToolkitConfig:
     if errors:
         raise ConfigError(errors)
     return ToolkitConfig(
-        path=path,
         raw=raw,
         config_hash=config_hash_of(raw),
         seed=seed,

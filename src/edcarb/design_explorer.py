@@ -78,17 +78,11 @@ class DesignSpace:
     max_area_cm2: float | None = None
 
     def __post_init__(self) -> None:
-        for name in ("px_values", "py_values", "b_local_values", "b_global_values", "dataflows", "multipliers"):
-            if not getattr(self, name):
+        fields = ("px_values", "py_values", "b_local_values", "b_global_values", "dataflows", "multipliers")
+        genes = {gene: getattr(self, name) for gene, name in zip(_GENES, fields)}
+        for name, values in zip(fields, genes.values()):
+            if not values:
                 raise ValidationFailure(f"design space: candidate list {name} is empty")
-        genes = {
-            "px": self.px_values,
-            "py": self.py_values,
-            "b_local": self.b_local_values,
-            "b_global": self.b_global_values,
-            "dataflow": self.dataflows,
-            "multiplier": self.multipliers,
-        }
         # gene -> {value: its first index}, the position `tuple.index` gives
         index = {gene: {} for gene in genes}
         for gene, values in genes.items():
@@ -102,14 +96,7 @@ class DesignSpace:
 
     @property
     def size(self) -> int:
-        return (
-            len(self.px_values)
-            * len(self.py_values)
-            * len(self.b_local_values)
-            * len(self.b_global_values)
-            * len(self.dataflows)
-            * len(self.multipliers)
-        )
+        return math.prod(map(len, self._genes.values()))
 
     def contains(self, c: Chromosome) -> bool:
         return all(getattr(c, g) in self.candidates(g) for g in _GENES)
@@ -120,15 +107,8 @@ class DesignSpace:
 
     def chromosomes(self):
         """All chromosomes in lexicographic gene order."""
-        for px, py, bl, bg, df, mult in itertools.product(
-            self.px_values,
-            self.py_values,
-            self.b_local_values,
-            self.b_global_values,
-            self.dataflows,
-            self.multipliers,
-        ):
-            yield Chromosome(px, py, bl, bg, df, mult)
+        for values in itertools.product(*self._genes.values()):
+            yield Chromosome(*values)
 
     def random_chromosome(self, rng: random.Random) -> Chromosome:
         return Chromosome(*(rng.choice(self.candidates(g)) for g in _GENES))

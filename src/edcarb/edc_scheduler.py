@@ -24,6 +24,7 @@ to `system_estimate` over the same plans.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from enum import Enum
@@ -68,10 +69,12 @@ class ProcessingUnit:
     def __post_init__(self) -> None:
         if not self.freq_levels_hz:
             raise ValidationFailure(f"unit {self.id!r}: needs at least one frequency level")
+        if not all(0 < hz < math.inf for hz in self.freq_levels_hz):
+            raise ValidationFailure(f"unit {self.id!r}: freq_levels_hz must be finite and > 0")
         if any(b <= a for a, b in zip(self.freq_levels_hz, self.freq_levels_hz[1:])):
             raise ValidationFailure(f"unit {self.id!r}: freq_levels_hz must be strictly increasing")
-        if self.idle_power_w < 0:
-            raise ValidationFailure(f"unit {self.id!r}: idle_power_w must be >= 0")
+        if not 0 <= self.idle_power_w < math.inf:
+            raise ValidationFailure(f"unit {self.id!r}: idle_power_w must be finite and >= 0")
         layers = sorted({layer for layer, _ in self.profile})
         n_freqs = len(self.freq_levels_hz)
         for layer in layers:
@@ -83,9 +86,10 @@ class ProcessingUnit:
                         f"unit {self.id!r}: profile for layer {layer!r} missing freq level {f}"
                     )
                 latency, power = entry
-                if latency <= 0 or power < 0:
+                if not (0 < latency < math.inf and 0 <= power < math.inf):
                     raise ValidationFailure(
-                        f"unit {self.id!r}: layer {layer!r} freq {f}: latency must be > 0, power >= 0"
+                        f"unit {self.id!r}: layer {layer!r} freq {f}: "
+                        "latency must be finite and > 0, power finite and >= 0"
                     )
                 entries.append(entry)
             for (lat_lo, pow_lo), (lat_hi, pow_hi) in zip(entries, entries[1:]):
@@ -110,8 +114,8 @@ class EdgeNode:
     def __post_init__(self) -> None:
         if not self.units:
             raise ValidationFailure("node needs at least one processing unit")
-        if self.transfer_bytes_per_ms <= 0:
-            raise ValidationFailure("transfer_bytes_per_ms must be > 0")
+        if not 0 < self.transfer_bytes_per_ms < math.inf:
+            raise ValidationFailure("transfer_bytes_per_ms must be finite and > 0")
         unit_index = {u.id: i for i, u in enumerate(self.units)}
         if len(unit_index) != len(self.units):
             raise ValidationFailure("duplicate unit ids in node")
@@ -484,38 +488,31 @@ def _neighbor_plans(
                 if unit.id == seg.unit_id:
                     continue
                 freq = min(seg.freq_idx, len(unit.freq_levels_hz) - 1)
-                new_seg = Segment(seg.start, seg.end, unit.id, freq)
-                yield _replace_segment(plans, d, j, new_seg)
+                yield _replace_segments(plans, d, j, Segment(seg.start, seg.end, unit.id, freq))
             for f in range(len(current_unit.freq_levels_hz)):
                 if f == seg.freq_idx:
                     continue
-                yield _replace_segment(plans, d, j, Segment(seg.start, seg.end, seg.unit_id, f))
+                yield _replace_segments(plans, d, j, Segment(seg.start, seg.end, seg.unit_id, f))
         for j in range(len(plan.segments) - 1):
             left, right = plan.segments[j], plan.segments[j + 1]
-            if left.end - left.start > 1:
-                yield _shift_cut(plans, d, j, left.end - 1)
-            if right.end - right.start > 1:
-                yield _shift_cut(plans, d, j, left.end + 1)
+            for cut in (left.end - 1, left.end + 1):
+                if left.start < cut < right.end:
+                    yield _replace_segments(
+                        plans,
+                        d,
+                        j,
+                        Segment(left.start, cut, left.unit_id, left.freq_idx),
+                        Segment(cut, right.end, right.unit_id, right.freq_idx),
+                    )
 
 
-def _replace_segment(plans: tuple[MappingPlan, ...], d: int, j: int, seg: Segment) -> tuple[MappingPlan, ...]:
+def _replace_segments(
+    plans: tuple[MappingPlan, ...], d: int, j: int, *segments: Segment
+) -> tuple[MappingPlan, ...]:
+    """`plans` with DNN d's segments from j on replaced by `segments`, one for one."""
     plan = plans[d]
-    segments = plan.segments[:j] + (seg,) + plan.segments[j + 1 :]
-    return plans[:d] + (MappingPlan(plan.dnn, segments),) + plans[d + 1 :]
-
-
-def _shift_cut(plans: tuple[MappingPlan, ...], d: int, j: int, new_cut: int) -> tuple[MappingPlan, ...]:
-    plan = plans[d]
-    left, right = plan.segments[j], plan.segments[j + 1]
-    segments = (
-        plan.segments[:j]
-        + (
-            Segment(left.start, new_cut, left.unit_id, left.freq_idx),
-            Segment(new_cut, right.end, right.unit_id, right.freq_idx),
-        )
-        + plan.segments[j + 2 :]
-    )
-    return plans[:d] + (MappingPlan(plan.dnn, segments),) + plans[d + 1 :]
+    new_segments = plan.segments[:j] + segments + plan.segments[j + len(segments) :]
+    return plans[:d] + (MappingPlan(plan.dnn, new_segments),) + plans[d + 1 :]
 
 
 def search_mapping(

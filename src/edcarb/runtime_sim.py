@@ -331,17 +331,17 @@ def llm_select(
     allowed = list(variants)
     if ci_level == "high" and len(allowed) > 1:
         allowed = allowed[1:]
-    for variant in allowed:
-        for f in range(len(variant.tokens_per_s)):
-            if variant.power_w[f] <= power_threshold_w and variant.tokens_per_s[f] >= tps_floor:
-                return LlmChoice(variant=variant, freq_idx=f, tps_violated=False)
     best: LlmChoice | None = None
     best_tps = -math.inf
     for variant in allowed:
-        for f in range(len(variant.tokens_per_s)):
-            if variant.power_w[f] <= power_threshold_w and variant.tokens_per_s[f] > best_tps:
+        for f, (tps, power_w) in enumerate(zip(variant.tokens_per_s, variant.power_w)):
+            if power_w > power_threshold_w:
+                continue
+            if tps >= tps_floor:
+                return LlmChoice(variant=variant, freq_idx=f, tps_violated=False)
+            if tps > best_tps:
                 best = LlmChoice(variant=variant, freq_idx=f, tps_violated=True)
-                best_tps = variant.tokens_per_s[f]
+                best_tps = tps
     if best is None:
         raise NoVariantUnderPowerThreshold(
             f"no variant runs under {power_threshold_w} W at any frequency"
@@ -679,62 +679,38 @@ def _plan_batch_dispatch(
     top_freq = table.n_freqs - 1
     wait_ms = (now - events[head][0]) * 1000.0
     k = choose_concurrency(active_kinds, table)
-
-    def group_sizes(k_try: int) -> tuple[int, ...]:
+    # Retry with one stream when no frequency fits the k groups under the cap.
+    for k_try in (k, 1) if k > 1 else (1,):
         sizes: list[int] = []
-        remaining = tail - head
         offset = head
-        for _ in range(k_try):
-            if remaining < 1:
-                break
+        while len(sizes) < k_try and offset < tail:
             head_wait = (now - events[offset][0]) * 1000.0
-            b = choose_batch(remaining, table, config.deadline_ms, head_wait, top_freq)
+            b = choose_batch(tail - offset, table, config.deadline_ms, head_wait, top_freq)
             sizes.append(b)
-            remaining -= b
             offset += b
-        return tuple(sizes)
-
-    def group_power(sizes: tuple[int, ...], f: int, k_try: int) -> float:
-        _, p_scale = table.scales(k_try)
-        serial_ms = sum(table.latency_ms(b, f) for b in sizes)
-        serial_energy = sum(table.energy_j(b, f) for b in sizes)
-        return serial_energy * 1000.0 / serial_ms * p_scale
-
-    def pick(k_try: int) -> tuple[tuple[int, ...], int, int] | None:
-        sizes = group_sizes(k_try)
-        k_eff = len(sizes)
-        if k_eff == 0:
-            return None
-        f_policy = choose_frequency(sizes[0], table, config.deadline_ms, wait_ms)
-        if group_power(sizes, f_policy, k_eff) <= threshold_w:
-            return sizes, k_eff, f_policy
-        allowed = [
-            f for f in range(table.n_freqs) if group_power(sizes, f, k_eff) <= threshold_w
-        ]
-        if not allowed:
-            return None
-        meeting = [
-            f
-            for f in allowed
-            if table.latency_ms(sizes[0], f) + wait_ms <= config.deadline_ms
-        ]
-        f = min(meeting) if meeting else max(allowed)
-        return sizes, k_eff, f
-
-    result = pick(k)
-    if result is None and k > 1:
-        result = pick(1)
-    if result is None:
-        return None
-    sizes, k_eff, f = result
-    t_scale, p_scale = table.scales(k_eff)
-    serial_ms = sum(table.latency_ms(b, f) for b in sizes)
-    serial_energy = sum(table.energy_j(b, f) for b in sizes)
-    duration_s = serial_ms / t_scale / 1000.0
-    energy_j = serial_energy * p_scale / t_scale
-    power_w = serial_energy * 1000.0 / serial_ms * p_scale
-    head_detail = {"batches": list(sizes), "streams": k_eff, "freq_idx": f}
-    return sum(sizes), head_detail, duration_s, energy_j, power_w
+        t_scale, p_scale = table.scales(len(sizes))
+        # (serial ms, serial energy J, power W) of the groups at each frequency
+        costs = []
+        for f in range(table.n_freqs):
+            serial_ms = sum(table.latency_ms(b, f) for b in sizes)
+            serial_energy = sum(table.energy_j(b, f) for b in sizes)
+            costs.append((serial_ms, serial_energy, serial_energy * 1000.0 / serial_ms * p_scale))
+        f = choose_frequency(sizes[0], table, config.deadline_ms, wait_ms)
+        if costs[f][2] > threshold_w:
+            allowed = [g for g in range(table.n_freqs) if costs[g][2] <= threshold_w]
+            if not allowed:
+                continue
+            meeting = [
+                g for g in allowed if table.latency_ms(sizes[0], g) + wait_ms <= config.deadline_ms
+            ]
+            f = min(meeting) if meeting else max(allowed)
+        serial_ms, serial_energy, power_w = costs[f]
+        # the log keeps every dispatch's batch list: copy it to its exact size,
+        # as an appended list keeps spare capacity
+        head_detail = {"batches": list(sizes), "streams": len(sizes), "freq_idx": f}
+        duration_s = serial_ms / t_scale / 1000.0
+        return offset - head, head_detail, duration_s, serial_energy * p_scale / t_scale, power_w
+    return None
 
 
 def _llm_dispatch(choice: LlmChoice, tokens: int) -> tuple[int, dict, float, float, float]:

@@ -20,10 +20,9 @@ from edcarb.edc_scheduler import (
     ModelVariant,
     ProcessingUnit,
     Segment,
-    SystemEstimate,
     UnitKind,
     VariantLayer,
-    system_estimate,
+    segment_cost,
 )
 from edcarb.runtime_sim import ExecLookupTable
 
@@ -189,17 +188,36 @@ def enumerate_all_plans(variant: ModelVariant, node: EdgeNode):
     return plans
 
 
+def _plan_terms(variant: ModelVariant, plan: MappingPlan, node: EdgeNode) -> tuple[float, dict]:
+    """One mapped DNN's share of the pipeline model: it runs at 1000 / its
+    slowest segment's ms, and each unit it uses pays the max active power of
+    the DNN's segments on it."""
+    costs = [segment_cost(seg, variant, node) for seg in plan.segments]
+    unit_power: dict[str, float] = {}
+    for seg, (_, power) in zip(plan.segments, costs):
+        unit_power[seg.unit_id] = max(unit_power.get(seg.unit_id, 0.0), power)
+    return 1000.0 / max(latency for latency, _ in costs), unit_power
+
+
 def exhaustive_mapping_ipw(workloads, node, power_threshold_w: float):
     """Best feasible inferences-per-watt over the full cross product of plans.
 
-    Returns None when nothing fits under the threshold.
+    Each plan's terms are computed once per DNN. A combination's throughput
+    is the sum of its throughput terms; each unit pays the max power any DNN
+    puts on it, or its idle power when no DNN uses it. Returns None when
+    nothing fits under the threshold.
     """
-    per_dnn = [enumerate_all_plans(v, node) for v in workloads]
+    per_dnn = [[_plan_terms(v, plan, node) for plan in enumerate_all_plans(v, node)] for v in workloads]
     best: float | None = None
     for combo in itertools.product(*per_dnn):
-        est: SystemEstimate = system_estimate(list(zip(workloads, combo)), node)
-        if est.power_w <= power_threshold_w and (best is None or est.ipw > best):
-            best = est.ipw
+        power = sum(
+            max((powers[u.id] for _, powers in combo if u.id in powers), default=u.idle_power_w)
+            for u in node.units
+        )
+        if power <= power_threshold_w:
+            ipw = sum(term for term, _ in combo) / power
+            if best is None or ipw > best:
+                best = ipw
     return best
 
 

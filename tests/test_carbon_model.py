@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from edcarb.accelerator_model import MultiplierVariant
 from edcarb.carbon_model import (
     DieSpec,
     DieTooLarge,
@@ -22,9 +23,10 @@ from edcarb.carbon_model import (
     operational_carbon_trace,
     wasted_area,
 )
+from edcarb.edc_scheduler import EdgeNode, ProcessingUnit, UnitKind
 from edcarb.errors import ValidationFailure
 
-from support import grid_placement_count, make_tech
+from support import grid_placement_count, make_tech, make_unit
 
 
 # ---------------------------------------------------------------------------
@@ -89,14 +91,6 @@ def test_die_carbon_composes_wasted_area():
     got = die_carbon(DieSpec(area_cm2=1.0, tech=tech))
     assert got == pytest.approx(expected)
     assert got == pytest.approx(2.1045, rel=1e-3)
-
-
-def test_die_carbon_yield_divisor_extension():
-    tech = make_tech(cfpa_kg_per_cm2=1.0, cfpa_si_kg_per_cm2=0.0)
-    die = DieSpec(area_cm2=1.0, tech=tech)
-    assert die_carbon(die, yield_fraction=0.5) == pytest.approx(2.0 * die_carbon(die))
-    with pytest.raises(ValidationFailure):
-        die_carbon(die, yield_fraction=0.0)
 
 
 def test_die_carbon_linear_in_coefficients():
@@ -257,3 +251,51 @@ def test_embodied_report_is_frozen_value_object():
     report = EmbodiedReport((1.0,), (0.1,), 0.2, 0.0, 0.0, 1.2)
     with pytest.raises(AttributeError):
         report.total_kg = 5.0
+
+
+# ---------------------------------------------------------------------------
+# validators of the model inputs
+# ---------------------------------------------------------------------------
+
+
+def _unit_with_profile(latency: float, power: float) -> ProcessingUnit:
+    return ProcessingUnit("u", UnitKind.CPU, (1e9,), 0.5, {("l0", 0): (latency, power)})
+
+
+# one factory per validated number, here and in the accelerator and scheduler
+# models: each puts x into that field of an otherwise valid object
+MODEL_FIELDS = {
+    **{
+        f"TechnologyParams.{name}": lambda x, name=name: make_tech(**{name: x})
+        for name in (
+            "cfpa_kg_per_cm2",
+            "cfpa_si_kg_per_cm2",
+            "wafer_diameter_cm",
+            "packaging_kg",
+            "bonding_kg_per_cm2",
+            "tsv_kg_per_via",
+        )
+    },
+    "DieSpec.area_cm2": lambda x: DieSpec(x, make_tech()),
+    "die_carbon.wasted_override_cm2": lambda x: die_carbon(DieSpec(1.0, make_tech()), wasted_override_cm2=x),
+    "OperationalSample.ci_g_per_kwh": lambda x: OperationalSample(x, 1.0),
+    "OperationalSample.energy_kwh": lambda x: OperationalSample(100.0, x),
+    "MultiplierVariant.area_mm2": lambda x: MultiplierVariant("m", x, 0.0),
+    "MultiplierVariant.accuracy_drop_pct": lambda x: MultiplierVariant("m", 0.01, x),
+    "ProcessingUnit.freq_levels_hz": lambda x: ProcessingUnit("u", UnitKind.CPU, (x,), 0.5, {}),
+    "ProcessingUnit.idle_power_w": lambda x: make_unit("u", "CPU", ("l0",), idle_power_w=x),
+    "ProcessingUnit.profile_latency": lambda x: _unit_with_profile(x, 2.0),
+    "ProcessingUnit.profile_power": lambda x: _unit_with_profile(3.0, x),
+    "EdgeNode.transfer_bytes_per_ms": lambda x: EdgeNode((_unit_with_profile(3.0, 2.0),), x),
+}
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [(name, value) for name in MODEL_FIELDS for value in (math.nan, math.inf, -math.inf)],
+)
+def test_model_validators_reject_non_finite_numbers(field, value):
+    build = MODEL_FIELDS[field]
+    build(1.0)  # the same object with a finite value is valid
+    with pytest.raises(ValidationFailure):
+        build(value)

@@ -2,6 +2,8 @@
 
 import math
 import random
+from bisect import bisect_right
+from collections import Counter
 
 import pytest
 
@@ -306,6 +308,61 @@ def test_llm_select_policy():
         llm_select(LLM_VARIANTS, 1.0, "low", 10.0)
 
 
+def brute_force_llm_select(variants, power_threshold_w, ci_level, tps_floor):
+    """First adequate (variant, freq) pair in list order; else the fastest pair
+    under the cap, the first of equals; None when no pair fits the cap."""
+    allowed = variants[1:] if ci_level == "high" and len(variants) > 1 else variants
+    pairs = [(v, f) for v in allowed for f in range(len(v.tokens_per_s))]
+    under = [(v, f) for v, f in pairs if v.power_w[f] <= power_threshold_w]
+    adequate = [(v, f) for v, f in under if v.tokens_per_s[f] >= tps_floor]
+    if adequate:
+        return adequate[0] + (False,)
+    if not under:
+        return None
+    return max(under, key=lambda pair: pair[0].tokens_per_s[pair[1]]) + (True,)
+
+
+def test_llm_select_matches_brute_force_on_random_variant_lists():
+    rng = random.Random(47)
+    seen = Counter()
+    for _ in range(2000):
+        n_freqs = rng.randint(1, 3)
+        variants = tuple(
+            LlmVariant(
+                f"v{i}",
+                "int8",
+                1.0 - 0.1 * i,
+                # small value grids, so equal rates and powers are common
+                tuple(float(rng.randint(1, 6) * 10) for _ in range(n_freqs)),
+                tuple(float(rng.randint(1, 6)) for _ in range(n_freqs)),
+            )
+            for i in range(rng.randint(1, 4))
+        )
+        threshold = float(rng.randint(0, 6))
+        level = rng.choice(("low", "mid", "high"))
+        floor = float(rng.randint(1, 7) * 10)
+        expected = brute_force_llm_select(variants, threshold, level, floor)
+        if expected is None:
+            with pytest.raises(NoVariantUnderPowerThreshold):
+                llm_select(variants, threshold, level, floor)
+            seen["none"] += 1
+            continue
+        choice = llm_select(variants, threshold, level, floor)
+        assert (choice.variant, choice.freq_idx, choice.tps_violated) == expected
+        seen["violated" if choice.tps_violated else "adequate"] += 1
+        if choice.tps_violated:
+            rates = [
+                v.tokens_per_s[f]
+                for v in variants[1 if level == "high" and len(variants) > 1 else 0 :]
+                for f in range(n_freqs)
+                if v.power_w[f] <= threshold
+            ]
+            seen["tie"] += rates.count(choice.variant.tokens_per_s[choice.freq_idx]) > 1
+        if level == "high" and len(variants) > 1:
+            seen["excluded"] += brute_force_llm_select(variants, threshold, "low", floor)[0] is variants[0]
+    assert all(seen[key] > 50 for key in ("none", "violated", "adequate", "tie", "excluded"))
+
+
 def test_llm_variant_order_validation():
     with pytest.raises(ValidationFailure):
         llm_select(tuple(reversed(LLM_VARIANTS)), 20.0, "low", 10.0)
@@ -474,6 +531,92 @@ def test_dispatch_power_respects_threshold():
             threshold = ev.detail["threshold_w"]
         elif ev.kind == "dispatch":
             assert ev.detail["power_w"] <= threshold + 1e-9
+
+
+def reference_capped_frequency(
+    table: ExecLookupTable,
+    batches: list[int],
+    streams: int,
+    wait_ms: float,
+    deadline_ms: float,
+    cap_w: float,
+) -> int | None:
+    """Lowest frequency whose group power fits the cap and whose first batch
+    meets the deadline; else the highest that fits the cap; None if none fits."""
+    _, p_scale = table.scales(streams)
+    fits = [
+        f
+        for f in range(table.n_freqs)
+        if sum(table.energy_j(b, f) for b in batches) * 1000.0
+        / sum(table.latency_ms(b, f) for b in batches)
+        * p_scale
+        <= cap_w
+    ]
+    meets = [f for f in fits if table.latency_ms(batches[0], f) + wait_ms <= deadline_ms]
+    return min(meets) if meets else max(fits, default=None)
+
+
+def test_capped_dispatches_match_the_reference_frequency_on_random_runs():
+    rng = random.Random(43)
+    dispatches = fallbacks = multi_stream = gated = 0
+    for _ in range(40):
+        table = random_exec_table(rng, n_freqs=rng.randint(2, 4))
+        # shuffled frequency levels: power and latency need not be monotone
+        # in the level, so the cap can rule out a level between two that fit
+        order = rng.sample(range(table.n_freqs), table.n_freqs)
+        table = ExecLookupTable(
+            {(b, order[f]): cost for (b, f), cost in table.entries.items()}, table.concurrency
+        )
+        top = table.n_freqs - 1
+        top_powers = [table.energy_j(b, top) * 1000.0 / table.latency_ms(b, top) for b in table.batch_sizes]
+        # p_max_w lies between the lowest and the highest top-frequency power
+        # of one batch, and p_min_w under the lowest: the cap often forces a
+        # frequency other than the one the deadline asks for, or gates
+        config = batch_config(
+            horizon_s=20.0,
+            idle_power_w=0.0,
+            deadline_ms=rng.uniform(5.0, 60.0),
+            p_min_w=rng.uniform(0.5, 1.0) * min(top_powers) / 2,
+            p_max_w=rng.uniform(min(top_powers), max(top_powers)),
+        )
+        times = sorted(rng.sample(range(1, 20), 5))
+        trace = CiTrace(
+            samples=tuple((float(t), rng.uniform(50.0, 500.0)) for t in [0, *times]), horizon_s=20.0
+        )
+        arrivals = PoissonArrivals(
+            rate_per_s=rng.uniform(5.0, 40.0), seed=rng.randrange(1000), kinds=("a", "b", "c")
+        )
+        arrival_times = [t for t, _ in arrivals.materialize(config.horizon_s)]
+        report = run_simulation(config, trace, arrivals, table=table)
+        threshold = None
+        served = 0
+        for ev in report.decision_log:
+            if ev.kind == "adapt":
+                threshold = ev.detail["threshold_w"]
+            elif ev.kind == "power_gated":
+                # not even one stream serving the head batch fits the cap
+                queued = bisect_right(arrival_times, ev.t_s) - served
+                wait_ms = (ev.t_s - arrival_times[served]) * 1000.0
+                batch = brute_force_batch(queued, table, config.deadline_ms, wait_ms, top)
+                assert reference_capped_frequency(
+                    table, [batch], 1, wait_ms, config.deadline_ms, threshold
+                ) is None
+                gated += 1
+            elif ev.kind == "dispatch":
+                batches, streams = ev.detail["batches"], ev.detail["streams"]
+                wait_ms = (ev.t_s - ev.detail["arrivals"][0]) * 1000.0
+                expected = reference_capped_frequency(
+                    table, batches, streams, wait_ms, config.deadline_ms, threshold
+                )
+                assert ev.detail["freq_idx"] == expected
+                assert ev.detail["power_w"] <= threshold
+                assert len(batches) == streams
+                served += len(ev.detail["arrivals"])
+                dispatches += 1
+                multi_stream += streams > 1
+                fallbacks += expected != choose_frequency(batches[0], table, config.deadline_ms, wait_ms)
+    # the over-power fallback, multi-stream groups and gating all occur
+    assert dispatches > 10_000 and fallbacks > 1000 and multi_stream > 100 and gated > 50
 
 
 def test_simulation_deterministic():
