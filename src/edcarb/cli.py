@@ -14,7 +14,6 @@ log verbosity; it never affects artifacts.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import math
 import os
@@ -90,7 +89,11 @@ def _cmd_explore(args: argparse.Namespace) -> int:
     bundle.csv_artifacts["pareto.csv"] = (list(best), [list(_design_fields(d).values()) for d in front])
     bundle.csv_artifacts["history.csv"] = (
         ["generation", "best", "mean"],
-        [[h.generation, h.best_fitness, h.mean_fitness] for h in result.history],
+        # a generation with no feasible member has no best or mean: empty cells
+        [
+            [h.generation, *(x if math.isfinite(x) else "" for x in (h.best_fitness, h.mean_fitness))]
+            for h in result.history
+        ],
     )
     bundle.json_artifacts["best_design.json"] = {
         "fitness": args.fitness,
@@ -282,17 +285,18 @@ def _cmd_report(args: argparse.Namespace) -> int:
             artifact = folder / name
             if not artifact.exists():
                 continue
-            try:
-                doc = json.loads(artifact.read_text())
-            except (OSError, json.JSONDecodeError) as exc:
-                raise ValidationFailure(f"{artifact}: not a readable artifact: {exc}") from exc
-            meta = doc.get("meta", {})
+            doc = cli_io.read_artifact(artifact)
+            command = doc.get("meta", {}).get("command", "?")
+            if not (isinstance(command, str) and command.isprintable()):
+                raise ValidationFailure(f"{artifact}: meta.command must be printable text, got {command!r}")
             for metric, path in keys:
                 value = _dig(doc, path)
-                if value is not None:
-                    rows.append(
-                        [str(folder), meta.get("command", "?"), metric, value]
-                    )
+                if value is None:
+                    continue
+                # a float literal out of range, such as 1e400, parses as inf
+                if isinstance(value, bool) or not isinstance(value, (int, float)) or value in (math.inf, -math.inf):
+                    raise ValidationFailure(f"{artifact}: {metric} must be a finite number, got {value!r}")
+                rows.append([str(folder), command, metric, value])
     if not rows:
         raise ValidationFailure("no known artifacts found in the given directories")
     for row in rows:

@@ -141,8 +141,6 @@ class ToolkitConfig:
     raw: dict
     config_hash: str
     seed: int
-    technology: dict[str, TechnologyParams]
-    area_params: AreaParams | None
     design_space: DesignSpace | None
     ga_params: GaParams
     workload: DnnWorkload | None
@@ -252,6 +250,8 @@ def _read_text(path: Path) -> str:
         return path.read_text()
     except OSError as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"cannot decode {path}: {exc}") from exc
 
 
 def _parse_csv(path: Path, columns: list[str], parse_row) -> list:
@@ -341,10 +341,10 @@ def load_workload(path: str | Path) -> DnnWorkload:
     return DnnWorkload(name=path.stem, layers=tuple(layers))
 
 
-def _load_json(path: Path):
+def _load_json(path: Path, **options):
     text = _read_text(path)
     try:
-        return json.loads(text)
+        return json.loads(text, **options)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}:{exc.lineno}: {exc.msg}") from exc
     except (ValueError, RecursionError) as exc:  # an over-long integer, too deep nesting
@@ -391,7 +391,7 @@ def load_variant_sets(path: str | Path) -> list[ModelVariantSet]:
             _from_spec(ModelVariant, v, layers=tuple(_from_spec(VariantLayer, layer) for layer in v["layers"]))
             for v in entry["variants"]
         )
-        sets.append(ModelVariantSet(name=entry["model"], variants=variants))
+        sets.append(ModelVariantSet(name=_text(entry["model"]), variants=variants))
     return sets
 
 
@@ -415,12 +415,11 @@ def load_llm_variants(path: str | Path) -> tuple[LlmVariant, ...]:
     path = Path(path)
     doc = _load_json(path)
     variants = tuple(
-        LlmVariant(
-            name=v["name"],
-            precision=v["precision"],
-            quality_score=_finite(v["quality_score"]),
-            tokens_per_s=tuple(_finite(x) for x in v["tokens_per_s"]),
-            power_w=tuple(_finite(x) for x in v["power_w"]),
+        _from_spec(
+            LlmVariant,
+            v,
+            tokens_per_s=tuple(map(_finite, v["tokens_per_s"])),
+            power_w=tuple(map(_finite, v["power_w"])),
         )
         for v in doc
     )
@@ -531,8 +530,6 @@ def load_config(path: str | Path) -> ToolkitConfig:
         raw=raw,
         config_hash=config_hash_of(raw),
         seed=seed,
-        technology=technology,
-        area_params=area_params,
         design_space=design_space,
         ga_params=ga_params,
         workload=workload,
@@ -596,7 +593,9 @@ def emit_report(bundle: ResultBundle, out_dir: str | Path) -> list[Path]:
     """Write every artifact in the bundle; returns the paths written.
 
     File names are fixed per artifact. Numbers are written with Python's
-    shortest round-trip float formatting so reruns are byte-stable.
+    shortest round-trip float formatting so reruns are byte-stable, and CSV
+    cells are quoted as the `csv` module quotes them. A non-finite number
+    fails the artifact that would hold it with ValidationFailure.
     """
     out = Path(out_dir)
     try:
@@ -612,11 +611,14 @@ def emit_report(bundle: ResultBundle, out_dir: str | Path) -> list[Path]:
     written: list[Path] = []
     try:
         for name, (columns, rows) in bundle.csv_artifacts.items():
+            if any(isinstance(cell, float) and not math.isfinite(cell) for row in rows for cell in row):
+                raise ValidationFailure(f"{name} would hold a non-finite number")
             target = out / name
-            lines = [header, stamp, ",".join(columns)]
-            for row in rows:
-                lines.append(",".join(_format_cell(cell) for cell in row))
-            target.write_text("\n".join(lines) + "\n")
+            with target.open("w", newline="") as handle:
+                handle.write(f"{header}\n{stamp}\n")
+                writer = csv.writer(handle, lineterminator="\n")
+                writer.writerow(columns)
+                writer.writerows(rows)
             written.append(target)
         for name, payload in bundle.json_artifacts.items():
             target = out / name
@@ -642,7 +644,10 @@ def emit_report(bundle: ResultBundle, out_dir: str | Path) -> list[Path]:
     return written
 
 
-def _format_cell(cell) -> str:
-    if isinstance(cell, float):
-        return repr(cell)
-    return str(cell)
+def read_artifact(path: Path) -> dict:
+    """Load a JSON artifact as `emit_report` writes it: an object whose
+    ``meta``, if present, is an object, with no NaN or Infinity constant."""
+    doc = _load_json(path, parse_constant=_finite)
+    if not isinstance(doc, dict) or not isinstance(doc.get("meta", {}), dict):
+        raise ParseError(f"{path}: an artifact must be a JSON object with an object 'meta'")
+    return doc

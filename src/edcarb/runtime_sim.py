@@ -26,6 +26,7 @@ import math
 import random
 from bisect import bisect_right
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from .edc_scheduler import (
@@ -129,21 +130,26 @@ class PoissonArrivals:
         return events
 
 
+@dataclass(frozen=True)
 class ExecLookupTable:
     """Precomputed (batch, frequency) -> (latency, energy) profile plus a
-    concurrency-scaling table.
+    concurrency-scaling table (stream count 1 alone when None).
 
     Load-time invariants: batch latency non-decreasing and energy per
     inference non-increasing in the batch size at every frequency; the table
     must be rectangular over its batch sizes and frequency levels and contain
-    batch size 1 and stream count 1.
+    batch size 1 and stream count 1. The sorted batch sizes and stream counts
+    and the number of frequency levels are derived once, at construction.
     """
 
-    def __init__(
-        self,
-        entries: dict[tuple[int, int], tuple[float, float]],
-        concurrency: dict[int, tuple[float, float]] | None = None,
-    ) -> None:
+    entries: dict[tuple[int, int], tuple[float, float]]
+    concurrency: dict[int, tuple[float, float]] | None = None
+    batch_sizes: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    n_freqs: int = field(init=False, repr=False, compare=False)
+    stream_counts: tuple[int, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        entries = self.entries
         if not entries:
             raise ValidationFailure("ExecLookupTable needs at least one entry")
         batch_sizes = sorted({b for b, _ in entries})
@@ -173,7 +179,7 @@ class ExecLookupTable:
                     raise ValidationFailure(
                         f"energy per inference must be non-increasing in batch size (freq {f})"
                     )
-        concurrency = dict(concurrency) if concurrency else {1: (1.0, 1.0)}
+        concurrency = dict(self.concurrency) if self.concurrency else {1: (1.0, 1.0)}
         if 1 not in concurrency:
             raise ValidationFailure("concurrency table must contain k=1")
         for k, (t_scale, p_scale) in concurrency.items():
@@ -183,26 +189,17 @@ class ExecLookupTable:
                 raise ValidationFailure(f"throughput scale for k={k} must be in (0, k]")
             if not 1.0 <= p_scale < math.inf:
                 raise ValidationFailure(f"power scale for k={k} must be finite and >= 1")
-        self.entries = dict(entries)
-        self.concurrency = concurrency
-        self.batch_sizes = tuple(batch_sizes)
-        self.n_freqs = len(freqs)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ExecLookupTable)
-            and self.entries == other.entries
-            and self.concurrency == other.concurrency
-        )
+        object.__setattr__(self, "entries", dict(entries))
+        object.__setattr__(self, "concurrency", concurrency)
+        object.__setattr__(self, "batch_sizes", tuple(batch_sizes))
+        object.__setattr__(self, "n_freqs", len(freqs))
+        object.__setattr__(self, "stream_counts", tuple(sorted(concurrency)))
 
     def latency_ms(self, b: int, f: int) -> float:
         return self.entries[(b, f)][0]
 
     def energy_j(self, b: int, f: int) -> float:
         return self.entries[(b, f)][1]
-
-    def stream_counts(self) -> tuple[int, ...]:
-        return tuple(sorted(self.concurrency))
 
     def scales(self, k: int) -> tuple[float, float]:
         return self.concurrency[k]
@@ -277,19 +274,21 @@ def choose_frequency(
     table: ExecLookupTable,
     deadline_ms: float,
     elapsed_wait_ms: float,
+    levels: Sequence[int],
 ) -> int:
-    """Lowest frequency meeting the deadline; the highest one as best effort."""
-    for f in range(table.n_freqs):
+    """Lowest of the ascending, non-empty frequency `levels` that meets the
+    deadline; the highest one as best effort."""
+    for f in levels:
         if table.latency_ms(batch, f) + elapsed_wait_ms <= deadline_ms:
             return f
-    return table.n_freqs - 1
+    return levels[-1]
 
 
 def choose_concurrency(active_models: int, table: ExecLookupTable) -> int:
     """Stream count maximizing throughput-per-power scaling; ties pick fewer streams."""
     best_k = 1
     best_ratio = -math.inf
-    for k in table.stream_counts():
+    for k in table.stream_counts:
         if k > max(1, active_models):
             continue
         t_scale, p_scale = table.scales(k)
@@ -695,15 +694,10 @@ def _plan_batch_dispatch(
             serial_ms = sum(table.latency_ms(b, f) for b in sizes)
             serial_energy = sum(table.energy_j(b, f) for b in sizes)
             costs.append((serial_ms, serial_energy, serial_energy * 1000.0 / serial_ms * p_scale))
-        f = choose_frequency(sizes[0], table, config.deadline_ms, wait_ms)
-        if costs[f][2] > threshold_w:
-            allowed = [g for g in range(table.n_freqs) if costs[g][2] <= threshold_w]
-            if not allowed:
-                continue
-            meeting = [
-                g for g in allowed if table.latency_ms(sizes[0], g) + wait_ms <= config.deadline_ms
-            ]
-            f = min(meeting) if meeting else max(allowed)
+        allowed = [f for f in range(table.n_freqs) if costs[f][2] <= threshold_w]
+        if not allowed:
+            continue
+        f = choose_frequency(sizes[0], table, config.deadline_ms, wait_ms, allowed)
         serial_ms, serial_energy, power_w = costs[f]
         # the log keeps every dispatch's batch list: copy it to its exact size,
         # as an appended list keeps spare capacity

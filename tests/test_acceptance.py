@@ -391,7 +391,7 @@ def test_c09_batch_and_frequency_policies_match_brute_force():
             queue_len, table, deadline, wait, freq
         )
         batch = rng.choice(table.batch_sizes)
-        assert choose_frequency(batch, table, deadline, wait) == brute_force_frequency(
+        assert choose_frequency(batch, table, deadline, wait, range(table.n_freqs)) == brute_force_frequency(
             batch, table, deadline, wait
         )
     elapsed = time.time() - start

@@ -1,5 +1,6 @@
 """Config loading, trace ingestion, artifact emission and CLI behavior."""
 
+import csv
 import json
 import random
 import shutil
@@ -122,8 +123,6 @@ def test_config_round_trip_is_identity(demo_copy):
     assert reloaded.raw == original.raw
     for field in (
         "seed",
-        "technology",
-        "area_params",
         "design_space",
         "ga_params",
         "workload",
@@ -134,6 +133,22 @@ def test_config_round_trip_is_identity(demo_copy):
         "search",
     ):
         assert getattr(reloaded, field) == getattr(original, field), field
+
+
+@pytest.mark.parametrize(
+    "file, where, value",
+    [
+        ("llm_variants.json", "name", 5),
+        ("llm_variants.json", "precision", ["x"]),
+        ("variants.json", "model", {"a": 1}),
+    ],
+)
+def test_variant_names_must_be_text(demo_copy, file, where, value):
+    doc = json.loads((demo_copy / file).read_text())
+    doc[0][where] = value
+    (demo_copy / file).write_text(json.dumps(doc))
+    with pytest.raises(ConfigError, match="expected a string"):
+        load_config(demo_copy / "demo.json")
 
 
 # ---------------------------------------------------------------------------
@@ -221,13 +236,13 @@ def test_single_sample_trace_covers_everything(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "text",
-    ["{\"seed\": " + "9" * 5000 + "}", "[" * 100_000 + "]" * 100_000],
-    ids=["long-integer", "deep-nesting"],
+    "data",
+    [b"{\"seed\": " + b"9" * 5000 + b"}", b"[" * 100_000 + b"]" * 100_000, b"\xff{}"],
+    ids=["long-integer", "deep-nesting", "not-utf8"],
 )
-def test_unreadable_json_is_parse_error(tmp_path, text):
+def test_unreadable_json_is_parse_error(tmp_path, data):
     path = tmp_path / "config.json"
-    path.write_text(text)
+    path.write_bytes(data)
     with pytest.raises(ParseError):
         load_config(path)
 
@@ -304,6 +319,38 @@ def test_cli_explore_writes_artifacts(demo_copy, tmp_path, capsys):
     best = json.loads((out / "best_design.json").read_text())
     assert best["meta"]["command"] == "explore"
     assert best["best"]["cdp_kg_s"] > 0
+
+
+def read_csv_artifact(path: Path) -> list[list[str]]:
+    """The rows of a CSV artifact under its two `#` header lines, column names first."""
+    return list(csv.reader(path.read_text().splitlines()[2:]))
+
+
+def test_pareto_csv_quotes_a_multiplier_name_with_a_comma(demo_copy, tmp_path):
+    config = json.loads((demo_copy / "demo.json").read_text())
+    for mult in config["design_space"]["multipliers"]:
+        mult["name"] = mult["name"].replace("apx_", "apx,")
+    (demo_copy / "demo.json").write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert cli.main(["explore", "--config", str(demo_copy / "demo.json"), "--out", str(out), "--appx"]) == 0
+    columns, *rows = read_csv_artifact(out / "pareto.csv")
+    assert len(columns) == 9 and rows
+    assert all(len(row) == 9 for row in rows)
+    assert "apx,m2" in {row[columns.index("multiplier")] for row in rows}
+
+
+def test_history_csv_leaves_best_and_mean_empty_without_a_feasible_member(demo_copy, tmp_path):
+    config = json.loads((demo_copy / "demo.json").read_text())
+    config["seed"] = 31
+    config["ga"].update(population_size=2, elitism_count=1)
+    config["design_space"]["max_area_cm2"] = 0.042306001
+    (demo_copy / "demo.json").write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert cli.main(["explore", "--config", str(demo_copy / "demo.json"), "--out", str(out), "--appx"]) == 0
+    columns, *rows = read_csv_artifact(out / "history.csv")
+    assert columns == ["generation", "best", "mean"]
+    assert rows[:3] == [["1", "", ""], ["2", "", ""], ["3", "", ""]]
+    assert all(float(best) <= float(mean) for _, best, mean in rows[3:])
 
 
 def test_cli_explore_delay_fitness_and_3d(demo_copy, tmp_path):
@@ -490,6 +537,31 @@ def test_cli_report_missing_dir_is_io_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error[IO]: ")
 
 
+PLAN = {"meta": {"command": "schedule"}, "power_threshold_w": 9.0, "system": {"power_w": 8.0, "ipw": 2.5}}
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[1, 2]",
+        json.dumps({**PLAN, "meta": 5}),
+        json.dumps({**PLAN, "power_threshold_w": float("nan")}),
+        json.dumps({**PLAN, "power_threshold_w": "9"}),
+        json.dumps({**PLAN, "power_threshold_w": True}),
+        json.dumps(PLAN).replace("9.0", "1e400"),
+        json.dumps({**PLAN, "meta": {"command": ["schedule"]}}),
+        json.dumps({**PLAN, "meta": {"command": "\ud800"}}),
+    ],
+    ids=["list", "meta-number", "nan", "text-metric", "bool-metric", "overflow", "list-command", "surrogate"],
+)
+def test_cli_report_refuses_a_malformed_artifact(tmp_path, capsys, text):
+    (tmp_path / "plan.json").write_text(text)
+    rc = cli.main(["report", "--in", str(tmp_path), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert capsys.readouterr().err.splitlines()[0].startswith("error[VALIDATION]: ")
+    assert not (tmp_path / "o").exists()
+
+
 def test_cli_simulate_poisson_rate_override(demo_copy, tmp_path):
     config = json.loads((demo_copy / "demo.json").read_text())
     config["sim"]["horizon_s"] = 60.0
@@ -606,6 +678,15 @@ def test_emit_report_refuses_non_finite_json(tmp_path, bad):
     with pytest.raises(ValidationFailure, match="a.json"):
         emit_report(bundle, tmp_path / "o")
     assert not (tmp_path / "o" / "a.json").exists()
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_emit_report_refuses_non_finite_csv(tmp_path, bad):
+    bundle = ResultBundle(meta=RunMeta(command="x", config_hash="dead", seed=0))
+    bundle.csv_artifacts["a.csv"] = (["x", "y"], [[1, 2.0], [3, bad]])
+    with pytest.raises(ValidationFailure, match="a.csv"):
+        emit_report(bundle, tmp_path / "o")
+    assert not (tmp_path / "o" / "a.csv").exists()
 
 
 def test_cli_trace_exhausted_is_validation(demo_copy, tmp_path, capsys):

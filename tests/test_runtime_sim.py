@@ -244,9 +244,10 @@ def test_choose_batch_examples():
 
 def test_choose_frequency_examples():
     table = ExecLookupTable(entries={(1, 0): (10.0, 1.0), (1, 1): (6.0, 1.5)})
-    assert choose_frequency(1, table, deadline_ms=8.0, elapsed_wait_ms=0.0) == 1
-    assert choose_frequency(1, table, deadline_ms=12.0, elapsed_wait_ms=0.0) == 0
-    assert choose_frequency(1, table, deadline_ms=5.0, elapsed_wait_ms=0.0) == 1  # best effort
+    levels = range(table.n_freqs)
+    assert choose_frequency(1, table, deadline_ms=8.0, elapsed_wait_ms=0.0, levels=levels) == 1
+    assert choose_frequency(1, table, deadline_ms=12.0, elapsed_wait_ms=0.0, levels=levels) == 0
+    assert choose_frequency(1, table, deadline_ms=5.0, elapsed_wait_ms=0.0, levels=levels) == 1  # best effort
 
 
 def test_choose_batch_matches_brute_force_on_random_tables():
@@ -269,9 +270,31 @@ def test_choose_frequency_matches_brute_force_on_random_tables():
         b = rng.choice(table.batch_sizes)
         deadline = rng.uniform(1.0, 40.0)
         wait = rng.uniform(0.0, 10.0)
-        assert choose_frequency(b, table, deadline, wait) == brute_force_frequency(
+        assert choose_frequency(b, table, deadline, wait, range(table.n_freqs)) == brute_force_frequency(
             b, table, deadline, wait
         )
+
+
+def test_choose_frequency_matches_brute_force_on_random_level_subsets():
+    rng = random.Random(31)
+    for _ in range(300):
+        table = random_exec_table(rng, n_freqs=rng.randint(1, 5))
+        levels = sorted(rng.sample(range(table.n_freqs), rng.randint(1, table.n_freqs)))
+        b = rng.choice(table.batch_sizes)
+        deadline = rng.uniform(1.0, 40.0)
+        wait = rng.uniform(0.0, 10.0)
+        meeting = [f for f in levels if table.latency_ms(b, f) + wait <= deadline]
+        expected = min(meeting) if meeting else max(levels)
+        assert choose_frequency(b, table, deadline, wait, levels) == expected
+
+
+def test_exec_table_derives_sorted_stream_counts_and_compares_its_inputs():
+    entries = {(1, 0): (5.0, 1.0), (2, 0): (6.0, 1.5)}
+    table = ExecLookupTable(entries, {3: (2.0, 1.5), 1: (1.0, 1.0), 2: (1.5, 1.2)})
+    assert table.stream_counts == (1, 2, 3)
+    assert table.batch_sizes == (1, 2) and table.n_freqs == 1
+    assert ExecLookupTable(entries) == ExecLookupTable(dict(entries), {1: (1.0, 1.0)})
+    assert ExecLookupTable(entries) != table
 
 
 def test_choose_concurrency_ratio_rule():
@@ -614,7 +637,9 @@ def test_capped_dispatches_match_the_reference_frequency_on_random_runs():
                 served += len(ev.detail["arrivals"])
                 dispatches += 1
                 multi_stream += streams > 1
-                fallbacks += expected != choose_frequency(batches[0], table, config.deadline_ms, wait_ms)
+                fallbacks += expected != choose_frequency(
+                    batches[0], table, config.deadline_ms, wait_ms, range(table.n_freqs)
+                )
     # the over-power fallback, multi-stream groups and gating all occur
     assert dispatches > 10_000 and fallbacks > 1000 and multi_stream > 100 and gated > 50
 
