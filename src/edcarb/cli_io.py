@@ -134,11 +134,12 @@ class SimSettings:
             raise ValidationFailure(f"sim.lifetime_inferences: must be a finite number > 0, got {lifetime}")
         if embodied is not None and not (math.isfinite(embodied) and embodied >= 0):
             raise ValidationFailure(f"sim.embodied_total_kg: must be a finite number >= 0, got {embodied}")
+        if (lifetime is None) != (embodied is None):
+            raise ValidationFailure("sim.embodied_total_kg and sim.lifetime_inferences: give both or neither")
 
 
 @dataclass
 class ToolkitConfig:
-    raw: dict
     config_hash: str
     seed: int
     design_space: DesignSpace | None
@@ -527,7 +528,6 @@ def load_config(path: str | Path) -> ToolkitConfig:
     if errors:
         raise ConfigError(errors)
     return ToolkitConfig(
-        raw=raw,
         config_hash=config_hash_of(raw),
         seed=seed,
         design_space=design_space,
@@ -539,18 +539,6 @@ def load_config(path: str | Path) -> ToolkitConfig:
         sim=sim,
         search=search,
     )
-
-
-def save_config(config: ToolkitConfig, path: str | Path) -> Path:
-    """Write a loaded config back out; loading the result reproduces the
-    config field for field (relative file references resolve against the
-    target directory, so save next to the original inputs)."""
-    path = Path(path)
-    try:
-        path.write_text(json.dumps(config.raw, indent=2, sort_keys=True) + "\n")
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
-    return path
 
 
 # ---------------------------------------------------------------------------

@@ -203,18 +203,14 @@ def evaluate(
     if tables is None:
         tables = CostTables()
     c = chromosome
-    config = None
     embodied_key = (c.px, c.py, c.b_local, c.b_global, c.multiplier)
     embodied = tables.embodied.get(embodied_key)
     if embodied is None:
-        config = space.to_config(c)
-        embodied = tables.embodied[embodied_key] = _embodied_verdict(config, space)
+        embodied = tables.embodied[embodied_key] = _embodied_verdict(space.to_config(c), space)
     latency_key = (c.px, c.py, c.b_global, c.dataflow)
     latency = tables.latency_s.get(latency_key)
     if latency is None:
-        if config is None:
-            config = space.to_config(c)
-        latency = tables.latency_s[latency_key] = estimate_latency(config, workload)
+        latency = tables.latency_s[latency_key] = estimate_latency(space.to_config(c), workload)
     embodied_kg, reason = embodied
     feasible = reason is None
     return EvaluatedDesign(
@@ -296,14 +292,10 @@ def run_ga(
         return (_fitness_of(d, fitness), space.index_key(d.chromosome))
 
     population = [space.random_chromosome(rng) for _ in range(params.population_size)]
-    best: EvaluatedDesign | None = None
     history: list[GenerationStats] = []
 
     for generation in range(1, params.generations + 1):
         designs = [eval_cached(c) for c in population]
-        for d in designs:
-            if d.feasible and (best is None or sort_key(d) < sort_key(best)):
-                best = d
         feasible_fit = [_fitness_of(d, fitness) for d in designs if d.feasible]
         history.append(
             GenerationStats(
@@ -331,6 +323,9 @@ def run_ga(
                 next_pop.append(mutate(child_b, params.mutation_rate, space, rng))
         population = next_pop
 
+    # Every design a generation held is in `cache` once, and `sort_key` ends in
+    # the unique index key, so this is the best design seen in any generation.
+    best = min((d for d in cache.values() if d.feasible), key=sort_key, default=None)
     if best is None:
         raise NoFeasibleDesign("no feasible design found in any generation")
     return GaResult(best=best, history=tuple(history), evaluated=tuple(cache.values()))
@@ -347,17 +342,14 @@ def exhaustive_search(
     Ties break by lexicographic chromosome order, which enumeration order
     already guarantees.
     """
+    if fitness not in ("cdp", "delay"):
+        raise ValidationFailure(f"unknown fitness {fitness!r}")
     if space.size > cap:
         raise SpaceTooLarge(f"space has {space.size} designs, cap is {cap}")
-    best: EvaluatedDesign | None = None
-    best_fit = math.inf
     tables = CostTables()
-    for chromosome in space.chromosomes():
-        design = evaluate(chromosome, workload, space, tables)
-        fit = _fitness_of(design, fitness)
-        if design.feasible and fit < best_fit:
-            best = design
-            best_fit = fit
+    designs = (evaluate(c, workload, space, tables) for c in space.chromosomes())
+    feasible = (d for d in designs if d.feasible)
+    best = min(feasible, key=lambda d: _fitness_of(d, fitness), default=None)
     if best is None:
         raise NoFeasibleDesign("every design in the space is infeasible")
     return best

@@ -212,6 +212,13 @@ class SearchParams:
     candidate_cap: int = 256
     rng_seed: int = 0
 
+    def __post_init__(self) -> None:
+        for name in ("beam_width", "max_segments", "candidate_cap"):
+            if getattr(self, name) < 1:
+                raise ValidationFailure(f"{name} must be >= 1")
+        if self.local_search_moves < 0:
+            raise ValidationFailure("local_search_moves must be >= 0")
+
 
 @dataclass(frozen=True)
 class MappingSolution:
@@ -230,13 +237,10 @@ class VariantChoice:
 # ranks on.
 Estimator = Callable[[SystemEstimate], SystemEstimate]
 
-# One mapped DNN's share of the pipeline model: its throughput term
-# (1000 / slowest segment ms) and the max active power per unit it uses.
-_PlanSummary = tuple[float, dict[str, float]]
-
-# Running sum of throughput terms and per-unit max active power. Summaries
-# and fold states share dicts and are never mutated.
-_Fold = tuple[float, dict[str, float]]
+# A sum of throughput terms (1000 / slowest segment ms) and the max active
+# power per unit in node order, -inf for a unit with no segment. One mapped
+# DNN's summary and the running fold over several DNNs have this shape.
+_Fold = tuple[float, tuple[float, ...]]
 
 
 def validate_plan(plan: MappingPlan, variant: ModelVariant, node: EdgeNode) -> None:
@@ -284,24 +288,23 @@ def plan_bottleneck_ms(plan: MappingPlan, variant: ModelVariant, node: EdgeNode)
     return max(segment_cost(seg, variant, node)[0] for seg in plan.segments)
 
 
-def _plan_summary(plan: MappingPlan, costs: Sequence[tuple[float, float]]) -> _PlanSummary:
+def _empty_fold(node: EdgeNode) -> _Fold:
+    return 0.0, (-math.inf,) * len(node.units)
+
+
+def _plan_summary(plan: MappingPlan, costs: Sequence[tuple[float, float]], node: EdgeNode) -> _Fold:
     """Summary of one mapped DNN from the (latency ms, power W) of its segments."""
-    unit_power: dict[str, float] = {}
+    unit_power = [-math.inf] * len(node.units)
     for seg, (_, power) in zip(plan.segments, costs):
-        unit_power[seg.unit_id] = max(unit_power.get(seg.unit_id, 0.0), power)
+        i = node._unit_index[seg.unit_id]
+        unit_power[i] = max(unit_power[i], power)
     bottleneck, _ = max(costs)  # the pair with the largest latency
-    return 1000.0 / bottleneck, unit_power
+    return 1000.0 / bottleneck, tuple(unit_power)
 
 
-def _fold(state: _Fold, summary: _PlanSummary) -> _Fold:
-    throughput, unit_power = state
-    term, powers = summary
-    if not unit_power:
-        return throughput + term, powers
-    merged = unit_power.copy()
-    for unit_id, power in powers.items():
-        merged[unit_id] = max(merged.get(unit_id, 0.0), power)
-    return throughput + term, merged
+def _fold(state: _Fold, summary: _Fold) -> _Fold:
+    # per-unit max, written out: the beam folds once per (partial, candidate)
+    return state[0] + summary[0], tuple([a if a >= b else b for a, b in zip(state[1], summary[1])])
 
 
 def _estimate(throughput: float, power: float) -> SystemEstimate:
@@ -314,7 +317,9 @@ def _estimate(throughput: float, power: float) -> SystemEstimate:
 
 def _folded_estimate(state: _Fold, node: EdgeNode) -> SystemEstimate:
     throughput, unit_power = state
-    return _estimate(throughput, sum(unit_power.get(u.id, u.idle_power_w) for u in node.units))
+    # Active power is validated >= 0, so only an empty unit pays idle power.
+    power = sum([p if p >= 0.0 else u.idle_power_w for p, u in zip(unit_power, node.units)])
+    return _estimate(throughput, power)
 
 
 def system_estimate(
@@ -326,10 +331,10 @@ def system_estimate(
     Each DNN runs at the reciprocal of its slowest segment; units pay the max
     active power over their resident segments, or idle power when empty.
     """
-    state: _Fold = (0.0, {})
+    state = _empty_fold(node)
     for variant, plan in assignments:
         costs = [segment_cost(seg, variant, node) for seg in plan.segments]
-        state = _fold(state, _plan_summary(plan, costs))
+        state = _fold(state, _plan_summary(plan, costs, node))
     return _folded_estimate(state, node)
 
 
@@ -427,11 +432,6 @@ def _plan(dnn: str, cuts: tuple[int, ...], combo: tuple[tuple[str, int], ...]) -
     )
 
 
-def _plans_for_cuts(dnn: str, cuts: tuple[int, ...], choices: list[tuple[str, int]]):
-    for combo in itertools.product(choices, repeat=len(cuts) - 1):
-        yield _plan(dnn, cuts, combo)
-
-
 def _candidate_plans(
     variant: ModelVariant,
     dnn: str,
@@ -446,23 +446,18 @@ def _candidate_plans(
     masks = list(_cut_masks(n_layers, params.max_segments))
     total = sum(len(choices) ** (len(cuts) - 1) for cuts in masks)
     if total <= params.candidate_cap:
-        plans: list[MappingPlan] = []
-        for cuts in masks:
-            plans.extend(_plans_for_cuts(dnn, cuts, choices))
-        return plans
-
-    whole = (0, n_layers)
-    plans = list(_plans_for_cuts(dnn, whole, choices))
-    seen = {(whole, (choice,)) for choice in choices}
-    attempts = 0
-    while len(plans) < params.candidate_cap and attempts < params.candidate_cap * 10:
-        attempts += 1
-        cuts = rng.choice(masks)
-        combo = tuple(rng.choice(choices) for _ in range(len(cuts) - 1))
-        if (cuts, combo) not in seen:
-            seen.add((cuts, combo))
-            plans.append(_plan(dnn, cuts, combo))
-    return plans
+        keys = [
+            (cuts, combo) for cuts in masks for combo in itertools.product(choices, repeat=len(cuts) - 1)
+        ]
+    else:
+        # (cuts, combo) -> None, in first-draw order
+        keys = dict.fromkeys(((0, n_layers), (choice,)) for choice in choices)
+        attempts = 0
+        while len(keys) < params.candidate_cap and attempts < params.candidate_cap * 10:
+            attempts += 1
+            cuts = rng.choice(masks)
+            keys.setdefault((cuts, tuple(rng.choice(choices) for _ in range(len(cuts) - 1))))
+    return [_plan(dnn, cuts, combo) for cuts, combo in keys]
 
 
 def _plan_key(plans: Sequence[MappingPlan], node: EdgeNode) -> tuple:
@@ -570,17 +565,17 @@ def search_mapping(
 
     segment_costs: dict[tuple[int, Segment], tuple[float, float]] = {}
 
-    def summary(d: int, plan: MappingPlan) -> _PlanSummary:
+    def summary(d: int, plan: MappingPlan) -> _Fold:
         costs = []
         for seg in plan.segments:
             cost = segment_costs.get((d, seg))
             if cost is None:
                 cost = segment_costs[(d, seg)] = segment_cost(seg, workloads[d], node)
             costs.append(cost)
-        return _plan_summary(plan, costs)
+        return _plan_summary(plan, costs, node)
 
     def exact_estimate(plans: tuple[MappingPlan, ...]) -> SystemEstimate:
-        state: _Fold = (0.0, {})
+        state = _empty_fold(node)
         for d, plan in enumerate(plans):
             state = _fold(state, summary(d, plan))
         return _folded_estimate(state, node)
@@ -590,7 +585,7 @@ def search_mapping(
 
     # Each beam entry is (plans, plan key, fold state). Extensions are ranked
     # by (-score, plan key); only the survivors' fold states are kept.
-    beam: list[tuple[tuple[MappingPlan, ...], tuple, _Fold]] = [((), (), (0.0, {}))]
+    beam: list[tuple[tuple[MappingPlan, ...], tuple, _Fold]] = [((), (), _empty_fold(node))]
     for d in range(len(workloads)):
         options = [(plan, _plan_key((plan,), node), summary(d, plan)) for plan in candidates[d]]
         ranked = []
@@ -604,9 +599,9 @@ def search_mapping(
             for _, key, i, j in ranked[: params.beam_width]
         ]
 
-    partials = [plans for plans, _, _ in beam]
+    # A fallback the beam holds repeats its plan key and estimate, so `min` is unchanged.
     pool = [(plans, _folded_estimate(state, node)) for plans, _, state in beam]
-    pool += [(fb, exact_estimate(fb)) for fb in fallbacks if fb not in partials]
+    pool += [(fb, exact_estimate(fb)) for fb in fallbacks]
     feasible = [(plans, exact) for plans, exact in pool if exact.power_w <= power_threshold_w]
     if not feasible:
         raise NoFeasiblePlan(

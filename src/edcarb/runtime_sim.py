@@ -41,6 +41,9 @@ from .edc_scheduler import (
 from .errors import InfeasibleError, ValidationFailure
 
 J_PER_KWH = 3.6e6
+# PoissonArrivals.materialize builds every arrival up front; it refuses a
+# horizon whose expected arrival count (rate x horizon) is above this.
+MAX_EXPECTED_ARRIVALS = 1_000_000
 
 
 class TraceExhausted(ValidationFailure):
@@ -120,6 +123,11 @@ class PoissonArrivals:
             raise ValidationFailure("PoissonArrivals needs at least one kind")
 
     def materialize(self, horizon_s: float) -> list[tuple[float, str]]:
+        if self.rate_per_s * horizon_s > MAX_EXPECTED_ARRIVALS:
+            raise ValidationFailure(
+                f"Poisson rate {self.rate_per_s}/s over {horizon_s} s expects more than "
+                f"{MAX_EXPECTED_ARRIVALS} arrivals"
+            )
         rng = random.Random(self.seed)
         events: list[tuple[float, str]] = []
         t = rng.expovariate(self.rate_per_s)

@@ -1,6 +1,7 @@
 """Config loading, trace ingestion, artifact emission and CLI behavior."""
 
 import csv
+import dataclasses
 import json
 import random
 import shutil
@@ -18,11 +19,11 @@ from edcarb.cli_io import (
     ParseError,
     ResultBundle,
     RunMeta,
+    ToolkitConfig,
     emit_report,
     load_arrivals,
     load_ci_trace,
     load_config,
-    save_config,
 )
 
 from support import random_scheduler_instance, strip_timestamp_lines
@@ -106,6 +107,9 @@ def test_all_errors_collected_not_just_first(tmp_path):
         ("lifetime_inferences", -5),
         ("lifetime_inferences", float("nan")),
         ("embodied_total_kg", -1.0),
+        # each is valid alone, but the amortization needs both
+        ("lifetime_inferences", 5.0),
+        ("embodied_total_kg", 5.0),
     ],
 )
 def test_bad_amortization_inputs_fail_at_load(tmp_path, key, value):
@@ -117,22 +121,9 @@ def test_bad_amortization_inputs_fail_at_load(tmp_path, key, value):
 
 def test_config_round_trip_is_identity(demo_copy):
     original = load_config(demo_copy / "demo.json")
-    saved = save_config(original, demo_copy / "roundtrip.json")
-    reloaded = load_config(saved)
-    assert reloaded.config_hash == original.config_hash
-    assert reloaded.raw == original.raw
-    for field in (
-        "seed",
-        "design_space",
-        "ga_params",
-        "workload",
-        "node",
-        "variant_sets",
-        "policy",
-        "sim",
-        "search",
-    ):
-        assert getattr(reloaded, field) == getattr(original, field), field
+    reloaded = load_config(demo_copy / "demo.json")
+    for field in dataclasses.fields(ToolkitConfig):
+        assert getattr(reloaded, field.name) == getattr(original, field.name), field.name
 
 
 @pytest.mark.parametrize(
@@ -591,6 +582,35 @@ def test_cli_simulate_bad_poisson_rate_is_validation(demo_copy, tmp_path, capsys
     )
     assert rc == 2
     assert capsys.readouterr().err.splitlines()[0].startswith("error[VALIDATION]: ")
+
+
+def test_cli_simulate_over_the_poisson_cap_is_validation(demo_copy, tmp_path, capsys):
+    # 10^6 req/s over the demo's 7,200 s horizon: ~7*10^9 arrivals
+    rc = cli.main(
+        [
+            "simulate", "--config", str(demo_copy / "demo.json"),
+            "--trace", str(demo_copy / "ci_trace.csv"),
+            "--arrivals", "poisson:1e6", "--out", str(tmp_path / "o"),
+        ]
+    )
+    assert rc == 2
+    assert capsys.readouterr().err.splitlines()[0].startswith("error[VALIDATION]: ")
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("beam_width", 0), ("beam_width", -1), ("max_segments", 0), ("candidate_cap", 0), ("local_search_moves", -1)],
+)
+def test_cli_schedule_rejects_search_params_that_break_the_search(demo_copy, tmp_path, capsys, field, value):
+    config = json.loads((demo_copy / "demo.json").read_text())
+    config["search"][field] = value
+    path = demo_copy / "search.json"
+    path.write_text(json.dumps(config))
+    rc = cli.main(["schedule", "--config", str(path), "--ci-now", "250", "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith("error[VALIDATION]: ")
+    assert any(line.startswith(f"  - search: {field} must be >= ") for line in err)
 
 
 @pytest.mark.parametrize("lifetime", [0, -5, float("nan")])

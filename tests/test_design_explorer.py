@@ -274,6 +274,29 @@ def test_ga_deterministic_history():
     assert repr(first.history) == repr(second.history)
 
 
+@pytest.mark.parametrize("fitness", ["cdp", "delay"])
+def test_ga_best_is_the_minimum_of_its_evaluated_designs(fitness):
+    rng = random.Random(77)
+    workload = make_workload()
+    for _ in range(8):
+        space = make_space(
+            px_values=tuple(sorted(rng.sample((2, 4, 8, 16), rng.randint(1, 3)))),
+            py_values=tuple(sorted(rng.sample((2, 4, 8, 16), rng.randint(1, 3)))),
+            b_local_values=tuple(sorted(rng.sample((64, 256, 1024), rng.randint(1, 2)))),
+            dataflows=tuple(rng.sample(tuple(Dataflow), rng.randint(1, 3))),
+            multipliers=(EXACT_MULT,) + tuple(rng.sample((APX_MULT, BAD_MULT), rng.randint(0, 2))),
+        )
+        params = GaParams(
+            population_size=rng.randint(3, 12), generations=rng.randint(1, 6), rng_seed=rng.randrange(100)
+        )
+        result = run_ga(space, params, workload, fitness=fitness)
+
+        def key(d: EvaluatedDesign) -> tuple:
+            return (d.latency_s if fitness == "delay" else d.cdp_kg_s, space.index_key(d.chromosome))
+
+        assert result.best == min((d for d in result.evaluated if d.feasible), key=key)
+
+
 def test_ga_raises_when_everything_infeasible():
     space = make_space(multipliers=(BAD_MULT,))
     with pytest.raises(NoFeasibleDesign):
@@ -305,6 +328,14 @@ def test_exhaustive_cap():
     space = make_space()
     with pytest.raises(SpaceTooLarge):
         exhaustive_search(space, make_workload(), cap=10)
+
+
+def test_searches_reject_unknown_fitness():
+    space, workload = make_space(), make_workload()
+    with pytest.raises(ValidationFailure, match="unknown fitness 'bogus'"):
+        run_ga(space, GaParams(population_size=4, generations=1), workload, fitness="bogus")
+    with pytest.raises(ValidationFailure, match="unknown fitness 'bogus'"):
+        exhaustive_search(space, workload, fitness="bogus")
 
 
 def test_exhaustive_raises_when_all_infeasible():

@@ -113,6 +113,20 @@ def test_empty_unit_contributes_idle_power():
     assert est.power_w == pytest.approx(3.0 + 1.0)  # cpu active max + gpu idle
 
 
+@pytest.mark.parametrize("active_w", [0.0, 0.5])
+def test_occupied_unit_below_idle_power_pays_its_active_power(active_w):
+    # cpu0 draws less than its 2 W idle power; gpu0 has no profile for these
+    # layers, so every plan leaves it empty at its 1 W idle power
+    cpu = make_unit("cpu0", "CPU", LAYERS, n_freqs=1, base_power_w=active_w, idle_power_w=2.0)
+    gpu = make_unit("gpu0", "GPU", ("other",), idle_power_w=1.0)
+    node = EdgeNode(units=(cpu, gpu), transfer_bytes_per_ms=1e5)
+    variants = [make_variant("a", LAYERS), make_variant("b", LAYERS)]
+    plans = [MappingPlan(v.name, (Segment(0, 3, "cpu0", 0),)) for v in variants]
+    assert system_estimate(list(zip(variants, plans)), node).power_w == active_w + 1.0
+    solution = search_mapping(variants, node, 10.0, SearchParams(rng_seed=0))
+    assert solution.estimate.power_w == active_w + 1.0
+
+
 def test_two_dnns_on_disjoint_units_add_throughput():
     node = simple_node()
     variant_a = make_variant("a", LAYERS)

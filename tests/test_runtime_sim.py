@@ -143,6 +143,13 @@ def test_poisson_arrivals_deterministic_and_bounded():
     assert len(first) > 50  # ~150 expected
 
 
+@pytest.mark.parametrize("rate, horizon", [(1e6, 7200.0), (1.0, math.inf)])
+def test_poisson_refuses_more_expected_arrivals_than_the_cap(rate, horizon):
+    # both would build billions of arrivals, or never stop, before the cap
+    with pytest.raises(ValidationFailure, match="expects more than"):
+        PoissonArrivals(rate_per_s=rate).materialize(horizon)
+
+
 def test_trace_arrivals_must_be_sorted():
     with pytest.raises(ValidationFailure):
         TraceArrivals(events=((2.0, "a"), (1.0, "a")))

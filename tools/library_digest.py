@@ -1,0 +1,121 @@
+"""Run the library's searches and simulator against one source tree and print a digest per case.
+
+Usage: python3 tools/library_digest.py TREE
+
+TREE is a checkout of this repository; the library is imported from
+``TREE/src``. The inputs come from this checkout's ``perfbench/gen.py`` (via
+``perfbench/workloads.py``) and ``tests/support.py``, so two trees see the
+same inputs:
+
+- ``search_mapping`` on the 16 ``search`` workload instances at seeds 0-2,
+  each with the full and the smoke ``SearchParams`` of that workload;
+- ``search_mapping`` on 400 ``support.random_scheduler_instance`` draws
+  (seed 99) with drawn beam width, candidate cap, local-search moves,
+  segment limit and threshold, every fourth one through a
+  ``classified_estimator``;
+- ``exhaustive_search``, ``run_ga`` and ``pareto_front`` (over the GA's
+  evaluated designs) on the ``search`` workload's design space at seeds
+  0-2, for the cdp and delay fitnesses;
+- ``run_simulation`` on every ``sim-load`` scenario at seeds 0-2.
+
+Each line is a case name and the SHA-256 of the ``repr`` of its result
+(every field, the simulator's decision log and time series included), or
+``raises <ExceptionType>`` when the call raises. Two trees behave the same
+on these inputs when the outputs of
+
+    python3 tools/library_digest.py PARENT_TREE > a.txt
+    python3 tools/library_digest.py CHANGED_TREE > b.txt
+
+are equal (``diff a.txt b.txt``). A run takes under a minute on a 2-core
+host (Python 3.11). Only the standard library is used.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import random
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _case(name: str, fn, *args, **kwargs):
+    try:
+        value = fn(*args, **kwargs)
+    except Exception as exc:  # the exception type is the case's result
+        print(f"{name} raises {type(exc).__name__}")
+        return None
+    print(f"{name} {hashlib.sha256(repr(value).encode()).hexdigest()}")
+    return value
+
+
+def _perfbench_searches(workloads, design_explorer, edc_scheduler) -> None:
+    for seed in range(3):
+        full = workloads.Search().setup(seed, smoke=False)
+        smoke_params = workloads.Search().setup(seed, smoke=True).params
+        for i, (models, node, threshold) in enumerate(full.instances):
+            for label, params in (("full", full.params), ("smoke", smoke_params)):
+                _case(
+                    f"mapping.perfbench.seed{seed}.{i}.{label}",
+                    edc_scheduler.search_mapping, models, node, threshold, params,
+                )
+        for fitness in ("cdp", "delay"):
+            prefix = f"explore.seed{seed}.{fitness}"
+            _case(f"{prefix}.exhaustive", design_explorer.exhaustive_search, full.space, full.conv, fitness)
+            ga = _case(f"{prefix}.ga", design_explorer.run_ga, full.space, full.ga, full.conv, fitness)
+            if ga is not None:
+                _case(f"{prefix}.pareto", design_explorer.pareto_front, list(ga.evaluated), full.space)
+
+
+def _random_searches(support, edc_scheduler) -> None:
+    estimator = edc_scheduler.classified_estimator(
+        edc_scheduler.ClassBins((0.0, 100.0, 200.0, 400.0, 800.0, 1600.0)),
+        edc_scheduler.ClassBins((0.0, 2.0, 4.0, 8.0, 16.0, 32.0)),
+    )
+    rng = random.Random(99)
+    for i in range(400):
+        models, node = support.random_scheduler_instance(rng)
+        params = edc_scheduler.SearchParams(
+            beam_width=rng.choice((1, 2, 4, 8, 16)),
+            local_search_moves=rng.choice((0, 5, 50, 200)),
+            max_segments=rng.choice((1, 2, 3, 4)),
+            candidate_cap=rng.choice((1, 4, 16, 64, 256)),
+            rng_seed=rng.randrange(1000),
+        )
+        threshold = rng.uniform(2.0, 30.0)
+        _case(
+            f"mapping.random.{i}",
+            edc_scheduler.search_mapping, models, node, threshold, params,
+            estimator if i % 4 == 3 else None,
+        )
+
+
+def _simulations(workloads, runtime_sim) -> None:
+    for seed in range(3):
+        inputs = workloads.SimLoad().setup(seed, smoke=False)
+        for label, (cfg, trace, arrivals, kwargs) in inputs.scenarios.items():
+            _case(f"sim.seed{seed}.{label}", runtime_sim.run_simulation, cfg, trace, arrivals, **kwargs)
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print(__doc__.strip().splitlines()[2], file=sys.stderr)
+        return 2
+    tree = Path(argv[0]).resolve()
+    sys.path[:0] = [str(tree / "src"), str(ROOT / "perfbench"), str(ROOT / "tests")]
+    import support
+    import workloads
+    from edcarb import design_explorer, edc_scheduler, runtime_sim
+
+    if Path(design_explorer.__file__).resolve().parent != tree / "src" / "edcarb":
+        print(f"edcarb was imported from {design_explorer.__file__}, not from {tree}", file=sys.stderr)
+        return 2
+    _perfbench_searches(workloads, design_explorer, edc_scheduler)
+    _random_searches(support, edc_scheduler)
+    _simulations(workloads, runtime_sim)
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main(sys.argv[1:]))
