@@ -230,13 +230,15 @@ def _from_spec(cls, spec, **given):
 
     Each scalar field not in `given` is read under its own name and coerced
     to its declared type; an absent key keeps the dataclass's own default.
-    Keys that name no scalar field are ignored.
+    A scalar field in `given` is the loader's to set, so the spec may not
+    name it. Keys that name no scalar field are ignored.
     """
     _object(spec)
     for name, coerce, required in _scalar_fields(cls):
         if name in given:
-            continue
-        if name in spec:
+            if name in spec:
+                raise ValueError(f"{name}: set by the loader, not by the config")
+        elif name in spec:
             try:
                 given[name] = coerce(spec[name])
             except _VALUE_ERRORS as exc:

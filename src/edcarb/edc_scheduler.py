@@ -15,10 +15,12 @@ exact estimate.
 
 The pipeline model is a fold: each mapped DNN contributes a summary (its
 throughput term and the max active power it puts on each unit), and the
-system estimate folds the summaries in DNN order. The search memoizes
-segment costs and candidate summaries for one call and carries the fold
-state with each beam partial, so every estimate it ranks on is bit-identical
-to `system_estimate` over the same plans.
+system estimate folds the summaries in DNN order. The search holds a
+segment as a (start, end, unit index, freq index) tuple and a plan as a tuple
+of them, memoizes segment costs for one call and carries the fold state with
+each beam partial, so every estimate it ranks on is bit-identical to
+`system_estimate` over the same plans. Equal scores break on the concatenated
+plans: by unit position in the node, never by unit id.
 """
 
 from __future__ import annotations
@@ -31,6 +33,10 @@ from enum import Enum
 from typing import Callable, Sequence
 
 from .errors import InfeasibleError, ValidationFailure
+
+# Largest number of ways to cut one DNN into <= max_segments segments that
+# the mapping search enumerates; each pattern is held as a tuple.
+MAX_CUT_PATTERNS = 1_000_000
 
 
 class MissingProfileEntry(ValidationFailure):
@@ -242,6 +248,11 @@ Estimator = Callable[[SystemEstimate], SystemEstimate]
 # DNN's summary and the running fold over several DNNs have this shape.
 _Fold = tuple[float, tuple[float, ...]]
 
+# A segment inside the mapping search, (start, end, unit index in node order,
+# freq index), and a DNN's plan; concatenated plans are their own tie-break key.
+_Seg = tuple[int, int, int, int]
+_Plan = tuple[_Seg, ...]
+
 
 def validate_plan(plan: MappingPlan, variant: ModelVariant, node: EdgeNode) -> None:
     """Check that segments partition the layer list contiguously and use valid freqs."""
@@ -292,14 +303,12 @@ def _empty_fold(node: EdgeNode) -> _Fold:
     return 0.0, (-math.inf,) * len(node.units)
 
 
-def _plan_summary(plan: MappingPlan, costs: Sequence[tuple[float, float]], node: EdgeNode) -> _Fold:
-    """Summary of one mapped DNN from the (latency ms, power W) of its segments."""
+def _plan_summary(costs: Sequence[tuple[int, float, float]], node: EdgeNode) -> _Fold:
+    """Summary of one mapped DNN from the (unit index, latency ms, power W) of its segments."""
     unit_power = [-math.inf] * len(node.units)
-    for seg, (_, power) in zip(plan.segments, costs):
-        i = node._unit_index[seg.unit_id]
-        unit_power[i] = max(unit_power[i], power)
-    bottleneck, _ = max(costs)  # the pair with the largest latency
-    return 1000.0 / bottleneck, tuple(unit_power)
+    for u, _, power in costs:
+        unit_power[u] = max(unit_power[u], power)
+    return 1000.0 / max(latency for _, latency, _ in costs), tuple(unit_power)
 
 
 def _fold(state: _Fold, summary: _Fold) -> _Fold:
@@ -333,8 +342,11 @@ def system_estimate(
     """
     state = _empty_fold(node)
     for variant, plan in assignments:
-        costs = [segment_cost(seg, variant, node) for seg in plan.segments]
-        state = _fold(state, _plan_summary(plan, costs, node))
+        costs = []
+        for seg in plan.segments:
+            latency, power = segment_cost(seg, variant, node)
+            costs.append((node._unit_index[seg.unit_id], latency, power))
+        state = _fold(state, _plan_summary(costs, node))
     return _folded_estimate(state, node)
 
 
@@ -422,92 +434,57 @@ def _cut_masks(n_layers: int, max_segments: int):
             yield (0,) + cuts + (n_layers,)
 
 
-def _plan(dnn: str, cuts: tuple[int, ...], combo: tuple[tuple[str, int], ...]) -> MappingPlan:
-    return MappingPlan(
-        dnn=dnn,
-        segments=tuple(
-            Segment(start=cuts[i], end=cuts[i + 1], unit_id=u, freq_idx=f)
-            for i, (u, f) in enumerate(combo)
-        ),
-    )
-
-
 def _candidate_plans(
-    variant: ModelVariant,
-    dnn: str,
-    covering: list[ProcessingUnit],
+    n_layers: int,
+    covering: list[int],
+    node: EdgeNode,
     params: SearchParams,
     rng: random.Random,
-) -> list[MappingPlan]:
+) -> list[_Plan]:
     """Candidate plans for one DNN: full enumeration when it fits the cap,
     otherwise all single-segment plans plus seeded random samples."""
-    n_layers = len(variant.layers)
-    choices = [(u.id, f) for u in covering for f in range(len(u.freq_levels_hz))]
+    choices = [(u, f) for u in covering for f in range(len(node.units[u].freq_levels_hz))]
     masks = list(_cut_masks(n_layers, params.max_segments))
     total = sum(len(choices) ** (len(cuts) - 1) for cuts in masks)
     if total <= params.candidate_cap:
-        keys = [
-            (cuts, combo) for cuts in masks for combo in itertools.product(choices, repeat=len(cuts) - 1)
+        return [
+            tuple((*span, *choice) for span, choice in zip(itertools.pairwise(cuts), combo))
+            for cuts in masks
+            for combo in itertools.product(choices, repeat=len(cuts) - 1)
         ]
-    else:
-        # (cuts, combo) -> None, in first-draw order
-        keys = dict.fromkeys(((0, n_layers), (choice,)) for choice in choices)
-        attempts = 0
-        while len(keys) < params.candidate_cap and attempts < params.candidate_cap * 10:
-            attempts += 1
-            cuts = rng.choice(masks)
-            keys.setdefault((cuts, tuple(rng.choice(choices) for _ in range(len(cuts) - 1))))
-    return [_plan(dnn, cuts, combo) for cuts, combo in keys]
+    # plan -> None, in first-draw order
+    plans = dict.fromkeys(((0, n_layers, u, f),) for u, f in choices)
+    attempts = 0
+    while len(plans) < params.candidate_cap and attempts < params.candidate_cap * 10:
+        attempts += 1
+        cuts = rng.choice(masks)
+        plans.setdefault(tuple((*span, *rng.choice(choices)) for span in itertools.pairwise(cuts)))
+    return list(plans)
 
 
-def _plan_key(plans: Sequence[MappingPlan], node: EdgeNode) -> tuple:
-    unit_index = node._unit_index
-    return tuple(
-        (seg.start, seg.end, unit_index[seg.unit_id], seg.freq_idx)
-        for plan in plans
-        for seg in plan.segments
-    )
-
-
-def _neighbor_plans(
-    plans: tuple[MappingPlan, ...],
-    coverings: list[list[ProcessingUnit]],
-    node: EdgeNode,
-):
+def _neighbor_plans(plans: tuple[_Plan, ...], coverings: list[list[int]], node: EdgeNode):
     """Single-move neighbors: change one segment's unit, its frequency, or
     shift one cut by one layer. Deterministic enumeration order."""
     for d, plan in enumerate(plans):
-        for j, seg in enumerate(plan.segments):
-            current_unit = node.unit_by_id(seg.unit_id)
-            for unit in coverings[d]:
-                if unit.id == seg.unit_id:
-                    continue
-                freq = min(seg.freq_idx, len(unit.freq_levels_hz) - 1)
-                yield _replace_segments(plans, d, j, Segment(seg.start, seg.end, unit.id, freq))
-            for f in range(len(current_unit.freq_levels_hz)):
-                if f == seg.freq_idx:
-                    continue
-                yield _replace_segments(plans, d, j, Segment(seg.start, seg.end, seg.unit_id, f))
-        for j in range(len(plan.segments) - 1):
-            left, right = plan.segments[j], plan.segments[j + 1]
-            for cut in (left.end - 1, left.end + 1):
-                if left.start < cut < right.end:
-                    yield _replace_segments(
-                        plans,
-                        d,
-                        j,
-                        Segment(left.start, cut, left.unit_id, left.freq_idx),
-                        Segment(cut, right.end, right.unit_id, right.freq_idx),
-                    )
+        for j, (start, end, u, f) in enumerate(plan):
+            for other in coverings[d]:
+                if other != u:
+                    freq = min(f, len(node.units[other].freq_levels_hz) - 1)
+                    yield _replace_segments(plans, d, j, (start, end, other, freq))
+            for g in range(len(node.units[u].freq_levels_hz)):
+                if g != f:
+                    yield _replace_segments(plans, d, j, (start, end, u, g))
+        for j in range(len(plan) - 1):
+            left, right = plan[j], plan[j + 1]
+            for cut in (left[1] - 1, left[1] + 1):
+                if left[0] < cut < right[1]:
+                    yield _replace_segments(plans, d, j, (left[0], cut, *left[2:]), (cut, *right[1:]))
 
 
-def _replace_segments(
-    plans: tuple[MappingPlan, ...], d: int, j: int, *segments: Segment
-) -> tuple[MappingPlan, ...]:
+def _replace_segments(plans: tuple[_Plan, ...], d: int, j: int, *segments: _Seg) -> tuple[_Plan, ...]:
     """`plans` with DNN d's segments from j on replaced by `segments`, one for one."""
     plan = plans[d]
-    new_segments = plan.segments[:j] + segments + plan.segments[j + len(segments) :]
-    return plans[:d] + (MappingPlan(plan.dnn, new_segments),) + plans[d + 1 :]
+    return plans[:d] + (plan[:j] + segments + plan[j + len(segments) :],) + plans[d + 1 :]
 
 
 def search_mapping(
@@ -536,45 +513,51 @@ def search_mapping(
     params = params or SearchParams()
     rng = random.Random(params.rng_seed)
 
-    coverings: list[list[ProcessingUnit]] = []
+    coverings: list[list[int]] = []
     for variant in workloads:
-        covering = [u for u in node.units if u.covers(variant.layer_ids)]
+        covering = [u for u, unit in enumerate(node.units) if unit.covers(variant.layer_ids)]
         if not covering:
             raise MissingProfileEntry(
                 f"no unit has a complete profile for variant {variant.name!r}"
+            )
+        n_layers = len(variant.layers)
+        n_patterns = sum(math.comb(n_layers - 1, k) for k in range(min(params.max_segments, n_layers)))
+        if n_patterns > MAX_CUT_PATTERNS:
+            raise ValidationFailure(
+                f"variant {variant.name!r}: {n_layers} layers at max_segments={params.max_segments} "
+                f"give {n_patterns} cut patterns, more than {MAX_CUT_PATTERNS}"
             )
         coverings.append(covering)
 
     # Minimum-power anchors: every DNN whole on one shared unit at its lowest
     # frequency. They seed the candidate pool so a feasible plan is never
     # pruned away by the beam.
-    fallbacks: list[tuple[MappingPlan, ...]] = []
-    for unit in node.units:
-        if all(unit in cov for cov in coverings):
-            fallbacks.append(
-                tuple(
-                    MappingPlan(v.name, (Segment(0, len(v.layers), unit.id, 0),))
-                    for v in workloads
-                )
-            )
+    fallbacks = [
+        tuple(((0, len(v.layers), u, 0),) for v in workloads)
+        for u in range(len(node.units))
+        if all(u in cov for cov in coverings)
+    ]
 
     candidates = [
-        _candidate_plans(variant, variant.name, coverings[d], params, rng)
+        _candidate_plans(len(variant.layers), coverings[d], node, params, rng)
         for d, variant in enumerate(workloads)
     ]
 
-    segment_costs: dict[tuple[int, Segment], tuple[float, float]] = {}
+    # (DNN, segment) -> (unit index, latency ms, power W)
+    segment_costs: dict[tuple[int, _Seg], tuple[int, float, float]] = {}
 
-    def summary(d: int, plan: MappingPlan) -> _Fold:
+    def summary(d: int, plan: _Plan) -> _Fold:
         costs = []
-        for seg in plan.segments:
+        for seg in plan:
             cost = segment_costs.get((d, seg))
             if cost is None:
-                cost = segment_costs[(d, seg)] = segment_cost(seg, workloads[d], node)
+                start, end, u, f = seg
+                latency, power = segment_cost(Segment(start, end, node.units[u].id, f), workloads[d], node)
+                cost = segment_costs[(d, seg)] = (u, latency, power)
             costs.append(cost)
-        return _plan_summary(plan, costs, node)
+        return _plan_summary(costs, node)
 
-    def exact_estimate(plans: tuple[MappingPlan, ...]) -> SystemEstimate:
+    def exact_estimate(plans: tuple[_Plan, ...]) -> SystemEstimate:
         state = _empty_fold(node)
         for d, plan in enumerate(plans):
             state = _fold(state, summary(d, plan))
@@ -583,36 +566,32 @@ def search_mapping(
     def score(exact: SystemEstimate) -> float:
         return (exact if estimator is None else estimator(exact)).ipw
 
-    # Each beam entry is (plans, plan key, fold state). Extensions are ranked
-    # by (-score, plan key); only the survivors' fold states are kept.
-    beam: list[tuple[tuple[MappingPlan, ...], tuple, _Fold]] = [((), (), _empty_fold(node))]
+    # Each beam entry is (plans, fold state). Extensions are ranked by
+    # (-score, concatenated plans); only the survivors' fold states are kept.
+    beam: list[tuple[tuple[_Plan, ...], _Fold]] = [((), _empty_fold(node))]
     for d in range(len(workloads)):
-        options = [(plan, _plan_key((plan,), node), summary(d, plan)) for plan in candidates[d]]
+        options = [(plan, summary(d, plan)) for plan in candidates[d]]
         ranked = []
-        for i, (_, key, state) in enumerate(beam):
-            for j, (_, plan_key, plan_sum) in enumerate(options):
+        for i, (plans, state) in enumerate(beam):
+            key = sum(plans, ())
+            for j, (plan, plan_sum) in enumerate(options):
                 exact = _folded_estimate(_fold(state, plan_sum), node)
-                ranked.append((-score(exact), key + plan_key, i, j))
+                ranked.append((-score(exact), key + plan, i, j))
         ranked.sort()
         beam = [
-            (beam[i][0] + (options[j][0],), key, _fold(beam[i][2], options[j][2]))
-            for _, key, i, j in ranked[: params.beam_width]
+            (beam[i][0] + (options[j][0],), _fold(beam[i][1], options[j][1]))
+            for _, _, i, j in ranked[: params.beam_width]
         ]
 
-    # A fallback the beam holds repeats its plan key and estimate, so `min` is unchanged.
-    pool = [(plans, _folded_estimate(state, node)) for plans, _, state in beam]
+    # A fallback the beam holds repeats its plans and estimate, so `min` is unchanged.
+    pool = [(plans, _folded_estimate(state, node)) for plans, state in beam]
     pool += [(fb, exact_estimate(fb)) for fb in fallbacks]
     feasible = [(plans, exact) for plans, exact in pool if exact.power_w <= power_threshold_w]
     if not feasible:
         raise NoFeasiblePlan(
             f"no plan fits under {power_threshold_w} W, even single-unit lowest-frequency mappings"
         )
-
-    def feasible_rank(entry: tuple[tuple[MappingPlan, ...], SystemEstimate]) -> tuple:
-        plans, exact = entry
-        return (-score(exact), _plan_key(plans, node))
-
-    best_plans, best_exact = min(feasible, key=feasible_rank)
+    best_plans, best_exact = min(feasible, key=lambda entry: (-score(entry[1]), sum(entry[0], ())))
     best_score = score(best_exact)
 
     budget = params.local_search_moves
@@ -631,7 +610,13 @@ def search_mapping(
             if budget <= 0:
                 break
 
-    return MappingSolution(plans=best_plans, estimate=best_exact)
+    return MappingSolution(
+        plans=tuple(
+            MappingPlan(v.name, tuple(Segment(start, end, node.units[u].id, f) for start, end, u, f in plan))
+            for v, plan in zip(workloads, best_plans)
+        ),
+        estimate=best_exact,
+    )
 
 
 def select_variant(

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from edcarb import cli, cli_io
-from edcarb.edc_scheduler import MappingPlan, Segment, plan_bottleneck_ms
+from edcarb.edc_scheduler import EdgeNode, MappingPlan, Segment, plan_bottleneck_ms
 from edcarb.errors import ValidationFailure
 from edcarb.cli_io import (
     ConfigError,
@@ -26,7 +26,7 @@ from edcarb.cli_io import (
     load_config,
 )
 
-from support import random_scheduler_instance, strip_timestamp_lines
+from support import make_tech, make_unit, make_variant, random_scheduler_instance, strip_timestamp_lines
 
 DEMO_DIR = Path(__file__).resolve().parent.parent / "configs" / "demo"
 
@@ -98,6 +98,23 @@ def test_all_errors_collected_not_just_first(tmp_path):
     with pytest.raises(ConfigError) as exc_info:
         load_config(path)
     assert len(exc_info.value.errors) >= 3
+
+
+@pytest.mark.parametrize(
+    "payload, error",
+    [
+        ({"search": {"rng_seed": 5}}, "search: rng_seed"),
+        ({"ga": {"rng_seed": 7}}, "ga: rng_seed"),
+        ({"technology": {"7nm": dataclasses.asdict(make_tech(node_label="5nm"))}}, "technology.7nm: node_label"),
+    ],
+    ids=["search.rng_seed", "ga.rng_seed", "technology.node_label"],
+)
+def test_a_key_the_loader_sets_is_refused(tmp_path, payload, error):
+    # the top-level seed is the one seed of a run, and artifact headers record it
+    path = write_config(tmp_path, {"seed": 3, **payload})
+    with pytest.raises(ConfigError) as exc_info:
+        load_config(path)
+    assert exc_info.value.errors == [f"{error}: set by the loader, not by the config"]
 
 
 @pytest.mark.parametrize(
@@ -478,6 +495,23 @@ def test_cli_schedule_constraint_flag_describes_the_joint_plan(tmp_path):
         assert entry["constraint_violated"] == (bottleneck > constraint_ms)
         flags[entry["model"]] = entry["constraint_violated"]
     assert flags == {"m0": True, "m1": False}
+
+
+def test_cli_schedule_refuses_a_search_with_too_many_cut_patterns(tmp_path, capsys):
+    # 60 layers in at most 8 segments can be cut in 391,702,712 ways
+    layer_ids = tuple(f"l{i}" for i in range(60))
+    node = EdgeNode(units=(make_unit("cpu0", "CPU", layer_ids, n_freqs=1),), transfer_bytes_per_ms=1e5)
+    path = write_scheduler_config(
+        tmp_path, [make_variant("deep", layer_ids)], node,
+        p_min_w=1.0, p_max_w=50.0, ci_min=0.0, ci_max=1.0, latency_constraint_ms=1e6,
+    )
+    config = json.loads(path.read_text())
+    config["search"] = {"max_segments": 8}
+    path.write_text(json.dumps(config))
+    out = tmp_path / "plan"
+    assert cli.main(["schedule", "--config", str(path), "--ci-now", "0", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error[VALIDATION]: variant 'deep': 60 layers at max_segments=8")
+    assert not (out / "plan.json").exists()
 
 
 def test_cli_simulate_and_report(demo_copy, tmp_path, capsys):

@@ -310,6 +310,14 @@ def test_search_infeasible_when_threshold_below_minimum():
         search_mapping([variant], node, power_threshold_w=0.5)
 
 
+def test_search_refuses_too_many_cut_patterns_before_enumerating():
+    # sum over k < 8 of C(59, k) = 391,702,712 ways to cut 60 layers
+    layer_ids = tuple(f"l{i}" for i in range(60))
+    node = EdgeNode(units=(make_unit("cpu0", "CPU", layer_ids, n_freqs=1),), transfer_bytes_per_ms=1e5)
+    with pytest.raises(ValidationFailure, match=r"variant 'deep': 60 layers at max_segments=8 give 391702712"):
+        search_mapping([make_variant("deep", layer_ids)], node, 100.0, SearchParams(max_segments=8))
+
+
 def test_search_deterministic():
     rng = random.Random(55)
     workloads, node = random_scheduler_instance(rng)
@@ -317,6 +325,31 @@ def test_search_deterministic():
     first = search_mapping(workloads, node, 20.0, params)
     second = search_mapping(workloads, node, 20.0, params)
     assert first == second
+
+
+def twin_units_node() -> EdgeNode:
+    """Two identical units, listed "zz" first. The top frequency is 4x as fast for 10% more power."""
+    profile = {(lid, f): ((4.0, 3.0), (1.0, 3.3))[f] for lid in LAYERS for f in range(2)}
+    units = tuple(ProcessingUnit(uid, UnitKind.GPU, (1e9, 2e9), 1.0, profile) for uid in ("zz", "aa"))
+    return EdgeNode(units=units, transfer_bytes_per_ms=1e5)
+
+
+def test_search_breaks_ties_by_position_in_the_node_not_by_unit_id():
+    node = twin_units_node()
+    variant = make_variant("m", LAYERS)
+    # every plan on "zz" has a mirror on "aa" with the same score; a beam of
+    # one keeps only the first of them
+    solution = search_mapping([variant], node, 100.0, SearchParams(beam_width=1))
+    assert {seg.unit_id for seg in solution.plans[0].segments} == {"zz"}
+    assert solution.plans[0].segments[0].freq_idx == 1
+
+    # that beam entry is over the threshold; only the two lowest-frequency
+    # whole-DNN fallbacks fit under their own power
+    fallback = MappingPlan("m", (Segment(0, len(LAYERS), "zz", 0),))
+    threshold = system_estimate([(variant, fallback)], node).power_w
+    assert solution.estimate.power_w > threshold
+    params = SearchParams(beam_width=1, local_search_moves=0)
+    assert search_mapping([variant], node, threshold, params).plans == (fallback,)
 
 
 @pytest.mark.parametrize("classified", [False, True], ids=["exact", "classified"])

@@ -9,6 +9,10 @@ same inputs:
 
 - ``search_mapping`` on the 16 ``search`` workload instances at seeds 0-2,
   each with the full and the smoke ``SearchParams`` of that workload;
+- the same 96 searches (``.reversed``) with each node's units listed in
+  reverse order and their ids unchanged. Every generated node names its
+  units ``u0``, ``u1``, ... in node order, so only these cases tell a
+  tie-break on a unit's position in the node from one on its id;
 - ``search_mapping`` on 400 ``support.random_scheduler_instance`` draws
   (seed 99) with drawn beam width, candidate cap, local-search moves,
   segment limit and threshold, every fourth one through a
@@ -32,6 +36,7 @@ host (Python 3.11). Only the standard library is used.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import random
 import sys
@@ -55,11 +60,13 @@ def _perfbench_searches(workloads, design_explorer, edc_scheduler) -> None:
         full = workloads.Search().setup(seed, smoke=False)
         smoke_params = workloads.Search().setup(seed, smoke=True).params
         for i, (models, node, threshold) in enumerate(full.instances):
-            for label, params in (("full", full.params), ("smoke", smoke_params)):
-                _case(
-                    f"mapping.perfbench.seed{seed}.{i}.{label}",
-                    edc_scheduler.search_mapping, models, node, threshold, params,
-                )
+            reversed_node = dataclasses.replace(node, units=node.units[::-1])
+            for order, units_node in (("", node), (".reversed", reversed_node)):
+                for label, params in (("full", full.params), ("smoke", smoke_params)):
+                    _case(
+                        f"mapping.perfbench.seed{seed}.{i}.{label}{order}",
+                        edc_scheduler.search_mapping, models, units_node, threshold, params,
+                    )
         for fitness in ("cdp", "delay"):
             prefix = f"explore.seed{seed}.{fitness}"
             _case(f"{prefix}.exhaustive", design_explorer.exhaustive_search, full.space, full.conv, fitness)
