@@ -30,10 +30,6 @@ class InvalidStack(ValidationFailure):
     """A 3D stack needs at least two dies."""
 
 
-class SeriesMismatch(ValidationFailure):
-    """Time-indexed series passed together must have equal length."""
-
-
 class PackageKind(Enum):
     PLANAR_2D = "planar2D"
     STACKED_3D = "stacked3D"
@@ -205,24 +201,6 @@ def embodied_carbon(dies: list[DieSpec] | tuple[DieSpec, ...], package: PackageS
 def operational_carbon(sample: OperationalSample) -> float:
     """Operational carbon in grams: grid intensity times energy."""
     return sample.ci_g_per_kwh * sample.energy_kwh
-
-
-def operational_carbon_trace(
-    ci_series: list[float] | tuple[float, ...],
-    power_series_kw: list[float] | tuple[float, ...],
-    dt_hours: float,
-) -> float:
-    """Discretized integral of intensity times power over equal-length series (g)."""
-    if len(ci_series) != len(power_series_kw):
-        raise SeriesMismatch(
-            f"ci series has {len(ci_series)} samples, power series {len(power_series_kw)}"
-        )
-    if dt_hours <= 0:
-        raise ValidationFailure("dt_hours must be > 0")
-    total = 0.0
-    for ci, power in zip(ci_series, power_series_kw):
-        total += ci * power * dt_hours
-    return total
 
 
 def cdp(carbon: float, delay_s: float) -> float:

@@ -110,6 +110,10 @@ class PolicyParams:
             raise ValidationFailure(
                 f"policy.p_min_w: must be <= p_max_w, got {self.p_min_w} > {self.p_max_w}"
             )
+        if self.ci_min >= self.ci_max:
+            raise ValidationFailure(
+                f"policy.ci_min: must be < ci_max, got {self.ci_min} >= {self.ci_max}"
+            )
 
 
 @dataclass(frozen=True)
@@ -493,11 +497,11 @@ def load_config(path: str | Path) -> ToolkitConfig:
             raise ValueError(f"tech_node {tech_node!r} not in technology table")
         if area_params is None:
             raise ValueError("design_space requires area_params")
-        if policy is not None:
-            spec = {"accuracy_threshold_pct": policy.accuracy_threshold_pct, **spec}
         return _from_spec(
             DesignSpace,
             spec,
+            # a failed policy already fails the config, so 0.0 is a placeholder
+            accuracy_threshold_pct=policy.accuracy_threshold_pct if policy is not None else 0.0,
             **{f"{gene}_values": tuple(map(_integer, spec[gene])) for gene in ("px", "py", "b_local", "b_global")},
             dataflows=tuple(map(Dataflow, spec["dataflows"])),
             multipliers=tuple(_from_spec(MultiplierVariant, m) for m in spec["multipliers"]),

@@ -98,9 +98,6 @@ class DesignSpace:
     def size(self) -> int:
         return math.prod(map(len, self._genes.values()))
 
-    def contains(self, c: Chromosome) -> bool:
-        return all(getattr(c, g) in self.candidates(g) for g in _GENES)
-
     def index_key(self, c: Chromosome) -> tuple[int, ...]:
         """Lexicographic position of a chromosome; the global tie-break order."""
         return tuple(self._gene_index[g][getattr(c, g)] for g in _GENES)
@@ -357,7 +354,7 @@ def exhaustive_search(
 
 def pareto_front(
     designs: list[EvaluatedDesign] | tuple[EvaluatedDesign, ...],
-    space: DesignSpace | None = None,
+    space: DesignSpace,
 ) -> list[EvaluatedDesign]:
     """Feasible designs not dominated in (embodied carbon, latency).
 
@@ -370,8 +367,7 @@ def pareto_front(
     feasible = [d for d in designs if d.feasible]
 
     def key(d: EvaluatedDesign) -> tuple:
-        tail = space.index_key(d.chromosome) if space is not None else ()
-        return (d.embodied_kg, d.latency_s, tail)
+        return (d.embodied_kg, d.latency_s, space.index_key(d.chromosome))
 
     front: list[EvaluatedDesign] = []
     best_latency = math.inf

@@ -8,10 +8,7 @@ charged once per segment boundary using the producing layer's output bytes.
 The mapping search maximizes inferences-per-watt under a power threshold
 that tracks grid carbon intensity: minimum intensity maps to the maximum
 power budget and vice versa, with re-planning gated by a hysteresis rule so
-small intensity wiggles do not cause oscillation. The exact throughput/power
-estimate can optionally be refined through a classify-into-bins estimator
-that mirrors a discrete-class predictor; by default the search ranks on the
-exact estimate.
+small intensity wiggles do not cause oscillation.
 
 The pipeline model is a fold: each mapped DNN contributes a summary (its
 throughput term and the max active power it puts on each unit), and the
@@ -30,7 +27,7 @@ import math
 import random
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .errors import InfeasibleError, ValidationFailure
 
@@ -187,23 +184,6 @@ class MappingPlan:
 
 
 @dataclass(frozen=True)
-class ClassBins:
-    """Strictly increasing edges defining len(edges)-1 right-open classes."""
-
-    edges: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.edges) < 2:
-            raise ValidationFailure("ClassBins needs at least 2 edges")
-        if any(b <= a for a, b in zip(self.edges, self.edges[1:])):
-            raise ValidationFailure("ClassBins edges must be strictly increasing")
-
-    @property
-    def midpoints(self) -> tuple[float, ...]:
-        return tuple((a + b) / 2.0 for a, b in zip(self.edges, self.edges[1:]))
-
-
-@dataclass(frozen=True)
 class SystemEstimate:
     throughput_inf_per_s: float
     power_w: float
@@ -239,10 +219,6 @@ class VariantChoice:
     constraint_violated: bool
 
 
-# Refines the exact estimate of a set of plans into the estimate the search
-# ranks on.
-Estimator = Callable[[SystemEstimate], SystemEstimate]
-
 # A sum of throughput terms (1000 / slowest segment ms) and the max active
 # power per unit in node order, -inf for a unit with no segment. One mapped
 # DNN's summary and the running fold over several DNNs have this shape.
@@ -252,22 +228,6 @@ _Fold = tuple[float, tuple[float, ...]]
 # freq index), and a DNN's plan; concatenated plans are their own tie-break key.
 _Seg = tuple[int, int, int, int]
 _Plan = tuple[_Seg, ...]
-
-
-def validate_plan(plan: MappingPlan, variant: ModelVariant, node: EdgeNode) -> None:
-    """Check that segments partition the layer list contiguously and use valid freqs."""
-    if not plan.segments:
-        raise ValidationFailure(f"plan for {plan.dnn!r} has no segments")
-    expected = 0
-    for seg in plan.segments:
-        if seg.start != expected or seg.end <= seg.start:
-            raise ValidationFailure(f"plan for {plan.dnn!r}: segments must be contiguous and non-empty")
-        unit = node.unit_by_id(seg.unit_id)
-        if not 0 <= seg.freq_idx < len(unit.freq_levels_hz):
-            raise ValidationFailure(f"plan for {plan.dnn!r}: freq index {seg.freq_idx} invalid for {seg.unit_id!r}")
-        expected = seg.end
-    if expected != len(variant.layers):
-        raise ValidationFailure(f"plan for {plan.dnn!r}: segments do not cover all layers")
 
 
 def segment_cost(segment: Segment, variant: ModelVariant, node: EdgeNode) -> tuple[float, float]:
@@ -348,47 +308,6 @@ def system_estimate(
             costs.append((node._unit_index[seg.unit_id], latency, power))
         state = _fold(state, _plan_summary(costs, node))
     return _folded_estimate(state, node)
-
-
-def classify(value: float, bins: ClassBins) -> tuple[float, ...]:
-    """One-hot distribution over the bin classes containing `value`.
-
-    Intervals are right-open; values below the first edge land in class 0,
-    values at or above the last edge in the top class.
-    """
-    n_classes = len(bins.edges) - 1
-    for i in range(n_classes):
-        if value < bins.edges[i + 1]:
-            cls = i
-            break
-    else:
-        cls = n_classes - 1
-    return tuple(1.0 if i == cls else 0.0 for i in range(n_classes))
-
-
-def point_estimate(distribution: Sequence[float], bins: ClassBins) -> float:
-    """Probability-weighted sum of class midpoints."""
-    mids = bins.midpoints
-    if len(distribution) != len(mids):
-        raise ValidationFailure("distribution length does not match bin count")
-    return sum(p * m for p, m in zip(distribution, mids))
-
-
-def classified_estimator(throughput_bins: ClassBins, power_bins: ClassBins) -> Estimator:
-    """Estimator that quantizes throughput and power through class bins.
-
-    Stands in for a learned discrete-class predictor: table-lookup ground
-    truth is classified into a one-hot distribution, then decoded back to a
-    point estimate. Swapping in a real model only changes the distribution.
-    """
-
-    def estimate(raw: SystemEstimate) -> SystemEstimate:
-        return _estimate(
-            point_estimate(classify(raw.throughput_inf_per_s, throughput_bins), throughput_bins),
-            point_estimate(classify(raw.power_w, power_bins), power_bins),
-        )
-
-    return estimate
 
 
 def ci_to_threshold(
@@ -492,19 +411,16 @@ def search_mapping(
     node: EdgeNode,
     power_threshold_w: float,
     params: SearchParams | None = None,
-    estimator: Estimator | None = None,
 ) -> MappingSolution:
     """Find plans for all DNNs maximizing inferences-per-watt under the threshold.
 
     Beam search assigns DNNs one at a time over enumerated (or sampled)
     per-DNN candidate plans, then first-improvement local search perturbs
-    single segments. Ranking uses `estimator(exact estimate)`, or the exact
-    estimate itself when no estimator is given; the power-threshold filter
-    always uses exact costs, so returned plans respect the budget regardless
-    of estimator error. Segment costs are memoized per (DNN, segment) for the
-    call, and each beam partial carries its fold state, so an extension costs
-    one fold instead of a re-estimate of the whole prefix. Deterministic for
-    a fixed seed.
+    single segments. Ranking and the power-threshold filter both use the
+    exact estimate, so returned plans respect the budget. Segment costs are
+    memoized per (DNN, segment) for the call, and each beam partial carries
+    its fold state, so an extension costs one fold instead of a re-estimate
+    of the whole prefix. Deterministic for a fixed seed.
     """
     if power_threshold_w <= 0:
         raise ValidationFailure("power_threshold_w must be > 0")
@@ -563,11 +479,8 @@ def search_mapping(
             state = _fold(state, summary(d, plan))
         return _folded_estimate(state, node)
 
-    def score(exact: SystemEstimate) -> float:
-        return (exact if estimator is None else estimator(exact)).ipw
-
     # Each beam entry is (plans, fold state). Extensions are ranked by
-    # (-score, concatenated plans); only the survivors' fold states are kept.
+    # (-ipw, concatenated plans); only the survivors' fold states are kept.
     beam: list[tuple[tuple[_Plan, ...], _Fold]] = [((), _empty_fold(node))]
     for d in range(len(workloads)):
         options = [(plan, summary(d, plan)) for plan in candidates[d]]
@@ -576,7 +489,7 @@ def search_mapping(
             key = sum(plans, ())
             for j, (plan, plan_sum) in enumerate(options):
                 exact = _folded_estimate(_fold(state, plan_sum), node)
-                ranked.append((-score(exact), key + plan, i, j))
+                ranked.append((-exact.ipw, key + plan, i, j))
         ranked.sort()
         beam = [
             (beam[i][0] + (options[j][0],), _fold(beam[i][1], options[j][1]))
@@ -591,8 +504,7 @@ def search_mapping(
         raise NoFeasiblePlan(
             f"no plan fits under {power_threshold_w} W, even single-unit lowest-frequency mappings"
         )
-    best_plans, best_exact = min(feasible, key=lambda entry: (-score(entry[1]), sum(entry[0], ())))
-    best_score = score(best_exact)
+    best_plans, best_exact = min(feasible, key=lambda entry: (-entry[1].ipw, sum(entry[0], ())))
 
     budget = params.local_search_moves
     improved = True
@@ -601,12 +513,10 @@ def search_mapping(
         for neighbor in _neighbor_plans(best_plans, coverings, node):
             budget -= 1
             exact = exact_estimate(neighbor)
-            if exact.power_w <= power_threshold_w:
-                neighbor_score = score(exact)
-                if neighbor_score > best_score:
-                    best_plans, best_exact, best_score = neighbor, exact, neighbor_score
-                    improved = True
-                    break
+            if exact.power_w <= power_threshold_w and exact.ipw > best_exact.ipw:
+                best_plans, best_exact = neighbor, exact
+                improved = True
+                break
             if budget <= 0:
                 break
 

@@ -218,7 +218,6 @@ class LlmVariant:
     """One quantized variant: serving rate and power per frequency level."""
 
     name: str
-    precision: str
     quality_score: float
     tokens_per_s: tuple[float, ...]
     power_w: tuple[float, ...]
@@ -238,8 +237,7 @@ class LlmVariant:
 
 
 def validate_llm_variant_order(variants: tuple[LlmVariant, ...] | list[LlmVariant]) -> None:
-    """Variant lists are ordered highest precision first with strictly
-    decreasing quality."""
+    """Variant lists are ordered highest quality first, strictly decreasing."""
     if not variants:
         raise ValidationFailure("need at least one LLM variant")
     scores = [v.quality_score for v in variants]
@@ -324,10 +322,10 @@ def llm_select(
     ci_level: str,
     tps_floor: float,
 ) -> LlmChoice:
-    """Highest-precision variant at the lowest adequate frequency.
+    """Highest-quality variant at the lowest adequate frequency.
 
     Adequate means power under the threshold and serving rate at or above the
-    floor. At high grid intensity the top-precision variant is off the table
+    floor. At high grid intensity the top-quality variant is off the table
     (forced fallback) whenever a lighter one exists. If no combination meets
     the rate floor, the fastest one under the power budget is returned,
     flagged tps_violated.

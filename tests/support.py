@@ -24,6 +24,7 @@ from edcarb.edc_scheduler import (
     VariantLayer,
     segment_cost,
 )
+from edcarb.errors import ValidationFailure
 from edcarb.runtime_sim import ExecLookupTable
 
 
@@ -160,6 +161,22 @@ def random_scheduler_instance(rng: random.Random, n_layers=None, n_units=None, n
         for d in range(n_dnns)
     ]
     return workloads, node
+
+
+def validate_plan(plan: MappingPlan, variant: ModelVariant, node: EdgeNode) -> None:
+    """Check that segments partition the layer list contiguously and use valid freqs."""
+    if not plan.segments:
+        raise ValidationFailure(f"plan for {plan.dnn!r} has no segments")
+    expected = 0
+    for seg in plan.segments:
+        if seg.start != expected or seg.end <= seg.start:
+            raise ValidationFailure(f"plan for {plan.dnn!r}: segments must be contiguous and non-empty")
+        unit = node.unit_by_id(seg.unit_id)
+        if not 0 <= seg.freq_idx < len(unit.freq_levels_hz):
+            raise ValidationFailure(f"plan for {plan.dnn!r}: freq index {seg.freq_idx} invalid for {seg.unit_id!r}")
+        expected = seg.end
+    if expected != len(variant.layers):
+        raise ValidationFailure(f"plan for {plan.dnn!r}: segments do not cover all layers")
 
 
 def enumerate_all_plans(variant: ModelVariant, node: EdgeNode):

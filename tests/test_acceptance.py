@@ -474,7 +474,7 @@ def _random_llm_variants(rng: random.Random):
         tps_levels = tuple(tps * (1.0 + 0.5 * f) for f in range(n_freq))
         power_levels = tuple(power * (1.0 + 0.4 * f) for f in range(n_freq))
         variants.append(
-            LlmVariant(f"v{i}", f"q{i}", quality, tps_levels, power_levels)
+            LlmVariant(f"v{i}", quality, tps_levels, power_levels)
         )
         quality -= rng.uniform(0.02, 0.05)
         tps *= rng.uniform(1.3, 1.6)

@@ -14,13 +14,11 @@ from edcarb.carbon_model import (
     OperationalSample,
     PackageKind,
     PackageSpec,
-    SeriesMismatch,
     cdp,
     die_carbon,
     dies_per_wafer,
     embodied_carbon,
     operational_carbon,
-    operational_carbon_trace,
     wasted_area,
 )
 from edcarb.edc_scheduler import EdgeNode, ProcessingUnit, UnitKind
@@ -191,31 +189,6 @@ def test_operational_carbon_products():
     assert operational_carbon(OperationalSample(100.0, 0.0)) == 0.0
     with pytest.raises(ValidationFailure):
         OperationalSample(-1.0, 1.0)
-
-
-def test_operational_trace_closed_form():
-    grams = operational_carbon_trace([300.0] * 24, [0.05] * 24, dt_hours=1.0)
-    assert grams == pytest.approx(360.0, rel=1e-9)
-
-
-def test_operational_trace_cases():
-    assert operational_carbon_trace([100.0, 400.0], [0.0, 0.0], 1.0) == 0.0
-    assert operational_carbon_trace([100.0, 300.0], [1.0, 1.0], 1.0) == pytest.approx(400.0)
-    with pytest.raises(SeriesMismatch):
-        operational_carbon_trace([1.0, 2.0], [1.0], 1.0)
-    with pytest.raises(ValidationFailure):
-        operational_carbon_trace([1.0], [1.0], 0.0)
-
-
-def test_operational_trace_matches_closed_form_on_random_constants():
-    rng = random.Random(3)
-    for _ in range(30):
-        ci = rng.uniform(0.0, 800.0)
-        power = rng.uniform(0.0, 5.0)
-        steps = rng.randint(1, 200)
-        dt = rng.uniform(0.01, 2.0)
-        got = operational_carbon_trace([ci] * steps, [power] * steps, dt)
-        assert got == pytest.approx(ci * power * dt * steps, rel=1e-9)
 
 
 # ---------------------------------------------------------------------------

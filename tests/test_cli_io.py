@@ -29,6 +29,7 @@ from edcarb.cli_io import (
 from support import make_tech, make_unit, make_variant, random_scheduler_instance, strip_timestamp_lines
 
 DEMO_DIR = Path(__file__).resolve().parent.parent / "configs" / "demo"
+DEMO_CONFIG = json.loads((DEMO_DIR / "demo.json").read_text())
 
 
 @pytest.fixture
@@ -79,6 +80,15 @@ def test_bad_hysteresis_names_the_field(tmp_path):
     assert any("policy.hysteresis_fraction" in e for e in exc_info.value.errors)
 
 
+@pytest.mark.parametrize("ci_min, ci_max", [(500.0, 100.0), (300.0, 300.0)])
+def test_policy_intensity_range_must_be_increasing(tmp_path, ci_min, ci_max):
+    # a reversed or empty range would map every intensity to p_max_w
+    path = write_config(tmp_path, {"policy": {"ci_min": ci_min, "ci_max": ci_max}})
+    with pytest.raises(ConfigError) as exc_info:
+        load_config(path)
+    assert exc_info.value.errors == [f"policy.ci_min: must be < ci_max, got {ci_min} >= {ci_max}"]
+
+
 def test_missing_referenced_file_reports_path(tmp_path):
     path = write_config(tmp_path, {"workload_file": "missing.csv"})
     with pytest.raises(ConfigError) as exc_info:
@@ -106,8 +116,17 @@ def test_all_errors_collected_not_just_first(tmp_path):
         ({"search": {"rng_seed": 5}}, "search: rng_seed"),
         ({"ga": {"rng_seed": 7}}, "ga: rng_seed"),
         ({"technology": {"7nm": dataclasses.asdict(make_tech(node_label="5nm"))}}, "technology.7nm: node_label"),
+        # the explorer's accuracy threshold comes from policy
+        (
+            {
+                "technology": DEMO_CONFIG["technology"],
+                "area_params": DEMO_CONFIG["area_params"],
+                "design_space": {**DEMO_CONFIG["design_space"], "accuracy_threshold_pct": 0.5},
+            },
+            "design_space: accuracy_threshold_pct",
+        ),
     ],
-    ids=["search.rng_seed", "ga.rng_seed", "technology.node_label"],
+    ids=["search.rng_seed", "ga.rng_seed", "technology.node_label", "design_space.accuracy_threshold_pct"],
 )
 def test_a_key_the_loader_sets_is_refused(tmp_path, payload, error):
     # the top-level seed is the one seed of a run, and artifact headers record it
@@ -147,7 +166,6 @@ def test_config_round_trip_is_identity(demo_copy):
     "file, where, value",
     [
         ("llm_variants.json", "name", 5),
-        ("llm_variants.json", "precision", ["x"]),
         ("variants.json", "model", {"a": 1}),
     ],
 )
@@ -157,6 +175,16 @@ def test_variant_names_must_be_text(demo_copy, file, where, value):
     (demo_copy / file).write_text(json.dumps(doc))
     with pytest.raises(ConfigError, match="expected a string"):
         load_config(demo_copy / "demo.json")
+
+
+def test_llm_variant_precision_is_ignored(demo_copy):
+    as_is = load_config(demo_copy / "demo.json").sim.llm_variants
+    path = demo_copy / "llm_variants.json"
+    doc = json.loads(path.read_text())
+    for variant in doc:
+        del variant["precision"]
+    path.write_text(json.dumps(doc))
+    assert load_config(demo_copy / "demo.json").sim.llm_variants == as_is
 
 
 # ---------------------------------------------------------------------------

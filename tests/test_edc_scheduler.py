@@ -5,7 +5,6 @@ import random
 import pytest
 
 from edcarb.edc_scheduler import (
-    ClassBins,
     EdgeNode,
     MappingPlan,
     MissingProfileEntry,
@@ -19,16 +18,12 @@ from edcarb.edc_scheduler import (
     UnitKind,
     VariantLayer,
     ci_to_threshold,
-    classified_estimator,
-    classify,
     hysteresis_update,
     plan_bottleneck_ms,
-    point_estimate,
     search_mapping,
     segment_cost,
     select_variant,
     system_estimate,
-    validate_plan,
 )
 from edcarb.errors import ValidationFailure
 
@@ -37,6 +32,7 @@ from support import (
     make_variant,
     random_scheduler_instance,
     tiny_mapping_oracle_suite,
+    validate_plan,
 )
 
 LAYERS = ("l0", "l1", "l2")
@@ -161,56 +157,6 @@ def test_validate_plan_checks_partition():
         )
     with pytest.raises(ValidationFailure):
         validate_plan(MappingPlan("m", (Segment(0, 3, "cpu0", 9),)), variant, node)
-
-
-# ---------------------------------------------------------------------------
-# classification estimator
-# ---------------------------------------------------------------------------
-
-
-def test_classify_one_hot_and_midpoint():
-    bins = ClassBins((0.0, 4.0, 8.0))
-    assert classify(5.2, bins) == (0.0, 1.0)
-    assert point_estimate(classify(5.2, bins), bins) == pytest.approx(6.0)
-
-
-def test_classify_edge_goes_to_upper_class():
-    bins = ClassBins((0.0, 4.0, 8.0))
-    assert classify(4.0, bins) == (0.0, 1.0)
-    assert classify(0.0, bins) == (1.0, 0.0)
-    # outside the span clamps to the boundary classes
-    assert classify(-3.0, bins) == (1.0, 0.0)
-    assert classify(99.0, bins) == (0.0, 1.0)
-
-
-def test_point_estimate_of_uniform_distribution():
-    bins = ClassBins((0.0, 4.0, 8.0))
-    assert point_estimate((0.5, 0.5), bins) == pytest.approx(4.0)
-
-
-def test_classify_round_trip_within_half_bin_width():
-    rng = random.Random(9)
-    edges = (0.0, 2.0, 5.0, 9.0, 20.0)
-    bins = ClassBins(edges)
-    for _ in range(200):
-        value = rng.uniform(0.0, 20.0 - 1e-9)
-        decoded = point_estimate(classify(value, bins), bins)
-        idx = max(i for i in range(len(edges) - 1) if edges[i] <= value)
-        half_width = (edges[idx + 1] - edges[idx]) / 2.0
-        assert abs(decoded - value) <= half_width + 1e-12
-
-
-def test_classified_estimator_quantizes_but_keeps_structure():
-    node = simple_node()
-    variant = make_variant("m", LAYERS)
-    plan = MappingPlan("m", (Segment(0, 3, "gpu0", 0),))
-    raw = system_estimate([(variant, plan)], node)
-    bins_t = ClassBins(tuple(float(x) for x in range(0, 401, 25)))
-    bins_p = ClassBins(tuple(float(x) for x in range(0, 41, 2)))
-    estimator = classified_estimator(bins_t, bins_p)
-    quantized = estimator(raw)
-    assert abs(quantized.throughput_inf_per_s - raw.throughput_inf_per_s) <= 12.5
-    assert abs(quantized.power_w - raw.power_w) <= 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -352,16 +298,7 @@ def test_search_breaks_ties_by_position_in_the_node_not_by_unit_id():
     assert search_mapping([variant], node, threshold, params).plans == (fallback,)
 
 
-@pytest.mark.parametrize("classified", [False, True], ids=["exact", "classified"])
-def test_search_estimate_is_bit_identical_to_system_estimate(classified):
-    estimator = (
-        classified_estimator(
-            ClassBins(tuple(float(x) for x in range(0, 2001, 50))),
-            ClassBins(tuple(float(x) for x in range(0, 61, 2))),
-        )
-        if classified
-        else None
-    )
+def test_search_estimate_is_bit_identical_to_system_estimate():
     rng = random.Random(2718)
     checked = 0
     for _ in range(20):
@@ -371,35 +308,12 @@ def test_search_estimate_is_bit_identical_to_system_estimate(classified):
         for moves in (0, 100):
             params = SearchParams(beam_width=16, candidate_cap=128, local_search_moves=moves, rng_seed=3)
             try:
-                solution = search_mapping(workloads, node, threshold, params, estimator=estimator)
+                solution = search_mapping(workloads, node, threshold, params)
             except NoFeasiblePlan:
                 continue
             assert solution.estimate == system_estimate(list(zip(workloads, solution.plans)), node)
             checked += 1
     assert checked >= 20
-
-
-def test_search_with_classified_estimator_still_respects_threshold():
-    # ranking goes through the quantizing estimator, the power filter stays exact
-    estimator = classified_estimator(
-        ClassBins(tuple(float(x) for x in range(0, 2001, 50))),
-        ClassBins(tuple(float(x) for x in range(0, 61, 2))),
-    )
-    rng = random.Random(99)
-    exercised = 0
-    for _ in range(20):
-        workloads, node = random_scheduler_instance(rng)
-        threshold = rng.uniform(5.0, 25.0)
-        try:
-            solution = search_mapping(
-                workloads, node, threshold, SearchParams(rng_seed=0), estimator=estimator
-            )
-        except NoFeasiblePlan:
-            continue
-        exact = system_estimate(list(zip(workloads, solution.plans)), node)
-        assert exact.power_w <= threshold
-        exercised += 1
-    assert exercised >= 10
 
 
 # ---------------------------------------------------------------------------
@@ -499,10 +413,3 @@ def test_variant_set_ordering_enforced():
     b = make_variant("b", LAYERS, accuracy=0.9)
     with pytest.raises(ValidationFailure):
         ModelVariantSet("bad", (a, b))
-
-
-def test_class_bins_validation():
-    with pytest.raises(ValidationFailure):
-        ClassBins((1.0,))
-    with pytest.raises(ValidationFailure):
-        ClassBins((1.0, 1.0))

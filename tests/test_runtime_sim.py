@@ -48,9 +48,9 @@ TWO_FREQ_TABLE = ExecLookupTable(
 )
 
 LLM_VARIANTS = (
-    LlmVariant("big", "fp16", 0.95, (20.0, 35.0), (12.0, 18.0)),
-    LlmVariant("mid", "int8", 0.90, (30.0, 50.0), (8.0, 12.0)),
-    LlmVariant("small", "int4", 0.85, (45.0, 70.0), (5.0, 7.0)),
+    LlmVariant("big", 0.95, (20.0, 35.0), (12.0, 18.0)),
+    LlmVariant("mid", 0.90, (30.0, 50.0), (8.0, 12.0)),
+    LlmVariant("small", 0.85, (45.0, 70.0), (5.0, 7.0)),
 )
 
 
@@ -182,9 +182,9 @@ FINITE_FIELDS = {
     "ExecLookupTable.p_scale": lambda x: ExecLookupTable(
         entries={(1, 0): (5.0, 1.0)}, concurrency={1: (1.0, 1.0), 2: (1.5, x)}
     ),
-    "LlmVariant.tokens_per_s": lambda x: LlmVariant("v", "fp16", 0.9, (x,), (5.0,)),
-    "LlmVariant.power_w": lambda x: LlmVariant("v", "fp16", 0.9, (20.0,), (x,)),
-    "LlmVariant.quality_score": lambda x: LlmVariant("v", "fp16", x, (20.0,), (5.0,)),
+    "LlmVariant.tokens_per_s": lambda x: LlmVariant("v", 0.9, (x,), (5.0,)),
+    "LlmVariant.power_w": lambda x: LlmVariant("v", 0.9, (20.0,), (x,)),
+    "LlmVariant.quality_score": lambda x: LlmVariant("v", x, (20.0,), (5.0,)),
 }
 
 
@@ -360,7 +360,6 @@ def test_llm_select_matches_brute_force_on_random_variant_lists():
         variants = tuple(
             LlmVariant(
                 f"v{i}",
-                "int8",
                 1.0 - 0.1 * i,
                 # small value grids, so equal rates and powers are common
                 tuple(float(rng.randint(1, 6) * 10) for _ in range(n_freqs)),
@@ -522,15 +521,13 @@ def test_mapping_mode_has_no_request_queue():
     assert (report.arrivals_total, report.backlog_at_horizon, report.max_queue_len) == (0, 0, 0)
 
 
-def test_operational_grams_consistent_with_carbon_model_trace():
-    from edcarb.carbon_model import operational_carbon_trace
+def test_operational_grams_consistent_with_carbon_model():
+    from edcarb.carbon_model import OperationalSample, operational_carbon
 
     config = batch_config()
     arrivals = PoissonArrivals(rate_per_s=3.0, seed=7)
     report = run_simulation(config, two_level_trace(100.0, 500.0, 60.0), arrivals, table=TWO_FREQ_TABLE)
-    ci_series = [s.ci for s in report.steps]
-    power_kw = [s.power_w / 1000.0 for s in report.steps]
-    grams = operational_carbon_trace(ci_series, power_kw, dt_hours=config.step_s / 3600.0)
+    grams = sum(operational_carbon(OperationalSample(s.ci, s.energy_kwh)) for s in report.steps)
     assert report.operational_g == pytest.approx(grams, rel=1e-9)
 
 

@@ -13,10 +13,11 @@ same inputs:
   reverse order and their ids unchanged. Every generated node names its
   units ``u0``, ``u1``, ... in node order, so only these cases tell a
   tie-break on a unit's position in the node from one on its id;
-- ``search_mapping`` on 400 ``support.random_scheduler_instance`` draws
-  (seed 99) with drawn beam width, candidate cap, local-search moves,
-  segment limit and threshold, every fourth one through a
-  ``classified_estimator``;
+- ``search_mapping`` on 300 of 400 ``support.random_scheduler_instance``
+  draws (seed 99) with drawn beam width, candidate cap, local-search moves,
+  segment limit and threshold. Every fourth draw (``i % 4 == 3``) is made
+  but not searched, so each other case keeps the inputs it has in earlier
+  versions of this script;
 - ``exhaustive_search``, ``run_ga`` and ``pareto_front`` (over the GA's
   evaluated designs) on the ``search`` workload's design space at seeds
   0-2, for the cdp and delay fitnesses;
@@ -76,10 +77,6 @@ def _perfbench_searches(workloads, design_explorer, edc_scheduler) -> None:
 
 
 def _random_searches(support, edc_scheduler) -> None:
-    estimator = edc_scheduler.classified_estimator(
-        edc_scheduler.ClassBins((0.0, 100.0, 200.0, 400.0, 800.0, 1600.0)),
-        edc_scheduler.ClassBins((0.0, 2.0, 4.0, 8.0, 16.0, 32.0)),
-    )
     rng = random.Random(99)
     for i in range(400):
         models, node = support.random_scheduler_instance(rng)
@@ -91,11 +88,8 @@ def _random_searches(support, edc_scheduler) -> None:
             rng_seed=rng.randrange(1000),
         )
         threshold = rng.uniform(2.0, 30.0)
-        _case(
-            f"mapping.random.{i}",
-            edc_scheduler.search_mapping, models, node, threshold, params,
-            estimator if i % 4 == 3 else None,
-        )
+        if i % 4 != 3:
+            _case(f"mapping.random.{i}", edc_scheduler.search_mapping, models, node, threshold, params)
 
 
 def _simulations(workloads, runtime_sim) -> None:
