@@ -89,6 +89,19 @@ def test_policy_intensity_range_must_be_increasing(tmp_path, ci_min, ci_max):
     assert exc_info.value.errors == [f"policy.ci_min: must be < ci_max, got {ci_min} >= {ci_max}"]
 
 
+@pytest.mark.parametrize("policy_pct", [None, 0.5], ids=["default", "set"])
+def test_explorer_accuracy_threshold_comes_from_policy(demo_copy, policy_pct):
+    config = json.loads((demo_copy / "demo.json").read_text())
+    if policy_pct is None:
+        del config["policy"]["accuracy_threshold_pct"]
+    else:
+        config["policy"]["accuracy_threshold_pct"] = policy_pct
+    (demo_copy / "demo.json").write_text(json.dumps(config))
+    loaded = load_config(demo_copy / "demo.json")
+    assert loaded.design_space.accuracy_threshold_pct == loaded.policy.accuracy_threshold_pct
+    assert loaded.policy.accuracy_threshold_pct == (2.0 if policy_pct is None else policy_pct)
+
+
 def test_missing_referenced_file_reports_path(tmp_path):
     path = write_config(tmp_path, {"workload_file": "missing.csv"})
     with pytest.raises(ConfigError) as exc_info:
@@ -411,6 +424,19 @@ def test_cli_schedule_emits_plan(demo_copy, tmp_path):
     plan = json.loads((out / "plan.json").read_text())
     assert plan["models"][0]["variant"] in ("resnet_heavy", "resnet_light")
     assert plan["system"]["power_w"] <= plan["power_threshold_w"]
+
+
+@pytest.mark.parametrize("ci_now, threshold_w", [(100.0, 20.0), (300.0, 14.0), (500.0, 8.0)])
+def test_cli_schedule_threshold_follows_ci_now(demo_copy, tmp_path, ci_now, threshold_w):
+    # the demo policy maps ci 100..500 g/kWh onto 20..8 W
+    out = tmp_path / "plan"
+    rc = cli.main(
+        ["schedule", "--config", str(demo_copy / "demo.json"), "--ci-now", str(ci_now), "--out", str(out)]
+    )
+    assert rc == 0
+    plan = json.loads((out / "plan.json").read_text())
+    assert plan["power_threshold_w"] == pytest.approx(threshold_w, rel=1e-12)
+    assert plan["system"]["power_w"] <= threshold_w
 
 
 def test_cli_schedule_two_models_jointly_mapped(demo_copy, tmp_path):

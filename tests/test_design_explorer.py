@@ -416,6 +416,22 @@ def test_pareto_front_contains_cdp_optimum():
     assert any(d.chromosome == optimum.chromosome for d in front)
 
 
+def test_pareto_front_does_not_depend_on_input_order():
+    # a renamed copy of the exact multiplier ties every exact design on both
+    # axes; the space's gene order decides where each tie sits in the front
+    twin = MultiplierVariant("exact_twin", EXACT_MULT.area_mm2, EXACT_MULT.accuracy_drop_pct)
+    space = make_space(multipliers=(EXACT_MULT, APX_MULT, twin))
+    workload = make_workload()
+    designs = [evaluate(c, workload, space) for c in space.chromosomes()]
+    front = pareto_front(designs, space)
+    ties = [(a, b) for a, b in zip(front, front[1:]) if (a.embodied_kg, a.latency_s) == (b.embodied_kg, b.latency_s)]
+    assert ties and all(space.index_key(a.chromosome) < space.index_key(b.chromosome) for a, b in ties)
+    rng = random.Random(5)
+    for _ in range(5):
+        rng.shuffle(designs)
+        assert pareto_front(designs, space) == front
+
+
 def test_pareto_rejects_empty():
     with pytest.raises(ValidationFailure):
         pareto_front([], make_space())

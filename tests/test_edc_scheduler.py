@@ -249,6 +249,37 @@ def test_search_respects_power_threshold():
     assert returned > 30
 
 
+def test_local_search_only_moves_to_a_better_plan_under_the_threshold():
+    # first-improvement from the pool's best: a larger move budget follows the
+    # same path further, and every accepted move raises ipw under the threshold.
+    # A narrow beam and tight thresholds leave the local search room to climb.
+    rng = random.Random(47)
+    climbed = 0
+    for _ in range(30):
+        workloads, node = random_scheduler_instance(rng)
+        threshold = rng.uniform(5.0, 15.0)
+        try:
+            path = [
+                search_mapping(
+                    workloads,
+                    node,
+                    threshold,
+                    SearchParams(beam_width=2, candidate_cap=8, local_search_moves=moves, rng_seed=1),
+                )
+                for moves in (0, 1, 5, 50, 500)
+            ]
+        except NoFeasiblePlan:
+            continue
+        for before, after in zip(path, path[1:]):
+            assert after.estimate.power_w <= threshold
+            if after.plans == before.plans:
+                assert after.estimate == before.estimate
+            else:
+                assert after.estimate.ipw > before.estimate.ipw
+                climbed += 1
+    assert climbed >= 10
+
+
 def test_search_infeasible_when_threshold_below_minimum():
     node = simple_node()
     variant = make_variant("m", LAYERS)
