@@ -24,7 +24,7 @@ from pathlib import Path
 from . import __version__, cli_io
 from .carbon_model import PackageKind
 from .design_explorer import EvaluatedDesign, pareto_front, run_ga
-from .edc_scheduler import ci_to_threshold, plan_bottleneck_ms, search_mapping, select_variant
+from .edc_scheduler import ci_to_threshold, plan_bottleneck_ms, select_variants
 from .errors import IoFailure, ToolkitError, ValidationFailure
 from .runtime_sim import PoissonArrivals, SimConfig, amortized_report, run_simulation
 
@@ -125,18 +125,9 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
     )
     log.info("ci=%.1f -> power threshold %.2f W", args.ci_now, threshold)
 
-    chosen_variants = [
-        select_variant(
-            vset,
-            policy.latency_constraint_ms,
-            policy.accuracy_floor,
-            node,
-            threshold,
-            config.search,
-        ).variant
-        for vset in variant_sets
-    ]
-    solution = search_mapping(chosen_variants, node, threshold, config.search)
+    chosen_variants, solution = select_variants(
+        variant_sets, policy.latency_constraint_ms, policy.accuracy_floor, node, threshold, config.search
+    )
 
     meta = cli_io.RunMeta(command="schedule", config_hash=config.config_hash, seed=config.seed)
     bundle = cli_io.ResultBundle(meta=meta)

@@ -106,6 +106,12 @@ class PolicyParams:
             raise ValidationFailure(
                 f"policy.hysteresis_fraction: must be in [0, 1], got {self.hysteresis_fraction}"
             )
+        if self.p_min_w <= 0:
+            raise ValidationFailure(f"policy.p_min_w: must be > 0, got {self.p_min_w}")
+        if self.latency_constraint_ms <= 0:
+            raise ValidationFailure(
+                f"policy.latency_constraint_ms: must be > 0, got {self.latency_constraint_ms}"
+            )
         if self.p_min_w > self.p_max_w:
             raise ValidationFailure(
                 f"policy.p_min_w: must be <= p_max_w, got {self.p_min_w} > {self.p_max_w}"
@@ -193,6 +199,8 @@ def _finite(value) -> float:
 def _integer(value) -> int:
     if isinstance(value, bool):
         raise TypeError(f"expected an integer, got {value!r}")
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"expected an integer, got {value!r}")
     return int(value)
 
 

@@ -35,6 +35,9 @@ from .errors import InfeasibleError, ValidationFailure
 # the mapping search enumerates; each pattern is held as a tuple.
 MAX_CUT_PATTERNS = 1_000_000
 
+# Largest number of variant combinations `select_variants` maps, one search each.
+MAX_VARIANT_COMBINATIONS = 1_000
+
 
 class MissingProfileEntry(ValidationFailure):
     """A (layer, frequency) pair used by a plan has no profile entry."""
@@ -136,6 +139,10 @@ class VariantLayer:
     id: str
     output_bytes: int
 
+    def __post_init__(self) -> None:
+        if not 0 <= self.output_bytes < 2**63:
+            raise ValidationFailure(f"layer {self.id!r}: output_bytes must be in [0, 2**63), got {self.output_bytes}")
+
 
 @dataclass(frozen=True)
 class ModelVariant:
@@ -210,13 +217,6 @@ class SearchParams:
 class MappingSolution:
     plans: tuple[MappingPlan, ...]
     estimate: SystemEstimate
-
-
-@dataclass(frozen=True)
-class VariantChoice:
-    variant: ModelVariant
-    solution: MappingSolution
-    constraint_violated: bool
 
 
 # A sum of throughput terms (1000 / slowest segment ms) and the max active
@@ -529,37 +529,41 @@ def search_mapping(
     )
 
 
-def select_variant(
-    variant_set: ModelVariantSet,
+def select_variants(
+    variant_sets: Sequence[ModelVariantSet],
     latency_constraint_ms: float,
     accuracy_floor: float,
     node: EdgeNode,
     power_threshold_w: float,
     params: SearchParams | None = None,
-) -> VariantChoice:
-    """Pick the heaviest variant whose mapped plan meets the latency constraint.
+) -> tuple[tuple[ModelVariant, ...], MappingSolution]:
+    """Pick one variant per set and map the chosen variants jointly.
 
-    Variants below the accuracy floor are never considered. If no qualifying
-    variant meets the latency constraint, the lightest acceptable variant is
-    returned with its best plan, flagged constraint_violated.
+    Variants below the accuracy floor are never considered. Combinations are
+    mapped in heaviest-first product order, the first set varying slowest,
+    and the first whose joint plan meets the latency constraint for every
+    model is returned. If none does, the last combination that has a plan
+    under the threshold is returned; its plans show the violation.
     """
-    eligible = [v for v in variant_set.variants if v.accuracy >= accuracy_floor]
-    if not eligible:
-        raise NoVariantAboveAccuracyFloor(
-            f"no variant of {variant_set.name!r} reaches accuracy {accuracy_floor}"
+    eligible = []
+    for vset in variant_sets:
+        eligible.append([v for v in vset.variants if v.accuracy >= accuracy_floor])
+        if not eligible[-1]:
+            raise NoVariantAboveAccuracyFloor(f"no variant of {vset.name!r} reaches accuracy {accuracy_floor}")
+    n_combinations = math.prod(map(len, eligible))
+    if n_combinations > MAX_VARIANT_COMBINATIONS:
+        raise ValidationFailure(
+            f"{n_combinations} variant combinations above the accuracy floor, more than {MAX_VARIANT_COMBINATIONS}"
         )
-    fallback: VariantChoice | None = None
-    for variant in eligible:
+    chosen = None
+    for variants in itertools.product(*eligible):
         try:
-            solution = search_mapping([variant], node, power_threshold_w, params)
+            solution = search_mapping(variants, node, power_threshold_w, params)
         except NoFeasiblePlan:
             continue
-        bottleneck = plan_bottleneck_ms(solution.plans[0], variant, node)
-        if bottleneck <= latency_constraint_ms:
-            return VariantChoice(variant=variant, solution=solution, constraint_violated=False)
-        fallback = VariantChoice(variant=variant, solution=solution, constraint_violated=True)
-    if fallback is None:
-        raise NoFeasiblePlan(
-            f"no variant of {variant_set.name!r} has a plan under {power_threshold_w} W"
-        )
-    return fallback
+        chosen = variants, solution
+        if all(plan_bottleneck_ms(p, v, node) <= latency_constraint_ms for v, p in zip(variants, solution.plans)):
+            break
+    if chosen is None:
+        raise NoFeasiblePlan(f"no variants of {[s.name for s in variant_sets]} fit under {power_threshold_w} W")
+    return chosen

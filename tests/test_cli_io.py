@@ -3,13 +3,14 @@
 import csv
 import dataclasses
 import json
+import operator
 import random
 import shutil
 from pathlib import Path
 
 import pytest
 
-from edcarb import cli, cli_io
+from edcarb import cli, cli_io, edc_scheduler
 from edcarb.edc_scheduler import EdgeNode, MappingPlan, Segment, plan_bottleneck_ms
 from edcarb.errors import ValidationFailure
 from edcarb.cli_io import (
@@ -87,6 +88,46 @@ def test_policy_intensity_range_must_be_increasing(tmp_path, ci_min, ci_max):
     with pytest.raises(ConfigError) as exc_info:
         load_config(path)
     assert exc_info.value.errors == [f"policy.ci_min: must be < ci_max, got {ci_min} >= {ci_max}"]
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("p_min_w", -5.0), ("p_min_w", 0.0), ("latency_constraint_ms", -1.0), ("latency_constraint_ms", 0.0)],
+)
+def test_policy_power_floor_and_latency_constraint_must_be_positive(tmp_path, key, value):
+    path = write_config(tmp_path, {"policy": {key: value}})
+    with pytest.raises(ConfigError) as exc_info:
+        load_config(path)
+    assert exc_info.value.errors == [f"policy.{key}: must be > 0, got {value}"]
+
+
+@pytest.mark.parametrize(
+    "section, key, fraction, integral, field, error",
+    [
+        ("search", "beam_width", 1.5, 2.0, "search.beam_width", "search: beam_width: expected an integer, got 1.5"),
+        (
+            "design_space", "px", [4, 8.7], [4, 8.0], "design_space.px_values",
+            "design_space: expected an integer, got 8.7",
+        ),
+        (
+            "ga", "population_size", 2.9, 24.0, "ga_params.population_size",
+            "ga: population_size: expected an integer, got 2.9",
+        ),
+    ],
+    ids=["search.beam_width", "design_space.px", "ga.population_size"],
+)
+def test_an_integer_key_refuses_a_fraction(demo_copy, section, key, fraction, integral, field, error):
+    config = json.loads((demo_copy / "demo.json").read_text())
+    config[section][key] = fraction
+    (demo_copy / "demo.json").write_text(json.dumps(config))
+    with pytest.raises(ConfigError) as exc_info:
+        load_config(demo_copy / "demo.json")
+    assert exc_info.value.errors == [error]
+    # an integral float still loads, as an int
+    config[section][key] = integral
+    (demo_copy / "demo.json").write_text(json.dumps(config))
+    expected = tuple(map(int, integral)) if isinstance(integral, list) else int(integral)
+    assert repr(operator.attrgetter(field)(load_config(demo_copy / "demo.json"))) == repr(expected)
 
 
 @pytest.mark.parametrize("policy_pct", [None, 0.5], ids=["default", "set"])
@@ -439,13 +480,18 @@ def test_cli_schedule_threshold_follows_ci_now(demo_copy, tmp_path, ci_now, thre
     assert plan["system"]["power_w"] <= threshold_w
 
 
-def test_cli_schedule_two_models_jointly_mapped(demo_copy, tmp_path):
-    variants = json.loads((demo_copy / "variants.json").read_text())
+def add_second_family(demo: Path) -> None:
+    """Add a copy of the demo's model family, with b_-prefixed variant names."""
+    variants = json.loads((demo / "variants.json").read_text())
     second = json.loads(json.dumps(variants[0]))
     second["model"] = "second_family"
     for v in second["variants"]:
         v["name"] = "b_" + v["name"]
-    (demo_copy / "variants.json").write_text(json.dumps(variants + [second]))
+    (demo / "variants.json").write_text(json.dumps(variants + [second]))
+
+
+def test_cli_schedule_two_models_jointly_mapped(demo_copy, tmp_path):
+    add_second_family(demo_copy)
     out = tmp_path / "plan2"
     rc = cli.main(
         ["schedule", "--config", str(demo_copy / "demo.json"), "--ci-now", "150", "--out", str(out)]
@@ -456,6 +502,56 @@ def test_cli_schedule_two_models_jointly_mapped(demo_copy, tmp_path):
     assert plan["system"]["power_w"] <= plan["power_threshold_w"]
     names = {m["model"] for m in plan["models"]}
     assert names == {"resnet_family", "second_family"}
+
+
+def test_cli_schedule_downgrades_a_model_that_misses_the_constraint_in_the_joint_plan(demo_copy, tmp_path):
+    # at 10 ms both heavy variants meet the constraint alone, but not mapped together
+    add_second_family(demo_copy)
+    config = json.loads((demo_copy / "demo.json").read_text())
+    config["policy"]["latency_constraint_ms"] = 10.0
+    (demo_copy / "demo.json").write_text(json.dumps(config))
+    out = tmp_path / "plan"
+    rc = cli.main(["schedule", "--config", str(demo_copy / "demo.json"), "--ci-now", "250", "--out", str(out)])
+    assert rc == 0
+    plan = json.loads((out / "plan.json").read_text())
+    assert [(m["variant"], m["constraint_violated"]) for m in plan["models"]] == [
+        ("resnet_heavy", False),
+        ("b_resnet_light", False),
+    ]
+
+
+def test_cli_schedule_maps_the_demo_with_one_search(demo_copy, tmp_path, monkeypatch):
+    calls = []
+    search = edc_scheduler.search_mapping
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return search(*args, **kwargs)
+
+    # every module that holds the function under its own name
+    for module in (edc_scheduler, cli):
+        if hasattr(module, "search_mapping"):
+            monkeypatch.setattr(module, "search_mapping", counting)
+    out = tmp_path / "o"
+    rc = cli.main(["schedule", "--config", str(demo_copy / "demo.json"), "--ci-now", "250", "--out", str(out)])
+    assert rc == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("output_bytes", [-(10**12), 10**400], ids=["negative", "huge"])
+def test_cli_schedule_refuses_output_bytes_out_of_range(demo_copy, tmp_path, capsys, output_bytes):
+    doc = json.loads((demo_copy / "variants.json").read_text())
+    for variant in doc[0]["variants"]:
+        for layer in variant["layers"]:
+            layer["output_bytes"] = output_bytes
+    (demo_copy / "variants.json").write_text(json.dumps(doc))
+    out = tmp_path / "o"
+    rc = cli.main(["schedule", "--config", str(demo_copy / "demo.json"), "--ci-now", "250", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error[VALIDATION]: variants_file: layer 'l0': output_bytes must be in [0, 2**63)")
+    assert "Traceback" not in err
+    assert not (out / "plan.json").exists()
 
 
 def test_cli_schedule_infeasible_exit_code(demo_copy, tmp_path, capsys):

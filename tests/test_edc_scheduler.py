@@ -1,9 +1,12 @@
 """Scheduler tests: segment costs, estimates, search vs oracle, CI adaptation."""
 
+import dataclasses
+import itertools
 import random
 
 import pytest
 
+from edcarb import edc_scheduler
 from edcarb.edc_scheduler import (
     EdgeNode,
     MappingPlan,
@@ -22,7 +25,7 @@ from edcarb.edc_scheduler import (
     plan_bottleneck_ms,
     search_mapping,
     segment_cost,
-    select_variant,
+    select_variants,
     system_estimate,
 )
 from edcarb.errors import ValidationFailure
@@ -348,7 +351,7 @@ def test_search_estimate_is_bit_identical_to_system_estimate():
 
 
 # ---------------------------------------------------------------------------
-# select_variant
+# select_variants
 # ---------------------------------------------------------------------------
 
 
@@ -382,42 +385,131 @@ def node_with_light_layers() -> EdgeNode:
     return EdgeNode(units=(cpu, gpu), transfer_bytes_per_ms=1e5)
 
 
+def meets(variants, solution, node: EdgeNode, latency_constraint_ms: float) -> bool:
+    """Whether every model's jointly mapped plan meets the latency constraint."""
+    return all(
+        plan_bottleneck_ms(plan, variant, node) <= latency_constraint_ms
+        for variant, plan in zip(variants, solution.plans)
+    )
+
+
 def test_heaviest_variant_kept_when_it_meets_latency():
     node = node_with_light_layers()
-    choice = select_variant(variant_set(), 100.0, 0.5, node, 50.0)
-    assert choice.variant.name == "big"
-    assert not choice.constraint_violated
+    variants, solution = select_variants([variant_set()], 100.0, 0.5, node, 50.0)
+    assert [v.name for v in variants] == ["big"]
+    assert meets(variants, solution, node, 100.0)
 
 
 def test_downgrade_to_lighter_variant_on_tight_latency():
     node = node_with_light_layers()
     # the heavy variant's best bottleneck is > 2.5 ms, the light one fits
-    choice = select_variant(variant_set(), 2.5, 0.5, node, 50.0)
-    assert choice.variant.name == "small"
-    assert not choice.constraint_violated
-    bottleneck = plan_bottleneck_ms(choice.solution.plans[0], choice.variant, node)
-    assert bottleneck <= 2.5
+    variants, solution = select_variants([variant_set()], 2.5, 0.5, node, 50.0)
+    assert [v.name for v in variants] == ["small"]
+    assert plan_bottleneck_ms(solution.plans[0], variants[0], node) <= 2.5
 
 
 def test_constraint_violated_flag_when_nothing_fits():
     node = node_with_light_layers()
-    choice = select_variant(variant_set(), 0.1, 0.5, node, 50.0)
-    assert choice.variant.name == "small"  # lightest acceptable, best effort
-    assert choice.constraint_violated
+    variants, solution = select_variants([variant_set()], 0.1, 0.5, node, 50.0)
+    assert [v.name for v in variants] == ["small"]  # lightest acceptable, best effort
+    assert not meets(variants, solution, node, 0.1)
 
 
 def test_accuracy_floor_above_all_variants():
     node = node_with_light_layers()
     with pytest.raises(NoVariantAboveAccuracyFloor):
-        select_variant(variant_set(), 100.0, 0.99, node, 50.0)
+        select_variants([variant_set()], 100.0, 0.99, node, 50.0)
 
 
 def test_accuracy_floor_excludes_light_variant():
     node = node_with_light_layers()
-    choice = select_variant(variant_set(), 2.5, 0.8, node, 50.0)
-    # the light variant is below the floor, so the heavy one comes back flagged
-    assert choice.variant.name == "big"
-    assert choice.constraint_violated
+    variants, solution = select_variants([variant_set()], 2.5, 0.8, node, 50.0)
+    # the light variant is below the floor, so the heavy one comes back violating
+    assert [v.name for v in variants] == ["big"]
+    assert not meets(variants, solution, node, 2.5)
+
+
+def truncated_set(variant: ModelVariant, n_lighter: int) -> ModelVariantSet:
+    """`variant` and up to `n_lighter` lighter copies, each one layer shorter."""
+    n = len(variant.layers)
+    lighter = (
+        dataclasses.replace(
+            variant, name=f"{variant.name}_{k}", accuracy=variant.accuracy - 0.01 * (n - k), layers=variant.layers[:k]
+        )
+        for k in range(n - 1, max(0, n - 1 - n_lighter), -1)
+    )
+    return ModelVariantSet(variant.name, (variant, *lighter))
+
+
+def test_select_variants_takes_the_first_combination_whose_joint_plan_meets_the_constraint():
+    # The rule, worked through the product with search_mapping: the result is
+    # the first combination that meets the constraint or, when none does, the
+    # last one with a plan under the threshold.
+    rng = random.Random(7)
+    params = SearchParams(beam_width=4, candidate_cap=32, local_search_moves=20, rng_seed=0)
+    multi_set_outcomes = {"heaviest": 0, "lighter": 0, "violated": 0, "infeasible": 0}
+    for _ in range(120):
+        workloads, node = random_scheduler_instance(rng)
+        sets = [truncated_set(w, rng.randint(0, 2)) for w in workloads]
+        constraint = rng.uniform(2.0, 12.0)
+        threshold = rng.uniform(1.0, 30.0)
+        combos = list(itertools.product(*(vset.variants for vset in sets)))
+        searched = []
+        for combo in combos:
+            try:
+                searched.append(search_mapping(combo, node, threshold, params))
+            except NoFeasiblePlan:
+                searched.append(None)
+        met = [sol is not None and meets(combo, sol, node, constraint) for combo, sol in zip(combos, searched)]
+        try:
+            variants, solution = select_variants(sets, constraint, 0.0, node, threshold, params)
+        except NoFeasiblePlan as exc:
+            assert searched == [None] * len(combos)
+            assert str([vset.name for vset in sets]) in str(exc)
+            outcome = "infeasible"
+        else:
+            k = combos.index(variants)
+            assert solution == searched[k]
+            if met[k]:
+                assert not any(met[:k])
+                outcome = "heaviest" if k == 0 else "lighter"
+            else:
+                assert not any(met)
+                assert searched[k + 1 :] == [None] * (len(combos) - k - 1)
+                outcome = "violated"
+        if len(sets) > 1:
+            multi_set_outcomes[outcome] += 1
+    assert min(multi_set_outcomes.values()) >= 3, multi_set_outcomes
+
+
+def test_select_variants_judges_variants_by_the_joint_plan():
+    # m0's plan on its own takes 4.891 ms, under the 5.149 ms constraint, but
+    # 5.407 ms when mapped with m1: a lighter variant has to be tried jointly
+    rng = random.Random(1)
+    workloads, node = random_scheduler_instance(rng, n_layers=3, n_units=3, n_freqs=2)
+    threshold = rng.uniform(5, 25)
+    sets = [truncated_set(w, 1) for w in workloads]
+    heaviest = search_mapping(workloads, node, threshold)
+    assert not meets(workloads, heaviest, node, 5.149)
+    variants, solution = select_variants(sets, 5.149, 0.0, node, threshold)
+    assert [v.name for v in variants] == ["m0_2", "m1"]
+    assert meets(variants, solution, node, 5.149)
+
+
+@pytest.mark.parametrize("n_sets, n_variants, refused", [(4, 6, True), (3, 10, False)])
+def test_select_variants_refuses_too_many_combinations_before_searching(monkeypatch, n_sets, n_variants, refused):
+    # 6**4 = 1,296 combinations are refused; 10**3 = 1,000 reach the search
+    class Searched(Exception):
+        pass
+
+    def search(*args, **kwargs):
+        raise Searched
+
+    monkeypatch.setattr(edc_scheduler, "search_mapping", search)
+    variants = tuple(make_variant(f"v{j}", LAYERS, accuracy=0.9 - 0.01 * j) for j in range(n_variants))
+    sets = [ModelVariantSet(f"s{i}", variants) for i in range(n_sets)]
+    with pytest.raises(ValidationFailure, match="^1296 variant combinations") if refused else pytest.raises(Searched):
+        select_variants(sets, 100.0, 0.5, simple_node(), 50.0)
 
 
 # ---------------------------------------------------------------------------

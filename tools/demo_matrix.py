@@ -7,7 +7,10 @@ used); OUT is an empty or missing scratch directory. Each CLI verb runs as a
 subprocess with ``PYTHONPATH=TREE/src``:
 
 - explore: plain, ``--appx``, and ``--appx --fitness delay --stacking 3d``;
-- schedule: ``--ci-now 250`` and ``--ci-now 40``;
+- schedule: ``--ci-now 250`` and ``--ci-now 40``, then ``--ci-now 250`` on
+  the demo with a renamed copy of its model family added, once at the
+  demo's ``latency_constraint_ms`` (40 ms) and once at 10 ms, where the
+  two models' joint plan decides which variants are chosen;
 - simulate: ``sim.mode`` batch/llm/mapping x arrivals ``poisson``,
   ``poisson:20`` and ``arrivals.csv`` x policy adaptive/static;
 - report over every run above.
@@ -20,10 +23,11 @@ outputs of
     python3 tools/demo_matrix.py PARENT_TREE /tmp/a > a.txt
     python3 tools/demo_matrix.py CHANGED_TREE /tmp/b > b.txt
 
-are equal (``diff a.txt b.txt``). The 24 runs are sequential and take about
-half a minute on a 2-core host (Python 3.11), most of it in the 18
-simulations over the demo's full 7,200 s horizon. Only the standard library
-is used.
+are equal (``diff a.txt b.txt``). The configs the runs need besides the
+demo's own are written into ``OUT/demo``. The 26 runs are sequential and
+take about half a minute on a 2-core host (Python 3.11), most of it in the
+18 simulations over the demo's full 7,200 s horizon. Only the standard
+library is used.
 """
 
 from __future__ import annotations
@@ -46,7 +50,23 @@ def _runs(demo: Path, out: Path) -> list[tuple[str, list[str]]]:
         ("schedule-250", ["schedule", "--config", config, "--ci-now", "250"]),
         ("schedule-40", ["schedule", "--config", config, "--ci-now", "40"]),
     ]
+    families = json.loads((demo / "variants.json").read_text())
+    copy = json.loads(json.dumps(families[0]))
+    copy["model"] = "b_" + copy["model"]
+    for variant in copy["variants"]:
+        variant["name"] = "b_" + variant["name"]
+    (demo / "variants_two_families.json").write_text(json.dumps(families + [copy], indent=2))
     raw = json.loads((demo / "demo.json").read_text())
+    for constraint_ms in (raw["policy"]["latency_constraint_ms"], 10.0):
+        two = json.loads(json.dumps(raw))
+        two["variants_file"] = "variants_two_families.json"
+        two["policy"]["latency_constraint_ms"] = constraint_ms
+        two_config = demo / f"demo_two_families_{constraint_ms:g}ms.json"
+        two_config.write_text(json.dumps(two, indent=2))
+        runs.append((
+            f"schedule-250-two-families-{constraint_ms:g}ms",
+            ["schedule", "--config", str(two_config), "--ci-now", "250"],
+        ))
     for mode in ("batch", "llm", "mapping"):
         raw["sim"]["mode"] = mode
         mode_config = demo / f"demo_{mode}.json"
