@@ -19,7 +19,6 @@ from enum import Enum
 
 from .carbon_model import (
     DieSpec,
-    EmbodiedReport,
     PackageKind,
     PackageSpec,
     TechnologyParams,
@@ -124,12 +123,8 @@ class AreaParams:
 
 @dataclass(frozen=True)
 class AreaBreakdown:
-    """Component areas in cm2. For 3D, compute_die + memory_die = total_2d_equiv."""
+    """Die areas in cm2. For 3D, compute_die + memory_die = total_2d_equiv."""
 
-    pe_array_cm2: float
-    local_buffers_cm2: float
-    global_buffer_cm2: float
-    overhead_cm2: float
     compute_die_cm2: float
     memory_die_cm2: float
     total_2d_equiv_cm2: float
@@ -191,7 +186,7 @@ def estimate_latency(config: AcceleratorConfig, workload: DnnWorkload) -> float:
 
 
 def estimate_area(config: AcceleratorConfig, params: AreaParams) -> AreaBreakdown:
-    """Component areas of a config in cm2.
+    """Die areas of a config in cm2.
 
     PE array pays one multiplier plus one (exact) adder per PE; buffers scale
     linearly with capacity. For 3D stacks the global buffer moves to its own
@@ -209,30 +204,13 @@ def estimate_area(config: AcceleratorConfig, params: AreaParams) -> AreaBreakdow
     else:
         compute_die = total
         memory_die = 0.0
-    return AreaBreakdown(
-        pe_array_cm2=pe_array,
-        local_buffers_cm2=local,
-        global_buffer_cm2=global_buf,
-        overhead_cm2=overhead,
-        compute_die_cm2=compute_die,
-        memory_die_cm2=memory_die,
-        total_2d_equiv_cm2=total,
-    )
+    return AreaBreakdown(compute_die_cm2=compute_die, memory_die_cm2=memory_die, total_2d_equiv_cm2=total)
 
 
-def accelerator_embodied(
-    config: AcceleratorConfig,
-    tech: TechnologyParams,
-    params: AreaParams,
-    breakdown: AreaBreakdown | None = None,
-) -> EmbodiedReport:
-    """Embodied carbon of the config: one die when planar, compute+memory dies
-    (bond interface = the larger die, configured TSV count) when stacked.
-
-    `breakdown`, when given, must be `estimate_area(config, params)`; a caller
-    that already holds it passes it in to skip the second estimate."""
-    if breakdown is None:
-        breakdown = estimate_area(config, params)
+def accelerator_embodied(config: AcceleratorConfig, tech: TechnologyParams, breakdown: AreaBreakdown) -> float:
+    """Embodied carbon (kg) of the config with die areas `breakdown`: one die
+    when planar, compute+memory dies (bond interface = the larger die,
+    configured TSV count) when stacked."""
     if config.stacking is PackageKind.STACKED_3D:
         dies = [
             DieSpec(area_cm2=breakdown.compute_die_cm2, tech=tech),

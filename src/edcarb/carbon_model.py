@@ -90,18 +90,6 @@ class PackageSpec:
 
 
 @dataclass(frozen=True)
-class EmbodiedReport:
-    """Additive breakdown of a device's fabrication-plus-packaging carbon (kg)."""
-
-    per_die_kg: tuple[float, ...]
-    wasted_per_die_cm2: tuple[float, ...]
-    packaging_kg: float
-    bonding_kg: float
-    tsv_kg: float
-    total_kg: float
-
-
-@dataclass(frozen=True)
 class OperationalSample:
     ci_g_per_kwh: float
     energy_kwh: float
@@ -147,25 +135,19 @@ def wasted_area(die_area_cm2: float, wafer_diameter_cm: float) -> float:
     return (wafer_area - dpw * die_area_cm2) / dpw
 
 
-def die_carbon(die: DieSpec, *, wasted_override_cm2: float | None = None) -> float:
+def die_carbon(die: DieSpec) -> float:
     """Fabrication carbon of one die in kgCO2.
 
     Carbon is charged for the die's own area at the node's per-area
     coefficient plus the per-die share of wasted wafer silicon at the wastage
-    coefficient. `wasted_override_cm2` bypasses the wafer geometry (useful for
-    injecting measured wastage).
+    coefficient.
     """
-    if wasted_override_cm2 is None:
-        wasted = wasted_area(die.area_cm2, die.tech.wafer_diameter_cm)
-    else:
-        if not 0 <= wasted_override_cm2 < math.inf:
-            raise ValidationFailure("wasted area must be finite and >= 0")
-        wasted = wasted_override_cm2
+    wasted = wasted_area(die.area_cm2, die.tech.wafer_diameter_cm)
     return die.tech.cfpa_kg_per_cm2 * die.area_cm2 + die.tech.cfpa_si_kg_per_cm2 * wasted
 
 
-def embodied_carbon(dies: list[DieSpec] | tuple[DieSpec, ...], package: PackageSpec) -> EmbodiedReport:
-    """Total embodied carbon of a packaged device.
+def embodied_carbon(dies: list[DieSpec] | tuple[DieSpec, ...], package: PackageSpec) -> float:
+    """Total embodied carbon of a packaged device in kgCO2.
 
     Sums per-die fabrication carbon with the flat packaging term; 3D stacks
     additionally pay bonding carbon over the bonded interface and a per-via
@@ -177,25 +159,14 @@ def embodied_carbon(dies: list[DieSpec] | tuple[DieSpec, ...], package: PackageS
     if package.kind is PackageKind.STACKED_3D and len(dies) < 2:
         raise InvalidStack("a 3D stack needs at least two dies")
 
-    wasted = tuple(wasted_area(d.area_cm2, d.tech.wafer_diameter_cm) for d in dies)
-    per_die = tuple(die_carbon(d, wasted_override_cm2=w) for d, w in zip(dies, wasted))
     pkg_tech = dies[0].tech
-    packaging = pkg_tech.packaging_kg
     if package.kind is PackageKind.STACKED_3D:
         bonding = pkg_tech.bonding_kg_per_cm2 * package.bond_interface_area_cm2
         tsv = pkg_tech.tsv_kg_per_via * package.tsv_count
     else:
         bonding = 0.0
         tsv = 0.0
-    total = sum(per_die) + packaging + bonding + tsv
-    return EmbodiedReport(
-        per_die_kg=per_die,
-        wasted_per_die_cm2=wasted,
-        packaging_kg=packaging,
-        bonding_kg=bonding,
-        tsv_kg=tsv,
-        total_kg=total,
-    )
+    return sum(die_carbon(d) for d in dies) + pkg_tech.packaging_kg + bonding + tsv
 
 
 def operational_carbon(sample: OperationalSample) -> float:

@@ -26,7 +26,7 @@ from .carbon_model import PackageKind
 from .design_explorer import EvaluatedDesign, pareto_front, run_ga
 from .edc_scheduler import ci_to_threshold, plan_bottleneck_ms, select_variants
 from .errors import IoFailure, ToolkitError, ValidationFailure
-from .runtime_sim import PoissonArrivals, SimConfig, amortized_report, run_simulation
+from .runtime_sim import PoissonArrivals, amortized_report, run_simulation
 
 log = logging.getLogger("edcarb")
 
@@ -188,19 +188,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     else:
         arrivals = cli_io.load_arrivals(args.arrivals)
 
-    sim_config = SimConfig(
-        mode=sim.mode,
-        horizon_s=sim.horizon_s,
-        step_s=sim.step_s,
-        policy=args.policy,
-        deadline_ms=sim.deadline_ms,
-        hysteresis_fraction=config.policy.hysteresis_fraction,
-        p_min_w=config.policy.p_min_w,
-        p_max_w=config.policy.p_max_w,
-        idle_power_w=sim.idle_power_w,
-        tokens_per_request=sim.tokens_per_request,
-        tps_floor=config.policy.tps_floor or 0.0,
-    )
+    sim_config = cli_io.build_sim_config(sim, config.policy, args.policy)
     workloads = None
     if sim.mode == "mapping":
         sets = _require(config.variant_sets, "variants_file")

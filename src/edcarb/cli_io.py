@@ -7,8 +7,9 @@ all of its errors at once.
 
 Every config section (``technology`` entries, ``area_params``,
 ``design_space``, ``ga``, ``policy``, ``sim``, ``search``) must be a JSON
-object. Its scalar keys are read under the names of the dataclass fields
-they fill, and an absent key takes that field's default: the defaults live
+object. Its keys are read under the names of the dataclass fields they
+fill, coerced to each field's declared type (a list for a tuple field),
+and an absent key takes that field's default: the defaults live
 on ``GaParams``, ``SearchParams``, ``PolicyParams`` and ``SimSettings``, not
 here. Numbers, in the config and in every CSV and JSON input, must be
 finite: ``nan`` and ``inf`` are rejected where they are read.
@@ -60,6 +61,7 @@ from .runtime_sim import (
     CiTrace,
     ExecLookupTable,
     LlmVariant,
+    SimConfig,
     SimReport,
     TraceArrivals,
     validate_llm_variant_order,
@@ -216,45 +218,62 @@ def _object(value) -> dict:
     return value
 
 
+def _tuple_of(item):
+    """The coercion of a JSON list whose elements each coerce by `item`."""
+
+    def coerce(value) -> tuple:
+        if not isinstance(value, list):
+            raise TypeError(f"expected a list, got {value!r}")
+        return tuple(map(item, value))
+
+    return coerce
+
+
 # Coercion per declared field type, as the string a postponed annotation is.
-_SCALAR_COERCIONS = {
+_COERCIONS = {
     "float": _finite,
     "int": _integer,
     "str": _text,
     "float | None": lambda value: None if value is None else _finite(value),
     "PackageKind": PackageKind,
     "UnitKind": UnitKind,
+    "tuple[float, ...]": _tuple_of(_finite),
+    "tuple[int, ...]": _tuple_of(_integer),
+    "tuple[Dataflow, ...]": _tuple_of(Dataflow),
+    "tuple[MultiplierVariant, ...]": _tuple_of(lambda spec: _from_spec(MultiplierVariant, spec)),
 }
 
 
 @cache
-def _scalar_fields(cls) -> tuple[tuple[str, object, bool], ...]:
-    """(name, coercion, required) of each field of `cls` with a scalar type."""
-    return tuple(
-        (f.name, _SCALAR_COERCIONS[f.type], f.default is MISSING)
-        for f in fields(cls)
-        if f.type in _SCALAR_COERCIONS
-    )
+def _spec_fields(cls) -> tuple[tuple[str, object, bool], ...]:
+    """(name, coercion, required) of each field of `cls` with a type in `_COERCIONS`."""
+    return tuple((f.name, _COERCIONS[f.type], f.default is MISSING) for f in fields(cls) if f.type in _COERCIONS)
+
+
+def _read(spec: dict, key: str, coerce):
+    """``spec[key]`` coerced; a bad value fails as ``key: reason``."""
+    try:
+        return coerce(spec[key])
+    except _VALUE_ERRORS as exc:
+        raise ValueError(f"{key}: {exc}") from exc
 
 
 def _from_spec(cls, spec, **given):
     """Build a dataclass from one JSON object.
 
-    Each scalar field not in `given` is read under its own name and coerced
-    to its declared type; an absent key keeps the dataclass's own default.
-    A scalar field in `given` is the loader's to set, so the spec may not
-    name it. Keys that name no scalar field are ignored.
+    Each field with a type in `_COERCIONS` and not in `given` is read under
+    its own name and coerced to its declared type; an absent key keeps the
+    dataclass's own default. Such a field in `given` is the loader's to
+    set, so the spec may not name it. Keys that name no such field are
+    ignored.
     """
     _object(spec)
-    for name, coerce, required in _scalar_fields(cls):
+    for name, coerce, required in _spec_fields(cls):
         if name in given:
             if name in spec:
                 raise ValueError(f"{name}: set by the loader, not by the config")
         elif name in spec:
-            try:
-                given[name] = coerce(spec[name])
-            except _VALUE_ERRORS as exc:
-                raise ValueError(f"{name}: {exc}") from exc
+            given[name] = _read(spec, name, coerce)
         elif required:
             raise ValueError(f"missing key {name!r}")
     return cls(**given)
@@ -384,12 +403,7 @@ def load_node(path: str | Path) -> EdgeNode:
     path = Path(path)
     doc = _object(_load_json(path))
     units = tuple(
-        _from_spec(
-            ProcessingUnit,
-            spec,
-            freq_levels_hz=tuple(map(_finite, spec["freq_levels_hz"])),
-            profile=load_unit_profile(path.parent / spec["profile_file"]),
-        )
+        _from_spec(ProcessingUnit, spec, profile=load_unit_profile(path.parent / spec["profile_file"]))
         for spec in doc.get("units", [])
     )
     return _from_spec(EdgeNode, doc, units=units)
@@ -429,15 +443,7 @@ def load_exec_table(entries_path: str | Path, concurrency_path: str | Path | Non
 def load_llm_variants(path: str | Path) -> tuple[LlmVariant, ...]:
     path = Path(path)
     doc = _load_json(path)
-    variants = tuple(
-        _from_spec(
-            LlmVariant,
-            v,
-            tokens_per_s=tuple(map(_finite, v["tokens_per_s"])),
-            power_w=tuple(map(_finite, v["power_w"])),
-        )
-        for v in doc
-    )
+    variants = tuple(_from_spec(LlmVariant, v) for v in doc)
     validate_llm_variant_order(variants)
     return variants
 
@@ -510,9 +516,10 @@ def load_config(path: str | Path) -> ToolkitConfig:
             spec,
             # a failed policy already fails the config, so 0.0 is a placeholder
             accuracy_threshold_pct=policy.accuracy_threshold_pct if policy is not None else 0.0,
-            **{f"{gene}_values": tuple(map(_integer, spec[gene])) for gene in ("px", "py", "b_local", "b_global")},
-            dataflows=tuple(map(Dataflow, spec["dataflows"])),
-            multipliers=tuple(_from_spec(MultiplierVariant, m) for m in spec["multipliers"]),
+            **{
+                f"{gene}_values": _read(spec, gene, _COERCIONS["tuple[int, ...]"])
+                for gene in ("px", "py", "b_local", "b_global")
+            },
             tech=technology[tech_node],
             area_params=area_params,
         )
@@ -537,6 +544,8 @@ def load_config(path: str | Path) -> ToolkitConfig:
         return _from_spec(SimSettings, spec, exec_table=exec_table, llm_variants=llm_variants)
 
     sim = parse("sim", build_sim, raw.get("sim", {}))
+    if sim is not None and policy is not None:
+        parse("sim", build_sim_config, sim, policy, "adaptive")
     search = parse("search", _from_spec, SearchParams, raw.get("search", {}), rng_seed=seed)
 
     if errors:
@@ -552,6 +561,24 @@ def load_config(path: str | Path) -> ToolkitConfig:
         policy=policy,
         sim=sim,
         search=search,
+    )
+
+
+def build_sim_config(sim: SimSettings, policy: PolicyParams, run_policy: str) -> SimConfig:
+    """The simulator's run settings: the config's sim and policy sections
+    under the threshold policy `run_policy` ("adaptive" or "static")."""
+    return SimConfig(
+        mode=sim.mode,
+        horizon_s=sim.horizon_s,
+        step_s=sim.step_s,
+        policy=run_policy,
+        deadline_ms=sim.deadline_ms,
+        hysteresis_fraction=policy.hysteresis_fraction,
+        p_min_w=policy.p_min_w,
+        p_max_w=policy.p_max_w,
+        idle_power_w=sim.idle_power_w,
+        tokens_per_request=sim.tokens_per_request,
+        tps_floor=policy.tps_floor or 0.0,
     )
 
 

@@ -223,13 +223,13 @@ def evaluate(
 def _embodied_verdict(config: AcceleratorConfig, space: DesignSpace) -> tuple[float, str | None]:
     """(embodied kg, infeasibility reason or None) of one config."""
     area = estimate_area(config, space.area_params)
-    report = accelerator_embodied(config, space.tech, space.area_params, area)
+    embodied_kg = accelerator_embodied(config, space.tech, area)
     reasons = []
     if not accuracy_feasible(config, space.accuracy_threshold_pct):
         reasons.append("accuracy")
     if space.max_area_cm2 is not None and area.total_2d_equiv_cm2 > space.max_area_cm2:
         reasons.append("area")
-    return report.total_kg, "+".join(reasons) if reasons else None
+    return embodied_kg, "+".join(reasons) if reasons else None
 
 
 def crossover(a: Chromosome, b: Chromosome, rng: random.Random) -> tuple[Chromosome, Chromosome]:

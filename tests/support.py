@@ -11,6 +11,7 @@ import functools
 import itertools
 import math
 import random
+from dataclasses import replace
 
 from edcarb.accelerator_model import AreaParams, ConvLayer, DnnWorkload, MultiplierVariant
 from edcarb.carbon_model import TechnologyParams
@@ -70,6 +71,21 @@ def make_tech(**overrides) -> TechnologyParams:
     )
     values.update(overrides)
     return TechnologyParams(**values)
+
+
+EMBODIED_COEFFICIENTS = (
+    "cfpa_kg_per_cm2",
+    "cfpa_si_kg_per_cm2",
+    "packaging_kg",
+    "bonding_kg_per_cm2",
+    "tsv_kg_per_via",
+)
+
+
+def only_coefficients(tech: TechnologyParams, *kept: str) -> TechnologyParams:
+    """`tech` with every embodied coefficient but `kept` zeroed, so the
+    embodied carbon it gives is the kept terms alone."""
+    return replace(tech, **{name: 0.0 for name in EMBODIED_COEFFICIENTS if name not in kept})
 
 
 def make_area_params(**overrides) -> AreaParams:

@@ -1,6 +1,7 @@
 """Area, latency and traffic model tests."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -23,7 +24,7 @@ from edcarb.accelerator_model import (
 from edcarb.carbon_model import PackageKind
 from edcarb.errors import ValidationFailure
 
-from support import EXACT_MULT, make_area_params, make_tech, make_workload
+from support import EXACT_MULT, make_area_params, make_tech, make_workload, only_coefficients
 
 
 def make_config(**overrides) -> AcceleratorConfig:
@@ -172,22 +173,29 @@ def test_estimate_area_reference_point():
     )
     params = AreaParams(sram_mm2_per_byte=1e-4, fixed_overhead_mm2=0.0, mac_adder_mm2=0.005)
     area = estimate_area(config, params)
-    assert area.pe_array_cm2 == pytest.approx(0.06 / 100)
-    assert area.local_buffers_cm2 == pytest.approx(0.04 / 100)
-    assert area.global_buffer_cm2 == pytest.approx(0.1 / 100)
     assert area.total_2d_equiv_cm2 == pytest.approx(0.2 / 100)
     assert area.memory_die_cm2 == 0.0
     assert area.compute_die_cm2 == area.total_2d_equiv_cm2
+    # the 3D split puts the global buffer on the memory die and the PE array
+    # plus local buffers (no overhead here) on the compute die
+    stacked = replace(config, stacking=PackageKind.STACKED_3D)
+    split = estimate_area(stacked, params)
+    assert split.memory_die_cm2 == pytest.approx(0.1 / 100)
+    assert split.compute_die_cm2 == pytest.approx((0.06 + 0.04) / 100)
+    no_sram = estimate_area(stacked, replace(params, sram_mm2_per_byte=0.0))
+    assert no_sram.compute_die_cm2 == pytest.approx(0.06 / 100)  # the PE array alone
 
 
 def test_halving_multiplier_area_shrinks_only_pe_array():
+    # on the 3D split the memory die is the global buffer and the compute die
+    # the PE array plus local buffers and overhead
     params = make_area_params()
-    full = estimate_area(make_config(multiplier=MultiplierVariant("a", 0.008, 0.0)), params)
-    half = estimate_area(make_config(multiplier=MultiplierVariant("b", 0.004, 1.0)), params)
-    assert half.local_buffers_cm2 == full.local_buffers_cm2
-    assert half.global_buffer_cm2 == full.global_buffer_cm2
-    assert half.overhead_cm2 == full.overhead_cm2
-    assert full.pe_array_cm2 - half.pe_array_cm2 == pytest.approx(16 * 0.004 / 100)
+    stacked = PackageKind.STACKED_3D
+    full = estimate_area(make_config(multiplier=MultiplierVariant("a", 0.008, 0.0), stacking=stacked), params)
+    half = estimate_area(make_config(multiplier=MultiplierVariant("b", 0.004, 1.0), stacking=stacked), params)
+    assert half.memory_die_cm2 == full.memory_die_cm2
+    assert full.compute_die_cm2 - half.compute_die_cm2 == pytest.approx(16 * 0.004 / 100)
+    assert full.total_2d_equiv_cm2 - half.total_2d_equiv_cm2 == pytest.approx(16 * 0.004 / 100)
 
 
 def test_stacked_area_partitions_total():
@@ -197,7 +205,7 @@ def test_stacked_area_partitions_total():
     assert area.compute_die_cm2 + area.memory_die_cm2 == pytest.approx(
         area.total_2d_equiv_cm2, rel=1e-12
     )
-    assert area.memory_die_cm2 == area.global_buffer_cm2
+    assert area.memory_die_cm2 == config.b_global * params.sram_mm2_per_byte / 100
 
 
 def test_area_components_always_sum_to_total():
@@ -216,9 +224,17 @@ def test_area_components_always_sum_to_total():
             mac_adder_mm2=rng.uniform(0, 0.02),
         )
         area = estimate_area(config, params)
-        total = area.pe_array_cm2 + area.local_buffers_cm2 + area.global_buffer_cm2 + area.overhead_cm2
+        pe_count = config.px * config.py
+        pe_array = pe_count * (config.multiplier.area_mm2 + params.mac_adder_mm2) / 100
+        local = pe_count * config.b_local * params.sram_mm2_per_byte / 100
+        global_buf = config.b_global * params.sram_mm2_per_byte / 100
+        overhead = params.fixed_overhead_mm2 / 100
+        total = pe_array + local + global_buf + overhead
         assert area.total_2d_equiv_cm2 == pytest.approx(total, rel=1e-12)
         assert area.compute_die_cm2 + area.memory_die_cm2 == pytest.approx(total, rel=1e-12)
+        if config.stacking is PackageKind.STACKED_3D:
+            assert area.memory_die_cm2 == pytest.approx(global_buf, rel=1e-12)
+            assert area.compute_die_cm2 == pytest.approx(pe_array + local + overhead, rel=1e-12)
 
 
 def test_area_affine_in_parameters_exact_finite_differences():
@@ -252,51 +268,55 @@ def test_area_affine_in_parameters_exact_finite_differences():
 # ---------------------------------------------------------------------------
 
 
+def _embodied(config, tech, params) -> float:
+    return accelerator_embodied(config, tech, estimate_area(config, params))
+
+
 def test_embodied_packaging_only_when_coefficients_vanish():
     tech = make_tech(cfpa_kg_per_cm2=0.0, cfpa_si_kg_per_cm2=0.0, packaging_kg=0.25)
     params = AreaParams(sram_mm2_per_byte=0.0, fixed_overhead_mm2=1.0, mac_adder_mm2=0.0)
     config = make_config(multiplier=MultiplierVariant("m", 1e-6, 0.0))
-    report = accelerator_embodied(config, tech, params)
-    assert report.total_kg == pytest.approx(0.25)
+    assert _embodied(config, tech, params) == pytest.approx(0.25)
 
 
 def test_embodied_planar_vs_stacked_relation_computed_per_instance():
     tech = make_tech()
     params = make_area_params()
-    planar = accelerator_embodied(make_config(), tech, params)
-    stacked = accelerator_embodied(
-        make_config(stacking=PackageKind.STACKED_3D, tsv_count=500), tech, params
-    )
+    planar_config = make_config()
+    stacked_config = make_config(stacking=PackageKind.STACKED_3D, tsv_count=500)
     # both branches evaluated; with these coefficients the 3D overheads
-    # outweigh the wastage savings of two smaller dies
-    extra_3d = stacked.bonding_kg + stacked.tsv_kg
-    wastage_savings = (
-        planar.wasted_per_die_cm2[0] * tech.cfpa_si_kg_per_cm2
-        - sum(stacked.wasted_per_die_cm2) * tech.cfpa_si_kg_per_cm2
-    )
+    # outweigh the wastage savings of two smaller dies. Each term is the
+    # embodied carbon with every other coefficient zeroed.
+    bonding_and_tsv = only_coefficients(tech, "bonding_kg_per_cm2", "tsv_kg_per_via")
+    wastage = only_coefficients(tech, "cfpa_si_kg_per_cm2")
+    extra_3d = _embodied(stacked_config, bonding_and_tsv, params)
+    wastage_savings = _embodied(planar_config, wastage, params) - _embodied(stacked_config, wastage, params)
+    assert extra_3d > 0.0 and _embodied(planar_config, bonding_and_tsv, params) == 0.0
+    planar = _embodied(planar_config, tech, params)
+    stacked = _embodied(stacked_config, tech, params)
     if extra_3d > wastage_savings:
-        assert stacked.total_kg > planar.total_kg
+        assert stacked > planar
     else:
-        assert stacked.total_kg <= planar.total_kg
+        assert stacked <= planar
 
 
 def test_embodied_grows_with_array_size():
     tech = make_tech()
     params = make_area_params()
-    small = accelerator_embodied(make_config(px=4, py=4), tech, params)
-    large = accelerator_embodied(make_config(px=8, py=8), tech, params)
-    assert large.total_kg > small.total_kg
+    small = _embodied(make_config(px=4, py=4), tech, params)
+    large = _embodied(make_config(px=8, py=8), tech, params)
+    assert large > small
 
 
 def test_embodied_monotone_in_area_coefficients():
     tech = make_tech()
-    base = accelerator_embodied(make_config(), tech, make_area_params())
+    base = _embodied(make_config(), tech, make_area_params())
     for grown in [
         make_area_params(sram_mm2_per_byte=2**-12),
         make_area_params(fixed_overhead_mm2=4.0),
         make_area_params(mac_adder_mm2=0.01),
     ]:
-        assert accelerator_embodied(make_config(), tech, grown).total_kg > base.total_kg
+        assert _embodied(make_config(), tech, grown) > base
 
 
 # ---------------------------------------------------------------------------

@@ -52,6 +52,7 @@ from support import (
     make_area_params,
     make_tech,
     make_workload,
+    only_coefficients,
     random_exec_table,
     random_scheduler_instance,
     strip_timestamp_lines,
@@ -132,8 +133,8 @@ def test_c01_carbon_equations_match_spreadsheet_recomputation():
         else:
             package = PackageSpec(PackageKind.PLANAR_2D)
             expected_total = sum(expected_dies) + packaging
-        report = embodied_carbon([DieSpec(a, tech) for a in areas], package)
-        assert report.total_kg == pytest.approx(expected_total, rel=1e-9)
+        total = embodied_carbon([DieSpec(a, tech) for a in areas], package)
+        assert total == pytest.approx(expected_total, rel=1e-9)
 
         ci = rng.uniform(0.0, 900.0)
         energy = rng.uniform(0.0, 50.0)
@@ -240,21 +241,23 @@ def test_c05_stacked_carbon_additive_and_reducible_to_planar():
     tech = make_tech(bonding_kg_per_cm2=0.25, tsv_kg_per_via=2e-4)
     dies = [DieSpec(0.8, tech), DieSpec(0.35, tech)]
     package = PackageSpec(PackageKind.STACKED_3D, tsv_count=1500, bond_interface_area_cm2=0.8)
-    report = embodied_carbon(dies, package)
+    total = embodied_carbon(dies, package)
     recomputed = (
         sum(die_carbon(d) for d in dies)
         + tech.packaging_kg
         + tech.bonding_kg_per_cm2 * package.bond_interface_area_cm2
         + tech.tsv_kg_per_via * package.tsv_count
     )
-    assert report.total_kg == recomputed  # exact
+    assert total == recomputed  # exact
 
     zeroed = make_tech(bonding_kg_per_cm2=0.0, tsv_kg_per_via=0.0)
     dies0 = [DieSpec(0.8, zeroed), DieSpec(0.35, zeroed)]
     stacked0 = embodied_carbon(dies0, package)
     planar0 = embodied_carbon(dies0, PackageSpec(PackageKind.PLANAR_2D))
-    assert stacked0.total_kg == planar0.total_kg  # exact
-    assert stacked0.bonding_kg == 0.0 and stacked0.tsv_kg == 0.0
+    assert stacked0 == planar0  # exact
+    # with only the (zeroed) bonding and TSV coefficients left, the stack costs nothing
+    package_terms_only = only_coefficients(zeroed, "bonding_kg_per_cm2", "tsv_kg_per_via")
+    assert embodied_carbon([DieSpec(0.8, package_terms_only), DieSpec(0.35, package_terms_only)], package) == 0.0
     elapsed = time.time() - start
     assert elapsed < 1.0, f"criterion 5 took {elapsed:.2f}s"
     _report("5 3D additivity exact, zero coefficients recover planar sum")

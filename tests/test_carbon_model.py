@@ -2,6 +2,7 @@
 
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -9,7 +10,6 @@ from edcarb.accelerator_model import MultiplierVariant
 from edcarb.carbon_model import (
     DieSpec,
     DieTooLarge,
-    EmbodiedReport,
     InvalidStack,
     OperationalSample,
     PackageKind,
@@ -24,7 +24,7 @@ from edcarb.carbon_model import (
 from edcarb.edc_scheduler import EdgeNode, ProcessingUnit, UnitKind
 from edcarb.errors import ValidationFailure
 
-from support import grid_placement_count, make_tech, make_unit
+from support import grid_placement_count, make_tech, make_unit, only_coefficients
 
 
 # ---------------------------------------------------------------------------
@@ -72,12 +72,6 @@ def test_die_too_large_errors():
 # ---------------------------------------------------------------------------
 
 
-def test_die_carbon_with_injected_wastage():
-    tech = make_tech(cfpa_kg_per_cm2=1.2, cfpa_si_kg_per_cm2=1.0)
-    die = DieSpec(area_cm2=0.5, tech=tech)
-    assert die_carbon(die, wasted_override_cm2=0.1) == pytest.approx(0.7)
-
-
 def test_die_carbon_zero_coefficients():
     tech = make_tech(cfpa_kg_per_cm2=0.0, cfpa_si_kg_per_cm2=0.0)
     assert die_carbon(DieSpec(area_cm2=2.0, tech=tech)) == 0.0
@@ -110,13 +104,14 @@ def test_die_carbon_linear_in_coefficients():
 
 
 def test_embodied_single_planar_die_is_additive():
-    # die carbon is exactly 0.7 (no silicon-wastage coefficient)
+    # die carbon is exactly 0.7 (no silicon-wastage coefficient); a planar
+    # package pays no bonding or TSV carbon, whatever its coefficients
     tech = make_tech(cfpa_kg_per_cm2=1.4, cfpa_si_kg_per_cm2=0.0, packaging_kg=0.3)
-    report = embodied_carbon([DieSpec(0.5, tech)], PackageSpec(PackageKind.PLANAR_2D))
-    assert report.per_die_kg == (pytest.approx(0.7),)
-    assert report.bonding_kg == 0.0
-    assert report.tsv_kg == 0.0
-    assert report.total_kg == pytest.approx(1.0)
+    planar = PackageSpec(PackageKind.PLANAR_2D, tsv_count=1000, bond_interface_area_cm2=0.5)
+    assert embodied_carbon([DieSpec(0.5, tech)], planar) == pytest.approx(1.0)
+    assert embodied_carbon([DieSpec(0.5, replace(tech, packaging_kg=0.0))], planar) == pytest.approx(0.7)
+    package_terms_only = only_coefficients(tech, "bonding_kg_per_cm2", "tsv_kg_per_via")  # 0.2 and 1e-4
+    assert embodied_carbon([DieSpec(0.5, package_terms_only)], planar) == 0.0
 
 
 def test_embodied_stacked_two_dies_with_bonding_and_tsv():
@@ -127,13 +122,17 @@ def test_embodied_stacked_two_dies_with_bonding_and_tsv():
         bonding_kg_per_cm2=0.2,
         tsv_kg_per_via=1e-4,
     )
-    dies = [DieSpec(0.7, tech), DieSpec(0.5, tech)]
     package = PackageSpec(PackageKind.STACKED_3D, tsv_count=1000, bond_interface_area_cm2=0.5)
-    report = embodied_carbon(dies, package)
-    assert report.per_die_kg == (pytest.approx(0.7), pytest.approx(0.5))
-    assert report.bonding_kg == pytest.approx(0.1)
-    assert report.tsv_kg == pytest.approx(0.1)
-    assert report.total_kg == pytest.approx(0.7 + 0.5 + 0.3 + 0.1 + 0.1)
+
+    def stacked(t):
+        return embodied_carbon([DieSpec(0.7, t), DieSpec(0.5, t)], package)
+
+    assert [die_carbon(DieSpec(a, tech)) for a in (0.7, 0.5)] == [pytest.approx(0.7), pytest.approx(0.5)]
+    assert stacked(only_coefficients(tech, "cfpa_kg_per_cm2")) == pytest.approx(0.7 + 0.5)
+    assert stacked(only_coefficients(tech, "packaging_kg")) == pytest.approx(0.3)
+    assert stacked(only_coefficients(tech, "bonding_kg_per_cm2")) == pytest.approx(0.1)
+    assert stacked(only_coefficients(tech, "tsv_kg_per_via")) == pytest.approx(0.1)
+    assert stacked(tech) == pytest.approx(0.7 + 0.5 + 0.3 + 0.1 + 0.1)
 
 
 def test_stacked_strictly_heavier_than_planar_for_same_dies():
@@ -143,7 +142,7 @@ def test_stacked_strictly_heavier_than_planar_for_same_dies():
     stacked = embodied_carbon(
         dies, PackageSpec(PackageKind.STACKED_3D, tsv_count=100, bond_interface_area_cm2=0.4)
     )
-    assert stacked.total_kg > planar.total_kg
+    assert stacked > planar
 
 
 def test_stacked_with_one_die_rejected():
@@ -167,15 +166,25 @@ def test_embodied_additivity_over_random_die_lists():
             tsv_count=rng.randint(0, 2000),
             bond_interface_area_cm2=rng.uniform(0.0, 1.5),
         )
-        report = embodied_carbon(dies, package)
+        total = embodied_carbon(dies, package)
         recomputed = (
             sum(die_carbon(d) for d in dies)
             + tech.packaging_kg
             + tech.bonding_kg_per_cm2 * package.bond_interface_area_cm2
             + tech.tsv_kg_per_via * package.tsv_count
         )
-        assert report.total_kg == recomputed
-        assert report.total_kg == sum(report.per_die_kg) + report.packaging_kg + report.bonding_kg + report.tsv_kg
+        assert total == recomputed
+        # each term alone, from the same dies and package, sums to the total
+        terms = [
+            embodied_carbon([replace(d, tech=only_coefficients(tech, *kept)) for d in dies], package)
+            for kept in (
+                ("cfpa_kg_per_cm2", "cfpa_si_kg_per_cm2"),
+                ("packaging_kg",),
+                ("bonding_kg_per_cm2",),
+                ("tsv_kg_per_via",),
+            )
+        ]
+        assert total == terms[0] + terms[1] + terms[2] + terms[3]
 
 
 # ---------------------------------------------------------------------------
@@ -220,10 +229,14 @@ def test_cdp_rejects_negative():
         cdp(-1.0, 1.0)
 
 
-def test_embodied_report_is_frozen_value_object():
-    report = EmbodiedReport((1.0,), (0.1,), 0.2, 0.0, 0.0, 1.2)
+def test_embodied_inputs_are_frozen_value_objects():
+    die = DieSpec(1.0, make_tech())
+    package = PackageSpec(PackageKind.PLANAR_2D)
     with pytest.raises(AttributeError):
-        report.total_kg = 5.0
+        die.area_cm2 = 5.0
+    with pytest.raises(AttributeError):
+        package.tsv_count = 5
+    assert type(embodied_carbon([die], package)) is float
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +263,6 @@ MODEL_FIELDS = {
         )
     },
     "DieSpec.area_cm2": lambda x: DieSpec(x, make_tech()),
-    "die_carbon.wasted_override_cm2": lambda x: die_carbon(DieSpec(1.0, make_tech()), wasted_override_cm2=x),
     "OperationalSample.ci_g_per_kwh": lambda x: OperationalSample(x, 1.0),
     "OperationalSample.energy_kwh": lambda x: OperationalSample(100.0, x),
     "MultiplierVariant.area_mm2": lambda x: MultiplierVariant("m", x, 0.0),

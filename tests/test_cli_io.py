@@ -107,7 +107,7 @@ def test_policy_power_floor_and_latency_constraint_must_be_positive(tmp_path, ke
         ("search", "beam_width", 1.5, 2.0, "search.beam_width", "search: beam_width: expected an integer, got 1.5"),
         (
             "design_space", "px", [4, 8.7], [4, 8.0], "design_space.px_values",
-            "design_space: expected an integer, got 8.7",
+            "design_space: px: expected an integer, got 8.7",
         ),
         (
             "ga", "population_size", 2.9, 24.0, "ga_params.population_size",
@@ -128,6 +128,53 @@ def test_an_integer_key_refuses_a_fraction(demo_copy, section, key, fraction, in
     (demo_copy / "demo.json").write_text(json.dumps(config))
     expected = tuple(map(int, integral)) if isinstance(integral, list) else int(integral)
     assert repr(operator.attrgetter(field)(load_config(demo_copy / "demo.json"))) == repr(expected)
+
+
+@pytest.mark.parametrize(
+    "file, path, value, error",
+    [
+        ("demo.json", ("design_space", "px"), 5, "design_space: px: expected a list, got 5"),
+        (
+            "demo.json", ("design_space", "dataflows"), ["bogus"],
+            "design_space: dataflows: 'bogus' is not a valid Dataflow",
+        ),
+        ("demo.json", ("design_space", "multipliers"), 5, "design_space: multipliers: expected a list, got 5"),
+        (
+            "node.json", ("units", 0, "freq_levels_hz"), [1e9, "x"],
+            "node_file: freq_levels_hz: could not convert string to float: 'x'",
+        ),
+        (
+            "node.json", ("units", 0, "freq_levels_hz"), 1e9,
+            "node_file: freq_levels_hz: expected a list, got 1000000000.0",
+        ),
+        (
+            "llm_variants.json", (0, "tokens_per_s"), [20.0, "x"],
+            "sim.llm_variants_file: tokens_per_s: could not convert string to float: 'x'",
+        ),
+        ("llm_variants.json", (0, "power_w"), 12.0, "sim.llm_variants_file: power_w: expected a list, got 12.0"),
+    ],
+    ids=[
+        "px.not_a_list",
+        "dataflows",
+        "multipliers.not_a_list",
+        "freq_levels_hz",
+        "freq_levels_hz.not_a_list",
+        "tokens_per_s",
+        "power_w.not_a_list",
+    ],
+)
+def test_a_bad_list_names_its_key(demo_copy, file, path, value, error):
+    # a fraction in an integer list is one case of test_an_integer_key_refuses_a_fraction
+    doc = json.loads((demo_copy / file).read_text())
+    *parents, key = path
+    target = doc
+    for step in parents:
+        target = target[step]
+    target[key] = value
+    (demo_copy / file).write_text(json.dumps(doc))
+    with pytest.raises(ConfigError) as exc_info:
+        load_config(demo_copy / "demo.json")
+    assert exc_info.value.errors == [error]
 
 
 @pytest.mark.parametrize("policy_pct", [None, 0.5], ids=["default", "set"])
@@ -398,6 +445,30 @@ def test_cli_validation_failure_is_machine_parsable(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.splitlines()[0].startswith("error[VALIDATION]: ")
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["explore"],
+        ["schedule", "--ci-now", "250"],
+        ["simulate", "--trace", str(DEMO_DIR / "ci_trace.csv"), "--arrivals", "poisson", "--policy", "static"],
+    ],
+    ids=["explore", "schedule", "simulate"],
+)
+def test_cli_refuses_bad_sim_run_settings_at_load(demo_copy, tmp_path, capsys, command):
+    # every verb loads the sim section, and its problems are listed with the others
+    config = json.loads((demo_copy / "demo.json").read_text())
+    config["sim"]["step_s"] = 0
+    config["ga"]["population_size"] = 1
+    (demo_copy / "demo.json").write_text(json.dumps(config))
+    out = tmp_path / "out"
+    verb, *flags = command
+    assert cli.main([verb, "--config", str(demo_copy / "demo.json"), *flags, "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith("error[VALIDATION]: ")
+    assert err[1:] == ["  - ga: population_size must be >= 2", "  - sim: horizon_s and step_s must be finite and > 0"]
+    assert not out.exists()
 
 
 def test_cli_explore_writes_artifacts(demo_copy, tmp_path, capsys):

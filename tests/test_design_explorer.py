@@ -118,9 +118,10 @@ def test_search_evaluator_matches_the_direct_model(stacking):
     reasons = set()
     for c in space.chromosomes():
         config = space.to_config(c)
-        embodied = accelerator_embodied(config, space.tech, space.area_params).total_kg
+        breakdown = estimate_area(config, space.area_params)
+        embodied = accelerator_embodied(config, space.tech, breakdown)
         latency = estimate_latency(config, workload)
-        area = estimate_area(config, space.area_params).total_2d_equiv_cm2
+        area = breakdown.total_2d_equiv_cm2
         why = [
             reason
             for reason, failed in (

@@ -21,6 +21,9 @@ same inputs:
 - ``exhaustive_search``, ``run_ga`` and ``pareto_front`` (over the GA's
   evaluated designs) on the ``search`` workload's design space at seeds
   0-2, for the cdp and delay fitnesses;
+- the same three searches (``.stacked3d``) on that space with
+  ``stacking=STACKED_3D``, so the two-die embodied branch (bonding and TSV
+  terms) is covered as well as the planar one;
 - ``run_simulation`` on every ``sim-load`` scenario at seeds 0-2.
 
 Each line is a case name and the SHA-256 of the ``repr`` of its result
@@ -56,7 +59,14 @@ def _case(name: str, fn, *args, **kwargs):
     return value
 
 
-def _perfbench_searches(workloads, design_explorer, edc_scheduler) -> None:
+def _explore(prefix: str, design_explorer, inputs, space, fitness: str) -> None:
+    _case(f"{prefix}.exhaustive", design_explorer.exhaustive_search, space, inputs.conv, fitness)
+    ga = _case(f"{prefix}.ga", design_explorer.run_ga, space, inputs.ga, inputs.conv, fitness)
+    if ga is not None:
+        _case(f"{prefix}.pareto", design_explorer.pareto_front, list(ga.evaluated), space)
+
+
+def _perfbench_searches(workloads, design_explorer, edc_scheduler, stacked_3d) -> None:
     for seed in range(3):
         full = workloads.Search().setup(seed, smoke=False)
         smoke_params = workloads.Search().setup(seed, smoke=True).params
@@ -68,12 +78,10 @@ def _perfbench_searches(workloads, design_explorer, edc_scheduler) -> None:
                         f"mapping.perfbench.seed{seed}.{i}.{label}{order}",
                         edc_scheduler.search_mapping, models, units_node, threshold, params,
                     )
+        stacked_space = dataclasses.replace(full.space, stacking=stacked_3d)
         for fitness in ("cdp", "delay"):
-            prefix = f"explore.seed{seed}.{fitness}"
-            _case(f"{prefix}.exhaustive", design_explorer.exhaustive_search, full.space, full.conv, fitness)
-            ga = _case(f"{prefix}.ga", design_explorer.run_ga, full.space, full.ga, full.conv, fitness)
-            if ga is not None:
-                _case(f"{prefix}.pareto", design_explorer.pareto_front, list(ga.evaluated), full.space)
+            _explore(f"explore.seed{seed}.{fitness}", design_explorer, full, full.space, fitness)
+            _explore(f"explore.seed{seed}.{fitness}.stacked3d", design_explorer, full, stacked_space, fitness)
 
 
 def _random_searches(support, edc_scheduler) -> None:
@@ -108,11 +116,12 @@ def main(argv: list[str]) -> int:
     import support
     import workloads
     from edcarb import design_explorer, edc_scheduler, runtime_sim
+    from edcarb.carbon_model import PackageKind
 
     if Path(design_explorer.__file__).resolve().parent != tree / "src" / "edcarb":
         print(f"edcarb was imported from {design_explorer.__file__}, not from {tree}", file=sys.stderr)
         return 2
-    _perfbench_searches(workloads, design_explorer, edc_scheduler)
+    _perfbench_searches(workloads, design_explorer, edc_scheduler, PackageKind.STACKED_3D)
     _random_searches(support, edc_scheduler)
     _simulations(workloads, runtime_sim)
     return 0
