@@ -144,13 +144,8 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
                     plan_bottleneck_ms(plan, variant, node) > policy.latency_constraint_ms
                 ),
                 "segments": [
-                    {
-                        "start": seg.start,
-                        "end": seg.end,
-                        "unit": seg.unit_id,
-                        "freq_idx": seg.freq_idx,
-                    }
-                    for seg in plan.segments
+                    {"start": start, "end": end, "unit": node.units[u].id, "freq_idx": f}
+                    for start, end, u, f in plan
                 ],
             }
             for vset, variant, plan in zip(variant_sets, chosen_variants, solution.plans)

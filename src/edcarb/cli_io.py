@@ -183,9 +183,11 @@ class ResultBundle:
 # CSV / JSON primitives
 # ---------------------------------------------------------------------------
 
-# What a malformed value raises while it is parsed: wrong JSON type, bad
-# text, an int out of range (int(inf)), or a violated dataclass check.
-_VALUE_ERRORS = (TypeError, ValueError, OverflowError, ValidationFailure)
+# What a malformed value raises while it is coerced: wrong JSON type, bad
+# text, or an int out of range (int(inf)); and what a parse may also raise,
+# a violated dataclass check, which names its own object.
+_COERCION_ERRORS = (TypeError, ValueError, OverflowError)
+_VALUE_ERRORS = _COERCION_ERRORS + (ValidationFailure,)
 
 
 def _finite(value) -> float:
@@ -241,6 +243,7 @@ _COERCIONS = {
     "tuple[int, ...]": _tuple_of(_integer),
     "tuple[Dataflow, ...]": _tuple_of(Dataflow),
     "tuple[MultiplierVariant, ...]": _tuple_of(lambda spec: _from_spec(MultiplierVariant, spec)),
+    "tuple[VariantLayer, ...]": _tuple_of(lambda spec: _from_spec(VariantLayer, spec)),
 }
 
 
@@ -251,10 +254,13 @@ def _spec_fields(cls) -> tuple[tuple[str, object, bool], ...]:
 
 
 def _read(spec: dict, key: str, coerce):
-    """``spec[key]`` coerced; a bad value fails as ``key: reason``."""
+    """``spec[key]`` coerced; an absent key fails as ``missing key 'key'``
+    and a bad value as ``key: reason``."""
+    if key not in spec:
+        raise ValueError(f"missing key {key!r}")
     try:
         return coerce(spec[key])
-    except _VALUE_ERRORS as exc:
+    except _COERCION_ERRORS as exc:
         raise ValueError(f"{key}: {exc}") from exc
 
 
@@ -272,10 +278,8 @@ def _from_spec(cls, spec, **given):
         if name in given:
             if name in spec:
                 raise ValueError(f"{name}: set by the loader, not by the config")
-        elif name in spec:
+        elif name in spec or required:
             given[name] = _read(spec, name, coerce)
-        elif required:
-            raise ValueError(f"missing key {name!r}")
     return cls(**given)
 
 
@@ -403,8 +407,8 @@ def load_node(path: str | Path) -> EdgeNode:
     path = Path(path)
     doc = _object(_load_json(path))
     units = tuple(
-        _from_spec(ProcessingUnit, spec, profile=load_unit_profile(path.parent / spec["profile_file"]))
-        for spec in doc.get("units", [])
+        _from_spec(ProcessingUnit, spec, profile=load_unit_profile(path.parent / _read(spec, "profile_file", _text)))
+        for spec in _read(doc, "units", _tuple_of(_object))
     )
     return _from_spec(EdgeNode, doc, units=units)
 
@@ -414,14 +418,13 @@ def load_variant_sets(path: str | Path) -> list[ModelVariantSet]:
     doc = _load_json(path)
     if isinstance(doc, dict):
         doc = [doc]
-    sets = []
-    for entry in doc:
-        variants = tuple(
-            _from_spec(ModelVariant, v, layers=tuple(_from_spec(VariantLayer, layer) for layer in v["layers"]))
-            for v in entry["variants"]
+    return [
+        ModelVariantSet(
+            name=_read(_object(entry), "model", _text),
+            variants=tuple(_from_spec(ModelVariant, v) for v in _read(entry, "variants", _tuple_of(_object))),
         )
-        sets.append(ModelVariantSet(name=_text(entry["model"]), variants=variants))
-    return sets
+        for entry in doc
+    ]
 
 
 def load_exec_table(entries_path: str | Path, concurrency_path: str | Path | None = None) -> ExecLookupTable:

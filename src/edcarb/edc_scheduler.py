@@ -10,14 +10,17 @@ that tracks grid carbon intensity: minimum intensity maps to the maximum
 power budget and vice versa, with re-planning gated by a hysteresis rule so
 small intensity wiggles do not cause oscillation.
 
+A segment is a (start, end, unit index, freq index) tuple and a plan is a
+tuple of segments, inside the search and in every result; units are named by
+their position in the node, and only the CLI writes their ids.
+
 The pipeline model is a fold: each mapped DNN contributes a summary (its
 throughput term and the max active power it puts on each unit), and the
-system estimate folds the summaries in DNN order. The search holds a
-segment as a (start, end, unit index, freq index) tuple and a plan as a tuple
-of them, memoizes segment costs for one call and carries the fold state with
-each beam partial, so every estimate it ranks on is bit-identical to
-`system_estimate` over the same plans. Equal scores break on the concatenated
-plans: by unit position in the node, never by unit id.
+system estimate folds the summaries in DNN order. The search memoizes
+segment costs for one call and carries the fold state with each beam
+partial, so every estimate it ranks on is bit-identical to `system_estimate`
+over the same plans. Equal scores break on the concatenated plans: by unit
+position in the node, never by unit id.
 """
 
 from __future__ import annotations
@@ -122,16 +125,8 @@ class EdgeNode:
             raise ValidationFailure("node needs at least one processing unit")
         if not 0 < self.transfer_bytes_per_ms < math.inf:
             raise ValidationFailure("transfer_bytes_per_ms must be finite and > 0")
-        unit_index = {u.id: i for i, u in enumerate(self.units)}
-        if len(unit_index) != len(self.units):
+        if len({u.id for u in self.units}) != len(self.units):
             raise ValidationFailure("duplicate unit ids in node")
-        object.__setattr__(self, "_unit_index", unit_index)
-
-    def unit_by_id(self, unit_id: str) -> ProcessingUnit:
-        index = self._unit_index.get(unit_id)
-        if index is None:
-            raise ValidationFailure(f"unknown unit id {unit_id!r}")
-        return self.units[index]
 
 
 @dataclass(frozen=True)
@@ -176,18 +171,10 @@ class ModelVariantSet:
             )
 
 
-@dataclass(frozen=True)
-class Segment:
-    start: int
-    end: int  # exclusive
-    unit_id: str
-    freq_idx: int
-
-
-@dataclass(frozen=True)
-class MappingPlan:
-    dnn: str
-    segments: tuple[Segment, ...]
+# (start, end exclusive, unit index in node order, freq index), and one DNN's
+# plan; concatenated plans are the search's tie-break key.
+Segment = tuple[int, int, int, int]
+Plan = tuple[Segment, ...]
 
 
 @dataclass(frozen=True)
@@ -215,7 +202,7 @@ class SearchParams:
 
 @dataclass(frozen=True)
 class MappingSolution:
-    plans: tuple[MappingPlan, ...]
+    plans: tuple[Plan, ...]
     estimate: SystemEstimate
 
 
@@ -223,11 +210,6 @@ class MappingSolution:
 # power per unit in node order, -inf for a unit with no segment. One mapped
 # DNN's summary and the running fold over several DNNs have this shape.
 _Fold = tuple[float, tuple[float, ...]]
-
-# A segment inside the mapping search, (start, end, unit index in node order,
-# freq index), and a DNN's plan; concatenated plans are their own tie-break key.
-_Seg = tuple[int, int, int, int]
-_Plan = tuple[_Seg, ...]
 
 
 def segment_cost(segment: Segment, variant: ModelVariant, node: EdgeNode) -> tuple[float, float]:
@@ -237,26 +219,25 @@ def segment_cost(segment: Segment, variant: ModelVariant, node: EdgeNode) -> tup
     segment after the first, the cost of moving the previous layer's output
     tensor over the node link. Power is the max active power over the layers.
     """
-    unit = node.unit_by_id(segment.unit_id)
+    start, end, u, f = segment
+    unit = node.units[u]
     latency = 0.0
     power = 0.0
-    for idx in range(segment.start, segment.end):
+    for idx in range(start, end):
         layer_id = variant.layers[idx].id
-        entry = unit.profile.get((layer_id, segment.freq_idx))
+        entry = unit.profile.get((layer_id, f))
         if entry is None:
-            raise MissingProfileEntry(
-                f"unit {unit.id!r} has no profile for layer {layer_id!r} at freq {segment.freq_idx}"
-            )
+            raise MissingProfileEntry(f"unit {unit.id!r} has no profile for layer {layer_id!r} at freq {f}")
         latency += entry[0]
         power = max(power, entry[1])
-    if segment.start > 0:
-        boundary_bytes = variant.layers[segment.start - 1].output_bytes
+    if start > 0:
+        boundary_bytes = variant.layers[start - 1].output_bytes
         latency += boundary_bytes / node.transfer_bytes_per_ms
     return latency, power
 
 
-def plan_bottleneck_ms(plan: MappingPlan, variant: ModelVariant, node: EdgeNode) -> float:
-    return max(segment_cost(seg, variant, node)[0] for seg in plan.segments)
+def plan_bottleneck_ms(plan: Plan, variant: ModelVariant, node: EdgeNode) -> float:
+    return max(segment_cost(seg, variant, node)[0] for seg in plan)
 
 
 def _empty_fold(node: EdgeNode) -> _Fold:
@@ -292,7 +273,7 @@ def _folded_estimate(state: _Fold, node: EdgeNode) -> SystemEstimate:
 
 
 def system_estimate(
-    assignments: Sequence[tuple[ModelVariant, MappingPlan]],
+    assignments: Sequence[tuple[ModelVariant, Plan]],
     node: EdgeNode,
 ) -> SystemEstimate:
     """Pipeline model over all mapped DNNs.
@@ -302,10 +283,7 @@ def system_estimate(
     """
     state = _empty_fold(node)
     for variant, plan in assignments:
-        costs = []
-        for seg in plan.segments:
-            latency, power = segment_cost(seg, variant, node)
-            costs.append((node._unit_index[seg.unit_id], latency, power))
+        costs = [(seg[2], *segment_cost(seg, variant, node)) for seg in plan]
         state = _fold(state, _plan_summary(costs, node))
     return _folded_estimate(state, node)
 
@@ -359,7 +337,7 @@ def _candidate_plans(
     node: EdgeNode,
     params: SearchParams,
     rng: random.Random,
-) -> list[_Plan]:
+) -> list[Plan]:
     """Candidate plans for one DNN: full enumeration when it fits the cap,
     otherwise all single-segment plans plus seeded random samples."""
     choices = [(u, f) for u in covering for f in range(len(node.units[u].freq_levels_hz))]
@@ -381,7 +359,7 @@ def _candidate_plans(
     return list(plans)
 
 
-def _neighbor_plans(plans: tuple[_Plan, ...], coverings: list[list[int]], node: EdgeNode):
+def _neighbor_plans(plans: tuple[Plan, ...], coverings: list[list[int]], node: EdgeNode):
     """Single-move neighbors: change one segment's unit, its frequency, or
     shift one cut by one layer. Deterministic enumeration order."""
     for d, plan in enumerate(plans):
@@ -400,7 +378,7 @@ def _neighbor_plans(plans: tuple[_Plan, ...], coverings: list[list[int]], node: 
                     yield _replace_segments(plans, d, j, (left[0], cut, *left[2:]), (cut, *right[1:]))
 
 
-def _replace_segments(plans: tuple[_Plan, ...], d: int, j: int, *segments: _Seg) -> tuple[_Plan, ...]:
+def _replace_segments(plans: tuple[Plan, ...], d: int, j: int, *segments: Segment) -> tuple[Plan, ...]:
     """`plans` with DNN d's segments from j on replaced by `segments`, one for one."""
     plan = plans[d]
     return plans[:d] + (plan[:j] + segments + plan[j + len(segments) :],) + plans[d + 1 :]
@@ -460,20 +438,18 @@ def search_mapping(
     ]
 
     # (DNN, segment) -> (unit index, latency ms, power W)
-    segment_costs: dict[tuple[int, _Seg], tuple[int, float, float]] = {}
+    segment_costs: dict[tuple[int, Segment], tuple[int, float, float]] = {}
 
-    def summary(d: int, plan: _Plan) -> _Fold:
+    def summary(d: int, plan: Plan) -> _Fold:
         costs = []
         for seg in plan:
             cost = segment_costs.get((d, seg))
             if cost is None:
-                start, end, u, f = seg
-                latency, power = segment_cost(Segment(start, end, node.units[u].id, f), workloads[d], node)
-                cost = segment_costs[(d, seg)] = (u, latency, power)
+                cost = segment_costs[(d, seg)] = (seg[2], *segment_cost(seg, workloads[d], node))
             costs.append(cost)
         return _plan_summary(costs, node)
 
-    def exact_estimate(plans: tuple[_Plan, ...]) -> SystemEstimate:
+    def exact_estimate(plans: tuple[Plan, ...]) -> SystemEstimate:
         state = _empty_fold(node)
         for d, plan in enumerate(plans):
             state = _fold(state, summary(d, plan))
@@ -481,7 +457,7 @@ def search_mapping(
 
     # Each beam entry is (plans, fold state). Extensions are ranked by
     # (-ipw, concatenated plans); only the survivors' fold states are kept.
-    beam: list[tuple[tuple[_Plan, ...], _Fold]] = [((), _empty_fold(node))]
+    beam: list[tuple[tuple[Plan, ...], _Fold]] = [((), _empty_fold(node))]
     for d in range(len(workloads)):
         options = [(plan, summary(d, plan)) for plan in candidates[d]]
         ranked = []
@@ -520,13 +496,7 @@ def search_mapping(
             if budget <= 0:
                 break
 
-    return MappingSolution(
-        plans=tuple(
-            MappingPlan(v.name, tuple(Segment(start, end, node.units[u].id, f) for start, end, u, f in plan))
-            for v, plan in zip(workloads, best_plans)
-        ),
-        estimate=best_exact,
-    )
+    return MappingSolution(plans=best_plans, estimate=best_exact)
 
 
 def select_variants(

@@ -543,7 +543,7 @@ def run_simulation(
                 emit(t, "remap", {
                     "power_w": flow[0],
                     "throughput": flow[1],
-                    "segments": sum(len(p.segments) for p in solution.plans),
+                    "segments": sum(map(len, solution.plans)),
                 })
 
         step_energy_j = 0.0

@@ -17,10 +17,9 @@ from edcarb.accelerator_model import AreaParams, ConvLayer, DnnWorkload, Multipl
 from edcarb.carbon_model import TechnologyParams
 from edcarb.edc_scheduler import (
     EdgeNode,
-    MappingPlan,
     ModelVariant,
+    Plan,
     ProcessingUnit,
-    Segment,
     UnitKind,
     VariantLayer,
     segment_cost,
@@ -179,85 +178,81 @@ def random_scheduler_instance(rng: random.Random, n_layers=None, n_units=None, n
     return workloads, node
 
 
-def validate_plan(plan: MappingPlan, variant: ModelVariant, node: EdgeNode) -> None:
-    """Check that segments partition the layer list contiguously and use valid freqs."""
-    if not plan.segments:
-        raise ValidationFailure(f"plan for {plan.dnn!r} has no segments")
+def validate_plan(plan: Plan, variant: ModelVariant, node: EdgeNode) -> None:
+    """Check that segments partition the layer list contiguously and use valid units and freqs."""
+    if not plan:
+        raise ValidationFailure(f"plan for {variant.name!r} has no segments")
     expected = 0
-    for seg in plan.segments:
-        if seg.start != expected or seg.end <= seg.start:
-            raise ValidationFailure(f"plan for {plan.dnn!r}: segments must be contiguous and non-empty")
-        unit = node.unit_by_id(seg.unit_id)
-        if not 0 <= seg.freq_idx < len(unit.freq_levels_hz):
-            raise ValidationFailure(f"plan for {plan.dnn!r}: freq index {seg.freq_idx} invalid for {seg.unit_id!r}")
-        expected = seg.end
+    for start, end, u, f in plan:
+        if start != expected or end <= start:
+            raise ValidationFailure(f"plan for {variant.name!r}: segments must be contiguous and non-empty")
+        if not 0 <= u < len(node.units):
+            raise ValidationFailure(f"plan for {variant.name!r}: unit index {u} outside the node")
+        if not 0 <= f < len(node.units[u].freq_levels_hz):
+            raise ValidationFailure(f"plan for {variant.name!r}: freq index {f} invalid for unit {u}")
+        expected = end
     if expected != len(variant.layers):
-        raise ValidationFailure(f"plan for {plan.dnn!r}: segments do not cover all layers")
+        raise ValidationFailure(f"plan for {variant.name!r}: segments do not cover all layers")
 
 
-def enumerate_all_plans(variant: ModelVariant, node: EdgeNode):
+def enumerate_all_plans(variant: ModelVariant, node: EdgeNode) -> list[Plan]:
     """Every (cuts, unit, freq) plan for one DNN, unrestricted segment count."""
     n = len(variant.layers)
     choices = [
-        (u.id, f)
-        for u in node.units
-        if u.covers(variant.layer_ids)
-        for f in range(len(u.freq_levels_hz))
+        (u, f)
+        for u, unit in enumerate(node.units)
+        if unit.covers(variant.layer_ids)
+        for f in range(len(unit.freq_levels_hz))
     ]
     plans = []
     for n_cuts in range(0, n):
         for cuts in itertools.combinations(range(1, n), n_cuts):
             bounds = (0,) + cuts + (n,)
             for combo in itertools.product(choices, repeat=len(bounds) - 1):
-                plans.append(
-                    MappingPlan(
-                        dnn=variant.name,
-                        segments=tuple(
-                            Segment(bounds[i], bounds[i + 1], uid, f)
-                            for i, (uid, f) in enumerate(combo)
-                        ),
-                    )
-                )
+                plans.append(tuple((*span, u, f) for span, (u, f) in zip(itertools.pairwise(bounds), combo)))
     return plans
 
 
-def _plan_terms(variant: ModelVariant, plan: MappingPlan, node: EdgeNode) -> tuple[float, dict]:
+def _plan_terms(variant: ModelVariant, plan: Plan, node: EdgeNode) -> tuple[float, tuple[float, ...]]:
     """One mapped DNN's share of the pipeline model: it runs at 1000 / its
-    slowest segment's ms, and each unit it uses pays the max active power of
-    the DNN's segments on it."""
-    costs = [segment_cost(seg, variant, node) for seg in plan.segments]
-    unit_power: dict[str, float] = {}
-    for seg, (_, power) in zip(plan.segments, costs):
-        unit_power[seg.unit_id] = max(unit_power.get(seg.unit_id, 0.0), power)
-    return 1000.0 / max(latency for latency, _ in costs), unit_power
+    slowest segment's ms, and each unit pays the max active power of the
+    DNN's segments on it, -inf when the DNN leaves the unit empty."""
+    costs = [segment_cost(seg, variant, node) for seg in plan]
+    unit_power = [-math.inf] * len(node.units)
+    for (_, _, u, _), (_, power) in zip(plan, costs):
+        unit_power[u] = max(unit_power[u], power)
+    return 1000.0 / max(latency for latency, _ in costs), tuple(unit_power)
 
 
-def exhaustive_mapping_ipw(workloads, node, power_threshold_w: float):
-    """Best feasible inferences-per-watt over the full cross product of plans.
+def exhaustive_mapping(workloads, node, power_threshold_w: float):
+    """Best feasible inferences-per-watt over the full cross product of plans,
+    with every joint plan (one plan per DNN) that reaches it exactly.
 
     Each plan's terms are computed once per DNN. A combination's throughput
     is the sum of its throughput terms; each unit pays the max power any DNN
-    puts on it, or its idle power when no DNN uses it. Returns None when
-    nothing fits under the threshold.
+    puts on it, or its idle power when no DNN uses it. Returns
+    ``(ipw, joint plans)``, or None when nothing fits under the threshold.
     """
-    per_dnn = [[_plan_terms(v, plan, node) for plan in enumerate_all_plans(v, node)] for v in workloads]
+    per_dnn = [[(*_plan_terms(v, plan, node), plan) for plan in enumerate_all_plans(v, node)] for v in workloads]
+    idle = [unit.idle_power_w for unit in node.units]
     best: float | None = None
+    winners: list[tuple[Plan, ...]] = []
     for combo in itertools.product(*per_dnn):
-        power = sum(
-            max((powers[u.id] for _, powers in combo if u.id in powers), default=u.idle_power_w)
-            for u in node.units
-        )
+        unit_power = map(max, zip(*(powers for _, powers, _ in combo)))
+        power = sum(p if p >= 0.0 else idle_w for p, idle_w in zip(unit_power, idle))
         if power <= power_threshold_w:
-            ipw = sum(term for term, _ in combo) / power
+            ipw = sum(term for term, _, _ in combo) / power
             if best is None or ipw > best:
-                best = ipw
-    return best
+                best, winners = ipw, []
+            if ipw == best:
+                winners.append(tuple(plan for _, _, plan in combo))
+    return None if best is None else (best, winners)
 
 
 @functools.cache
 def tiny_mapping_oracle_suite() -> tuple:
     """The 25 seed-4001 instances the scheduler is checked against exactly:
-    (workloads, node, threshold, exhaustive_mapping_ipw) tuples.
+    (workloads, node, threshold, best ipw of `exhaustive_mapping` or None) tuples.
 
     Cached, so the tests that share the suite pay for the enumeration once
     per session. Callers must not mutate the returned workloads.
@@ -267,7 +262,8 @@ def tiny_mapping_oracle_suite() -> tuple:
     for _ in range(25):
         workloads, node = random_scheduler_instance(rng)
         threshold = rng.uniform(4.0, 30.0)
-        suite.append((workloads, node, threshold, exhaustive_mapping_ipw(workloads, node, threshold)))
+        best = exhaustive_mapping(workloads, node, threshold)
+        suite.append((workloads, node, threshold, None if best is None else best[0]))
     return tuple(suite)
 
 

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from edcarb import cli, cli_io, edc_scheduler
-from edcarb.edc_scheduler import EdgeNode, MappingPlan, Segment, plan_bottleneck_ms
+from edcarb.edc_scheduler import EdgeNode, plan_bottleneck_ms, system_estimate
 from edcarb.errors import ValidationFailure
 from edcarb.cli_io import (
     ConfigError,
@@ -152,6 +152,11 @@ def test_an_integer_key_refuses_a_fraction(demo_copy, section, key, fraction, in
             "sim.llm_variants_file: tokens_per_s: could not convert string to float: 'x'",
         ),
         ("llm_variants.json", (0, "power_w"), 12.0, "sim.llm_variants_file: power_w: expected a list, got 12.0"),
+        ("variants.json", (0, "variants", 0, "layers"), 5, "variants_file: layers: expected a list, got 5"),
+        ("variants.json", (0, "variants"), 5, "variants_file: variants: expected a list, got 5"),
+        ("node.json", ("units",), 5, "node_file: units: expected a list, got 5"),
+        ("variants.json", (0, "model"), None, "variants_file: missing key 'model'"),
+        ("variants.json", (0, "variants", 0, "layers"), None, "variants_file: missing key 'layers'"),
     ],
     ids=[
         "px.not_a_list",
@@ -161,16 +166,25 @@ def test_an_integer_key_refuses_a_fraction(demo_copy, section, key, fraction, in
         "freq_levels_hz.not_a_list",
         "tokens_per_s",
         "power_w.not_a_list",
+        "layers.not_a_list",
+        "variants.not_a_list",
+        "units.not_a_list",
+        "model.missing",
+        "layers.missing",
     ],
 )
 def test_a_bad_list_names_its_key(demo_copy, file, path, value, error):
-    # a fraction in an integer list is one case of test_an_integer_key_refuses_a_fraction
+    # a fraction in an integer list is one case of test_an_integer_key_refuses_a_fraction;
+    # value None deletes the key
     doc = json.loads((demo_copy / file).read_text())
     *parents, key = path
     target = doc
     for step in parents:
         target = target[step]
-    target[key] = value
+    if value is None:
+        del target[key]
+    else:
+        target[key] = value
     (demo_copy / file).write_text(json.dumps(doc))
     with pytest.raises(ConfigError) as exc_info:
         load_config(demo_copy / "demo.json")
@@ -690,11 +704,16 @@ def write_scheduler_config(folder: Path, workloads, node, **policy) -> Path:
     return path
 
 
-def test_cli_schedule_constraint_flag_describes_the_joint_plan(tmp_path):
+@pytest.mark.parametrize("reverse_units", [False, True], ids=["node_order", "reversed"])
+def test_cli_schedule_constraint_flag_describes_the_joint_plan(tmp_path, reverse_units):
     # m0's plan on its own takes 4.891 ms per stage, under the 5.149 ms
-    # constraint; mapped jointly with m1 it takes 5.407 ms
+    # constraint; mapped jointly with m1 it takes 5.407 ms. Reversed, the
+    # units are listed against their id order, so a plan.json that names a
+    # unit by its index, or by another unit's id, fails the checks below.
     rng = random.Random(1)
     workloads, node = random_scheduler_instance(rng, n_layers=3, n_units=3, n_freqs=2)
+    if reverse_units:
+        node = dataclasses.replace(node, units=node.units[::-1])
     threshold = rng.uniform(5, 25)
     constraint_ms = 5.149
     # at ci_now = ci_min the threshold is exactly p_max_w
@@ -707,15 +726,18 @@ def test_cli_schedule_constraint_flag_describes_the_joint_plan(tmp_path):
     assert cli.main(["schedule", "--config", str(path), "--ci-now", "0", "--out", str(out)]) == 0
     plan = json.loads((out / "plan.json").read_text())
     assert plan["power_threshold_w"] == threshold
+    index = {unit.id: u for u, unit in enumerate(node.units)}
+    plans = [
+        tuple((seg["start"], seg["end"], index[seg["unit"]], seg["freq_idx"]) for seg in entry["segments"])
+        for entry in plan["models"]
+    ]
     flags = {}
-    for entry, variant in zip(plan["models"], workloads):
-        segments = tuple(
-            Segment(seg["start"], seg["end"], seg["unit"], seg["freq_idx"]) for seg in entry["segments"]
-        )
-        bottleneck = plan_bottleneck_ms(MappingPlan(variant.name, segments), variant, node)
+    for entry, variant, written in zip(plan["models"], workloads, plans):
+        bottleneck = plan_bottleneck_ms(written, variant, node)
         assert entry["constraint_violated"] == (bottleneck > constraint_ms)
         flags[entry["model"]] = entry["constraint_violated"]
     assert flags == {"m0": True, "m1": False}
+    assert system_estimate(list(zip(workloads, plans)), node).power_w == plan["system"]["power_w"]
 
 
 def test_cli_schedule_refuses_a_search_with_too_many_cut_patterns(tmp_path, capsys):

@@ -9,7 +9,6 @@ import pytest
 from edcarb import edc_scheduler
 from edcarb.edc_scheduler import (
     EdgeNode,
-    MappingPlan,
     MissingProfileEntry,
     ModelVariant,
     ModelVariantSet,
@@ -17,7 +16,6 @@ from edcarb.edc_scheduler import (
     NoVariantAboveAccuracyFloor,
     ProcessingUnit,
     SearchParams,
-    Segment,
     UnitKind,
     VariantLayer,
     ci_to_threshold,
@@ -31,6 +29,7 @@ from edcarb.edc_scheduler import (
 from edcarb.errors import ValidationFailure
 
 from support import (
+    exhaustive_mapping,
     make_unit,
     make_variant,
     random_scheduler_instance,
@@ -42,6 +41,7 @@ LAYERS = ("l0", "l1", "l2")
 
 
 def simple_node(**overrides) -> EdgeNode:
+    """cpu0 (unit index 0) and gpu0 (unit index 1), both profiled for LAYERS."""
     cpu = make_unit("cpu0", "CPU", LAYERS, base_latency_ms=4.0, base_power_w=3.0)
     gpu = make_unit("gpu0", "GPU", LAYERS, base_latency_ms=2.0, base_power_w=6.0)
     values = dict(units=(cpu, gpu), transfer_bytes_per_ms=1e5)
@@ -57,7 +57,7 @@ def simple_node(**overrides) -> EdgeNode:
 def test_first_segment_has_no_transfer_penalty():
     node = simple_node()
     variant = make_variant("m", LAYERS)
-    latency, power = segment_cost(Segment(0, 2, "cpu0", 0), variant, node)
+    latency, power = segment_cost((0, 2, 0, 0), variant, node)
     assert latency == pytest.approx(4.0 + 8.0)  # layer latencies only
     assert power == pytest.approx(3.0)  # max active power across layers
 
@@ -65,7 +65,7 @@ def test_first_segment_has_no_transfer_penalty():
 def test_later_segment_pays_boundary_bytes():
     node = simple_node()
     variant = make_variant("m", LAYERS, output_bytes=50_000)
-    latency, _ = segment_cost(Segment(1, 3, "gpu0", 0), variant, node)
+    latency, _ = segment_cost((1, 3, 1, 0), variant, node)
     # 50 kB over 100 kB/ms adds 0.5 ms to the two layer latencies
     assert latency == pytest.approx(4.0 + 6.0 + 0.5)
 
@@ -74,8 +74,8 @@ def test_transfer_penalty_monotone_in_boundary_bytes():
     node = simple_node()
     small = make_variant("s", LAYERS, output_bytes=10_000)
     large = make_variant("l", LAYERS, output_bytes=90_000)
-    lat_small, _ = segment_cost(Segment(1, 3, "gpu0", 0), small, node)
-    lat_large, _ = segment_cost(Segment(1, 3, "gpu0", 0), large, node)
+    lat_small, _ = segment_cost((1, 3, 1, 0), small, node)
+    lat_large, _ = segment_cost((1, 3, 1, 0), large, node)
     assert lat_large > lat_small
 
 
@@ -83,7 +83,7 @@ def test_missing_profile_entry():
     node = simple_node()
     variant = make_variant("m", ("l0", "unknown"))
     with pytest.raises(MissingProfileEntry):
-        segment_cost(Segment(0, 2, "cpu0", 0), variant, node)
+        segment_cost((0, 2, 0, 0), variant, node)
 
 
 # ---------------------------------------------------------------------------
@@ -97,17 +97,17 @@ def test_throughput_is_reciprocal_bottleneck():
         "m", 0.9, (VariantLayer("l0", 1), VariantLayer("l1", 1), VariantLayer("l2", 1))
     )
     # cpu segment: l0+l1 = 12 ms is not the bottleneck; gpu l2 with ~5 ms is not either
-    plan = MappingPlan("m", (Segment(0, 1, "cpu0", 0), Segment(1, 3, "gpu0", 0)))
+    plan = ((0, 1, 0, 0), (1, 3, 1, 0))
     est = system_estimate([(variant, plan)], node)
-    seg0 = segment_cost(plan.segments[0], variant, node)[0]
-    seg1 = segment_cost(plan.segments[1], variant, node)[0]
+    seg0 = segment_cost(plan[0], variant, node)[0]
+    seg1 = segment_cost(plan[1], variant, node)[0]
     assert est.throughput_inf_per_s == pytest.approx(1000.0 / max(seg0, seg1))
 
 
 def test_empty_unit_contributes_idle_power():
     node = simple_node()
     variant = make_variant("m", LAYERS)
-    plan = MappingPlan("m", (Segment(0, 3, "cpu0", 0),))
+    plan = ((0, 3, 0, 0),)
     est = system_estimate([(variant, plan)], node)
     assert est.power_w == pytest.approx(3.0 + 1.0)  # cpu active max + gpu idle
 
@@ -120,7 +120,7 @@ def test_occupied_unit_below_idle_power_pays_its_active_power(active_w):
     gpu = make_unit("gpu0", "GPU", ("other",), idle_power_w=1.0)
     node = EdgeNode(units=(cpu, gpu), transfer_bytes_per_ms=1e5)
     variants = [make_variant("a", LAYERS), make_variant("b", LAYERS)]
-    plans = [MappingPlan(v.name, (Segment(0, 3, "cpu0", 0),)) for v in variants]
+    plans = [((0, 3, 0, 0),)] * len(variants)
     assert system_estimate(list(zip(variants, plans)), node).power_w == active_w + 1.0
     solution = search_mapping(variants, node, 10.0, SearchParams(rng_seed=0))
     assert solution.estimate.power_w == active_w + 1.0
@@ -130,8 +130,8 @@ def test_two_dnns_on_disjoint_units_add_throughput():
     node = simple_node()
     variant_a = make_variant("a", LAYERS)
     variant_b = make_variant("b", LAYERS)
-    plan_a = MappingPlan("a", (Segment(0, 3, "cpu0", 0),))
-    plan_b = MappingPlan("b", (Segment(0, 3, "gpu0", 0),))
+    plan_a = ((0, 3, 0, 0),)
+    plan_b = ((0, 3, 1, 0),)
     single = system_estimate([(variant_a, plan_a)], node)
     both = system_estimate([(variant_a, plan_a), (variant_b, plan_b)], node)
     single_b = system_estimate([(variant_b, plan_b)], node)
@@ -143,7 +143,7 @@ def test_two_dnns_on_disjoint_units_add_throughput():
 def test_ipw_is_throughput_over_power():
     node = simple_node()
     variant = make_variant("m", LAYERS)
-    plan = MappingPlan("m", (Segment(0, 3, "gpu0", 1),))
+    plan = ((0, 3, 1, 1),)
     est = system_estimate([(variant, plan)], node)
     assert est.ipw == pytest.approx(est.throughput_inf_per_s / est.power_w)
 
@@ -151,15 +151,15 @@ def test_ipw_is_throughput_over_power():
 def test_validate_plan_checks_partition():
     node = simple_node()
     variant = make_variant("m", LAYERS)
-    validate_plan(MappingPlan("m", (Segment(0, 2, "cpu0", 0), Segment(2, 3, "gpu0", 1))), variant, node)
-    with pytest.raises(ValidationFailure):
-        validate_plan(MappingPlan("m", (Segment(0, 2, "cpu0", 0),)), variant, node)
-    with pytest.raises(ValidationFailure):
-        validate_plan(
-            MappingPlan("m", (Segment(0, 2, "cpu0", 0), Segment(1, 3, "gpu0", 0))), variant, node
-        )
-    with pytest.raises(ValidationFailure):
-        validate_plan(MappingPlan("m", (Segment(0, 3, "cpu0", 9),)), variant, node)
+    validate_plan(((0, 2, 0, 0), (2, 3, 1, 1)), variant, node)
+    with pytest.raises(ValidationFailure, match="do not cover"):
+        validate_plan(((0, 2, 0, 0),), variant, node)
+    with pytest.raises(ValidationFailure, match="contiguous"):
+        validate_plan(((0, 2, 0, 0), (1, 3, 1, 0)), variant, node)
+    with pytest.raises(ValidationFailure, match="freq index 9"):
+        validate_plan(((0, 3, 0, 9),), variant, node)
+    with pytest.raises(ValidationFailure, match="unit index 2 outside"):
+        validate_plan(((0, 3, 2, 0),), variant, node)
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +216,7 @@ def test_degenerate_space_single_plan():
     node = EdgeNode(units=(unit,), transfer_bytes_per_ms=1e5)
     variant = make_variant("m", ("l0",))
     solution = search_mapping([variant], node, power_threshold_w=100.0)
-    assert solution.plans == (MappingPlan("m", (Segment(0, 1, "only", 0),)),)
+    assert solution.plans == (((0, 1, 0, 0),),)
 
 
 def test_search_matches_exhaustive_on_tiny_instances():
@@ -320,12 +320,12 @@ def test_search_breaks_ties_by_position_in_the_node_not_by_unit_id():
     # every plan on "zz" has a mirror on "aa" with the same score; a beam of
     # one keeps only the first of them
     solution = search_mapping([variant], node, 100.0, SearchParams(beam_width=1))
-    assert {seg.unit_id for seg in solution.plans[0].segments} == {"zz"}
-    assert solution.plans[0].segments[0].freq_idx == 1
+    assert {node.units[u].id for _, _, u, _ in solution.plans[0]} == {"zz"}
+    assert solution.plans[0][0][3] == 1
 
     # that beam entry is over the threshold; only the two lowest-frequency
     # whole-DNN fallbacks fit under their own power
-    fallback = MappingPlan("m", (Segment(0, len(LAYERS), "zz", 0),))
+    fallback = ((0, len(LAYERS), 0, 0),)
     threshold = system_estimate([(variant, fallback)], node).power_w
     assert solution.estimate.power_w > threshold
     params = SearchParams(beam_width=1, local_search_moves=0)
@@ -480,6 +480,44 @@ def test_select_variants_takes_the_first_combination_whose_joint_plan_meets_the_
         if len(sets) > 1:
             multi_set_outcomes[outcome] += 1
     assert min(multi_set_outcomes.values()) >= 3, multi_set_outcomes
+
+
+def test_select_variants_matches_brute_force_over_the_variant_product():
+    # The oracle maps every combination exhaustively, in product order. A
+    # combination meets the constraint when every max-ipw joint plan does;
+    # an instance whose max-ipw plans disagree is skipped, since the search
+    # may return any of them.
+    rng = random.Random(7)
+    strong = SearchParams(beam_width=128, candidate_cap=2048, local_search_moves=400, rng_seed=0)
+    outcomes = {"heaviest": 0, "lighter": 0, "violated": 0, "infeasible": 0}
+    for _ in range(60):
+        workloads, node = random_scheduler_instance(rng)
+        sets = [truncated_set(w, rng.randint(0, 2)) for w in workloads]
+        constraint = rng.uniform(2.0, 12.0)
+        threshold = rng.uniform(1.0, 30.0)
+        combos = list(itertools.product(*(vset.variants for vset in sets)))
+        best = [exhaustive_mapping(combo, node, threshold) for combo in combos]
+        verdicts = [
+            None if b is None else {
+                all(plan_bottleneck_ms(p, v, node) <= constraint for v, p in zip(combo, joint)) for joint in b[1]
+            }
+            for combo, b in zip(combos, best)
+        ]
+        if any(v is not None and len(v) > 1 for v in verdicts):
+            continue
+        met = [v == {True} for v in verdicts]
+        feasible = [k for k, b in enumerate(best) if b is not None]
+        if not feasible:
+            with pytest.raises(NoFeasiblePlan):
+                select_variants(sets, constraint, 0.0, node, threshold, strong)
+            outcomes["infeasible"] += 1
+            continue
+        k = met.index(True) if any(met) else feasible[-1]
+        variants, solution = select_variants(sets, constraint, 0.0, node, threshold, strong)
+        assert variants == combos[k]
+        assert solution.estimate.ipw == pytest.approx(best[k][0], rel=1e-12)
+        outcomes["violated" if not met[k] else "heaviest" if k == 0 else "lighter"] += 1
+    assert min(outcomes.values()) >= 3, outcomes
 
 
 def test_select_variants_judges_variants_by_the_joint_plan():

@@ -1,5 +1,5 @@
-"""Every public module-level function and class, and every class field, of
-the library is read by the library.
+"""Every public module-level function and class, and every class field and
+public method, of the library is read by the library.
 
 A name that only tests read is surface no CLI verb, config key or benchmark
 reaches. The checks parse each ``src/edcarb/*.py`` file with ``ast`` and
@@ -7,8 +7,9 @@ match by name only. A module-level name counts as read when it occurs as an
 ``ast.Name`` or ``ast.Attribute`` anywhere in the package. An annotated
 class field counts as read when its name occurs as an attribute that is
 loaded, or as a string constant (``getattr`` by name, which is how
-``DesignSpace`` reads its genes). Writing a field does not read it. Unread
-methods are not caught.
+``DesignSpace`` reads its genes). Writing a field does not read it. A public
+method counts as read the same way, so a method called only by tests, or by
+nothing, is caught.
 """
 
 import ast
@@ -27,7 +28,6 @@ REFERENCES = {
 # Fields that nothing in the library reads but that stay, with the reason.
 UNREAD_FIELDS = {
     "EvaluatedDesign.infeasibility_reason": "kept for counting infeasible designs by reason (ROADMAP item 6)",
-    "MappingPlan.dnn": "part of every mapping result's repr; removing it moves every mapping digest",
 }
 
 
@@ -49,17 +49,18 @@ def unread_public_names(sources: list[str]) -> list[str]:
     return sorted(defined - read)
 
 
-def unread_fields(sources: list[str]) -> list[str]:
-    """``Class.field`` of each annotated field of a class in ``sources`` whose
-    name none of them loads as an attribute or holds as a string constant."""
+def _unread_members(sources: list[str], member_name) -> list[str]:
+    """``Class.name`` of each class-body statement of ``sources`` that
+    ``member_name`` names, when none of them loads that name as an attribute
+    or holds it as a string constant."""
     trees = [ast.parse(source) for source in sources]
-    fields = {
-        f"{node.name}.{item.target.id}"
+    members = {
+        f"{node.name}.{name}"
         for tree in trees
         for node in ast.walk(tree)
         if isinstance(node, ast.ClassDef)
         for item in node.body
-        if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+        if (name := member_name(item))
     }
     read = set()
     for tree in trees:
@@ -68,7 +69,29 @@ def unread_fields(sources: list[str]) -> list[str]:
                 read.add(node.attr)
             elif isinstance(node, ast.Constant) and isinstance(node.value, str):
                 read.add(node.value)
-    return sorted(f for f in fields if f.split(".", 1)[1] not in read)
+    return sorted(m for m in members if m.split(".", 1)[1] not in read)
+
+
+def _field_name(item: ast.stmt) -> str | None:
+    if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+        return item.target.id
+    return None
+
+
+def _public_method_name(item: ast.stmt) -> str | None:
+    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+        return item.name
+    return None
+
+
+def unread_fields(sources: list[str]) -> list[str]:
+    """``Class.field`` of each annotated class field that the sources never read."""
+    return _unread_members(sources, _field_name)
+
+
+def unread_methods(sources: list[str]) -> list[str]:
+    """``Class.method`` of each public method that the sources never read."""
+    return _unread_members(sources, _public_method_name)
 
 
 def test_every_public_definition_is_read_by_the_library():
@@ -94,3 +117,17 @@ def test_field_check_flags_only_unread_fields():
     )
     b = "def gene(p):\n    return getattr(p, 'y')\nclass Lonely:\n    size: float\n    CONSTANT = 3\n"
     assert unread_fields([a, b]) == ["Lonely.size", "Point.label", "Point.written"]
+
+
+def test_every_public_method_is_read_by_the_library():
+    sources = [path.read_text() for path in sorted(SRC.glob("*.py"))]
+    assert unread_methods(sources) == []
+
+
+def test_method_check_flags_only_unread_public_methods():
+    a = (
+        "class Node:\n    def by_id(self): pass\n    def called(self): pass\n    def _private(self): pass\n"
+        "    @property\n    def size(self): return 1\n    def named(self): pass\n    def written(self): pass\n"
+    )
+    b = "def use(n):\n    n.written = 0\n    return n.called(), n.size, getattr(n, 'named')\n"
+    assert unread_methods([a, b]) == ["Node.by_id", "Node.written"]
