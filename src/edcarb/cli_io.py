@@ -416,14 +416,14 @@ def load_node(path: str | Path) -> EdgeNode:
 def load_variant_sets(path: str | Path) -> list[ModelVariantSet]:
     path = Path(path)
     doc = _load_json(path)
-    if isinstance(doc, dict):
-        doc = [doc]
+    # one model set may stand alone, not in a list
+    entries = _tuple_of(_object)([doc] if isinstance(doc, dict) else doc)
     return [
         ModelVariantSet(
-            name=_read(_object(entry), "model", _text),
+            name=_read(entry, "model", _text),
             variants=tuple(_from_spec(ModelVariant, v) for v in _read(entry, "variants", _tuple_of(_object))),
         )
-        for entry in doc
+        for entry in entries
     ]
 
 
@@ -446,7 +446,7 @@ def load_exec_table(entries_path: str | Path, concurrency_path: str | Path | Non
 def load_llm_variants(path: str | Path) -> tuple[LlmVariant, ...]:
     path = Path(path)
     doc = _load_json(path)
-    variants = tuple(_from_spec(LlmVariant, v) for v in doc)
+    variants = tuple(_from_spec(LlmVariant, v) for v in _tuple_of(_object)(doc))
     validate_llm_variant_order(variants)
     return variants
 

@@ -17,10 +17,17 @@ their position in the node, and only the CLI writes their ids.
 The pipeline model is a fold: each mapped DNN contributes a summary (its
 throughput term and the max active power it puts on each unit), and the
 system estimate folds the summaries in DNN order. The search memoizes
-segment costs for one call and carries the fold state with each beam
-partial, so every estimate it ranks on is bit-identical to `system_estimate`
-over the same plans. Equal scores break on the concatenated plans: by unit
-position in the node, never by unit id.
+segment costs and carries the fold state with each beam partial, so every
+estimate it ranks on is bit-identical to `system_estimate` over the same
+plans. Equal scores break on the concatenated plans: by unit position in the
+node, never by unit id.
+
+Only the final filter and the local search read the power threshold, so the
+search comes in two steps. `prepare_mapping` draws the candidates, costs
+their segments and runs the beam; `PreparedMapping.solve` filters the beam's
+pool by one threshold and runs the local search through the same memo. A
+simulation prepares once per run and re-plans at each threshold change with
+one solve; `search_mapping` is one prepare and one solve.
 """
 
 from __future__ import annotations
@@ -35,7 +42,8 @@ from typing import Sequence
 from .errors import InfeasibleError, ValidationFailure
 
 # Largest number of ways to cut one DNN into <= max_segments segments that
-# the mapping search enumerates; each pattern is held as a tuple.
+# the mapping search accepts; it enumerates them only when its candidates fit
+# `candidate_cap`, and otherwise draws each sampled pattern by its rank.
 MAX_CUT_PATTERNS = 1_000_000
 
 # Largest number of variant combinations `select_variants` maps, one search each.
@@ -324,11 +332,34 @@ def hysteresis_update(
 
 
 def _cut_masks(n_layers: int, max_segments: int):
-    """All ways to cut [0, n_layers) into <= max_segments contiguous segments."""
+    """All ways to cut [0, n_layers) into <= max_segments contiguous segments:
+    by number of cuts, then in lexicographic order of the cuts."""
     boundaries = range(1, n_layers)
     for n_cuts in range(0, min(max_segments - 1, n_layers - 1) + 1):
         for cuts in itertools.combinations(boundaries, n_cuts):
             yield (0,) + cuts + (n_layers,)
+
+
+def _cut_counts(n_layers: int, max_segments: int) -> list[int]:
+    """Number of `_cut_masks` patterns with 0, 1, ... cuts."""
+    return [math.comb(n_layers - 1, k) for k in range(min(max_segments, n_layers))]
+
+
+def _unrank_cuts(n_layers: int, counts: list[int], rank: int) -> tuple[int, ...]:
+    """The pattern at position `rank` of `_cut_masks`, without listing the ones before it."""
+    n_cuts = 0
+    while rank >= counts[n_cuts]:
+        rank -= counts[n_cuts]
+        n_cuts += 1
+    cuts = [0]
+    for left in range(n_cuts, 0, -1):
+        # patterns that cut at `cut` next choose their left - 1 later cuts after it
+        cut = cuts[-1] + 1
+        while rank >= (block := math.comb(n_layers - 1 - cut, left - 1)):
+            rank -= block
+            cut += 1
+        cuts.append(cut)
+    return (*cuts, n_layers)
 
 
 def _candidate_plans(
@@ -341,20 +372,22 @@ def _candidate_plans(
     """Candidate plans for one DNN: full enumeration when it fits the cap,
     otherwise all single-segment plans plus seeded random samples."""
     choices = [(u, f) for u in covering for f in range(len(node.units[u].freq_levels_hz))]
-    masks = list(_cut_masks(n_layers, params.max_segments))
-    total = sum(len(choices) ** (len(cuts) - 1) for cuts in masks)
+    counts = _cut_counts(n_layers, params.max_segments)
+    # a pattern with k cuts has k + 1 segments
+    total = sum(count * len(choices) ** (k + 1) for k, count in enumerate(counts))
     if total <= params.candidate_cap:
         return [
             tuple((*span, *choice) for span, choice in zip(itertools.pairwise(cuts), combo))
-            for cuts in masks
+            for cuts in _cut_masks(n_layers, params.max_segments)
             for combo in itertools.product(choices, repeat=len(cuts) - 1)
         ]
+    n_patterns = sum(counts)
     # plan -> None, in first-draw order
     plans = dict.fromkeys(((0, n_layers, u, f),) for u, f in choices)
     attempts = 0
     while len(plans) < params.candidate_cap and attempts < params.candidate_cap * 10:
         attempts += 1
-        cuts = rng.choice(masks)
+        cuts = _unrank_cuts(n_layers, counts, rng.randrange(n_patterns))
         plans.setdefault(tuple((*span, *rng.choice(choices)) for span in itertools.pairwise(cuts)))
     return list(plans)
 
@@ -384,24 +417,93 @@ def _replace_segments(plans: tuple[Plan, ...], d: int, j: int, *segments: Segmen
     return plans[:d] + (plan[:j] + segments + plan[j + len(segments) :],) + plans[d + 1 :]
 
 
-def search_mapping(
-    workloads: Sequence[ModelVariant],
-    node: EdgeNode,
-    power_threshold_w: float,
-    params: SearchParams | None = None,
-) -> MappingSolution:
-    """Find plans for all DNNs maximizing inferences-per-watt under the threshold.
+# (DNN, segment) -> (unit index, latency ms, power W)
+_SegmentCosts = dict[tuple[int, Segment], tuple[int, float, float]]
 
-    Beam search assigns DNNs one at a time over enumerated (or sampled)
-    per-DNN candidate plans, then first-improvement local search perturbs
-    single segments. Ranking and the power-threshold filter both use the
-    exact estimate, so returned plans respect the budget. Segment costs are
-    memoized per (DNN, segment) for the call, and each beam partial carries
-    its fold state, so an extension costs one fold instead of a re-estimate
-    of the whole prefix. Deterministic for a fixed seed.
-    """
+
+def _summary(costs: _SegmentCosts, d: int, plan: Plan, variant: ModelVariant, node: EdgeNode) -> _Fold:
+    """`_plan_summary` of DNN d's plan, with its segment costs memoized in `costs`."""
+    seg_costs = []
+    for seg in plan:
+        cost = costs.get((d, seg))
+        if cost is None:
+            cost = costs[(d, seg)] = (seg[2], *segment_cost(seg, variant, node))
+        seg_costs.append(cost)
+    return _plan_summary(seg_costs, node)
+
+
+def _exact_estimate(
+    costs: _SegmentCosts, plans: tuple[Plan, ...], workloads: Sequence[ModelVariant], node: EdgeNode
+) -> SystemEstimate:
+    state = _empty_fold(node)
+    for d, plan in enumerate(plans):
+        state = _fold(state, _summary(costs, d, plan, workloads[d], node))
+    return _folded_estimate(state, node)
+
+
+def _check_threshold(power_threshold_w: float) -> None:
     if power_threshold_w <= 0:
         raise ValidationFailure("power_threshold_w must be > 0")
+
+
+@dataclass(frozen=True)
+class PreparedMapping:
+    """The part of a mapping search that does not depend on the power
+    threshold, made once by `prepare_mapping` and solved at any number of
+    thresholds. Each solve gives what `search_mapping` gives at that
+    threshold: a segment cost depends only on its (DNN, segment) key, so
+    solves share the memo without seeing each other's thresholds."""
+
+    workloads: tuple[ModelVariant, ...]
+    node: EdgeNode
+    coverings: tuple[list[int], ...]
+    local_search_moves: int
+    # (plans, exact estimate) of each beam survivor and each fallback, best first
+    pool: tuple[tuple[tuple[Plan, ...], SystemEstimate], ...]
+    segment_costs: _SegmentCosts
+
+    def solve(self, power_threshold_w: float) -> MappingSolution:
+        """The pool's best entry under the threshold, improved by first-improvement local search."""
+        _check_threshold(power_threshold_w)
+        best = next((entry for entry in self.pool if entry[1].power_w <= power_threshold_w), None)
+        if best is None:
+            raise NoFeasiblePlan(
+                f"no plan fits under {power_threshold_w} W, even single-unit lowest-frequency mappings"
+            )
+        best_plans, best_exact = best
+
+        budget = self.local_search_moves
+        improved = True
+        while improved and budget > 0:
+            improved = False
+            for neighbor in _neighbor_plans(best_plans, self.coverings, self.node):
+                budget -= 1
+                exact = _exact_estimate(self.segment_costs, neighbor, self.workloads, self.node)
+                if exact.power_w <= power_threshold_w and exact.ipw > best_exact.ipw:
+                    best_plans, best_exact = neighbor, exact
+                    improved = True
+                    break
+                if budget <= 0:
+                    break
+
+        return MappingSolution(plans=best_plans, estimate=best_exact)
+
+
+def prepare_mapping(
+    workloads: Sequence[ModelVariant],
+    node: EdgeNode,
+    params: SearchParams | None = None,
+) -> PreparedMapping:
+    """Candidate plans, segment costs and beam of a mapping search.
+
+    Beam search assigns DNNs one at a time over enumerated (or sampled)
+    per-DNN candidate plans, ranking every extension on the exact estimate.
+    Segment costs are memoized per (DNN, segment), and each beam partial
+    carries its fold state, so an extension costs one fold instead of a
+    re-estimate of the whole prefix. The beam survivors and the fallbacks
+    form the pool that `PreparedMapping.solve` filters by the threshold.
+    Deterministic for a fixed seed.
+    """
     if not workloads:
         raise ValidationFailure("search_mapping needs at least one workload")
     params = params or SearchParams()
@@ -415,7 +517,7 @@ def search_mapping(
                 f"no unit has a complete profile for variant {variant.name!r}"
             )
         n_layers = len(variant.layers)
-        n_patterns = sum(math.comb(n_layers - 1, k) for k in range(min(params.max_segments, n_layers)))
+        n_patterns = sum(_cut_counts(n_layers, params.max_segments))
         if n_patterns > MAX_CUT_PATTERNS:
             raise ValidationFailure(
                 f"variant {variant.name!r}: {n_layers} layers at max_segments={params.max_segments} "
@@ -437,29 +539,12 @@ def search_mapping(
         for d, variant in enumerate(workloads)
     ]
 
-    # (DNN, segment) -> (unit index, latency ms, power W)
-    segment_costs: dict[tuple[int, Segment], tuple[int, float, float]] = {}
-
-    def summary(d: int, plan: Plan) -> _Fold:
-        costs = []
-        for seg in plan:
-            cost = segment_costs.get((d, seg))
-            if cost is None:
-                cost = segment_costs[(d, seg)] = (seg[2], *segment_cost(seg, workloads[d], node))
-            costs.append(cost)
-        return _plan_summary(costs, node)
-
-    def exact_estimate(plans: tuple[Plan, ...]) -> SystemEstimate:
-        state = _empty_fold(node)
-        for d, plan in enumerate(plans):
-            state = _fold(state, summary(d, plan))
-        return _folded_estimate(state, node)
-
+    segment_costs: _SegmentCosts = {}
     # Each beam entry is (plans, fold state). Extensions are ranked by
     # (-ipw, concatenated plans); only the survivors' fold states are kept.
     beam: list[tuple[tuple[Plan, ...], _Fold]] = [((), _empty_fold(node))]
-    for d in range(len(workloads)):
-        options = [(plan, summary(d, plan)) for plan in candidates[d]]
+    for d, variant in enumerate(workloads):
+        options = [(plan, _summary(segment_costs, d, plan, variant, node)) for plan in candidates[d]]
         ranked = []
         for i, (plans, state) in enumerate(beam):
             key = sum(plans, ())
@@ -472,31 +557,36 @@ def search_mapping(
             for _, _, i, j in ranked[: params.beam_width]
         ]
 
-    # A fallback the beam holds repeats its plans and estimate, so `min` is unchanged.
+    # A fallback the beam holds repeats its plans and estimate, so the best
+    # entry under any threshold is unchanged.
     pool = [(plans, _folded_estimate(state, node)) for plans, state in beam]
-    pool += [(fb, exact_estimate(fb)) for fb in fallbacks]
-    feasible = [(plans, exact) for plans, exact in pool if exact.power_w <= power_threshold_w]
-    if not feasible:
-        raise NoFeasiblePlan(
-            f"no plan fits under {power_threshold_w} W, even single-unit lowest-frequency mappings"
-        )
-    best_plans, best_exact = min(feasible, key=lambda entry: (-entry[1].ipw, sum(entry[0], ())))
+    pool += [(fb, _exact_estimate(segment_costs, fb, workloads, node)) for fb in fallbacks]
+    pool.sort(key=lambda entry: (-entry[1].ipw, sum(entry[0], ())))
+    return PreparedMapping(
+        workloads=tuple(workloads),
+        node=node,
+        coverings=tuple(coverings),
+        local_search_moves=params.local_search_moves,
+        pool=tuple(pool),
+        segment_costs=segment_costs,
+    )
 
-    budget = params.local_search_moves
-    improved = True
-    while improved and budget > 0:
-        improved = False
-        for neighbor in _neighbor_plans(best_plans, coverings, node):
-            budget -= 1
-            exact = exact_estimate(neighbor)
-            if exact.power_w <= power_threshold_w and exact.ipw > best_exact.ipw:
-                best_plans, best_exact = neighbor, exact
-                improved = True
-                break
-            if budget <= 0:
-                break
 
-    return MappingSolution(plans=best_plans, estimate=best_exact)
+def search_mapping(
+    workloads: Sequence[ModelVariant],
+    node: EdgeNode,
+    power_threshold_w: float,
+    params: SearchParams | None = None,
+) -> MappingSolution:
+    """Find plans for all DNNs maximizing inferences-per-watt under the threshold.
+
+    One `prepare_mapping` and one `PreparedMapping.solve`: the beam's pool
+    is filtered by the threshold, and first-improvement local search then
+    perturbs single segments of the best entry. Ranking and the filter both
+    use the exact estimate, so returned plans respect the budget.
+    """
+    _check_threshold(power_threshold_w)
+    return prepare_mapping(workloads, node, params).solve(power_threshold_w)
 
 
 def select_variants(

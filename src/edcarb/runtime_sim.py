@@ -12,8 +12,8 @@ Three execution modes share the loop:
 - "batch": one lookup-table engine serving inference requests with dynamic
   batch sizes, concurrent streams and frequency scaling under soft deadlines;
 - "llm": token jobs served by the quantized-variant fallback policy;
-- "mapping": continuous-flow multi-DNN plans re-searched at every threshold
-  change.
+- "mapping": continuous-flow multi-DNN plans re-planned at every threshold
+  change, each a solve of the mapping search the run prepares once.
 
 Everything is a pure function of the inputs; the only randomness is the
 Poisson arrival model, which carries its own seed. The decision log and step
@@ -36,7 +36,7 @@ from .edc_scheduler import (
     ci_to_threshold,
     hysteresis_update,
     plan_bottleneck_ms,
-    search_mapping,
+    prepare_mapping,
 )
 from .errors import InfeasibleError, ValidationFailure
 
@@ -463,6 +463,10 @@ def run_simulation(
     if config.mode in ("batch", "llm") and arrivals is None:
         raise ValidationFailure(f"{config.mode} mode needs an arrival model")
 
+    # mapping mode re-plans by solving, at each new threshold, the one search
+    # it prepares here; the search's other steps do not read the threshold
+    prepared = prepare_mapping(workloads, node, search_params) if config.mode == "mapping" else None
+
     # mapping mode serves a continuous flow and ignores request arrivals
     arrival_events = (
         arrivals.materialize(config.horizon_s)
@@ -531,7 +535,7 @@ def run_simulation(
                     "tps_violated": choice.tps_violated,
                 })
             elif config.mode == "mapping":
-                solution = search_mapping(workloads, node, threshold, search_params)
+                solution = prepared.solve(threshold)
                 flow = (
                     solution.estimate.power_w,
                     solution.estimate.throughput_inf_per_s,

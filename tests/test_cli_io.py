@@ -191,6 +191,24 @@ def test_a_bad_list_names_its_key(demo_copy, file, path, value, error):
     assert exc_info.value.errors == [error]
 
 
+@pytest.mark.parametrize(
+    "file, key",
+    [("variants.json", "variants_file"), ("llm_variants.json", "sim.llm_variants_file")],
+    ids=["variants", "llm_variants"],
+)
+def test_a_variants_file_that_is_not_a_list_names_its_key(demo_copy, file, key):
+    (demo_copy / file).write_text("5")
+    with pytest.raises(ConfigError) as exc_info:
+        load_config(demo_copy / "demo.json")
+    assert exc_info.value.errors == [f"{key}: expected a list, got 5"]
+
+
+def test_a_variants_file_may_hold_one_model_set_outside_a_list(demo_copy):
+    doc = json.loads((demo_copy / "variants.json").read_text())
+    (demo_copy / "variants.json").write_text(json.dumps(doc[0]))
+    assert load_config(demo_copy / "demo.json").variant_sets == load_config(DEMO_DIR / "demo.json").variant_sets[:1]
+
+
 @pytest.mark.parametrize("policy_pct", [None, 0.5], ids=["default", "set"])
 def test_explorer_accuracy_threshold_comes_from_policy(demo_copy, policy_pct):
     config = json.loads((demo_copy / "demo.json").read_text())

@@ -350,6 +350,98 @@ def test_search_estimate_is_bit_identical_to_system_estimate():
     assert checked >= 20
 
 
+def test_one_prepared_search_solves_every_threshold_as_search_mapping_does():
+    # solving in shuffled order, through one segment-cost memo, gives each
+    # threshold its own search_mapping result or NoFeasiblePlan
+    rng = random.Random(808)
+    solved = infeasible = 0
+    for _ in range(40):
+        workloads, node = random_scheduler_instance(rng)
+        params = SearchParams(
+            beam_width=rng.choice((1, 4, 16)),
+            local_search_moves=rng.choice((0, 20, 200)),
+            max_segments=rng.choice((1, 2, 3)),
+            candidate_cap=rng.choice((4, 16, 64)),
+            rng_seed=rng.randrange(1000),
+        )
+        thresholds = [rng.uniform(2.0, 30.0) for _ in range(6)]
+        prepared = edc_scheduler.prepare_mapping(workloads, node, params)
+        for threshold in rng.sample(thresholds, len(thresholds)):
+            try:
+                expected = search_mapping(workloads, node, threshold, params)
+            except NoFeasiblePlan:
+                with pytest.raises(NoFeasiblePlan):
+                    prepared.solve(threshold)
+                infeasible += 1
+                continue
+            assert prepared.solve(threshold) == expected
+            solved += 1
+    assert solved >= 100 and infeasible >= 10
+
+
+def test_a_prepared_search_refuses_a_threshold_that_is_not_positive():
+    prepared = edc_scheduler.prepare_mapping([make_variant("m", LAYERS)], simple_node())
+    for threshold in (0.0, -1.0):
+        with pytest.raises(ValidationFailure, match="power_threshold_w must be > 0"):
+            prepared.solve(threshold)
+    # search_mapping checks the threshold before the workloads
+    with pytest.raises(ValidationFailure, match="power_threshold_w must be > 0"):
+        search_mapping([], simple_node(), 0.0)
+
+
+@pytest.mark.parametrize("n_layers", range(1, 13))
+def test_unranked_cut_pattern_is_the_listed_one(n_layers):
+    for max_segments in range(1, n_layers + 2):
+        masks = list(edc_scheduler._cut_masks(n_layers, max_segments))
+        counts = edc_scheduler._cut_counts(n_layers, max_segments)
+        assert sum(counts) == len(masks)
+        assert [edc_scheduler._unrank_cuts(n_layers, counts, k) for k in range(len(masks))] == masks
+
+
+def test_sampled_candidates_are_the_draws_from_the_listed_patterns(monkeypatch):
+    # the draws the sampling path made when it listed every pattern and
+    # picked one with rng.choice
+    def listed_draws(n_layers, covering, node, params, rng):
+        choices = [(u, f) for u in covering for f in range(len(node.units[u].freq_levels_hz))]
+        masks = list(edc_scheduler._cut_masks(n_layers, params.max_segments))
+        plans = dict.fromkeys(((0, n_layers, u, f),) for u, f in choices)
+        attempts = 0
+        while len(plans) < params.candidate_cap and attempts < params.candidate_cap * 10:
+            attempts += 1
+            cuts = rng.choice(masks)
+            plans.setdefault(tuple((*span, *rng.choice(choices)) for span in itertools.pairwise(cuts)))
+        return list(plans)
+
+    rng = random.Random(5)
+    sampled = 0
+    for _ in range(30):
+        n_layers = rng.randint(3, 9)
+        workloads, node = random_scheduler_instance(rng, n_layers=n_layers)
+        params = SearchParams(max_segments=rng.randint(2, n_layers), candidate_cap=rng.choice((4, 16, 64)))
+        covering = list(range(len(node.units)))
+        seed = rng.randrange(1000)
+        expected = listed_draws(n_layers, covering, node, params, random.Random(seed))
+        with monkeypatch.context() as patch:
+            patch.setattr(edc_scheduler, "_cut_masks", None)  # the sampling path must not list
+            try:
+                found = edc_scheduler._candidate_plans(n_layers, covering, node, params, random.Random(seed))
+            except TypeError:  # the candidates fit the cap, so it enumerated them
+                continue
+        assert found == expected
+        sampled += 1
+    assert sampled >= 20
+
+
+def test_many_cut_patterns_are_sampled_without_listing_them(monkeypatch):
+    # 20 layers at max_segments=20 have 2**19 cut patterns; one unit at one
+    # frequency gives as many candidates, well above the cap
+    layer_ids = tuple(f"l{i}" for i in range(20))
+    node = EdgeNode(units=(make_unit("cpu0", "CPU", layer_ids, n_freqs=1),), transfer_bytes_per_ms=1e5)
+    monkeypatch.setattr(edc_scheduler, "_cut_masks", None)
+    solution = search_mapping([make_variant("deep", layer_ids)], node, 100.0, SearchParams(max_segments=20))
+    validate_plan(solution.plans[0], make_variant("deep", layer_ids), node)
+
+
 # ---------------------------------------------------------------------------
 # select_variants
 # ---------------------------------------------------------------------------

@@ -8,13 +8,22 @@ from collections import Counter
 import pytest
 
 from edcarb.cli_io import sim_report_to_dict
-from edcarb.edc_scheduler import EdgeNode, SearchParams, ci_to_threshold, hysteresis_update
+from edcarb import runtime_sim
+from edcarb.edc_scheduler import (
+    EdgeNode,
+    NoFeasiblePlan,
+    SearchParams,
+    ci_to_threshold,
+    hysteresis_update,
+    search_mapping,
+)
 from edcarb.errors import ValidationFailure
 from edcarb.runtime_sim import (
     CiTrace,
     ExecLookupTable,
     J_PER_KWH,
     LlmVariant,
+    LogEvent,
     NoVariantUnderPowerThreshold,
     PoissonArrivals,
     SimConfig,
@@ -35,6 +44,7 @@ from support import (
     make_unit,
     make_variant,
     random_exec_table,
+    random_scheduler_instance,
 )
 
 TWO_FREQ_TABLE = ExecLookupTable(
@@ -880,6 +890,64 @@ def test_mapping_mode_misses_follow_each_remaps_deadline_verdict(deadline_ms, mi
             expected_misses += throughput * 1.0
     assert report.inferences_done == 3629
     assert report.deadline_misses == misses == int(expected_misses)
+
+
+def reference_mapping_log(config, trace, workloads, node, params, sample_s):
+    """The mapping-mode log from one search_mapping per threshold, for a
+    trace whose every sample jumps across the hysteresis band and holds for
+    sample_s steps of 1 s."""
+    log = []
+    for t_s, ci in trace.samples:
+        threshold = ci_to_threshold(ci, trace.ci_min, trace.ci_max, config.p_min_w, config.p_max_w)
+        solution = search_mapping(workloads, node, threshold, params)
+        power_w = solution.estimate.power_w
+        log.append(LogEvent(t_s, "adapt", {"threshold_w": threshold, "ci": ci, "cause": "ci_change" if t_s else "initial"}))
+        log.append(LogEvent(t_s, "remap", {
+            "power_w": power_w,
+            "throughput": solution.estimate.throughput_inf_per_s,
+            "segments": sum(map(len, solution.plans)),
+        }))
+        log += [LogEvent(t_s + k, "power", {"energy_j": power_w * 1.0, "power_w": power_w, "ci": ci}) for k in range(sample_s)]
+    return log
+
+
+def test_mapping_mode_remaps_as_search_mapping_at_each_threshold(monkeypatch):
+    # two-DNN instances whose candidates are sampled, on traces that force a
+    # re-plan at every sample; the run prepares its search once
+    prepares = []
+    prepare = runtime_sim.prepare_mapping
+    monkeypatch.setattr(runtime_sim, "prepare_mapping", lambda *args: prepares.append(args) or prepare(*args))
+    rng = random.Random(64)
+    runs = infeasible = 0
+    while runs < 8:
+        workloads, node = random_scheduler_instance(rng, n_layers=5, n_units=3, n_freqs=2)
+        if len(workloads) < 2:
+            continue
+        params = SearchParams(
+            beam_width=rng.choice((1, 4)),
+            local_search_moves=rng.choice((0, 50)),
+            max_segments=3,
+            candidate_cap=16,
+            rng_seed=rng.randrange(1000),
+        )
+        samples = tuple(
+            (5.0 * k, rng.uniform(50.0, 150.0) if k % 2 == 0 else rng.uniform(450.0, 550.0)) for k in range(12)
+        )
+        trace = CiTrace(samples, horizon_s=60.0)
+        config = SimConfig(mode="mapping", horizon_s=60.0, p_min_w=rng.uniform(6.0, 10.0), p_max_w=rng.uniform(10.0, 16.0))
+        prepares.clear()
+        try:
+            expected = reference_mapping_log(config, trace, workloads, node, params, 5)
+        except NoFeasiblePlan:
+            with pytest.raises(NoFeasiblePlan):
+                run_simulation(config, trace, None, node=node, workloads=workloads, search_params=params)
+            infeasible += 1
+            continue
+        report = run_simulation(config, trace, None, node=node, workloads=workloads, search_params=params)
+        assert report.decision_log == expected
+        assert len(prepares) == 1
+        runs += 1
+    assert infeasible >= 1
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,16 @@ same inputs:
 - the same three searches (``.stacked3d``) on that space with
   ``stacking=STACKED_3D``, so the two-die embodied branch (bonding and TSV
   terms) is covered as well as the planar one;
-- ``run_simulation`` on every ``sim-load`` scenario at seeds 0-2.
+- ``run_simulation`` on every ``sim-load`` scenario at seeds 0-2;
+- mapping-mode ``run_simulation`` (``sim.random``) on the two-DNN draws
+  among 40 ``support.random_scheduler_instance`` draws (seed 7) of 5-8
+  layers, 3 units and 2 frequencies, with drawn search parameters whose
+  candidate cap is below the plans of every DNN, so each search samples
+  its candidates. Each runs on a trace that jumps between a low and a high
+  band at every sample, so every sample forces a re-plan.
+
+Cases are listed in the order above; a new kind of case is added at the
+end, so the older ones keep their inputs.
 
 Each line is a case name and the SHA-256 of the ``repr`` of its result
 (every field, the simulator's decision log and time series included), or
@@ -107,6 +116,37 @@ def _simulations(workloads, runtime_sim) -> None:
             _case(f"sim.seed{seed}.{label}", runtime_sim.run_simulation, cfg, trace, arrivals, **kwargs)
 
 
+def _random_simulations(support, edc_scheduler, runtime_sim) -> None:
+    rng = random.Random(7)
+    for i in range(40):
+        models, node = support.random_scheduler_instance(rng, n_layers=rng.randint(5, 8), n_units=3, n_freqs=2)
+        params = edc_scheduler.SearchParams(
+            beam_width=rng.choice((1, 4, 16)),
+            local_search_moves=rng.choice((0, 20, 200)),
+            max_segments=rng.choice((2, 3, 4)),
+            candidate_cap=rng.choice((8, 32, 128)),
+            rng_seed=rng.randrange(1000),
+        )
+        # 40 samples, 10 s apart, alternating between 50-150 and 450-550 g/kWh
+        samples = tuple(
+            (10.0 * k, rng.uniform(50.0, 150.0) if k % 2 == 0 else rng.uniform(450.0, 550.0))
+            for k in range(40)
+        )
+        config = runtime_sim.SimConfig(
+            mode="mapping",
+            horizon_s=400.0,
+            deadline_ms=rng.uniform(5.0, 40.0),
+            p_min_w=rng.uniform(7.0, 10.0),
+            p_max_w=rng.uniform(10.0, 16.0),
+        )
+        if len(models) > 1:
+            _case(
+                f"sim.random.{i}", runtime_sim.run_simulation,
+                config, runtime_sim.CiTrace(samples, horizon_s=400.0), None,
+                node=node, workloads=models, search_params=params,
+            )
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print(__doc__.strip().splitlines()[2], file=sys.stderr)
@@ -124,6 +164,7 @@ def main(argv: list[str]) -> int:
     _perfbench_searches(workloads, design_explorer, edc_scheduler, PackageKind.STACKED_3D)
     _random_searches(support, edc_scheduler)
     _simulations(workloads, runtime_sim)
+    _random_simulations(support, edc_scheduler, runtime_sim)
     return 0
 
 
