@@ -1,16 +1,18 @@
 """Carbon arithmetic shared by every other module.
 
-Two equations live here, plus the compound metric built from them:
+Two equations live here, plus the metrics built from them:
 
 - embodied carbon of a packaged device: per-die fabrication carbon
   (area and silicon-wastage terms) summed with packaging, bonding and
   TSV terms for 3D stacks;
 - operational carbon of execution: grid carbon intensity times energy;
-- the carbon-delay product (CDP) used as the design-space fitness.
+- the carbon-delay product (CDP) used as the design-space fitness;
+- embodied carbon amortized over a device's lifetime inferences.
 
-Units are deliberately rigid: fabrication coefficients in kgCO2/cm2,
-grid intensity in gCO2/kWh, energy in kWh. Conversions between kg and g
-happen only in report aggregation, never inside the equations.
+Units are deliberately rigid: fabrication coefficients in kgCO2/cm2 and
+embodied carbon in kgCO2; grid intensity in gCO2/kWh and energy in J, so
+operational carbon comes out in grams. Only the amortized figure converts
+kg to g, for the report it goes into.
 """
 
 from __future__ import annotations
@@ -20,6 +22,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import ValidationFailure
+
+J_PER_KWH = 3.6e6
 
 
 class DieTooLarge(ValidationFailure):
@@ -87,18 +91,6 @@ class PackageSpec:
             raise ValidationFailure("tsv_count must be >= 0")
         if self.bond_interface_area_cm2 < 0:
             raise ValidationFailure("bond_interface_area_cm2 must be >= 0")
-
-
-@dataclass(frozen=True)
-class OperationalSample:
-    ci_g_per_kwh: float
-    energy_kwh: float
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.ci_g_per_kwh < math.inf:
-            raise ValidationFailure("carbon intensity must be finite and >= 0")
-        if not 0 <= self.energy_kwh < math.inf:
-            raise ValidationFailure("energy must be finite and >= 0")
 
 
 def dies_per_wafer(die_area_cm2: float, wafer_diameter_cm: float) -> int:
@@ -169,9 +161,16 @@ def embodied_carbon(dies: list[DieSpec] | tuple[DieSpec, ...], package: PackageS
     return sum(die_carbon(d) for d in dies) + pkg_tech.packaging_kg + bonding + tsv
 
 
-def operational_carbon(sample: OperationalSample) -> float:
+def operational_carbon(ci_g_per_kwh: float, energy_j: float) -> float:
     """Operational carbon in grams: grid intensity times energy."""
-    return sample.ci_g_per_kwh * sample.energy_kwh
+    return ci_g_per_kwh * energy_j / J_PER_KWH
+
+
+def embodied_per_inference_g(embodied_kg: float, lifetime_inferences: float) -> float:
+    """Embodied carbon spread over the device's lifetime, in grams per inference."""
+    if not lifetime_inferences > 0:
+        raise ValidationFailure("lifetime_inferences must be > 0")
+    return embodied_kg * 1000.0 / lifetime_inferences
 
 
 def cdp(carbon: float, delay_s: float) -> float:

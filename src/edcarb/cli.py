@@ -22,11 +22,11 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import __version__, cli_io
-from .carbon_model import PackageKind
+from .carbon_model import PackageKind, embodied_per_inference_g
 from .design_explorer import EvaluatedDesign, pareto_front, run_ga
 from .edc_scheduler import ci_to_threshold, plan_bottleneck_ms, select_variants
 from .errors import IoFailure, ToolkitError, ValidationFailure
-from .runtime_sim import PoissonArrivals, amortized_report, run_simulation
+from .runtime_sim import PoissonArrivals, run_simulation
 
 log = logging.getLogger("edcarb")
 
@@ -198,12 +198,13 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         llm_variants=sim.llm_variants,
         search_params=config.search,
     )
+    amortized_g = None
     if sim.embodied_total_kg is not None and sim.lifetime_inferences is not None:
-        amortized_report(sim.embodied_total_kg, report, sim.lifetime_inferences)
+        amortized_g = embodied_per_inference_g(sim.embodied_total_kg, sim.lifetime_inferences)
 
     meta = cli_io.RunMeta(command="simulate", config_hash=config.config_hash, seed=config.seed)
     bundle = cli_io.ResultBundle(meta=meta)
-    bundle.json_artifacts["sim_report.json"] = cli_io.sim_report_to_dict(report)
+    bundle.json_artifacts["sim_report.json"] = cli_io.sim_report_to_dict(report, amortized_g)
     bundle.csv_artifacts["timeseries.csv"] = (
         cli_io.TIMESERIES_COLUMNS,
         cli_io.timeseries_rows(report),

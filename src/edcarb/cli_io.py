@@ -594,14 +594,15 @@ def _timestamp() -> str:
     return datetime.datetime.now(datetime.timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
-def sim_report_to_dict(report: SimReport) -> dict:
+def sim_report_to_dict(report: SimReport, embodied_g_per_inference: float | None = None) -> dict:
+    """sim_report.json's content; the embodied grams per inference are None unless the config gives them."""
     return {
         "total_energy_kwh": report.total_energy_kwh,
         "operational_g": report.operational_g,
         "inferences_done": report.inferences_done,
         "deadline_misses": report.deadline_misses,
         "mean_tps": report.mean_tps,
-        "embodied_amortized_g_per_inference": report.embodied_amortized_g_per_inference,
+        "embodied_amortized_g_per_inference": embodied_g_per_inference,
         "arrivals_total": report.arrivals_total,
         "backlog_at_horizon": report.backlog_at_horizon,
         "max_queue_len": report.max_queue_len,

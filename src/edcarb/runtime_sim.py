@@ -1,19 +1,21 @@
 """Deterministic discrete-step simulator with carbon accounting.
 
-The loop walks a fixed step (1 s by default) over a carbon-intensity trace.
-Each step: (1) adapt the power threshold when the hysteresis rule fires and
-re-select the execution strategy (mapping plan or LLM variant), (2) drain
-queued requests through the batching -> concurrency -> frequency policy
-hierarchy, (3) charge executed energy plus idle power, (4) convert energy
-to grams at the step's carbon intensity.
+`run_simulation` walks one clock in fixed steps (1 s by default) over a
+carbon-intensity trace. At each step it (1) moves the power threshold when
+the hysteresis rule fires, and the mode re-selects its execution strategy,
+(2) runs the mode's step, which returns the energy the step used, and
+(3) converts that energy to grams at the step's carbon intensity with
+`carbon_model.operational_carbon`. The mode picks its step once:
 
-Three execution modes share the loop:
-
-- "batch": one lookup-table engine serving inference requests with dynamic
-  batch sizes, concurrent streams and frequency scaling under soft deadlines;
-- "llm": token jobs served by the quantized-variant fallback policy;
-- "mapping": continuous-flow multi-DNN plans re-planned at every threshold
-  change, each a solve of the mapping search the run prepares once.
+- the queue step of "batch" and "llm" mode: requests queue in arrival
+  order and the device serves the queue head one dispatch at a time,
+  drawing idle power while nothing runs. "batch" plans each dispatch of its
+  lookup-table engine through the batching -> concurrency -> frequency
+  policy hierarchy under soft deadlines; "llm" serves token jobs at the
+  cost of the quantized variant its fallback policy last selected;
+- the flow step of "mapping" mode: a continuous flow served by multi-DNN
+  plans re-planned at every threshold change, each a solve of the mapping
+  search the run prepares once.
 
 Everything is a pure function of the inputs; the only randomness is the
 Poisson arrival model, which carries its own seed. The decision log and step
@@ -29,6 +31,7 @@ from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
+from .carbon_model import J_PER_KWH, operational_carbon
 from .edc_scheduler import (
     EdgeNode,
     ModelVariant,
@@ -40,7 +43,6 @@ from .edc_scheduler import (
 )
 from .errors import InfeasibleError, ValidationFailure
 
-J_PER_KWH = 3.6e6
 # PoissonArrivals.materialize builds every arrival up front; it refuses a
 # horizon whose expected arrival count (rate x horizon) is above this.
 MAX_EXPECTED_ARRIVALS = 1_000_000
@@ -369,22 +371,22 @@ class SimConfig:
     tps_floor: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.mode not in ("batch", "llm", "mapping"):
-            raise ValidationFailure(f"unknown sim mode {self.mode!r}")
-        if self.policy not in ("adaptive", "static"):
-            raise ValidationFailure(f"unknown policy {self.policy!r}")
-        if not all(0 < x < math.inf for x in (self.horizon_s, self.step_s)):
-            raise ValidationFailure("horizon_s and step_s must be finite and > 0")
-        if not 0.0 <= self.hysteresis_fraction <= 1.0:
-            raise ValidationFailure("hysteresis_fraction must be in [0, 1]")
-        if not 0 < self.p_min_w <= self.p_max_w < math.inf:
-            raise ValidationFailure("need 0 < p_min_w <= p_max_w, both finite")
-        if not 0 < self.deadline_ms < math.inf:
-            raise ValidationFailure("deadline_ms must be finite and > 0")
-        if self.tokens_per_request < 1:
-            raise ValidationFailure("tokens_per_request must be >= 1")
-        if not 0 <= self.idle_power_w < math.inf:
-            raise ValidationFailure("idle_power_w must be finite and >= 0")
+        checks = (
+            (self.mode in ("batch", "llm", "mapping"), f"unknown sim mode {self.mode!r}"),
+            (self.policy in ("adaptive", "static"), f"unknown policy {self.policy!r}"),
+            (
+                all(0 < x < math.inf for x in (self.horizon_s, self.step_s)),
+                "horizon_s and step_s must be finite and > 0",
+            ),
+            (0.0 <= self.hysteresis_fraction <= 1.0, "hysteresis_fraction must be in [0, 1]"),
+            (0 < self.p_min_w <= self.p_max_w < math.inf, "need 0 < p_min_w <= p_max_w, both finite"),
+            (0 < self.deadline_ms < math.inf, "deadline_ms must be finite and > 0"),
+            (self.tokens_per_request >= 1, "tokens_per_request must be >= 1"),
+            (0 <= self.idle_power_w < math.inf, "idle_power_w must be finite and >= 0"),
+        )
+        failures = [message for ok, message in checks if not ok]
+        if failures:
+            raise ValidationFailure("; ".join(failures))
 
 
 @dataclass(frozen=True)
@@ -418,21 +420,6 @@ class SimReport:
     max_queue_len: int
     decision_log: list[LogEvent]
     steps: list[StepSample]
-    embodied_amortized_g_per_inference: float | None = None
-
-
-def amortized_report(embodied_kg: float, sim: SimReport, lifetime_inferences: float) -> float:
-    """Embodied carbon spread over the device lifetime, in grams per inference.
-
-    Stamps the figure on the sim report so it travels with the operational
-    numbers; the two fields stay independent (a zero-inference sim still
-    amortizes).
-    """
-    if not lifetime_inferences > 0:
-        raise ValidationFailure("lifetime_inferences must be > 0")
-    grams = embodied_kg * 1000.0 / lifetime_inferences
-    sim.embodied_amortized_g_per_inference = grams
-    return grams
 
 
 def run_simulation(
@@ -446,223 +433,245 @@ def run_simulation(
     llm_variants: tuple[LlmVariant, ...] | list[LlmVariant] | None = None,
     search_params: SearchParams | None = None,
 ) -> SimReport:
+    """Walk the clock over the horizon and report the run.
+
+    The static policy holds p_max_w; the adaptive one moves the threshold
+    whenever the hysteresis rule fires against the intensity of the last
+    change, and then the mode's step adapts. Each step's run returns its energy.
+    """
     if config.horizon_s > ci_trace.horizon_s:
         raise TraceExhausted(
             f"horizon {config.horizon_s} s exceeds trace coverage {ci_trace.horizon_s} s"
         )
-    if config.mode == "batch" and table is None:
-        raise ValidationFailure("batch mode needs an ExecLookupTable")
-    if config.mode == "llm":
-        if not llm_variants:
-            raise ValidationFailure("llm mode needs llm_variants")
-        validate_llm_variant_order(llm_variants)
-        if not 0 < config.tps_floor < math.inf:
-            raise ValidationFailure("llm mode requires an explicit finite tps_floor > 0")
-    if config.mode == "mapping" and (node is None or not workloads):
-        raise ValidationFailure("mapping mode needs a node and workloads")
-    if config.mode in ("batch", "llm") and arrivals is None:
-        raise ValidationFailure(f"{config.mode} mode needs an arrival model")
+    if config.mode == "mapping":
+        step = _FlowStep(config, node, workloads, search_params)
+    else:
+        step = _QueueStep(config, arrivals, table, llm_variants)
 
-    # mapping mode re-plans by solving, at each new threshold, the one search
-    # it prepares here; the search's other steps do not read the threshold
-    prepared = prepare_mapping(workloads, node, search_params) if config.mode == "mapping" else None
-
-    # mapping mode serves a continuous flow and ignores request arrivals
-    arrival_events = (
-        arrivals.materialize(config.horizon_s)
-        if arrivals is not None and config.mode != "mapping"
-        else []
-    )
-    arrivals_total = len(arrival_events)
-
+    horizon_s, step_s = config.horizon_s, config.step_s
+    adaptive = config.policy == "adaptive"
     log: list[LogEvent] = []
-    steps: list[StepSample] = []
-    total_energy_j = 0.0
+    samples: list[StepSample] = []
     operational_g = 0.0
-    misses = 0
-    busy_s = 0.0
-    flow_inferences = 0.0
-    flow_misses = 0.0
-
-    def emit(t_s: float, kind: str, detail: dict) -> None:
-        log.append(LogEvent(t_s, kind, detail))
-
-    # Arrivals are served in order, so the queue is arrival_events[head:next_arrival]
-    # and head counts the requests served. queued_kinds counts the queue by kind.
-    head = 0
-    next_arrival = 0
-    queued_kinds: Counter[str] = Counter()
-    max_queue_len = 0
-    device_free = 0.0
-    # The static policy holds p_max_w; the adaptive one moves the threshold
-    # whenever the hysteresis rule fires against the CI of the last change.
     threshold = config.p_max_w
     ci_ref: float | None = None
-    # the selected LLM variant's fixed per-request cost; stays None in batch mode
-    llm_dispatch: tuple[int, dict, float, float, float] | None = None
-    # mapping mode: the current plan's (power_w, throughput, misses its deadline)
-    flow: tuple[float, float, bool] | None = None
-    deadline_s = config.deadline_ms / 1000.0
-
     t = 0.0
-    while t < config.horizon_s - 1e-12:
-        dt = min(config.step_s, config.horizon_s - t)
-        step_end = t + dt
+    while t < horizon_s - 1e-12:
+        dt = min(step_s, horizon_s - t)
         ci = ci_trace.ci_at(t)
-        if ci_ref is None:
-            cause = "initial"
-        elif config.policy == "adaptive" and hysteresis_update(
+        if ci_ref is None or adaptive and hysteresis_update(
             ci_ref, ci, ci_trace.ci_range, config.hysteresis_fraction
         ):
-            cause = "ci_change"
-        else:
-            cause = ""
-        if cause:
+            cause = "initial" if ci_ref is None else "ci_change"
             ci_ref = ci
-            if config.policy == "adaptive":
+            if adaptive:
                 threshold = ci_to_threshold(
                     ci, ci_trace.ci_min, ci_trace.ci_max, config.p_min_w, config.p_max_w
                 )
-            emit(t, "adapt", {"threshold_w": threshold, "ci": ci, "cause": cause})
-            if config.mode == "llm":
-                level = ci_level_of(ci, ci_trace.ci_min, ci_trace.ci_max)
-                choice = llm_select(llm_variants, threshold, level, config.tps_floor)
-                llm_dispatch = _llm_dispatch(choice, config.tokens_per_request)
-                emit(t, "llm_select", {
-                    "variant": choice.variant.name,
-                    "freq_idx": choice.freq_idx,
-                    "ci_level": level,
-                    "tps_violated": choice.tps_violated,
-                })
-            elif config.mode == "mapping":
-                solution = prepared.solve(threshold)
-                flow = (
-                    solution.estimate.power_w,
-                    solution.estimate.throughput_inf_per_s,
-                    any(
-                        plan_bottleneck_ms(plan, variant, node) > config.deadline_ms
-                        for variant, plan in zip(workloads, solution.plans)
-                    ),
-                )
-                emit(t, "remap", {
-                    "power_w": flow[0],
-                    "throughput": flow[1],
-                    "segments": sum(map(len, solution.plans)),
-                })
+            log.append(LogEvent(t, "adapt", {"threshold_w": threshold, "ci": ci, "cause": cause}))
+            step.adapt(t, ci, threshold, ci_trace, log)
+        step_energy_j = step.run(t, dt, ci, threshold, log)
+        operational_g += operational_carbon(ci, step_energy_j)
+        samples.append(StepSample(t, ci, threshold, step_energy_j / dt, step_energy_j / J_PER_KWH, operational_g))
+        t += dt
 
-        step_energy_j = 0.0
-
-        if config.mode == "mapping":
-            power_w, throughput, violated = flow
-            energy_j = power_w * dt
-            step_energy_j += energy_j
-            total_energy_j += energy_j
-            done = throughput * dt
-            flow_inferences += done
-            if violated:
-                flow_misses += done
-            emit(t, "power", {"energy_j": energy_j, "power_w": power_w, "ci": ci})
-
-        else:
-            busy_in_window = max(0.0, min(device_free, step_end) - t)
-            now = max(device_free, t)
-            while True:
-                while next_arrival < arrivals_total and arrival_events[next_arrival][0] <= now:
-                    queued_kinds[arrival_events[next_arrival][1]] += 1
-                    next_arrival += 1
-                max_queue_len = max(max_queue_len, next_arrival - head)
-                if head == next_arrival:
-                    if (
-                        next_arrival < arrivals_total
-                        and arrival_events[next_arrival][0] < step_end
-                    ):
-                        now = max(now, arrival_events[next_arrival][0])
-                        continue
-                    break
-                if now >= step_end:
-                    break
-                # batch re-plans every dispatch against the queue
-                dispatch = llm_dispatch or _plan_batch_dispatch(
-                    arrival_events, head, next_arrival, len(queued_kinds),
-                    table, config, threshold, now,
-                )
-                if dispatch is None:
-                    emit(now, "power_gated", {"threshold_w": threshold, "ci": ci})
-                    break
-                n_served, head_detail, duration_s, energy_j, power_w = dispatch
-                completion = now + duration_s
-                arrival_times = []
-                n_miss = 0
-                for arrival_s, kind in arrival_events[head : head + n_served]:
-                    arrival_times.append(arrival_s)
-                    if completion > arrival_s + deadline_s:
-                        n_miss += 1
-                    queued_kinds[kind] -= 1
-                    if not queued_kinds[kind]:
-                        del queued_kinds[kind]
-                head += n_served
-                misses += n_miss
-                busy_s += duration_s
-                step_energy_j += energy_j
-                total_energy_j += energy_j
-                busy_in_window += min(completion, step_end) - now
-                emit(now, "dispatch", {
-                    **head_detail,
-                    "duration_s": duration_s,
-                    "energy_j": energy_j,
-                    "power_w": power_w,
-                    "completion_s": completion,
-                    "misses": n_miss,
-                    "arrivals": arrival_times,
-                    "ci": ci,
-                })
-                now = completion
-                device_free = completion
-
-            idle_s = max(0.0, dt - busy_in_window)
-            if idle_s > 0 and config.idle_power_w > 0:
-                idle_energy = config.idle_power_w * idle_s
-                step_energy_j += idle_energy
-                total_energy_j += idle_energy
-                emit(step_end, "idle", {"idle_s": idle_s, "energy_j": idle_energy, "ci": ci})
-
-        step_g = ci * step_energy_j / J_PER_KWH
-        operational_g += step_g
-        steps.append(
-            StepSample(
-                t_s=t,
-                ci=ci,
-                threshold_w=threshold,
-                power_w=step_energy_j / dt,
-                energy_kwh=step_energy_j / J_PER_KWH,
-                cumulative_g=operational_g,
-            )
-        )
-        t = step_end
-
-    if config.mode == "mapping":
-        inferences = int(flow_inferences)
-        misses = min(inferences, int(flow_misses))
-    else:
-        inferences = head
-    # every arrival before the horizon has arrived by then: the requests not
-    # yet taken in count towards the final queue
-    backlog = arrivals_total - head
-    mean_tps = 0.0
-    if config.mode == "llm" and busy_s > 0:
-        mean_tps = inferences * config.tokens_per_request / busy_s
     return SimReport(
-        total_energy_kwh=total_energy_j / J_PER_KWH,
+        total_energy_kwh=step.energy_j / J_PER_KWH,
         operational_g=operational_g,
-        inferences_done=inferences,
-        deadline_misses=misses,
-        mean_tps=mean_tps,
-        arrivals_total=arrivals_total,
-        backlog_at_horizon=backlog,
-        max_queue_len=max(max_queue_len, backlog),
         decision_log=log,
-        steps=steps,
+        steps=samples,
+        **step.counts(),
     )
+
+
+class _FlowStep:
+    """Mapping mode: the plan of the last threshold change serves a
+    continuous flow at its estimated power and throughput. Request arrivals
+    are ignored; there is no queue."""
+
+    def __init__(self, config, node, workloads, search_params) -> None:
+        if node is None or not workloads:
+            raise ValidationFailure("mapping mode needs a node and workloads")
+        # each threshold change solves the one search prepared here; the
+        # search's other steps do not read the threshold
+        self.prepared = prepare_mapping(workloads, node, search_params)
+        self.node, self.workloads, self.deadline_ms = node, workloads, config.deadline_ms
+        # the current plan's (power_w, throughput, misses its deadline)
+        self.flow: tuple[float, float, bool] | None = None
+        # run totals: energy J, inferences and those past the deadline
+        self.energy_j = self.inferences = self.late = 0.0
+
+    def adapt(self, t, ci, threshold, trace, log) -> None:
+        solution = self.prepared.solve(threshold)
+        self.flow = (
+            solution.estimate.power_w,
+            solution.estimate.throughput_inf_per_s,
+            any(
+                plan_bottleneck_ms(plan, variant, self.node) > self.deadline_ms
+                for variant, plan in zip(self.workloads, solution.plans)
+            ),
+        )
+        log.append(LogEvent(t, "remap", {
+            "power_w": self.flow[0],
+            "throughput": self.flow[1],
+            "segments": sum(map(len, solution.plans)),
+        }))
+
+    def run(self, t, dt, ci, threshold, log) -> float:
+        power_w, throughput, late = self.flow
+        energy_j = power_w * dt
+        self.energy_j += energy_j
+        done = throughput * dt
+        self.inferences += done
+        if late:
+            self.late += done
+        log.append(LogEvent(t, "power", {"energy_j": energy_j, "power_w": power_w, "ci": ci}))
+        return energy_j
+
+    def counts(self) -> dict:
+        inferences = int(self.inferences)
+        return dict(
+            inferences_done=inferences,
+            deadline_misses=min(inferences, int(self.late)),
+            mean_tps=0.0,
+            arrivals_total=0,
+            backlog_at_horizon=0,
+            max_queue_len=0,
+        )
+
+
+class _QueueStep:
+    """Batch and llm mode: requests queue in arrival order and the device
+    serves the queue head one dispatch at a time.
+
+    Arrivals are served in order, so the queue is events[head:next_arrival]
+    and head counts the requests served; queued_kinds counts the queue by
+    kind. Batch mode plans every dispatch against the queue. llm mode serves
+    one request per dispatch at the fixed cost of the variant selected at the
+    last threshold change.
+    """
+
+    def __init__(self, config, arrivals, table, llm_variants) -> None:
+        if config.mode == "llm":
+            if not llm_variants:
+                raise ValidationFailure("llm mode needs llm_variants")
+            validate_llm_variant_order(llm_variants)
+            if not 0 < config.tps_floor < math.inf:
+                raise ValidationFailure("llm mode requires an explicit finite tps_floor > 0")
+        elif table is None:
+            raise ValidationFailure("batch mode needs an ExecLookupTable")
+        if arrivals is None:
+            raise ValidationFailure(f"{config.mode} mode needs an arrival model")
+        self.config, self.table = config, table
+        self.variants = llm_variants if config.mode == "llm" else None
+        self.events = arrivals.materialize(config.horizon_s)
+        self.queued_kinds: Counter[str] = Counter()
+        self.head = self.next_arrival = self.max_queue_len = self.misses = 0
+        self.device_free = self.busy_s = self.energy_j = 0.0
+        # llm mode: the selected variant's dispatch, (requests served, head
+        # detail, duration_s, energy_j, power_w) as `_plan_batch_dispatch` returns
+        self.fixed: tuple[int, dict, float, float, float] | None = None
+
+    def adapt(self, t, ci, threshold, trace, log) -> None:
+        if self.variants is None:
+            return
+        level = ci_level_of(ci, trace.ci_min, trace.ci_max)
+        choice = llm_select(self.variants, threshold, level, self.config.tps_floor)
+        variant, f, tokens = choice.variant, choice.freq_idx, self.config.tokens_per_request
+        duration_s = tokens / variant.tokens_per_s[f]
+        head_detail = {"variant": variant.name, "freq_idx": f, "tokens": tokens}
+        self.fixed = 1, head_detail, duration_s, variant.power_w[f] * duration_s, variant.power_w[f]
+        log.append(LogEvent(t, "llm_select", {
+            "variant": variant.name,
+            "freq_idx": f,
+            "ci_level": level,
+            "tps_violated": choice.tps_violated,
+        }))
+
+    def run(self, t, dt, ci, threshold, log) -> float:
+        """Serve the queue over [t, t + dt), then charge idle power for the
+        rest; returns the step's energy. The run's state is copied into locals
+        for the step, as attribute access per dispatch slows the queue path."""
+        events, kinds, fixed, table, config = self.events, self.queued_kinds, self.fixed, self.table, self.config
+        n_events, deadline_s = len(events), config.deadline_ms / 1000.0
+        head, next_arrival, max_queue_len, misses = self.head, self.next_arrival, self.max_queue_len, self.misses
+        device_free, busy_s, run_energy_j = self.device_free, self.busy_s, self.energy_j
+        step_end = t + dt
+        step_energy_j = 0.0
+        busy_in_window = max(0.0, min(device_free, step_end) - t)
+        now = max(device_free, t)
+        while True:
+            while next_arrival < n_events and events[next_arrival][0] <= now:
+                kinds[events[next_arrival][1]] += 1
+                next_arrival += 1
+            max_queue_len = max(max_queue_len, next_arrival - head)
+            if head == next_arrival:
+                if next_arrival < n_events and events[next_arrival][0] < step_end:
+                    now = max(now, events[next_arrival][0])
+                    continue
+                break
+            if now >= step_end:
+                break
+            dispatch = fixed or _plan_batch_dispatch(
+                events, head, next_arrival, len(kinds), table, config, threshold, now
+            )
+            if dispatch is None:
+                log.append(LogEvent(now, "power_gated", {"threshold_w": threshold, "ci": ci}))
+                break
+            n_served, head_detail, duration_s, energy_j, power_w = dispatch
+            completion = now + duration_s
+            arrival_times = []
+            n_miss = 0
+            for arrival_s, kind in events[head : head + n_served]:
+                arrival_times.append(arrival_s)
+                if completion > arrival_s + deadline_s:
+                    n_miss += 1
+                kinds[kind] -= 1
+                if not kinds[kind]:
+                    del kinds[kind]
+            head += n_served
+            misses += n_miss
+            busy_s += duration_s
+            step_energy_j += energy_j
+            run_energy_j += energy_j
+            busy_in_window += min(completion, step_end) - now
+            log.append(LogEvent(now, "dispatch", {
+                **head_detail,
+                "duration_s": duration_s,
+                "energy_j": energy_j,
+                "power_w": power_w,
+                "completion_s": completion,
+                "misses": n_miss,
+                "arrivals": arrival_times,
+                "ci": ci,
+            }))
+            now = device_free = completion
+
+        idle_s = max(0.0, dt - busy_in_window)
+        if idle_s > 0 and config.idle_power_w > 0:
+            idle_energy = config.idle_power_w * idle_s
+            step_energy_j += idle_energy
+            run_energy_j += idle_energy
+            log.append(LogEvent(step_end, "idle", {"idle_s": idle_s, "energy_j": idle_energy, "ci": ci}))
+        self.head, self.next_arrival, self.max_queue_len, self.misses = head, next_arrival, max_queue_len, misses
+        self.device_free, self.busy_s, self.energy_j = device_free, busy_s, run_energy_j
+        return step_energy_j
+
+    def counts(self) -> dict:
+        # every arrival before the horizon has arrived by then: the requests
+        # not yet taken in count towards the final queue
+        backlog = len(self.events) - self.head
+        mean_tps = 0.0
+        if self.variants is not None and self.busy_s > 0:
+            mean_tps = self.head * self.config.tokens_per_request / self.busy_s
+        return dict(
+            inferences_done=self.head,
+            deadline_misses=self.misses,
+            mean_tps=mean_tps,
+            arrivals_total=len(self.events),
+            backlog_at_horizon=backlog,
+            max_queue_len=max(self.max_queue_len, backlog),
+        )
 
 
 def _plan_batch_dispatch(
@@ -715,13 +724,3 @@ def _plan_batch_dispatch(
         duration_s = serial_ms / t_scale / 1000.0
         return offset - head, head_detail, duration_s, serial_energy * p_scale / t_scale, power_w
     return None
-
-
-def _llm_dispatch(choice: LlmChoice, tokens: int) -> tuple[int, dict, float, float, float]:
-    """One request on the selected variant at its fixed per-request cost, in
-    the shape of `_plan_batch_dispatch` (head keys: variant, frequency index,
-    tokens). The cost holds until the next re-selection."""
-    power_w = choice.variant.power_w[choice.freq_idx]
-    duration_s = tokens / choice.variant.tokens_per_s[choice.freq_idx]
-    head_detail = {"variant": choice.variant.name, "freq_idx": choice.freq_idx, "tokens": tokens}
-    return 1, head_detail, duration_s, power_w * duration_s, power_w

@@ -2,7 +2,8 @@
 
 Oracles here deliberately avoid the library's own search/estimation paths:
 the wafer oracle counts squares on a grid, the mapping oracle enumerates
-every plan, the policy oracles brute-force every option.
+every plan, the policy oracles brute-force every option, and the simulator
+reference re-runs a whole simulation in one plain loop.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import functools
 import itertools
 import math
 import random
+from bisect import bisect_right
 from dataclasses import replace
 
 from edcarb.accelerator_model import AreaParams, ConvLayer, DnnWorkload, MultiplierVariant
@@ -22,10 +24,27 @@ from edcarb.edc_scheduler import (
     ProcessingUnit,
     UnitKind,
     VariantLayer,
+    ci_to_threshold,
+    hysteresis_update,
+    search_mapping,
     segment_cost,
 )
 from edcarb.errors import ValidationFailure
-from edcarb.runtime_sim import ExecLookupTable
+from edcarb.runtime_sim import (
+    CiTrace,
+    ExecLookupTable,
+    LlmVariant,
+    LogEvent,
+    PoissonArrivals,
+    SimConfig,
+    SimReport,
+    StepSample,
+    choose_batch,
+    choose_concurrency,
+    choose_frequency,
+    ci_level_of,
+    llm_select,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -321,3 +340,232 @@ def brute_force_frequency(batch, table, deadline_ms, wait_ms):
 
 def strip_timestamp_lines(text: str) -> str:
     return "\n".join(ln for ln in text.splitlines() if "generated_at" not in ln)
+
+
+# ---------------------------------------------------------------------------
+# simulator reference and seeded queue-mode runs
+# ---------------------------------------------------------------------------
+
+LLM_VARIANTS = (
+    LlmVariant("big", 0.95, (20.0, 35.0), (12.0, 18.0)),
+    LlmVariant("mid", 0.90, (30.0, 50.0), (8.0, 12.0)),
+    LlmVariant("small", 0.85, (45.0, 70.0), (5.0, 7.0)),
+)
+
+
+def random_queue_scenario(rng: random.Random, mode: str):
+    """A seeded batch or llm run: (config, trace, arrivals, run_simulation keywords).
+
+    The Poisson rate is a multiple of a service rate of the mode, from nearly
+    idle to several times overload, and the horizon is cut so that about
+    1,500 requests arrive at most. p_min_w is drawn around the least power
+    one dispatch draws; in batch mode a draw under it power-gates the queue
+    whenever the threshold falls to p_min_w (in llm mode no variant could be
+    selected there, so its draws stay at or above it).
+    """
+    tokens = rng.choice((16, 64))
+    if mode == "batch":
+        table = random_exec_table(rng)
+        # one request per dispatch at the top frequency, on the best stream count
+        best_streams = max(scale for scale, _ in table.concurrency.values())
+        service_rate = 1000.0 / table.latency_ms(1, table.n_freqs - 1) * best_streams
+        floor = min(energy * 1000.0 / latency for latency, energy in table.entries.values())
+        factors = (0.5, 0.9, 1.1, 2.0)
+        kwargs = {"table": table}
+    else:
+        service_rate = max(max(v.tokens_per_s) for v in LLM_VARIANTS) / tokens
+        floor = min(min(v.power_w) for v in LLM_VARIANTS)
+        factors = (1.0, 1.6, 2.4)
+        kwargs = {"llm_variants": LLM_VARIANTS}
+    rate = service_rate * rng.choice((0.01, 0.3, 1.0, 4.0))
+    horizon = min(rng.uniform(10.0, 40.0), 1500.0 / rate)
+    ci = [rng.uniform(50.0, 600.0) for _ in range(rng.randint(1, 6))]
+    trace = CiTrace(tuple((i * horizon / len(ci), c) for i, c in enumerate(ci)), horizon_s=horizon)
+    arrivals = PoissonArrivals(rate, seed=rng.randrange(2**16), kinds=tuple("abc"[: rng.randint(1, 3)]))
+    p_min = floor * rng.choice(factors)
+    config = SimConfig(
+        mode=mode,
+        horizon_s=horizon,
+        step_s=rng.choice((0.1, 0.5, 1.0, 2.5)),
+        policy=rng.choice(("adaptive", "static")),
+        deadline_ms=rng.choice((5.0, 50.0, 500.0, 5000.0)),
+        p_min_w=p_min,
+        p_max_w=p_min * rng.uniform(1.0, 4.0),
+        idle_power_w=rng.choice((0.0, 0.3)),
+        tokens_per_request=tokens,
+        tps_floor=rng.uniform(10.0, 60.0),
+    )
+    return config, trace, arrivals, kwargs
+
+
+J_PER_KWH = 3.6e6  # the reference keeps its own constant
+
+
+def reference_simulation(
+    config, trace, arrivals=None, *, table=None, llm_variants=None, node=None, workloads=None, search_params=None
+) -> SimReport:
+    """`run_simulation` on valid inputs, as one plain loop over the clock.
+
+    The queue is rebuilt as a list before each dispatch, the LLM variant is
+    re-selected and the mapping re-planned with a fresh `search_mapping` at
+    each threshold change. Only the tested policy functions are shared with
+    the library. Each dispatch, idle and power event adds its energy to the
+    step's and the run's totals in the library's float order, so every total
+    must be bit-equal.
+    """
+    mode = config.mode
+    ci_min = min(ci for _, ci in trace.samples)
+    ci_max = max(ci for _, ci in trace.samples)
+    events = [] if mode == "mapping" else arrivals.materialize(config.horizon_s)
+    arrival_times = [a for a, _ in events]
+    log, steps = [], []
+    threshold, ci_ref, llm, flow = config.p_max_w, None, None, None
+    total_j = grams = busy_s = device_free = flow_done = flow_late = 0.0
+    served = misses = max_queue = 0
+    t = 0.0
+    while t < config.horizon_s - 1e-12:
+        dt = min(config.step_s, config.horizon_s - t)
+        step_end = t + dt
+        earlier = [ci for s, ci in trace.samples if s <= t]
+        ci = earlier[-1] if earlier else trace.samples[0][1]
+        adaptive = config.policy == "adaptive"
+        if ci_ref is None or adaptive and hysteresis_update(ci_ref, ci, ci_max - ci_min, config.hysteresis_fraction):
+            cause = "initial" if ci_ref is None else "ci_change"
+            ci_ref = ci
+            if adaptive:
+                threshold = ci_to_threshold(ci, ci_min, ci_max, config.p_min_w, config.p_max_w)
+            log.append(LogEvent(t, "adapt", {"threshold_w": threshold, "ci": ci, "cause": cause}))
+            if mode == "llm":
+                level = ci_level_of(ci, ci_min, ci_max)
+                choice = llm_select(llm_variants, threshold, level, config.tps_floor)
+                llm = choice.variant, choice.freq_idx
+                log.append(LogEvent(t, "llm_select", {
+                    "variant": choice.variant.name,
+                    "freq_idx": choice.freq_idx,
+                    "ci_level": level,
+                    "tps_violated": choice.tps_violated,
+                }))
+            elif mode == "mapping":
+                solution = search_mapping(workloads, node, threshold, search_params)
+                late = any(
+                    max(segment_cost(seg, variant, node)[0] for seg in plan) > config.deadline_ms
+                    for variant, plan in zip(workloads, solution.plans)
+                )
+                flow = solution.estimate.power_w, solution.estimate.throughput_inf_per_s, late
+                log.append(LogEvent(t, "remap", {
+                    "power_w": flow[0],
+                    "throughput": flow[1],
+                    "segments": sum(len(plan) for plan in solution.plans),
+                }))
+        step_j = 0.0
+        if mode == "mapping":
+            power_w, throughput, late = flow
+            energy = power_w * dt
+            step_j += energy
+            total_j += energy
+            flow_done += throughput * dt
+            if late:
+                flow_late += throughput * dt
+            log.append(LogEvent(t, "power", {"energy_j": energy, "power_w": power_w, "ci": ci}))
+        else:
+            busy = max(0.0, min(device_free, step_end) - t)
+            now = max(device_free, t)
+            while True:
+                queue = events[served : bisect_right(arrival_times, now)]
+                max_queue = max(max_queue, len(queue))
+                if not queue:
+                    if served < len(events) and events[served][0] < step_end:
+                        now = events[served][0]
+                        continue
+                    break
+                if now >= step_end:
+                    break
+                if mode == "llm":
+                    variant, f = llm
+                    duration = config.tokens_per_request / variant.tokens_per_s[f]
+                    power_w = variant.power_w[f]
+                    head = {"variant": variant.name, "freq_idx": f, "tokens": config.tokens_per_request}
+                    dispatch = 1, head, duration, power_w * duration, power_w
+                else:
+                    dispatch = _reference_batch_dispatch(queue, now, table, config.deadline_ms, threshold)
+                if dispatch is None:
+                    log.append(LogEvent(now, "power_gated", {"threshold_w": threshold, "ci": ci}))
+                    break
+                n, head, duration, energy, power_w = dispatch
+                completion = now + duration
+                batch = [a for a, _ in queue[:n]]
+                late = sum(1 for a in batch if completion > a + config.deadline_ms / 1000.0)
+                served += n
+                misses += late
+                busy_s += duration
+                step_j += energy
+                total_j += energy
+                busy += min(completion, step_end) - now
+                log.append(LogEvent(now, "dispatch", {
+                    **head,
+                    "duration_s": duration,
+                    "energy_j": energy,
+                    "power_w": power_w,
+                    "completion_s": completion,
+                    "misses": late,
+                    "arrivals": batch,
+                    "ci": ci,
+                }))
+                now = device_free = completion
+            idle_s = max(0.0, dt - busy)
+            if idle_s > 0 and config.idle_power_w > 0:
+                energy = config.idle_power_w * idle_s
+                step_j += energy
+                total_j += energy
+                log.append(LogEvent(step_end, "idle", {"idle_s": idle_s, "energy_j": energy, "ci": ci}))
+        grams += ci * step_j / J_PER_KWH
+        steps.append(StepSample(t, ci, threshold, step_j / dt, step_j / J_PER_KWH, grams))
+        t = step_end
+    inferences = served
+    if mode == "mapping":
+        inferences = int(flow_done)
+        misses = min(inferences, int(flow_late))
+    backlog = len(events) - served
+    return SimReport(
+        total_energy_kwh=total_j / J_PER_KWH,
+        operational_g=grams,
+        inferences_done=inferences,
+        deadline_misses=misses,
+        mean_tps=inferences * config.tokens_per_request / busy_s if mode == "llm" and busy_s > 0 else 0.0,
+        arrivals_total=len(events),
+        backlog_at_horizon=backlog,
+        max_queue_len=max(max_queue, backlog),
+        decision_log=log,
+        steps=steps,
+    )
+
+
+def _reference_batch_dispatch(queue, now, table, deadline_ms, threshold_w):
+    """The batch policy hierarchy on a queue of (arrival_s, kind): the stream
+    count, then each stream's batch at the top frequency, then the lowest
+    frequency under the threshold that meets the head's deadline. One stream
+    when no frequency fits the streams, None when none fits one stream.
+
+    Returns (requests served, leading log keys, duration_s, energy_j, power_w).
+    """
+    top = table.n_freqs - 1
+    k = choose_concurrency(len({kind for _, kind in queue}), table)
+    for streams in (k, 1) if k > 1 else (1,):
+        sizes = []
+        while len(sizes) < streams and sum(sizes) < len(queue):
+            rest = queue[sum(sizes) :]
+            sizes.append(choose_batch(len(rest), table, deadline_ms, (now - rest[0][0]) * 1000.0, top))
+        t_scale, p_scale = table.concurrency[len(sizes)]
+        fits = {}
+        for f in range(table.n_freqs):
+            serial_ms = sum(table.entries[b, f][0] for b in sizes)
+            serial_j = sum(table.entries[b, f][1] for b in sizes)
+            if serial_j * 1000.0 / serial_ms * p_scale <= threshold_w:
+                fits[f] = serial_ms, serial_j
+        if fits:
+            f = choose_frequency(sizes[0], table, deadline_ms, (now - queue[0][0]) * 1000.0, sorted(fits))
+            serial_ms, serial_j = fits[f]
+            head = {"batches": sizes, "streams": len(sizes), "freq_idx": f}
+            power_w = serial_j * 1000.0 / serial_ms * p_scale
+            return sum(sizes), head, serial_ms / t_scale / 1000.0, serial_j * p_scale / t_scale, power_w
+    return None

@@ -14,8 +14,8 @@ import pytest
 from edcarb import cli
 from edcarb.accelerator_model import Dataflow, MultiplierVariant
 from edcarb.carbon_model import (
+    J_PER_KWH,
     DieSpec,
-    OperationalSample,
     PackageKind,
     PackageSpec,
     die_carbon,
@@ -35,7 +35,6 @@ from edcarb.edc_scheduler import (
 from edcarb.runtime_sim import (
     CiTrace,
     ExecLookupTable,
-    J_PER_KWH,
     LlmVariant,
     PoissonArrivals,
     SimConfig,
@@ -138,9 +137,8 @@ def test_c01_carbon_equations_match_spreadsheet_recomputation():
 
         ci = rng.uniform(0.0, 900.0)
         energy = rng.uniform(0.0, 50.0)
-        assert operational_carbon(OperationalSample(ci, energy)) == pytest.approx(
-            ci * energy, rel=1e-9
-        )
+        # energy is drawn in kWh; the equation takes joules
+        assert operational_carbon(ci, energy * J_PER_KWH) == pytest.approx(ci * energy, rel=1e-9)
     elapsed = time.time() - start
     assert elapsed < 1.0, f"criterion 1 took {elapsed:.2f}s"
     _report("1 carbon-equation exactness (200 instances, 1e-9)")

@@ -8,16 +8,17 @@ import pytest
 
 from edcarb.accelerator_model import MultiplierVariant
 from edcarb.carbon_model import (
+    J_PER_KWH,
     DieSpec,
     DieTooLarge,
     InvalidStack,
-    OperationalSample,
     PackageKind,
     PackageSpec,
     cdp,
     die_carbon,
     dies_per_wafer,
     embodied_carbon,
+    embodied_per_inference_g,
     operational_carbon,
     wasted_area,
 )
@@ -193,11 +194,33 @@ def test_embodied_additivity_over_random_die_lists():
 
 
 def test_operational_carbon_products():
-    assert operational_carbon(OperationalSample(0.0, 5.0)) == 0.0
-    assert operational_carbon(OperationalSample(250.0, 2.0)) == pytest.approx(500.0)
-    assert operational_carbon(OperationalSample(100.0, 0.0)) == 0.0
-    with pytest.raises(ValidationFailure):
-        OperationalSample(-1.0, 1.0)
+    assert operational_carbon(0.0, 5.0) == 0.0
+    assert operational_carbon(250.0, 2.0 * J_PER_KWH) == pytest.approx(500.0)
+    assert operational_carbon(100.0, 0.0) == 0.0
+
+
+def test_operational_carbon_divides_the_product_last():
+    # the simulator's float order: ci * energy_j / J_PER_KWH, which differs
+    # from ci * (energy_j / J_PER_KWH) in the last bit on many inputs
+    rng = random.Random(11)
+    for _ in range(200):
+        ci, energy_j = rng.uniform(0.0, 900.0), rng.uniform(0.0, 1e6)
+        assert operational_carbon(ci, energy_j) == ci * energy_j / J_PER_KWH
+
+
+# ---------------------------------------------------------------------------
+# embodied carbon per inference
+# ---------------------------------------------------------------------------
+
+
+def test_embodied_per_inference_spreads_kg_over_the_lifetime_in_grams():
+    # 1 kg (1000 g) over 1M inferences
+    assert embodied_per_inference_g(1.0, 1e6) == pytest.approx(0.001)
+    assert embodied_per_inference_g(1.0, 2e6) == pytest.approx(0.0005)
+    assert embodied_per_inference_g(0.0, 5.0) == 0.0
+    for lifetime in (0.0, -5.0, math.nan):
+        with pytest.raises(ValidationFailure):
+            embodied_per_inference_g(1.0, lifetime)
 
 
 # ---------------------------------------------------------------------------
@@ -263,8 +286,6 @@ MODEL_FIELDS = {
         )
     },
     "DieSpec.area_cm2": lambda x: DieSpec(x, make_tech()),
-    "OperationalSample.ci_g_per_kwh": lambda x: OperationalSample(x, 1.0),
-    "OperationalSample.energy_kwh": lambda x: OperationalSample(100.0, x),
     "MultiplierVariant.area_mm2": lambda x: MultiplierVariant("m", x, 0.0),
     "MultiplierVariant.accuracy_drop_pct": lambda x: MultiplierVariant("m", 0.01, x),
     "ProcessingUnit.freq_levels_hz": lambda x: ProcessingUnit("u", UnitKind.CPU, (x,), 0.5, {}),

@@ -13,6 +13,7 @@ import pytest
 from edcarb import cli, cli_io, edc_scheduler
 from edcarb.edc_scheduler import EdgeNode, plan_bottleneck_ms, system_estimate
 from edcarb.errors import ValidationFailure
+from edcarb.runtime_sim import SimReport
 from edcarb.cli_io import (
     ConfigError,
     NegativeCi,
@@ -501,6 +502,31 @@ def test_cli_refuses_bad_sim_run_settings_at_load(demo_copy, tmp_path, capsys, c
     assert err[0].startswith("error[VALIDATION]: ")
     assert err[1:] == ["  - ga: population_size must be >= 2", "  - sim: horizon_s and step_s must be finite and > 0"]
     assert not out.exists()
+
+
+def test_config_lists_every_failed_sim_run_setting(demo_copy):
+    config = json.loads((demo_copy / "demo.json").read_text())
+    config["sim"]["step_s"] = 0
+    config["sim"]["deadline_ms"] = 0
+    (demo_copy / "demo.json").write_text(json.dumps(config))
+    with pytest.raises(ConfigError) as info:
+        load_config(demo_copy / "demo.json")
+    assert info.value.errors == [
+        "sim: horizon_s and step_s must be finite and > 0; deadline_ms must be finite and > 0"
+    ]
+
+
+def test_sim_report_holds_the_amortized_figure_at_its_key_position():
+    report = SimReport(0.0, 0.0, 0, 0, 0.0, 0, 0, 0, [], [])
+    keys = list(cli_io.sim_report_to_dict(report))
+    assert keys == [
+        "total_energy_kwh", "operational_g", "inferences_done", "deadline_misses", "mean_tps",
+        "embodied_amortized_g_per_inference", "arrivals_total", "backlog_at_horizon", "max_queue_len",
+        "decision_log",
+    ]
+    # without a figure, as for a config that gives no embodied total and lifetime
+    assert cli_io.sim_report_to_dict(report)["embodied_amortized_g_per_inference"] is None
+    assert cli_io.sim_report_to_dict(report, 0.002)["embodied_amortized_g_per_inference"] == 0.002
 
 
 def test_cli_explore_writes_artifacts(demo_copy, tmp_path, capsys):

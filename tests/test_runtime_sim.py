@@ -9,6 +9,7 @@ import pytest
 
 from edcarb.cli_io import sim_report_to_dict
 from edcarb import runtime_sim
+from edcarb.carbon_model import J_PER_KWH, operational_carbon
 from edcarb.edc_scheduler import (
     EdgeNode,
     NoFeasiblePlan,
@@ -21,7 +22,6 @@ from edcarb.errors import ValidationFailure
 from edcarb.runtime_sim import (
     CiTrace,
     ExecLookupTable,
-    J_PER_KWH,
     LlmVariant,
     LogEvent,
     NoVariantUnderPowerThreshold,
@@ -29,7 +29,6 @@ from edcarb.runtime_sim import (
     SimConfig,
     TraceArrivals,
     TraceExhausted,
-    amortized_report,
     choose_batch,
     choose_concurrency,
     choose_frequency,
@@ -39,6 +38,7 @@ from edcarb.runtime_sim import (
 )
 
 from support import (
+    LLM_VARIANTS,
     brute_force_batch,
     brute_force_frequency,
     make_unit,
@@ -55,12 +55,6 @@ TWO_FREQ_TABLE = ExecLookupTable(
         (2, 1): (50.0, 0.9),
     },
     concurrency={1: (1.0, 1.0), 2: (1.8, 1.5)},
-)
-
-LLM_VARIANTS = (
-    LlmVariant("big", 0.95, (20.0, 35.0), (12.0, 18.0)),
-    LlmVariant("mid", 0.90, (30.0, 50.0), (8.0, 12.0)),
-    LlmVariant("small", 0.85, (45.0, 70.0), (5.0, 7.0)),
 )
 
 
@@ -214,6 +208,17 @@ def test_validators_reject_non_finite_numbers(field, value):
     build(1.0)  # the same object with a finite value is valid
     with pytest.raises(ValidationFailure):
         build(value)
+
+
+def test_sim_config_reports_every_failed_check_in_order():
+    with pytest.raises(ValidationFailure) as info:
+        SimConfig(
+            mode="batch", horizon_s=10.0, policy="sometimes", step_s=0.0, tokens_per_request=0, idle_power_w=-1.0
+        )
+    assert str(info.value) == (
+        "unknown policy 'sometimes'; horizon_s and step_s must be finite and > 0; "
+        "tokens_per_request must be >= 1; idle_power_w must be finite and >= 0"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -532,12 +537,10 @@ def test_mapping_mode_has_no_request_queue():
 
 
 def test_operational_grams_consistent_with_carbon_model():
-    from edcarb.carbon_model import OperationalSample, operational_carbon
-
     config = batch_config()
     arrivals = PoissonArrivals(rate_per_s=3.0, seed=7)
     report = run_simulation(config, two_level_trace(100.0, 500.0, 60.0), arrivals, table=TWO_FREQ_TABLE)
-    grams = sum(operational_carbon(OperationalSample(s.ci, s.energy_kwh)) for s in report.steps)
+    grams = sum(operational_carbon(s.ci, s.energy_kwh * J_PER_KWH) for s in report.steps)
     assert report.operational_g == pytest.approx(grams, rel=1e-9)
 
 
@@ -948,28 +951,3 @@ def test_mapping_mode_remaps_as_search_mapping_at_each_threshold(monkeypatch):
         assert len(prepares) == 1
         runs += 1
     assert infeasible >= 1
-
-
-# ---------------------------------------------------------------------------
-# amortization
-# ---------------------------------------------------------------------------
-
-
-def test_amortized_report():
-    config = batch_config(idle_power_w=0.0)
-    sim = run_simulation(config, flat_trace(250.0, 60.0), TraceArrivals(()), table=TWO_FREQ_TABLE)
-    # 1 kg (1000 g) over 1M inferences
-    assert amortized_report(1.0, sim, 1e6) == pytest.approx(0.001)
-    assert amortized_report(1.0, sim, 2e6) == pytest.approx(0.0005)
-    with pytest.raises(ValidationFailure):
-        amortized_report(1.0, sim, 0.0)
-
-
-def test_amortized_independent_of_sim_activity():
-    config = batch_config(idle_power_w=0.0)
-    report = run_simulation(
-        config, flat_trace(250.0, 60.0), TraceArrivals(()), table=TWO_FREQ_TABLE
-    )
-    amortized_report(2.0, report, 1e6)
-    assert report.inferences_done == 0
-    assert report.embodied_amortized_g_per_inference == pytest.approx(0.002)

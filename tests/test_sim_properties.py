@@ -11,19 +11,13 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from edcarb.runtime_sim import (  # noqa: E402
     CiTrace,
-    LlmVariant,
     PoissonArrivals,
     SimConfig,
     run_simulation,
 )
 
-from support import random_exec_table  # noqa: E402
+from support import LLM_VARIANTS, random_exec_table  # noqa: E402
 
-LLM_VARIANTS = (
-    LlmVariant("big", 0.95, (20.0, 35.0), (12.0, 18.0)),
-    LlmVariant("mid", 0.90, (30.0, 50.0), (8.0, 12.0)),
-    LlmVariant("small", 0.85, (45.0, 70.0), (5.0, 7.0)),
-)
 LLM_FLOOR_W = 5.0  # the lowest power any variant draws
 
 

@@ -21,7 +21,6 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "edcarb"
 REFERENCES = {
     "exhaustive_search": "the c03 oracle the GA is checked against",
     "system_estimate": "the pipeline model the mapping search's estimates must equal",
-    "operational_carbon": "the operational-carbon equation c01 checks",
 }
 
 

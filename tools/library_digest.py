@@ -30,7 +30,14 @@ same inputs:
   layers, 3 units and 2 frequencies, with drawn search parameters whose
   candidate cap is below the plans of every DNN, so each search samples
   its candidates. Each runs on a trace that jumps between a low and a high
-  band at every sample, so every sample forces a re-plan.
+  band at every sample, so every sample forces a re-plan;
+- batch and llm ``run_simulation`` (``sim.queue.random``) on 60
+  ``support.random_queue_scenario`` draws (seed 11), the two modes in
+  turn: ``support.random_exec_table`` tables or three LLM variants, Poisson
+  rates from nearly idle to four times a service rate of the mode, both
+  policies, idle power on and off, and ``p_min_w`` draws under the least
+  power of one batch dispatch, so that some steps are power-gated. Before
+  these cases only the ``sim-load`` scenarios ran the queue step.
 
 Cases are listed in the order above; a new kind of case is added at the
 end, so the older ones keep their inputs.
@@ -147,6 +154,14 @@ def _random_simulations(support, edc_scheduler, runtime_sim) -> None:
             )
 
 
+def _random_queue_simulations(support, runtime_sim) -> None:
+    rng = random.Random(11)
+    for i in range(60):
+        mode = ("batch", "llm")[i % 2]
+        config, trace, arrivals, kwargs = support.random_queue_scenario(rng, mode)
+        _case(f"sim.queue.random.{i}.{mode}", runtime_sim.run_simulation, config, trace, arrivals, **kwargs)
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print(__doc__.strip().splitlines()[2], file=sys.stderr)
@@ -165,6 +180,7 @@ def main(argv: list[str]) -> int:
     _random_searches(support, edc_scheduler)
     _simulations(workloads, runtime_sim)
     _random_simulations(support, edc_scheduler, runtime_sim)
+    _random_queue_simulations(support, runtime_sim)
     return 0
 
 
