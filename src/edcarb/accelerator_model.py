@@ -3,7 +3,9 @@
 Covers the three quantities the design explorer trades off: silicon area
 (split across dies for 3D stacks), end-to-end workload latency under a
 per-layer roofline (compute-bound vs DRAM-bound), and the embodied carbon
-of the resulting dies via carbon_model.
+of the resulting die areas via carbon_model. One AcceleratorConfig is one
+design point and is also the design explorer's chromosome: its six genes
+plus the fixed settings of the run (stacking, clock, DRAM width, TSVs).
 
 The latency model is intentionally coarse: per layer, the active fraction
 of the PE array is set by the dataflow, DRAM traffic by a single refetch
@@ -17,13 +19,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .carbon_model import (
-    DieSpec,
-    PackageKind,
-    PackageSpec,
-    TechnologyParams,
-    embodied_carbon,
-)
+from .carbon_model import PackageKind, TechnologyParams, embodied_carbon
 from .errors import ValidationFailure
 
 MM2_PER_CM2 = 100.0
@@ -212,19 +208,9 @@ def accelerator_embodied(config: AcceleratorConfig, tech: TechnologyParams, brea
     when planar, compute+memory dies (bond interface = the larger die,
     configured TSV count) when stacked."""
     if config.stacking is PackageKind.STACKED_3D:
-        dies = [
-            DieSpec(area_cm2=breakdown.compute_die_cm2, tech=tech),
-            DieSpec(area_cm2=breakdown.memory_die_cm2, tech=tech),
-        ]
-        package = PackageSpec(
-            kind=PackageKind.STACKED_3D,
-            tsv_count=config.tsv_count,
-            bond_interface_area_cm2=max(breakdown.compute_die_cm2, breakdown.memory_die_cm2),
-        )
-    else:
-        dies = [DieSpec(area_cm2=breakdown.total_2d_equiv_cm2, tech=tech)]
-        package = PackageSpec(kind=PackageKind.PLANAR_2D)
-    return embodied_carbon(dies, package)
+        compute, memory = breakdown.compute_die_cm2, breakdown.memory_die_cm2
+        return embodied_carbon((compute, memory), tech, PackageKind.STACKED_3D, config.tsv_count, max(compute, memory))
+    return embodied_carbon((breakdown.total_2d_equiv_cm2,), tech)
 
 
 def accuracy_feasible(config: AcceleratorConfig, max_drop_pct: float) -> bool:

@@ -2,9 +2,9 @@
 
 Two equations live here, plus the metrics built from them:
 
-- embodied carbon of a packaged device: per-die fabrication carbon
-  (area and silicon-wastage terms) summed with packaging, bonding and
-  TSV terms for 3D stacks;
+- embodied carbon of a packaged device: the fabrication carbon of each die
+  area (area and silicon-wastage terms) on one technology node, summed
+  with packaging, bonding and TSV terms for 3D stacks;
 - operational carbon of execution: grid carbon intensity times energy;
 - the carbon-delay product (CDP) used as the design-space fitness;
 - embodied carbon amortized over a device's lifetime inferences.
@@ -70,29 +70,6 @@ class TechnologyParams:
             raise ValidationFailure(f"technology {self.node_label!r}: wafer_diameter_cm must be finite and > 0")
 
 
-@dataclass(frozen=True)
-class DieSpec:
-    area_cm2: float
-    tech: TechnologyParams
-
-    def __post_init__(self) -> None:
-        if not 0 < self.area_cm2 < math.inf:
-            raise ValidationFailure(f"die area must be finite and > 0, got {self.area_cm2}")
-
-
-@dataclass(frozen=True)
-class PackageSpec:
-    kind: PackageKind
-    tsv_count: int = 0
-    bond_interface_area_cm2: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.tsv_count < 0:
-            raise ValidationFailure("tsv_count must be >= 0")
-        if self.bond_interface_area_cm2 < 0:
-            raise ValidationFailure("bond_interface_area_cm2 must be >= 0")
-
-
 def dies_per_wafer(die_area_cm2: float, wafer_diameter_cm: float) -> int:
     """Estimate whole dies yielded by one wafer.
 
@@ -127,38 +104,46 @@ def wasted_area(die_area_cm2: float, wafer_diameter_cm: float) -> float:
     return (wafer_area - dpw * die_area_cm2) / dpw
 
 
-def die_carbon(die: DieSpec) -> float:
-    """Fabrication carbon of one die in kgCO2.
+def die_carbon(area_cm2: float, tech: TechnologyParams) -> float:
+    """Fabrication carbon of one die of `area_cm2` on node `tech`, in kgCO2.
 
     Carbon is charged for the die's own area at the node's per-area
     coefficient plus the per-die share of wasted wafer silicon at the wastage
     coefficient.
     """
-    wasted = wasted_area(die.area_cm2, die.tech.wafer_diameter_cm)
-    return die.tech.cfpa_kg_per_cm2 * die.area_cm2 + die.tech.cfpa_si_kg_per_cm2 * wasted
+    if not 0 < area_cm2 < math.inf:
+        raise ValidationFailure(f"die area must be finite and > 0, got {area_cm2}")
+    wasted = wasted_area(area_cm2, tech.wafer_diameter_cm)
+    return tech.cfpa_kg_per_cm2 * area_cm2 + tech.cfpa_si_kg_per_cm2 * wasted
 
 
-def embodied_carbon(dies: list[DieSpec] | tuple[DieSpec, ...], package: PackageSpec) -> float:
-    """Total embodied carbon of a packaged device in kgCO2.
+def embodied_carbon(
+    die_areas_cm2: list[float] | tuple[float, ...],
+    tech: TechnologyParams,
+    kind: PackageKind = PackageKind.PLANAR_2D,
+    tsv_count: int = 0,
+    bond_interface_area_cm2: float = 0.0,
+) -> float:
+    """Total embodied carbon in kgCO2 of dies of `die_areas_cm2`, all on node
+    `tech`, in a package of `kind`.
 
     Sums per-die fabrication carbon with the flat packaging term; 3D stacks
     additionally pay bonding carbon over the bonded interface and a per-via
-    TSV term. Package-level coefficients are read from the first die's
-    technology node (multi-node stacks share the packaging fab).
+    TSV term.
     """
-    if not dies:
+    if tsv_count < 0:
+        raise ValidationFailure("tsv_count must be >= 0")
+    if bond_interface_area_cm2 < 0:
+        raise ValidationFailure("bond_interface_area_cm2 must be >= 0")
+    if not die_areas_cm2:
         raise ValidationFailure("embodied_carbon needs at least one die")
-    if package.kind is PackageKind.STACKED_3D and len(dies) < 2:
-        raise InvalidStack("a 3D stack needs at least two dies")
-
-    pkg_tech = dies[0].tech
-    if package.kind is PackageKind.STACKED_3D:
-        bonding = pkg_tech.bonding_kg_per_cm2 * package.bond_interface_area_cm2
-        tsv = pkg_tech.tsv_kg_per_via * package.tsv_count
-    else:
-        bonding = 0.0
-        tsv = 0.0
-    return sum(die_carbon(d) for d in dies) + pkg_tech.packaging_kg + bonding + tsv
+    bonding = tsv = 0.0
+    if kind is PackageKind.STACKED_3D:
+        if len(die_areas_cm2) < 2:
+            raise InvalidStack("a 3D stack needs at least two dies")
+        bonding = tech.bonding_kg_per_cm2 * bond_interface_area_cm2
+        tsv = tech.tsv_kg_per_via * tsv_count
+    return sum(die_carbon(a, tech) for a in die_areas_cm2) + tech.packaging_kg + bonding + tsv
 
 
 def operational_carbon(ci_g_per_kwh: float, energy_j: float) -> float:

@@ -1,10 +1,12 @@
 """Genetic-algorithm search over accelerator design points.
 
-A chromosome binds the five free genes (array width/height, per-PE buffer,
-global buffer, dataflow) plus the multiplier variant; fitness is the
-carbon-delay product of the evaluated design (or plain latency when
-emulating a delay-first baseline). Infeasible designs keep their metrics
-but carry +inf fitness so selection routes around them.
+A chromosome is an AcceleratorConfig: six genes (array width and height,
+per-PE buffer, global buffer, dataflow, multiplier variant) plus the
+space's stacking, clock, DRAM width and TSV count, which every design of a
+search shares. Fitness is the carbon-delay product of the evaluated design
+(or plain latency when emulating a delay-first baseline). Infeasible
+designs keep their metrics but carry +inf fitness so selection routes
+around them.
 
 exhaustive_search enumerates the whole space and is the oracle the GA is
 validated against; pareto_front extracts the non-dominated
@@ -16,7 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .accelerator_model import (
     AcceleratorConfig,
@@ -41,16 +43,6 @@ class NoFeasibleDesign(InfeasibleError):
 
 class SpaceTooLarge(ValidationFailure):
     """Exhaustive enumeration refused above the configured cap."""
-
-
-@dataclass(frozen=True)
-class Chromosome:
-    px: int
-    py: int
-    b_local: int
-    b_global: int
-    dataflow: Dataflow
-    multiplier: MultiplierVariant
 
 
 @dataclass(frozen=True)
@@ -83,6 +75,10 @@ class DesignSpace:
         for name, values in zip(fields, genes.values()):
             if not values:
                 raise ValidationFailure(f"design space: candidate list {name} is empty")
+        fixed = (self.stacking, self.clock_hz, self.dram_bytes_per_cycle, self.tsv_count)
+        # AcceleratorConfig checks genes only against lower bounds, so the smallest genes stand for all
+        smallest = (min(self.px_values), min(self.py_values), min(self.b_local_values), min(self.b_global_values))
+        AcceleratorConfig(*smallest, self.dataflows[0], self.multipliers[0], *fixed)
         # gene -> {value: its first index}, the position `tuple.index` gives
         index = {gene: {} for gene in genes}
         for gene, values in genes.items():
@@ -90,6 +86,7 @@ class DesignSpace:
                 index[gene].setdefault(value, i)
         object.__setattr__(self, "_genes", genes)
         object.__setattr__(self, "_gene_index", index)
+        object.__setattr__(self, "_fixed", fixed)
 
     def candidates(self, gene: str) -> tuple:
         return self._genes[gene]
@@ -98,31 +95,17 @@ class DesignSpace:
     def size(self) -> int:
         return math.prod(map(len, self._genes.values()))
 
-    def index_key(self, c: Chromosome) -> tuple[int, ...]:
+    def index_key(self, c: AcceleratorConfig) -> tuple[int, ...]:
         """Lexicographic position of a chromosome; the global tie-break order."""
         return tuple(self._gene_index[g][getattr(c, g)] for g in _GENES)
 
     def chromosomes(self):
         """All chromosomes in lexicographic gene order."""
         for values in itertools.product(*self._genes.values()):
-            yield Chromosome(*values)
+            yield AcceleratorConfig(*values, *self._fixed)
 
-    def random_chromosome(self, rng: random.Random) -> Chromosome:
-        return Chromosome(*(rng.choice(self.candidates(g)) for g in _GENES))
-
-    def to_config(self, c: Chromosome) -> AcceleratorConfig:
-        return AcceleratorConfig(
-            px=c.px,
-            py=c.py,
-            b_local=c.b_local,
-            b_global=c.b_global,
-            dataflow=c.dataflow,
-            multiplier=c.multiplier,
-            stacking=self.stacking,
-            clock_hz=self.clock_hz,
-            dram_bytes_per_cycle=self.dram_bytes_per_cycle,
-            tsv_count=self.tsv_count,
-        )
+    def random_chromosome(self, rng: random.Random) -> AcceleratorConfig:
+        return AcceleratorConfig(*(rng.choice(self.candidates(g)) for g in _GENES), *self._fixed)
 
 
 @dataclass(frozen=True)
@@ -150,7 +133,7 @@ class GaParams:
 
 @dataclass(frozen=True)
 class EvaluatedDesign:
-    chromosome: Chromosome
+    chromosome: AcceleratorConfig
     embodied_kg: float
     latency_s: float
     cdp_kg_s: float
@@ -187,7 +170,7 @@ class CostTables:
 
 
 def evaluate(
-    chromosome: Chromosome,
+    chromosome: AcceleratorConfig,
     workload: DnnWorkload,
     space: DesignSpace,
     tables: CostTables | None = None,
@@ -203,11 +186,11 @@ def evaluate(
     embodied_key = (c.px, c.py, c.b_local, c.b_global, c.multiplier)
     embodied = tables.embodied.get(embodied_key)
     if embodied is None:
-        embodied = tables.embodied[embodied_key] = _embodied_verdict(space.to_config(c), space)
+        embodied = tables.embodied[embodied_key] = _embodied_verdict(c, space)
     latency_key = (c.px, c.py, c.b_global, c.dataflow)
     latency = tables.latency_s.get(latency_key)
     if latency is None:
-        latency = tables.latency_s[latency_key] = estimate_latency(space.to_config(c), workload)
+        latency = tables.latency_s[latency_key] = estimate_latency(c, workload)
     embodied_kg, reason = embodied
     feasible = reason is None
     return EvaluatedDesign(
@@ -232,25 +215,26 @@ def _embodied_verdict(config: AcceleratorConfig, space: DesignSpace) -> tuple[fl
     return embodied_kg, "+".join(reasons) if reasons else None
 
 
-def crossover(a: Chromosome, b: Chromosome, rng: random.Random) -> tuple[Chromosome, Chromosome]:
+def _with_genes(c: AcceleratorConfig, genes: list) -> AcceleratorConfig:
+    """The design of `genes`, in `_GENES` order, with the fixed settings of `c`."""
+    return AcceleratorConfig(*genes, c.stacking, c.clock_hz, c.dram_bytes_per_cycle, c.tsv_count)
+
+
+def crossover(a: AcceleratorConfig, b: AcceleratorConfig, rng: random.Random) -> tuple[AcceleratorConfig, ...]:
     """Uniform crossover: each gene swaps between the children with prob 0.5."""
-    child_a = {}
-    child_b = {}
-    for gene in _GENES:
-        if rng.random() < 0.5:
-            child_a[gene], child_b[gene] = getattr(b, gene), getattr(a, gene)
-        else:
-            child_a[gene], child_b[gene] = getattr(a, gene), getattr(b, gene)
-    return Chromosome(**child_a), Chromosome(**child_b)
+    swaps = [rng.random() < 0.5 for _ in _GENES]
+    genes_a = [getattr(b if swap else a, g) for swap, g in zip(swaps, _GENES)]
+    genes_b = [getattr(a if swap else b, g) for swap, g in zip(swaps, _GENES)]
+    return _with_genes(a, genes_a), _with_genes(b, genes_b)
 
 
-def mutate(c: Chromosome, rate: float, space: DesignSpace, rng: random.Random) -> Chromosome:
+def mutate(c: AcceleratorConfig, rate: float, space: DesignSpace, rng: random.Random) -> AcceleratorConfig:
     """Resample each gene from its candidate list independently with prob `rate`."""
     updates = {}
     for gene in _GENES:
         if rng.random() < rate:
             updates[gene] = rng.choice(space.candidates(gene))
-    return replace(c, **updates) if updates else c
+    return _with_genes(c, [updates.get(g, getattr(c, g)) for g in _GENES]) if updates else c
 
 
 def _fitness_of(design: EvaluatedDesign, fitness: str) -> float:
@@ -275,10 +259,10 @@ def run_ga(
     if fitness not in ("cdp", "delay"):
         raise ValidationFailure(f"unknown fitness {fitness!r}")
     rng = random.Random(params.rng_seed)
-    cache: dict[Chromosome, EvaluatedDesign] = {}
+    cache: dict[AcceleratorConfig, EvaluatedDesign] = {}
     tables = CostTables()
 
-    def eval_cached(c: Chromosome) -> EvaluatedDesign:
+    def eval_cached(c: AcceleratorConfig) -> EvaluatedDesign:
         hit = cache.get(c)
         if hit is None:
             hit = evaluate(c, workload, space, tables)
@@ -304,9 +288,11 @@ def run_ga(
         if generation == params.generations:
             break
 
-        def tournament() -> Chromosome:
-            picks = [designs[rng.randrange(len(designs))] for _ in range(params.tournament_k)]
-            return min(picks, key=sort_key).chromosome
+        keys = [sort_key(d) for d in designs]
+
+        def tournament() -> AcceleratorConfig:
+            picks = [rng.randrange(len(designs)) for _ in range(params.tournament_k)]
+            return designs[min(picks, key=keys.__getitem__)].chromosome
 
         next_pop = [d.chromosome for d in sorted(designs, key=sort_key)[: params.elitism_count]]
         while len(next_pop) < params.population_size:

@@ -15,9 +15,7 @@ from edcarb import cli
 from edcarb.accelerator_model import Dataflow, MultiplierVariant
 from edcarb.carbon_model import (
     J_PER_KWH,
-    DieSpec,
     PackageKind,
-    PackageSpec,
     die_carbon,
     dies_per_wafer,
     embodied_carbon,
@@ -120,19 +118,19 @@ def test_c01_carbon_equations_match_spreadsheet_recomputation():
             dpw = math.floor(wafer_area / area - math.pi * wafer_d / math.sqrt(2.0 * area))
             wasted = (wafer_area - dpw * area) / dpw
             expected_dies.append(cfpa * area + cfpa_si * wasted)
-            assert die_carbon(DieSpec(area, tech)) == pytest.approx(expected_dies[-1], rel=1e-9)
+            assert die_carbon(area, tech) == pytest.approx(expected_dies[-1], rel=1e-9)
 
         if len(areas) >= 2:
             tsv_count = rng.randint(0, 2000)
             bond_area = rng.uniform(0.0, 2.0)
-            package = PackageSpec(PackageKind.STACKED_3D, tsv_count, bond_area)
+            package = (PackageKind.STACKED_3D, tsv_count, bond_area)
             expected_total = (
                 sum(expected_dies) + packaging + bonding * bond_area + tsv_c * tsv_count
             )
         else:
-            package = PackageSpec(PackageKind.PLANAR_2D)
+            package = (PackageKind.PLANAR_2D,)
             expected_total = sum(expected_dies) + packaging
-        total = embodied_carbon([DieSpec(a, tech) for a in areas], package)
+        total = embodied_carbon(areas, tech, *package)
         assert total == pytest.approx(expected_total, rel=1e-9)
 
         ci = rng.uniform(0.0, 900.0)
@@ -237,25 +235,24 @@ def test_c04_appx_mode_beats_exact_only_on_both_axes():
 def test_c05_stacked_carbon_additive_and_reducible_to_planar():
     start = time.time()
     tech = make_tech(bonding_kg_per_cm2=0.25, tsv_kg_per_via=2e-4)
-    dies = [DieSpec(0.8, tech), DieSpec(0.35, tech)]
-    package = PackageSpec(PackageKind.STACKED_3D, tsv_count=1500, bond_interface_area_cm2=0.8)
-    total = embodied_carbon(dies, package)
+    dies = [0.8, 0.35]
+    package = (PackageKind.STACKED_3D, 1500, 0.8)  # kind, TSV count, bond interface area
+    total = embodied_carbon(dies, tech, *package)
     recomputed = (
-        sum(die_carbon(d) for d in dies)
+        sum(die_carbon(a, tech) for a in dies)
         + tech.packaging_kg
-        + tech.bonding_kg_per_cm2 * package.bond_interface_area_cm2
-        + tech.tsv_kg_per_via * package.tsv_count
+        + tech.bonding_kg_per_cm2 * 0.8
+        + tech.tsv_kg_per_via * 1500
     )
     assert total == recomputed  # exact
 
     zeroed = make_tech(bonding_kg_per_cm2=0.0, tsv_kg_per_via=0.0)
-    dies0 = [DieSpec(0.8, zeroed), DieSpec(0.35, zeroed)]
-    stacked0 = embodied_carbon(dies0, package)
-    planar0 = embodied_carbon(dies0, PackageSpec(PackageKind.PLANAR_2D))
+    stacked0 = embodied_carbon(dies, zeroed, *package)
+    planar0 = embodied_carbon(dies, zeroed, PackageKind.PLANAR_2D)
     assert stacked0 == planar0  # exact
     # with only the (zeroed) bonding and TSV coefficients left, the stack costs nothing
     package_terms_only = only_coefficients(zeroed, "bonding_kg_per_cm2", "tsv_kg_per_via")
-    assert embodied_carbon([DieSpec(0.8, package_terms_only), DieSpec(0.35, package_terms_only)], package) == 0.0
+    assert embodied_carbon(dies, package_terms_only, *package) == 0.0
     elapsed = time.time() - start
     assert elapsed < 1.0, f"criterion 5 took {elapsed:.2f}s"
     _report("5 3D additivity exact, zero coefficients recover planar sum")

@@ -9,11 +9,9 @@ import pytest
 from edcarb.accelerator_model import MultiplierVariant
 from edcarb.carbon_model import (
     J_PER_KWH,
-    DieSpec,
     DieTooLarge,
     InvalidStack,
     PackageKind,
-    PackageSpec,
     cdp,
     die_carbon,
     dies_per_wafer,
@@ -75,13 +73,13 @@ def test_die_too_large_errors():
 
 def test_die_carbon_zero_coefficients():
     tech = make_tech(cfpa_kg_per_cm2=0.0, cfpa_si_kg_per_cm2=0.0)
-    assert die_carbon(DieSpec(area_cm2=2.0, tech=tech)) == 0.0
+    assert die_carbon(2.0, tech) == 0.0
 
 
 def test_die_carbon_composes_wasted_area():
     tech = make_tech(cfpa_kg_per_cm2=2.0, cfpa_si_kg_per_cm2=1.0, wafer_diameter_cm=30.0)
     expected = 2.0 * 1.0 + 1.0 * wasted_area(1.0, 30.0)
-    got = die_carbon(DieSpec(area_cm2=1.0, tech=tech))
+    got = die_carbon(1.0, tech)
     assert got == pytest.approx(expected)
     assert got == pytest.approx(2.1045, rel=1e-3)
 
@@ -92,10 +90,8 @@ def test_die_carbon_linear_in_coefficients():
         cfpa = rng.uniform(0.1, 5.0)
         cfpa_si = rng.uniform(0.1, 5.0)
         area = rng.uniform(0.2, 2.0)
-        single = die_carbon(DieSpec(area, make_tech(cfpa_kg_per_cm2=cfpa, cfpa_si_kg_per_cm2=cfpa_si)))
-        double = die_carbon(
-            DieSpec(area, make_tech(cfpa_kg_per_cm2=2 * cfpa, cfpa_si_kg_per_cm2=2 * cfpa_si))
-        )
+        single = die_carbon(area, make_tech(cfpa_kg_per_cm2=cfpa, cfpa_si_kg_per_cm2=cfpa_si))
+        double = die_carbon(area, make_tech(cfpa_kg_per_cm2=2 * cfpa, cfpa_si_kg_per_cm2=2 * cfpa_si))
         assert double == 2 * single
 
 
@@ -108,11 +104,12 @@ def test_embodied_single_planar_die_is_additive():
     # die carbon is exactly 0.7 (no silicon-wastage coefficient); a planar
     # package pays no bonding or TSV carbon, whatever its coefficients
     tech = make_tech(cfpa_kg_per_cm2=1.4, cfpa_si_kg_per_cm2=0.0, packaging_kg=0.3)
-    planar = PackageSpec(PackageKind.PLANAR_2D, tsv_count=1000, bond_interface_area_cm2=0.5)
-    assert embodied_carbon([DieSpec(0.5, tech)], planar) == pytest.approx(1.0)
-    assert embodied_carbon([DieSpec(0.5, replace(tech, packaging_kg=0.0))], planar) == pytest.approx(0.7)
+    planar = dict(kind=PackageKind.PLANAR_2D, tsv_count=1000, bond_interface_area_cm2=0.5)
+    assert embodied_carbon([0.5], tech, **planar) == pytest.approx(1.0)
+    assert embodied_carbon([0.5], replace(tech, packaging_kg=0.0), **planar) == pytest.approx(0.7)
     package_terms_only = only_coefficients(tech, "bonding_kg_per_cm2", "tsv_kg_per_via")  # 0.2 and 1e-4
-    assert embodied_carbon([DieSpec(0.5, package_terms_only)], planar) == 0.0
+    assert embodied_carbon([0.5], package_terms_only, **planar) == 0.0
+    assert embodied_carbon([0.5], tech) == embodied_carbon([0.5], tech, **planar)
 
 
 def test_embodied_stacked_two_dies_with_bonding_and_tsv():
@@ -123,12 +120,11 @@ def test_embodied_stacked_two_dies_with_bonding_and_tsv():
         bonding_kg_per_cm2=0.2,
         tsv_kg_per_via=1e-4,
     )
-    package = PackageSpec(PackageKind.STACKED_3D, tsv_count=1000, bond_interface_area_cm2=0.5)
 
     def stacked(t):
-        return embodied_carbon([DieSpec(0.7, t), DieSpec(0.5, t)], package)
+        return embodied_carbon([0.7, 0.5], t, PackageKind.STACKED_3D, tsv_count=1000, bond_interface_area_cm2=0.5)
 
-    assert [die_carbon(DieSpec(a, tech)) for a in (0.7, 0.5)] == [pytest.approx(0.7), pytest.approx(0.5)]
+    assert [die_carbon(a, tech) for a in (0.7, 0.5)] == [pytest.approx(0.7), pytest.approx(0.5)]
     assert stacked(only_coefficients(tech, "cfpa_kg_per_cm2")) == pytest.approx(0.7 + 0.5)
     assert stacked(only_coefficients(tech, "packaging_kg")) == pytest.approx(0.3)
     assert stacked(only_coefficients(tech, "bonding_kg_per_cm2")) == pytest.approx(0.1)
@@ -138,17 +134,33 @@ def test_embodied_stacked_two_dies_with_bonding_and_tsv():
 
 def test_stacked_strictly_heavier_than_planar_for_same_dies():
     tech = make_tech()
-    dies = [DieSpec(0.4, tech), DieSpec(0.3, tech)]
-    planar = embodied_carbon(dies, PackageSpec(PackageKind.PLANAR_2D))
-    stacked = embodied_carbon(
-        dies, PackageSpec(PackageKind.STACKED_3D, tsv_count=100, bond_interface_area_cm2=0.4)
-    )
+    planar = embodied_carbon([0.4, 0.3], tech, PackageKind.PLANAR_2D)
+    stacked = embodied_carbon([0.4, 0.3], tech, PackageKind.STACKED_3D, tsv_count=100, bond_interface_area_cm2=0.4)
+    assert type(planar) is float and type(stacked) is float
     assert stacked > planar
 
 
 def test_stacked_with_one_die_rejected():
-    with pytest.raises(InvalidStack):
-        embodied_carbon([DieSpec(0.4, make_tech())], PackageSpec(PackageKind.STACKED_3D))
+    with pytest.raises(InvalidStack, match="a 3D stack needs at least two dies"):
+        embodied_carbon([0.4], make_tech(), PackageKind.STACKED_3D)
+    embodied_carbon([0.4], make_tech(), PackageKind.PLANAR_2D)
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        (dict(die_areas_cm2=[]), "embodied_carbon needs at least one die"),
+        (dict(tsv_count=-1), "tsv_count must be >= 0"),
+        (dict(bond_interface_area_cm2=-0.1), "bond_interface_area_cm2 must be >= 0"),
+        (dict(die_areas_cm2=[0.4, 0.0]), "die area must be finite and > 0, got 0.0"),
+        (dict(die_areas_cm2=[0.4, -0.3]), "die area must be finite and > 0, got -0.3"),
+    ],
+)
+@pytest.mark.parametrize("kind", list(PackageKind))
+def test_embodied_rejects_bad_package_inputs_in_both_kinds(kwargs, message, kind):
+    given = {"die_areas_cm2": [0.4, 0.3], "tech": make_tech(), "kind": kind, **kwargs}
+    with pytest.raises(ValidationFailure, match=message):
+        embodied_carbon(**given)
 
 
 def test_embodied_additivity_over_random_die_lists():
@@ -161,23 +173,20 @@ def test_embodied_additivity_over_random_die_lists():
             bonding_kg_per_cm2=rng.uniform(0.0, 0.5),
             tsv_kg_per_via=rng.uniform(0.0, 1e-3),
         )
-        dies = [DieSpec(rng.uniform(0.1, 1.5), tech) for _ in range(rng.randint(2, 4))]
-        package = PackageSpec(
-            PackageKind.STACKED_3D,
-            tsv_count=rng.randint(0, 2000),
-            bond_interface_area_cm2=rng.uniform(0.0, 1.5),
-        )
-        total = embodied_carbon(dies, package)
+        areas = [rng.uniform(0.1, 1.5) for _ in range(rng.randint(2, 4))]
+        tsv_count = rng.randint(0, 2000)
+        bond_area = rng.uniform(0.0, 1.5)
+        total = embodied_carbon(areas, tech, PackageKind.STACKED_3D, tsv_count, bond_area)
         recomputed = (
-            sum(die_carbon(d) for d in dies)
+            sum(die_carbon(a, tech) for a in areas)
             + tech.packaging_kg
-            + tech.bonding_kg_per_cm2 * package.bond_interface_area_cm2
-            + tech.tsv_kg_per_via * package.tsv_count
+            + tech.bonding_kg_per_cm2 * bond_area
+            + tech.tsv_kg_per_via * tsv_count
         )
         assert total == recomputed
         # each term alone, from the same dies and package, sums to the total
         terms = [
-            embodied_carbon([replace(d, tech=only_coefficients(tech, *kept)) for d in dies], package)
+            embodied_carbon(areas, only_coefficients(tech, *kept), PackageKind.STACKED_3D, tsv_count, bond_area)
             for kept in (
                 ("cfpa_kg_per_cm2", "cfpa_si_kg_per_cm2"),
                 ("packaging_kg",),
@@ -252,16 +261,6 @@ def test_cdp_rejects_negative():
         cdp(-1.0, 1.0)
 
 
-def test_embodied_inputs_are_frozen_value_objects():
-    die = DieSpec(1.0, make_tech())
-    package = PackageSpec(PackageKind.PLANAR_2D)
-    with pytest.raises(AttributeError):
-        die.area_cm2 = 5.0
-    with pytest.raises(AttributeError):
-        package.tsv_count = 5
-    assert type(embodied_carbon([die], package)) is float
-
-
 # ---------------------------------------------------------------------------
 # validators of the model inputs
 # ---------------------------------------------------------------------------
@@ -285,7 +284,7 @@ MODEL_FIELDS = {
             "tsv_kg_per_via",
         )
     },
-    "DieSpec.area_cm2": lambda x: DieSpec(x, make_tech()),
+    "die_carbon.area_cm2": lambda x: die_carbon(x, make_tech()),
     "MultiplierVariant.area_mm2": lambda x: MultiplierVariant("m", x, 0.0),
     "MultiplierVariant.accuracy_drop_pct": lambda x: MultiplierVariant("m", 0.01, x),
     "ProcessingUnit.freq_levels_hz": lambda x: ProcessingUnit("u", UnitKind.CPU, (x,), 0.5, {}),

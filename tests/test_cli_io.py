@@ -516,6 +516,39 @@ def test_config_lists_every_failed_sim_run_setting(demo_copy):
     ]
 
 
+@pytest.mark.parametrize(
+    "key, value, error",
+    [
+        ("px", [4, 8, 16, 0], "design_space: PE array dimensions must be >= 1"),
+        ("b_global", [16384, 65536, -5], "design_space: buffer capacities must be >= 1 byte"),
+        ("clock_hz", 0, "design_space: clock_hz must be > 0"),
+        ("dram_bytes_per_cycle", -16, "design_space: dram_bytes_per_cycle must be > 0"),
+        ("tsv_count", -1, "design_space: tsv_count must be >= 0"),
+    ],
+)
+def test_a_bad_design_space_value_fails_at_load_for_every_verb_and_seed(
+    demo_copy, tmp_path, capsys, key, value, error
+):
+    # a two-member GA of one generation draws only some genes, so a search
+    # that checks only the designs it draws passes on some seeds
+    config = json.loads((demo_copy / "demo.json").read_text())
+    config["design_space"][key] = value
+    config["ga"] = {"population_size": 2, "generations": 1, "elitism_count": 0}
+    path = demo_copy / "demo.json"
+    path.write_text(json.dumps(config))
+    with pytest.raises(ConfigError) as info:
+        load_config(path)
+    assert info.value.errors == [error]
+    assert cli.main(["schedule", "--config", str(path), "--ci-now", "250", "--out", str(tmp_path / "plan")]) == 2
+    for seed in range(6):
+        config["seed"] = seed
+        path.write_text(json.dumps(config))
+        for flags in ([], ["--appx"]):
+            assert cli.main(["explore", "--config", str(path), *flags, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error[VALIDATION]: {error}", f"  - {error}"] * 13
+    assert not (tmp_path / "o").exists() and not (tmp_path / "plan").exists()
+
+
 def test_sim_report_holds_the_amortized_figure_at_its_key_position():
     report = SimReport(0.0, 0.0, 0, 0, 0.0, 0, 0, 0, [], [])
     keys = list(cli_io.sim_report_to_dict(report))

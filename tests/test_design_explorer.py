@@ -2,11 +2,12 @@
 
 import math
 import random
-from dataclasses import fields, replace
+from dataclasses import replace
 
 import pytest
 
 from edcarb.accelerator_model import (
+    AcceleratorConfig,
     Dataflow,
     MultiplierVariant,
     accelerator_embodied,
@@ -15,7 +16,7 @@ from edcarb.accelerator_model import (
 )
 from edcarb.carbon_model import PackageKind
 from edcarb.design_explorer import (
-    Chromosome,
+    _GENES,
     CostTables,
     DesignSpace,
     EvaluatedDesign,
@@ -54,8 +55,17 @@ def make_space(**overrides) -> DesignSpace:
     return DesignSpace(**values)
 
 
-def first_chromosome(space: DesignSpace) -> Chromosome:
+def first_chromosome(space: DesignSpace) -> AcceleratorConfig:
     return next(iter(space.chromosomes()))
+
+
+def design(space: DesignSpace, *genes) -> AcceleratorConfig:
+    """The chromosome of `genes`, in `_GENES` order, with the fixed settings of `space`."""
+    return AcceleratorConfig(*genes, space.stacking, space.clock_hz, space.dram_bytes_per_cycle, space.tsv_count)
+
+
+def in_space(chromosome: AcceleratorConfig, space: DesignSpace) -> bool:
+    return all(getattr(chromosome, g) in space.candidates(g) for g in _GENES)
 
 
 # ---------------------------------------------------------------------------
@@ -89,12 +99,8 @@ def test_bigger_global_buffer_trades_latency_for_carbon():
     # memory-bound workload: large traffic, narrow DRAM bus
     space = make_space(b_global_values=(512, 10**6), dram_bytes_per_cycle=1.0)
     workload = make_workload(3)
-    small = evaluate(
-        Chromosome(4, 4, 64, 512, Dataflow.WEIGHT_STATIONARY, EXACT_MULT), workload, space
-    )
-    big = evaluate(
-        Chromosome(4, 4, 64, 10**6, Dataflow.WEIGHT_STATIONARY, EXACT_MULT), workload, space
-    )
+    small = evaluate(design(space, 4, 4, 64, 512, Dataflow.WEIGHT_STATIONARY, EXACT_MULT), workload, space)
+    big = evaluate(design(space, 4, 4, 64, 10**6, Dataflow.WEIGHT_STATIONARY, EXACT_MULT), workload, space)
     assert big.latency_s <= small.latency_s
     assert big.embodied_kg >= small.embodied_kg
 
@@ -109,15 +115,14 @@ def test_search_evaluator_matches_the_direct_model(stacking):
         stacking=stacking,
         tsv_count=200,
     )
-    areas = sorted(
-        estimate_area(base.to_config(c), base.area_params).total_2d_equiv_cm2 for c in base.chromosomes()
-    )
+    areas = sorted(estimate_area(c, base.area_params).total_2d_equiv_cm2 for c in base.chromosomes())
     space = replace(base, max_area_cm2=areas[len(areas) // 2])
     workload = make_workload()
     tables = CostTables()
     reasons = set()
     for c in space.chromosomes():
-        config = space.to_config(c)
+        # the direct model's design: the chromosome's genes and the space's fixed settings
+        config = design(space, *(getattr(c, g) for g in _GENES))
         breakdown = estimate_area(config, space.area_params)
         embodied = accelerator_embodied(config, space.tech, breakdown)
         latency = estimate_latency(config, workload)
@@ -156,10 +161,9 @@ def test_index_key_is_the_first_tuple_index_of_each_gene():
         dataflows=(Dataflow.OUTPUT_STATIONARY, Dataflow.WEIGHT_STATIONARY, Dataflow.OUTPUT_STATIONARY),
         multipliers=(EXACT_MULT, APX_MULT, exact_again),
     )
-    genes = ("px", "py", "b_local", "b_global", "dataflow", "multiplier")
     for c in space.chromosomes():
-        assert space.index_key(c) == tuple(space.candidates(g).index(getattr(c, g)) for g in genes)
-    repeated = Chromosome(4, 2, 64, 4096, Dataflow.OUTPUT_STATIONARY, exact_again)
+        assert space.index_key(c) == tuple(space.candidates(g).index(getattr(c, g)) for g in _GENES)
+    repeated = design(space, 4, 2, 64, 4096, Dataflow.OUTPUT_STATIONARY, exact_again)
     assert space.index_key(repeated) == (0, 0, 0, 0, 0, 0)
 
 
@@ -184,7 +188,7 @@ def test_crossover_children_genes_come_from_parents():
         b = space.random_chromosome(rng)
         child_a, child_b = crossover(a, b, rng)
         for child in (child_a, child_b):
-            for gene in ("px", "py", "b_local", "b_global", "dataflow", "multiplier"):
+            for gene in _GENES:
                 assert getattr(child, gene) in (getattr(a, gene), getattr(b, gene))
 
 
@@ -219,7 +223,23 @@ def test_mutate_stays_in_space():
     chromosome = space.random_chromosome(rng)
     for _ in range(100):
         chromosome = mutate(chromosome, 0.5, space, rng)
-        assert all(getattr(chromosome, f.name) in space.candidates(f.name) for f in fields(Chromosome))
+        assert in_space(chromosome, space)
+
+
+@pytest.mark.parametrize("stacking", list(PackageKind))
+def test_every_design_carries_the_fixed_settings_of_its_space(stacking):
+    # the model reads these settings from the design, so a design that lost
+    # them would be scored as planar, at 1 GHz, in a 3D run at another clock
+    space = make_space(stacking=stacking, clock_hz=7e8, dram_bytes_per_cycle=4.0, tsv_count=300)
+    rng = random.Random(8)
+    designs = list(space.chromosomes())
+    for _ in range(50):
+        a, b = space.random_chromosome(rng), space.random_chromosome(rng)
+        designs += [a, b, *crossover(a, b, rng), mutate(a, 1.0, space, rng), mutate(b, 0.3, space, rng)]
+    result = run_ga(space, GaParams(population_size=12, generations=6, rng_seed=1), make_workload())
+    designs += [d.chromosome for d in result.evaluated]
+    settings = {(c.stacking, c.clock_hz, c.dram_bytes_per_cycle, c.tsv_count) for c in designs}
+    assert settings == {(stacking, 7e8, 4.0, 300)}
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +267,7 @@ def test_ga_close_to_exhaustive_on_small_space():
     for seed in range(5):
         params = GaParams(population_size=24, generations=15, rng_seed=seed)
         result = run_ga(space, params, workload)
-        assert all(getattr(result.best.chromosome, f.name) in space.candidates(f.name) for f in fields(Chromosome))
+        assert in_space(result.best.chromosome, space)
         assert result.best.feasible
         if result.best.cdp_kg_s <= optimum.cdp_kg_s * 1.01:
             hits += 1
@@ -391,8 +411,8 @@ def test_pareto_single_design():
 
 def test_pareto_two_non_dominating():
     space = make_space()
-    a = evaluate(Chromosome(2, 2, 64, 4096, Dataflow.WEIGHT_STATIONARY, EXACT_MULT), make_workload(), space)
-    b = evaluate(Chromosome(8, 8, 256, 65536, Dataflow.WEIGHT_STATIONARY, EXACT_MULT), make_workload(), space)
+    a = evaluate(design(space, 2, 2, 64, 4096, Dataflow.WEIGHT_STATIONARY, EXACT_MULT), make_workload(), space)
+    b = evaluate(design(space, 8, 8, 256, 65536, Dataflow.WEIGHT_STATIONARY, EXACT_MULT), make_workload(), space)
     assert not _dominates(a, b) and not _dominates(b, a)
     front = pareto_front([a, b], space)
     assert set((d.chromosome for d in front)) == {a.chromosome, b.chromosome}

@@ -42,10 +42,24 @@ same inputs:
 Cases are listed in the order above; a new kind of case is added at the
 end, so the older ones keep their inputs.
 
-Each line is a case name and the SHA-256 of the ``repr`` of its result
-(every field, the simulator's decision log and time series included), or
-``raises <ExceptionType>`` when the call raises. Two trees behave the same
-on these inputs when the outputs of
+Each line is a case name and the SHA-256 of the ``repr`` of a projection of
+its result, or ``raises <ExceptionType>`` when the call raises. The
+projection reads each field by name, so a field that a tree no longer has
+makes the case raise instead of moving its digest:
+
+- an ``EvaluatedDesign`` (the exhaustive optimum, each Pareto design) is
+  its six genes in ``design_explorer._GENES`` order, then ``embodied_kg``,
+  ``latency_s``, ``cdp_kg_s``, ``feasible`` and ``infeasibility_reason``.
+  The chromosome's type and its other fields are left out;
+- a ``GaResult`` is its best design, its history (``generation``,
+  ``best_fitness`` and ``mean_fitness`` of each generation) and its
+  evaluated designs in order;
+- a ``MappingSolution`` is its plans and the three fields of its
+  ``SystemEstimate``;
+- a ``SimReport`` is every field, the decision log and the time series
+  included.
+
+Two trees behave the same on these inputs when the outputs of
 
     python3 tools/library_digest.py PARENT_TREE > a.txt
     python3 tools/library_digest.py CHANGED_TREE > b.txt
@@ -65,21 +79,57 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _case(name: str, fn, *args, **kwargs):
+_SIM_REPORT_FIELDS = (
+    "total_energy_kwh",
+    "operational_g",
+    "inferences_done",
+    "deadline_misses",
+    "mean_tps",
+    "arrivals_total",
+    "backlog_at_horizon",
+    "max_queue_len",
+    "decision_log",
+    "steps",
+)
+
+
+def _case(name: str, project, fn, *args, **kwargs):
+    """Print the digest of ``project(fn(*args, **kwargs))`` under `name`."""
     try:
         value = fn(*args, **kwargs)
+        digest = hashlib.sha256(repr(project(value)).encode()).hexdigest()
     except Exception as exc:  # the exception type is the case's result
         print(f"{name} raises {type(exc).__name__}")
         return None
-    print(f"{name} {hashlib.sha256(repr(value).encode()).hexdigest()}")
+    print(f"{name} {digest}")
     return value
 
 
+def _mapping(solution) -> tuple:
+    e = solution.estimate
+    return solution.plans, (e.throughput_inf_per_s, e.power_w, e.ipw)
+
+
+def _sim(report) -> tuple:
+    return tuple(getattr(report, name) for name in _SIM_REPORT_FIELDS)
+
+
 def _explore(prefix: str, design_explorer, inputs, space, fitness: str) -> None:
-    _case(f"{prefix}.exhaustive", design_explorer.exhaustive_search, space, inputs.conv, fitness)
-    ga = _case(f"{prefix}.ga", design_explorer.run_ga, space, inputs.ga, inputs.conv, fitness)
+    def design(d) -> tuple:
+        genes = tuple(getattr(d.chromosome, gene) for gene in design_explorer._GENES)
+        return genes + (d.embodied_kg, d.latency_s, d.cdp_kg_s, d.feasible, d.infeasibility_reason)
+
+    def designs(ds) -> tuple:
+        return tuple(map(design, ds))
+
+    def ga_result(result) -> tuple:
+        history = tuple((h.generation, h.best_fitness, h.mean_fitness) for h in result.history)
+        return design(result.best), history, designs(result.evaluated)
+
+    _case(f"{prefix}.exhaustive", design, design_explorer.exhaustive_search, space, inputs.conv, fitness)
+    ga = _case(f"{prefix}.ga", ga_result, design_explorer.run_ga, space, inputs.ga, inputs.conv, fitness)
     if ga is not None:
-        _case(f"{prefix}.pareto", design_explorer.pareto_front, list(ga.evaluated), space)
+        _case(f"{prefix}.pareto", designs, design_explorer.pareto_front, list(ga.evaluated), space)
 
 
 def _perfbench_searches(workloads, design_explorer, edc_scheduler, stacked_3d) -> None:
@@ -92,7 +142,7 @@ def _perfbench_searches(workloads, design_explorer, edc_scheduler, stacked_3d) -
                 for label, params in (("full", full.params), ("smoke", smoke_params)):
                     _case(
                         f"mapping.perfbench.seed{seed}.{i}.{label}{order}",
-                        edc_scheduler.search_mapping, models, units_node, threshold, params,
+                        _mapping, edc_scheduler.search_mapping, models, units_node, threshold, params,
                     )
         stacked_space = dataclasses.replace(full.space, stacking=stacked_3d)
         for fitness in ("cdp", "delay"):
@@ -113,14 +163,14 @@ def _random_searches(support, edc_scheduler) -> None:
         )
         threshold = rng.uniform(2.0, 30.0)
         if i % 4 != 3:
-            _case(f"mapping.random.{i}", edc_scheduler.search_mapping, models, node, threshold, params)
+            _case(f"mapping.random.{i}", _mapping, edc_scheduler.search_mapping, models, node, threshold, params)
 
 
 def _simulations(workloads, runtime_sim) -> None:
     for seed in range(3):
         inputs = workloads.SimLoad().setup(seed, smoke=False)
         for label, (cfg, trace, arrivals, kwargs) in inputs.scenarios.items():
-            _case(f"sim.seed{seed}.{label}", runtime_sim.run_simulation, cfg, trace, arrivals, **kwargs)
+            _case(f"sim.seed{seed}.{label}", _sim, runtime_sim.run_simulation, cfg, trace, arrivals, **kwargs)
 
 
 def _random_simulations(support, edc_scheduler, runtime_sim) -> None:
@@ -148,7 +198,7 @@ def _random_simulations(support, edc_scheduler, runtime_sim) -> None:
         )
         if len(models) > 1:
             _case(
-                f"sim.random.{i}", runtime_sim.run_simulation,
+                f"sim.random.{i}", _sim, runtime_sim.run_simulation,
                 config, runtime_sim.CiTrace(samples, horizon_s=400.0), None,
                 node=node, workloads=models, search_params=params,
             )
@@ -159,7 +209,7 @@ def _random_queue_simulations(support, runtime_sim) -> None:
     for i in range(60):
         mode = ("batch", "llm")[i % 2]
         config, trace, arrivals, kwargs = support.random_queue_scenario(rng, mode)
-        _case(f"sim.queue.random.{i}.{mode}", runtime_sim.run_simulation, config, trace, arrivals, **kwargs)
+        _case(f"sim.queue.random.{i}.{mode}", _sim, runtime_sim.run_simulation, config, trace, arrivals, **kwargs)
 
 
 def main(argv: list[str]) -> int:
