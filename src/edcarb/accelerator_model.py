@@ -67,10 +67,10 @@ class AcceleratorConfig:
             raise ValidationFailure("PE array dimensions must be >= 1")
         if self.b_local < 1 or self.b_global < 1:
             raise ValidationFailure("buffer capacities must be >= 1 byte")
-        if self.clock_hz <= 0:
-            raise ValidationFailure("clock_hz must be > 0")
-        if self.dram_bytes_per_cycle <= 0:
-            raise ValidationFailure("dram_bytes_per_cycle must be > 0")
+        if not 0 < self.clock_hz < math.inf:
+            raise ValidationFailure("clock_hz must be finite and > 0")
+        if not 0 < self.dram_bytes_per_cycle < math.inf:
+            raise ValidationFailure("dram_bytes_per_cycle must be finite and > 0")
         if self.tsv_count < 0:
             raise ValidationFailure("tsv_count must be >= 0")
 

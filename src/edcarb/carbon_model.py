@@ -160,6 +160,6 @@ def embodied_per_inference_g(embodied_kg: float, lifetime_inferences: float) -> 
 
 def cdp(carbon: float, delay_s: float) -> float:
     """Carbon-delay product: the scalar trade-off metric carbon x latency."""
-    if carbon < 0 or delay_s < 0:
-        raise ValidationFailure("cdp needs non-negative carbon and delay")
+    if not (0 <= carbon < math.inf and 0 <= delay_s < math.inf):
+        raise ValidationFailure("cdp needs finite, non-negative carbon and delay")
     return carbon * delay_s

@@ -188,28 +188,32 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if sim.mode == "mapping":
         sets = _require(config.variant_sets, "variants_file")
         workloads = [vset.variants[0] for vset in sets]
-    report = run_simulation(
-        sim_config,
-        trace,
-        arrivals,
-        table=sim.exec_table,
-        node=config.node,
-        workloads=workloads,
-        llm_variants=sim.llm_variants,
-        search_params=config.search,
-    )
     amortized_g = None
     if sim.embodied_total_kg is not None and sim.lifetime_inferences is not None:
         amortized_g = embodied_per_inference_g(sim.embodied_total_kg, sim.lifetime_inferences)
 
-    meta = cli_io.RunMeta(command="simulate", config_hash=config.config_hash, seed=config.seed)
-    bundle = cli_io.ResultBundle(meta=meta)
-    bundle.json_artifacts["sim_report.json"] = cli_io.sim_report_to_dict(report, amortized_g)
-    bundle.csv_artifacts["timeseries.csv"] = (
-        cli_io.TIMESERIES_COLUMNS,
-        cli_io.timeseries_rows(report),
-    )
-    for p in cli_io.emit_report(bundle, args.out):
+    # the decision log streams to its own file while the run goes
+    with cli_io.decision_log(args.out) as emit:
+        report = run_simulation(
+            sim_config,
+            trace,
+            arrivals,
+            table=sim.exec_table,
+            node=config.node,
+            workloads=workloads,
+            llm_variants=sim.llm_variants,
+            search_params=config.search,
+            emit=emit,
+        )
+        meta = cli_io.RunMeta(command="simulate", config_hash=config.config_hash, seed=config.seed)
+        bundle = cli_io.ResultBundle(meta=meta)
+        bundle.json_artifacts["sim_report.json"] = cli_io.sim_report_to_dict(report, amortized_g)
+        bundle.csv_artifacts["timeseries.csv"] = (
+            cli_io.TIMESERIES_COLUMNS,
+            cli_io.timeseries_rows(report),
+        )
+        paths = cli_io.emit_report(bundle, args.out)
+    for p in [Path(args.out) / cli_io.DECISION_LOG_FILE, *paths]:
         print(p)
     return 0
 
@@ -235,6 +239,9 @@ _SUMMARY_KEYS = {
         ("inferences_done", ("inferences_done",)),
         ("deadline_misses", ("deadline_misses",)),
         ("mean_tps", ("mean_tps",)),
+        ("arrivals_total", ("arrivals_total",)),
+        ("backlog_at_horizon", ("backlog_at_horizon",)),
+        ("max_queue_len", ("max_queue_len",)),
     ],
 }
 

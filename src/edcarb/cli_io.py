@@ -14,9 +14,11 @@ on ``GaParams``, ``SearchParams``, ``PolicyParams`` and ``SimSettings``, not
 here. Numbers, in the config and in every CSV and JSON input, must be
 finite: ``nan`` and ``inf`` are rejected where they are read.
 
-All artifacts carry a header with the config hash, seed and tool version;
-the only nondeterministic output is the generated_at timestamp, which sits
-on its own header line so reruns diff clean apart from it.
+CSV and JSON artifacts carry a header with the config hash, seed and tool
+version; the only nondeterministic output is the generated_at timestamp,
+which sits on its own header line so reruns diff clean apart from it. The
+simulator's decision log is JSON Lines with no header: the
+``sim_report.json`` that names it carries the run's.
 
 File formats
 ------------
@@ -39,6 +41,8 @@ import datetime
 import hashlib
 import json
 import math
+from collections.abc import Callable, Iterator
+from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, field, fields
 from functools import cache
 from pathlib import Path
@@ -61,6 +65,7 @@ from .runtime_sim import (
     CiTrace,
     ExecLookupTable,
     LlmVariant,
+    LogEvent,
     SimConfig,
     SimReport,
     TraceArrivals,
@@ -594,6 +599,61 @@ def _timestamp() -> str:
     return datetime.datetime.now(datetime.timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
+def _make_out_dir(out: Path) -> None:
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise IoFailure(f"cannot create {out}: {exc}") from exc
+
+
+DECISION_LOG_FILE = "decision_log.jsonl"
+
+
+@contextmanager
+def decision_log(out_dir: str | Path) -> Iterator[Callable[[LogEvent], None]]:
+    """Create out_dir and yield a `run_simulation` sink that streams each
+    event to out_dir/decision_log.jsonl as the run makes it.
+
+    The file is JSON Lines: one compact object per event, ``t_s`` and
+    ``kind`` and then the event's detail keys in order, with Python's
+    shortest round-trip floats and no timestamp. A non-finite number fails
+    the event that holds it with ValidationFailure. The log is written
+    under a ``.part`` name and takes its own name when the body returns.
+    If the body raises, the partial file is removed, and so is every
+    directory this created that is left empty, so a failed run leaves what
+    it would have left without the log, an earlier run's log included.
+    """
+    out = Path(out_dir)
+    made = [folder for folder in (out, *out.parents) if not folder.exists()]
+    _make_out_dir(out)
+    partial = out / f"{DECISION_LOG_FILE}.part"
+    encode = json.JSONEncoder(separators=(",", ":"), allow_nan=False).encode
+    try:
+        with partial.open("w") as handle:
+            write = handle.write
+
+            def emit(ev: LogEvent) -> None:
+                try:
+                    line = encode({"t_s": ev.t_s, "kind": ev.kind, **ev.detail})
+                except ValueError as exc:
+                    raise ValidationFailure(f"{DECISION_LOG_FILE} would hold a non-finite number: {exc}") from exc
+                write(line)
+                write("\n")
+
+            yield emit
+        partial.replace(out / DECISION_LOG_FILE)
+    except BaseException as exc:
+        partial.unlink(missing_ok=True)
+        for folder in made:
+            try:
+                folder.rmdir()
+            except OSError:
+                break
+        if isinstance(exc, OSError):
+            raise IoFailure(f"cannot write artifacts under {out}: {exc}") from exc
+        raise
+
+
 def sim_report_to_dict(report: SimReport, embodied_g_per_inference: float | None = None) -> dict:
     """sim_report.json's content; the embodied grams per inference are None unless the config gives them."""
     return {
@@ -606,9 +666,7 @@ def sim_report_to_dict(report: SimReport, embodied_g_per_inference: float | None
         "arrivals_total": report.arrivals_total,
         "backlog_at_horizon": report.backlog_at_horizon,
         "max_queue_len": report.max_queue_len,
-        "decision_log": [
-            {"t_s": ev.t_s, "kind": ev.kind, **ev.detail} for ev in report.decision_log
-        ],
+        "decision_log_file": DECISION_LOG_FILE,
     }
 
 
@@ -631,10 +689,7 @@ def emit_report(bundle: ResultBundle, out_dir: str | Path) -> list[Path]:
     fails the artifact that would hold it with ValidationFailure.
     """
     out = Path(out_dir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise IoFailure(f"cannot create {out}: {exc}") from exc
+    _make_out_dir(out)
     meta = bundle.meta
     header = (
         f"# edcarb {meta.version} command={meta.command} "

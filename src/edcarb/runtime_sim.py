@@ -28,7 +28,7 @@ import math
 import random
 from bisect import bisect_right
 from collections import Counter
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
 from .carbon_model import J_PER_KWH, operational_carbon
@@ -432,12 +432,17 @@ def run_simulation(
     workloads: list[ModelVariant] | None = None,
     llm_variants: tuple[LlmVariant, ...] | list[LlmVariant] | None = None,
     search_params: SearchParams | None = None,
+    emit: Callable[[LogEvent], None] | None = None,
 ) -> SimReport:
     """Walk the clock over the horizon and report the run.
 
     The static policy holds p_max_w; the adaptive one moves the threshold
     whenever the hysteresis rule fires against the intensity of the last
     change, and then the mode's step adapts. Each step's run returns its energy.
+
+    Each decision goes to `emit` as the run makes it. Without a sink the
+    events are kept in order as the report's `decision_log`; with one, that
+    list stays empty.
     """
     if config.horizon_s > ci_trace.horizon_s:
         raise TraceExhausted(
@@ -451,6 +456,8 @@ def run_simulation(
     horizon_s, step_s = config.horizon_s, config.step_s
     adaptive = config.policy == "adaptive"
     log: list[LogEvent] = []
+    if emit is None:
+        emit = log.append
     samples: list[StepSample] = []
     operational_g = 0.0
     threshold = config.p_max_w
@@ -468,9 +475,9 @@ def run_simulation(
                 threshold = ci_to_threshold(
                     ci, ci_trace.ci_min, ci_trace.ci_max, config.p_min_w, config.p_max_w
                 )
-            log.append(LogEvent(t, "adapt", {"threshold_w": threshold, "ci": ci, "cause": cause}))
-            step.adapt(t, ci, threshold, ci_trace, log)
-        step_energy_j = step.run(t, dt, ci, threshold, log)
+            emit(LogEvent(t, "adapt", {"threshold_w": threshold, "ci": ci, "cause": cause}))
+            step.adapt(t, ci, threshold, ci_trace, emit)
+        step_energy_j = step.run(t, dt, ci, threshold, emit)
         operational_g += operational_carbon(ci, step_energy_j)
         samples.append(StepSample(t, ci, threshold, step_energy_j / dt, step_energy_j / J_PER_KWH, operational_g))
         t += dt
@@ -501,7 +508,7 @@ class _FlowStep:
         # run totals: energy J, inferences and those past the deadline
         self.energy_j = self.inferences = self.late = 0.0
 
-    def adapt(self, t, ci, threshold, trace, log) -> None:
+    def adapt(self, t, ci, threshold, trace, emit) -> None:
         solution = self.prepared.solve(threshold)
         self.flow = (
             solution.estimate.power_w,
@@ -511,13 +518,13 @@ class _FlowStep:
                 for variant, plan in zip(self.workloads, solution.plans)
             ),
         )
-        log.append(LogEvent(t, "remap", {
+        emit(LogEvent(t, "remap", {
             "power_w": self.flow[0],
             "throughput": self.flow[1],
             "segments": sum(map(len, solution.plans)),
         }))
 
-    def run(self, t, dt, ci, threshold, log) -> float:
+    def run(self, t, dt, ci, threshold, emit) -> float:
         power_w, throughput, late = self.flow
         energy_j = power_w * dt
         self.energy_j += energy_j
@@ -525,7 +532,7 @@ class _FlowStep:
         self.inferences += done
         if late:
             self.late += done
-        log.append(LogEvent(t, "power", {"energy_j": energy_j, "power_w": power_w, "ci": ci}))
+        emit(LogEvent(t, "power", {"energy_j": energy_j, "power_w": power_w, "ci": ci}))
         return energy_j
 
     def counts(self) -> dict:
@@ -572,7 +579,7 @@ class _QueueStep:
         # detail, duration_s, energy_j, power_w) as `_plan_batch_dispatch` returns
         self.fixed: tuple[int, dict, float, float, float] | None = None
 
-    def adapt(self, t, ci, threshold, trace, log) -> None:
+    def adapt(self, t, ci, threshold, trace, emit) -> None:
         if self.variants is None:
             return
         level = ci_level_of(ci, trace.ci_min, trace.ci_max)
@@ -581,14 +588,14 @@ class _QueueStep:
         duration_s = tokens / variant.tokens_per_s[f]
         head_detail = {"variant": variant.name, "freq_idx": f, "tokens": tokens}
         self.fixed = 1, head_detail, duration_s, variant.power_w[f] * duration_s, variant.power_w[f]
-        log.append(LogEvent(t, "llm_select", {
+        emit(LogEvent(t, "llm_select", {
             "variant": variant.name,
             "freq_idx": f,
             "ci_level": level,
             "tps_violated": choice.tps_violated,
         }))
 
-    def run(self, t, dt, ci, threshold, log) -> float:
+    def run(self, t, dt, ci, threshold, emit) -> float:
         """Serve the queue over [t, t + dt), then charge idle power for the
         rest; returns the step's energy. The run's state is copied into locals
         for the step, as attribute access per dispatch slows the queue path."""
@@ -616,7 +623,7 @@ class _QueueStep:
                 events, head, next_arrival, len(kinds), table, config, threshold, now
             )
             if dispatch is None:
-                log.append(LogEvent(now, "power_gated", {"threshold_w": threshold, "ci": ci}))
+                emit(LogEvent(now, "power_gated", {"threshold_w": threshold, "ci": ci}))
                 break
             n_served, head_detail, duration_s, energy_j, power_w = dispatch
             completion = now + duration_s
@@ -635,7 +642,7 @@ class _QueueStep:
             step_energy_j += energy_j
             run_energy_j += energy_j
             busy_in_window += min(completion, step_end) - now
-            log.append(LogEvent(now, "dispatch", {
+            emit(LogEvent(now, "dispatch", {
                 **head_detail,
                 "duration_s": duration_s,
                 "energy_j": energy_j,
@@ -652,7 +659,7 @@ class _QueueStep:
             idle_energy = config.idle_power_w * idle_s
             step_energy_j += idle_energy
             run_energy_j += idle_energy
-            log.append(LogEvent(step_end, "idle", {"idle_s": idle_s, "energy_j": idle_energy, "ci": ci}))
+            emit(LogEvent(step_end, "idle", {"idle_s": idle_s, "energy_j": idle_energy, "ci": ci}))
         self.head, self.next_arrival, self.max_queue_len, self.misses = head, next_arrival, max_queue_len, misses
         self.device_free, self.busy_s, self.energy_j = device_free, busy_s, run_energy_j
         return step_energy_j

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import json
 import math
 import random
 from bisect import bisect_right
@@ -340,6 +341,18 @@ def brute_force_frequency(batch, table, deadline_ms, wait_ms):
 
 def strip_timestamp_lines(text: str) -> str:
     return "\n".join(ln for ln in text.splitlines() if "generated_at" not in ln)
+
+
+def read_decision_log(path) -> list[dict]:
+    """The events of a `decision_log.jsonl` as `simulate` writes it, one dict
+    per line in file order. NaN and Infinity, which the writer refuses,
+    fail the read."""
+
+    def refuse(name):
+        raise ValueError(f"{path}: {name} in a decision log")
+
+    with open(path) as handle:
+        return [json.loads(line, parse_constant=refuse) for line in handle]
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Area, latency and traffic model tests."""
 
+import math
 import random
 from dataclasses import replace
 
@@ -343,3 +344,11 @@ def test_config_validation():
         DnnWorkload("empty", ())
     with pytest.raises(ValidationFailure):
         MultiplierVariant("bad", 0.0, 0.0)
+
+
+@pytest.mark.parametrize("field", ["clock_hz", "dram_bytes_per_cycle"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
+def test_config_refuses_a_rate_that_is_not_finite_and_positive(field, value):
+    # NaN fails every comparison, so a check written as `x <= 0` lets it through
+    with pytest.raises(ValidationFailure, match=f"{field} must be finite and > 0"):
+        make_config(**{field: value})

@@ -51,6 +51,7 @@ from support import (
     make_workload,
     only_coefficients,
     random_exec_table,
+    read_decision_log,
     random_scheduler_instance,
     strip_timestamp_lines,
     tiny_mapping_oracle_suite,
@@ -444,6 +445,8 @@ def test_c10_every_subcommand_is_byte_deterministic(tmp_path):
             "--arrivals", "poisson", "--policy", "adaptive", "--out", str(out),
         ]
     )
+    # the streamed log is one of the files compared
+    assert "decision_log.jsonl" in _artifact_fingerprint(sim_dir)
     keep_sim = tmp_path / "sim_keep"
     shutil.copytree(sim_dir, keep_sim)
 
@@ -541,3 +544,28 @@ def test_c11_report_totals_recomputable_from_decision_log():
     elapsed = time.time() - start
     assert elapsed < 30.0, f"criterion 11 took {elapsed:.2f}s"
     _report("11 energy/carbon totals recomputed from the log at 1e-9")
+
+
+@pytest.mark.parametrize("mode", ["batch", "llm", "mapping"])
+def test_c11_simulate_totals_recomputable_from_the_decision_log_file(tmp_path, mode):
+    demo = tmp_path / "demo"
+    shutil.copytree(DEMO_DIR, demo)
+    config = json.loads((demo / "demo.json").read_text())
+    config["sim"]["horizon_s"] = 600.0
+    config["sim"]["mode"] = mode
+    short = demo / "short.json"
+    short.write_text(json.dumps(config))
+    out = tmp_path / "sim"
+    assert cli.main([
+        "simulate", "--config", str(short), "--trace", str(demo / "ci_trace.csv"),
+        "--arrivals", "poisson", "--policy", "adaptive", "--out", str(out),
+    ]) == 0
+    report = json.loads((out / "sim_report.json").read_text())
+    events = read_decision_log(out / report["decision_log_file"])
+    charged = [ev for ev in events if ev["kind"] in ("dispatch", "idle", "power")]
+    assert charged
+    energy_j = sum(ev["energy_j"] for ev in charged)
+    grams = sum(ev["energy_j"] / J_PER_KWH * ev["ci"] for ev in charged)
+    assert report["total_energy_kwh"] == pytest.approx(energy_j / J_PER_KWH, rel=1e-9)
+    assert report["operational_g"] == pytest.approx(grams, rel=1e-9)
+    _report(f"11 {mode} simulate totals recomputed from decision_log.jsonl at 1e-9")

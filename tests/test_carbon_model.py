@@ -261,6 +261,13 @@ def test_cdp_rejects_negative():
         cdp(-1.0, 1.0)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -0.5])
+def test_cdp_rejects_a_factor_that_is_not_finite_and_non_negative(value):
+    for carbon, delay_s in ((value, 1.0), (1.0, value)):
+        with pytest.raises(ValidationFailure, match="cdp needs finite, non-negative carbon and delay"):
+            cdp(carbon, delay_s)
+
+
 # ---------------------------------------------------------------------------
 # validators of the model inputs
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ import pytest
 from edcarb import cli, cli_io, edc_scheduler
 from edcarb.edc_scheduler import EdgeNode, plan_bottleneck_ms, system_estimate
 from edcarb.errors import ValidationFailure
-from edcarb.runtime_sim import SimReport
+from edcarb.runtime_sim import LogEvent, SimReport
 from edcarb.cli_io import (
     ConfigError,
     NegativeCi,
@@ -521,8 +521,8 @@ def test_config_lists_every_failed_sim_run_setting(demo_copy):
     [
         ("px", [4, 8, 16, 0], "design_space: PE array dimensions must be >= 1"),
         ("b_global", [16384, 65536, -5], "design_space: buffer capacities must be >= 1 byte"),
-        ("clock_hz", 0, "design_space: clock_hz must be > 0"),
-        ("dram_bytes_per_cycle", -16, "design_space: dram_bytes_per_cycle must be > 0"),
+        ("clock_hz", 0, "design_space: clock_hz must be finite and > 0"),
+        ("dram_bytes_per_cycle", -16, "design_space: dram_bytes_per_cycle must be finite and > 0"),
         ("tsv_count", -1, "design_space: tsv_count must be >= 0"),
     ],
 )
@@ -555,8 +555,9 @@ def test_sim_report_holds_the_amortized_figure_at_its_key_position():
     assert keys == [
         "total_energy_kwh", "operational_g", "inferences_done", "deadline_misses", "mean_tps",
         "embodied_amortized_g_per_inference", "arrivals_total", "backlog_at_horizon", "max_queue_len",
-        "decision_log",
+        "decision_log_file",
     ]
+    assert cli_io.sim_report_to_dict(report)["decision_log_file"] == "decision_log.jsonl"
     # without a figure, as for a config that gives no embodied total and lifetime
     assert cli_io.sim_report_to_dict(report)["embodied_amortized_g_per_inference"] is None
     assert cli_io.sim_report_to_dict(report, 0.002)["embodied_amortized_g_per_inference"] == 0.002
@@ -1066,12 +1067,79 @@ def test_emit_report_refuses_non_finite_csv(tmp_path, bad):
 def test_cli_trace_exhausted_is_validation(demo_copy, tmp_path, capsys):
     short_trace = tmp_path / "short_trace.csv"
     short_trace.write_text("timestamp,ci_g_per_kwh\n0,100\n10,200\n")
+    # the run fails after the decision log is opened: it leaves no file and
+    # no directory it made, however deep
+    for out in (tmp_path / "o", tmp_path / "o" / "deeper" / "still"):
+        rc = cli.main(
+            [
+                "simulate", "--config", str(demo_copy / "demo.json"),
+                "--trace", str(short_trace),
+                "--arrivals", "poisson", "--policy", "adaptive", "--out", str(out),
+            ]
+        )
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error[VALIDATION]: ")
+        assert not (tmp_path / "o").exists()
+
+
+def test_cli_simulate_failing_in_an_existing_out_keeps_what_was_there(demo_copy, tmp_path, capsys):
+    # mapping mode without a node fails inside the run
+    config = json.loads((demo_copy / "demo.json").read_text())
+    del config["node_file"]
+    config["sim"]["mode"] = "mapping"
+    path = demo_copy / "no_node.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "o"
+    out.mkdir()
+    earlier = {"notes.txt": "kept", "decision_log.jsonl": '{"t_s":0.0,"kind":"adapt"}\n'}
+    for name, text in earlier.items():
+        (out / name).write_text(text)
     rc = cli.main(
         [
-            "simulate", "--config", str(demo_copy / "demo.json"),
-            "--trace", str(short_trace),
-            "--arrivals", "poisson", "--policy", "adaptive", "--out", str(tmp_path / "o"),
+            "simulate", "--config", str(path), "--trace", str(demo_copy / "ci_trace.csv"),
+            "--arrivals", "poisson", "--out", str(out),
         ]
     )
     assert rc == 2
-    assert capsys.readouterr().err.startswith("error[VALIDATION]: ")
+    assert capsys.readouterr().err.startswith("error[VALIDATION]: mapping mode needs a node")
+    assert {p.name: p.read_text() for p in out.iterdir()} == earlier
+
+
+def test_cli_simulate_out_that_cannot_be_created_fails_before_the_run(demo_copy, tmp_path, capsys):
+    blocker = tmp_path / "blocked"
+    blocker.write_text("a file, not a directory")
+    # this trace would fail the run as exhausted (exit 2): the out directory
+    # is checked first
+    short_trace = tmp_path / "short_trace.csv"
+    short_trace.write_text("timestamp,ci_g_per_kwh\n0,100\n10,200\n")
+    for out in (blocker, blocker / "o"):
+        rc = cli.main(
+            [
+                "simulate", "--config", str(demo_copy / "demo.json"), "--trace", str(short_trace),
+                "--arrivals", "poisson", "--out", str(out),
+            ]
+        )
+        assert rc == 4
+        assert capsys.readouterr().err.startswith(f"error[IO]: cannot create {out}: ")
+    assert blocker.read_text() == "a file, not a directory"
+
+
+def test_decision_log_writes_one_compact_line_per_event(tmp_path):
+    with cli_io.decision_log(tmp_path / "o") as emit:
+        emit(LogEvent(0.0, "adapt", {"threshold_w": 15.5, "ci": 250.0, "cause": "initial"}))
+        emit(LogEvent(1.25, "dispatch", {"batches": [2, 1], "misses": 0, "arrivals": [0.1, 1e-07]}))
+    assert {p.name: p.read_text() for p in (tmp_path / "o").iterdir()} == {
+        "decision_log.jsonl": (
+            '{"t_s":0.0,"kind":"adapt","threshold_w":15.5,"ci":250.0,"cause":"initial"}\n'
+            '{"t_s":1.25,"kind":"dispatch","batches":[2,1],"misses":0,"arrivals":[0.1,1e-07]}\n'
+        )
+    }
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_decision_log_refuses_non_finite_and_removes_what_it_made(tmp_path, bad):
+    with pytest.raises(ValidationFailure, match="decision_log.jsonl would hold a non-finite number"):
+        with cli_io.decision_log(tmp_path / "o" / "sim") as emit:
+            emit(LogEvent(0.0, "adapt", {"threshold_w": 15.5, "ci": 250.0, "cause": "initial"}))
+            emit(LogEvent(1.0, "idle", {"idle_s": 1.0, "energy_j": bad, "ci": 250.0}))
+    assert not (tmp_path / "o").exists()

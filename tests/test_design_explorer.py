@@ -242,6 +242,12 @@ def test_every_design_carries_the_fixed_settings_of_its_space(stacking):
     assert settings == {(stacking, 7e8, 4.0, 300)}
 
 
+@pytest.mark.parametrize("field", ["clock_hz", "dram_bytes_per_cycle"])
+def test_space_refuses_a_nan_fixed_setting_at_construction(field):
+    with pytest.raises(ValidationFailure, match=f"{field} must be finite and > 0"):
+        make_space(**{field: math.nan})
+
+
 # ---------------------------------------------------------------------------
 # run_ga / exhaustive_search
 # ---------------------------------------------------------------------------

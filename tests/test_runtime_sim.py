@@ -1,5 +1,6 @@
 """Simulator tests: policies vs brute force, accounting conservation, adaptation."""
 
+import dataclasses
 import math
 import random
 from bisect import bisect_right
@@ -498,7 +499,7 @@ def test_report_accounts_for_requests_queued_at_the_horizon():
     # the queue held through the first gated quarter was longer still
     assert report.max_queue_len > report.backlog_at_horizon
     keys = list(sim_report_to_dict(report))
-    assert keys[-4:] == ["arrivals_total", "backlog_at_horizon", "max_queue_len", "decision_log"]
+    assert keys[-4:] == ["arrivals_total", "backlog_at_horizon", "max_queue_len", "decision_log_file"]
 
 
 @pytest.mark.parametrize("kinds", ["aaaaabaaaaaa", "abababaaaa"], ids=["one-b", "interleaved"])
@@ -659,6 +660,18 @@ def test_capped_dispatches_match_the_reference_frequency_on_random_runs():
                 )
     # the over-power fallback, multi-stream groups and gating all occur
     assert dispatches > 10_000 and fallbacks > 1000 and multi_stream > 100 and gated > 50
+
+
+def test_a_sink_gets_in_order_the_events_the_report_would_keep():
+    config = batch_config(p_min_w=4.0)
+    arrivals = PoissonArrivals(rate_per_s=3.0, seed=7)
+    trace = two_level_trace(100.0, 500.0, 60.0)
+    kept = run_simulation(config, trace, arrivals, table=TWO_FREQ_TABLE)
+    seen = []
+    streamed = run_simulation(config, trace, arrivals, table=TWO_FREQ_TABLE, emit=seen.append)
+    assert seen == kept.decision_log and {ev.kind for ev in seen} >= {"adapt", "dispatch", "idle", "power_gated"}
+    assert streamed.decision_log == []
+    assert dataclasses.replace(streamed, decision_log=kept.decision_log) == kept
 
 
 def test_simulation_deterministic():
