@@ -92,6 +92,9 @@ class ConvLayer:
     def __post_init__(self) -> None:
         if any(v < 1 for v in (self.n, self.c, self.k, self.r, self.s, self.p, self.q, self.elem_bytes)):
             raise ValidationFailure("all ConvLayer dimensions must be >= 1")
+        macs = layer_macs(self)
+        if macs >= _MAC_OVERFLOW_LIMIT:
+            raise ValidationFailure(f"layer MAC count {macs} must be < 2**63")
 
 
 @dataclass(frozen=True)
@@ -127,11 +130,9 @@ class AreaBreakdown:
 
 
 def layer_macs(layer: ConvLayer) -> int:
-    """Multiply-accumulate count of one convolution layer."""
-    macs = layer.n * layer.k * layer.c * layer.r * layer.s * layer.p * layer.q
-    if macs > _MAC_OVERFLOW_LIMIT:
-        raise OverflowError(f"layer MAC count {macs} exceeds 2^63")
-    return macs
+    """Multiply-accumulate count of one convolution layer; below 2**63, as
+    ConvLayer checks."""
+    return layer.n * layer.k * layer.c * layer.r * layer.s * layer.p * layer.q
 
 
 def spatial_parallelism(dataflow: Dataflow, layer: ConvLayer, px: int, py: int) -> int:
@@ -171,14 +172,22 @@ def dram_traffic(config: AcceleratorConfig, layer: ConvLayer) -> int:
 
 
 def estimate_latency(config: AcceleratorConfig, workload: DnnWorkload) -> float:
-    """Workload latency in seconds: per layer, max(compute, memory) cycles."""
+    """Workload latency in seconds: per layer, max(compute, memory) cycles.
+
+    A cycle count beyond the float range (a DRAM width near zero) fails
+    with ValidationFailure, which names the layer it was reached at.
+    """
     total_cycles = 0
-    for layer in workload.layers:
-        active = spatial_parallelism(config.dataflow, layer, config.px, config.py)
-        compute_cycles = -(-layer_macs(layer) // active)
-        memory_cycles = math.ceil(dram_traffic(config, layer) / config.dram_bytes_per_cycle)
-        total_cycles += max(compute_cycles, memory_cycles)
-    return total_cycles / config.clock_hz
+    try:
+        for layer in workload.layers:
+            active = spatial_parallelism(config.dataflow, layer, config.px, config.py)
+            compute_cycles = -(-layer_macs(layer) // active)
+            memory_cycles = math.ceil(dram_traffic(config, layer) / config.dram_bytes_per_cycle)
+            total_cycles += max(compute_cycles, memory_cycles)
+        return total_cycles / config.clock_hz
+    except OverflowError as exc:
+        index = workload.layers.index(layer)
+        raise ValidationFailure(f"workload {workload.name!r}: cycle count overflows at layer {index}: {exc}") from exc
 
 
 def estimate_area(config: AcceleratorConfig, params: AreaParams) -> AreaBreakdown:

@@ -67,6 +67,7 @@ from .runtime_sim import (
     LlmVariant,
     LogEvent,
     SimConfig,
+    SimConfigError,
     SimReport,
     TraceArrivals,
     validate_llm_variant_order,
@@ -104,24 +105,14 @@ class PolicyParams:
     p_max_w: float = 10.0
     ci_min: float = 0.0
     ci_max: float = 1.0
-    tps_floor: float | None = None
+    tps_floor: float = 0.0
     accuracy_floor: float = 0.0
     latency_constraint_ms: float = 100.0
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.hysteresis_fraction <= 1.0:
-            raise ValidationFailure(
-                f"policy.hysteresis_fraction: must be in [0, 1], got {self.hysteresis_fraction}"
-            )
-        if self.p_min_w <= 0:
-            raise ValidationFailure(f"policy.p_min_w: must be > 0, got {self.p_min_w}")
         if self.latency_constraint_ms <= 0:
             raise ValidationFailure(
                 f"policy.latency_constraint_ms: must be > 0, got {self.latency_constraint_ms}"
-            )
-        if self.p_min_w > self.p_max_w:
-            raise ValidationFailure(
-                f"policy.p_min_w: must be <= p_max_w, got {self.p_min_w} > {self.p_max_w}"
             )
         if self.ci_min >= self.ci_max:
             raise ValidationFailure(
@@ -144,8 +135,6 @@ class SimSettings:
     llm_variants: tuple[LlmVariant, ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.mode not in ("batch", "llm", "mapping"):
-            raise ValidationFailure(f"sim.mode: unknown mode {self.mode!r}")
         lifetime, embodied = self.lifetime_inferences, self.embodied_total_kg
         if lifetime is not None and not (math.isfinite(lifetime) and lifetime > 0):
             raise ValidationFailure(f"sim.lifetime_inferences: must be a finite number > 0, got {lifetime}")
@@ -206,11 +195,16 @@ def _finite(value) -> float:
 
 
 def _integer(value) -> int:
+    """The loaders' one integer coercion: an integral number or integer
+    text, of magnitude below 2**63, so that it converts to a float."""
     if isinstance(value, bool):
         raise TypeError(f"expected an integer, got {value!r}")
     if isinstance(value, float) and not value.is_integer():
         raise ValueError(f"expected an integer, got {value!r}")
-    return int(value)
+    number = int(value)
+    if abs(number) >= 2**63:
+        raise ValueError("expected an integer of magnitude < 2**63")
+    return number
 
 
 def _text(value) -> str:
@@ -377,7 +371,7 @@ def load_workload(path: str | Path) -> DnnWorkload:
     layers = _parse_csv(
         path,
         ["n", "c", "k", "r", "s", "p", "q", "elem_bytes"],
-        lambda row: ConvLayer(**{key: int(value) for key, value in row.items()}),
+        lambda row: ConvLayer(**{key: _integer(value) for key, value in row.items()}),
     )
     if not layers:
         raise ParseError(f"{path}: workload has no layers")
@@ -404,7 +398,7 @@ def load_unit_profile(path: str | Path) -> dict[tuple[str, int], tuple[float, fl
     return _float_table(
         path,
         ["layer", "freq_index", "latency_ms", "power_w"],
-        lambda row: (row["layer"].strip(), int(row["freq_index"])),
+        lambda row: (row["layer"].strip(), _integer(row["freq_index"])),
     )
 
 
@@ -436,14 +430,14 @@ def load_exec_table(entries_path: str | Path, concurrency_path: str | Path | Non
     entries = _float_table(
         entries_path,
         ["batch", "freq_index", "latency_ms", "energy_j"],
-        lambda row: (int(row["batch"]), int(row["freq_index"])),
+        lambda row: (_integer(row["batch"]), _integer(row["freq_index"])),
     )
     concurrency = None
     if concurrency_path is not None:
         concurrency = _float_table(
             concurrency_path,
             ["streams", "throughput_scale", "power_scale"],
-            lambda row: int(row["streams"]),
+            lambda row: _integer(row["streams"]),
         )
     return ExecLookupTable(entries=entries, concurrency=concurrency)
 
@@ -553,7 +547,10 @@ def load_config(path: str | Path) -> ToolkitConfig:
 
     sim = parse("sim", build_sim, raw.get("sim", {}))
     if sim is not None and policy is not None:
-        parse("sim", build_sim_config, sim, policy, "adaptive")
+        try:
+            build_sim_config(sim, policy, "adaptive")
+        except SimConfigError as exc:
+            errors += [f"{'sim' if hasattr(sim, name) else 'policy'}.{name}: {reason}" for name, reason in exc.failures]
     search = parse("search", _from_spec, SearchParams, raw.get("search", {}), rng_seed=seed)
 
     if errors:
@@ -573,21 +570,11 @@ def load_config(path: str | Path) -> ToolkitConfig:
 
 
 def build_sim_config(sim: SimSettings, policy: PolicyParams, run_policy: str) -> SimConfig:
-    """The simulator's run settings: the config's sim and policy sections
-    under the threshold policy `run_policy` ("adaptive" or "static")."""
-    return SimConfig(
-        mode=sim.mode,
-        horizon_s=sim.horizon_s,
-        step_s=sim.step_s,
-        policy=run_policy,
-        deadline_ms=sim.deadline_ms,
-        hysteresis_fraction=policy.hysteresis_fraction,
-        p_min_w=policy.p_min_w,
-        p_max_w=policy.p_max_w,
-        idle_power_w=sim.idle_power_w,
-        tokens_per_request=sim.tokens_per_request,
-        tps_floor=policy.tps_floor or 0.0,
-    )
+    """The simulator's run settings under the threshold policy `run_policy`
+    ("adaptive" or "static"): each other SimConfig field is copied from the
+    sim or the policy section, whichever has a field of its name."""
+    settings = {**vars(sim), **vars(policy), "policy": run_policy}
+    return SimConfig(**{f.name: settings[f.name] for f in fields(SimConfig)})
 
 
 # ---------------------------------------------------------------------------

@@ -305,12 +305,10 @@ def ci_to_threshold(
 ) -> float:
     """Linear descending map from carbon intensity to the power budget.
 
-    Minimum intensity runs at full budget, maximum intensity at the floor;
-    intensities outside the forecast range are clamped. A degenerate flat
-    forecast keeps the maximum budget.
+    Minimum intensity runs at full budget, maximum intensity at the floor
+    p_min_w <= p_max_w; intensities outside the forecast range are clamped.
+    A degenerate flat forecast keeps the maximum budget.
     """
-    if p_min_w > p_max_w:
-        raise ValidationFailure("p_min_w must be <= p_max_w")
     if ci_max <= ci_min:
         return p_max_w
     ci = min(max(ci_now, ci_min), ci_max)

@@ -46,6 +46,16 @@ from .errors import InfeasibleError, ValidationFailure
 # PoissonArrivals.materialize builds every arrival up front; it refuses a
 # horizon whose expected arrival count (rate x horizon) is above this.
 MAX_EXPECTED_ARRIVALS = 1_000_000
+# SimConfig refuses a run of more clock steps (horizon_s / step_s) than this.
+MAX_STEPS = 1_000_000
+
+
+class SimConfigError(ValidationFailure):
+    """Every failed check of a SimConfig, as (field, reason) pairs in field order."""
+
+    def __init__(self, failures: list[tuple[str, str]]):
+        self.failures = failures
+        super().__init__("; ".join(f"{name}: {reason}" for name, reason in failures))
 
 
 class TraceExhausted(ValidationFailure):
@@ -358,6 +368,8 @@ def llm_select(
 
 @dataclass(frozen=True)
 class SimConfig:
+    """The simulator's run settings; a bad one raises SimConfigError, which lists every failed check."""
+
     mode: str  # "batch" | "llm" | "mapping"
     horizon_s: float
     step_s: float = 1.0
@@ -371,22 +383,32 @@ class SimConfig:
     tps_floor: float = 0.0
 
     def __post_init__(self) -> None:
-        checks = (
-            (self.mode in ("batch", "llm", "mapping"), f"unknown sim mode {self.mode!r}"),
-            (self.policy in ("adaptive", "static"), f"unknown policy {self.policy!r}"),
-            (
-                all(0 < x < math.inf for x in (self.horizon_s, self.step_s)),
-                "horizon_s and step_s must be finite and > 0",
-            ),
-            (0.0 <= self.hysteresis_fraction <= 1.0, "hysteresis_fraction must be in [0, 1]"),
-            (0 < self.p_min_w <= self.p_max_w < math.inf, "need 0 < p_min_w <= p_max_w, both finite"),
-            (0 < self.deadline_ms < math.inf, "deadline_ms must be finite and > 0"),
-            (self.tokens_per_request >= 1, "tokens_per_request must be >= 1"),
-            (0 <= self.idle_power_w < math.inf, "idle_power_w must be finite and >= 0"),
-        )
-        failures = [message for ok, message in checks if not ok]
+        failures: list[tuple[str, str]] = []
+
+        def check(name: str, ok: bool, reason: str) -> bool:
+            if not ok:
+                failures.append((name, reason))
+            return ok
+
+        check("mode", self.mode in ("batch", "llm", "mapping"), f"unknown mode {self.mode!r}")
+        check("horizon_s", 0 < self.horizon_s < math.inf, f"must be finite and > 0, got {self.horizon_s}")
+        if check("step_s", 0 < self.step_s < math.inf, f"must be finite and > 0, got {self.step_s}"):
+            steps = self.horizon_s / self.step_s
+            check("step_s", not steps > MAX_STEPS, f"must be >= horizon_s / {MAX_STEPS}, got {self.step_s}")
+        check("policy", self.policy in ("adaptive", "static"), f"unknown policy {self.policy!r}")
+        check("deadline_ms", 0 < self.deadline_ms < math.inf, f"must be finite and > 0, got {self.deadline_ms}")
+        fraction = self.hysteresis_fraction
+        check("hysteresis_fraction", 0 <= fraction <= 1, f"must be in [0, 1], got {fraction}")
+        p_min, p_max = self.p_min_w, self.p_max_w
+        if check("p_min_w", p_min > 0, f"must be > 0, got {p_min}"):
+            check("p_min_w", not p_min > p_max, f"must be <= p_max_w, got {p_min} > {p_max}")
+        check("p_max_w", p_max < math.inf, f"must be finite, got {p_max}")
+        check("idle_power_w", 0 <= self.idle_power_w < math.inf, f"must be finite and >= 0, got {self.idle_power_w}")
+        check("tokens_per_request", self.tokens_per_request >= 1, f"must be >= 1, got {self.tokens_per_request}")
+        floor_ok = self.mode != "llm" or 0 < self.tps_floor < math.inf
+        check("tps_floor", floor_ok, f"must be finite and > 0 in llm mode, got {self.tps_floor}")
         if failures:
-            raise ValidationFailure("; ".join(failures))
+            raise SimConfigError(failures)
 
 
 @dataclass(frozen=True)
@@ -563,8 +585,6 @@ class _QueueStep:
             if not llm_variants:
                 raise ValidationFailure("llm mode needs llm_variants")
             validate_llm_variant_order(llm_variants)
-            if not 0 < config.tps_floor < math.inf:
-                raise ValidationFailure("llm mode requires an explicit finite tps_floor > 0")
         elif table is None:
             raise ValidationFailure("batch mode needs an ExecLookupTable")
         if arrivals is None:

@@ -60,9 +60,10 @@ def test_layer_macs_linear_in_output_channels():
 
 
 def test_layer_macs_overflow_guard():
-    huge = ConvLayer(n=2**16, c=2**16, k=2**16, r=1, s=1, p=2**8, q=2**8)
-    with pytest.raises(OverflowError):
-        layer_macs(huge)
+    # ConvLayer refuses a MAC count of 2**63 or more, so layer_macs never sees one
+    with pytest.raises(ValidationFailure, match=r"layer MAC count 18446744073709551616 must be < 2\*\*63"):
+        ConvLayer(n=2**16, c=2**16, k=2**16, r=1, s=1, p=2**8, q=2**8)
+    assert layer_macs(ConvLayer(n=2**15, c=2**16, k=2**16, r=1, s=1, p=2**8, q=2**7)) == 2**62
 
 
 def test_spatial_parallelism_rules():

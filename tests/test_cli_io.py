@@ -6,6 +6,7 @@ import json
 import operator
 import random
 import shutil
+import time
 from pathlib import Path
 
 import pytest
@@ -13,7 +14,7 @@ import pytest
 from edcarb import cli, cli_io, edc_scheduler
 from edcarb.edc_scheduler import EdgeNode, plan_bottleneck_ms, system_estimate
 from edcarb.errors import ValidationFailure
-from edcarb.runtime_sim import LogEvent, SimReport
+from edcarb.runtime_sim import LogEvent, SimConfig, SimReport
 from edcarb.cli_io import (
     ConfigError,
     NegativeCi,
@@ -500,20 +501,150 @@ def test_cli_refuses_bad_sim_run_settings_at_load(demo_copy, tmp_path, capsys, c
     assert cli.main([verb, "--config", str(demo_copy / "demo.json"), *flags, "--out", str(out)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert err[0].startswith("error[VALIDATION]: ")
-    assert err[1:] == ["  - ga: population_size must be >= 2", "  - sim: horizon_s and step_s must be finite and > 0"]
+    assert err[1:] == ["  - ga: population_size must be >= 2", "  - sim.step_s: must be finite and > 0, got 0.0"]
     assert not out.exists()
 
 
 def test_config_lists_every_failed_sim_run_setting(demo_copy):
+    # each failed run setting is its own error, under the key of the section that sets it
     config = json.loads((demo_copy / "demo.json").read_text())
     config["sim"]["step_s"] = 0
     config["sim"]["deadline_ms"] = 0
+    config["policy"]["p_min_w"] = 0
     (demo_copy / "demo.json").write_text(json.dumps(config))
     with pytest.raises(ConfigError) as info:
         load_config(demo_copy / "demo.json")
     assert info.value.errors == [
-        "sim: horizon_s and step_s must be finite and > 0; deadline_ms must be finite and > 0"
+        "sim.step_s: must be finite and > 0, got 0.0",
+        "sim.deadline_ms: must be finite and > 0, got 0.0",
+        "policy.p_min_w: must be > 0, got 0.0",
     ]
+
+
+def test_an_llm_config_needs_a_tps_floor_above_zero_at_load(demo_copy):
+    config = json.loads((demo_copy / "demo.json").read_text())
+    config["sim"]["mode"] = "llm"
+    del config["policy"]["tps_floor"]
+    (demo_copy / "demo.json").write_text(json.dumps(config))
+    with pytest.raises(ConfigError) as info:
+        load_config(demo_copy / "demo.json")
+    assert info.value.errors == ["policy.tps_floor: must be finite and > 0 in llm mode, got 0.0"]
+    # null is a non-number like any other, in every mode
+    config["sim"]["mode"] = "batch"
+    config["policy"]["tps_floor"] = None
+    (demo_copy / "demo.json").write_text(json.dumps(config))
+    with pytest.raises(ConfigError) as info:
+        load_config(demo_copy / "demo.json")
+    assert [e.split(":")[:2] for e in info.value.errors] == [["policy", " tps_floor"]]
+
+
+def test_each_sim_config_field_is_set_by_one_config_section():
+    # build_sim_config copies each field from the section whose type has a field of its name
+    sections = [{f.name for f in dataclasses.fields(cls)} for cls in (cli_io.SimSettings, cli_io.PolicyParams)]
+    for f in dataclasses.fields(SimConfig):
+        if f.name != "policy":
+            assert sum(f.name in names for names in sections) == 1, f.name
+    assert not any("policy" in names for names in sections)
+
+
+def _set(section, key, value):
+    def edit(demo):
+        config = json.loads((demo / "demo.json").read_text())
+        config[section][key] = value
+        (demo / "demo.json").write_text(json.dumps(config))
+
+    return edit
+
+
+def _set_first(section, key, value):
+    def edit(demo):
+        config = json.loads((demo / "demo.json").read_text())
+        config[section][key][0] = value
+        (demo / "demo.json").write_text(json.dumps(config))
+
+    return edit
+
+
+def _long_run_on_one_sample_trace(demo):
+    # a one-sample trace covers all time, so only the step bound stops this run
+    (demo / "ci_trace.csv").write_text("timestamp,ci_g_per_kwh\n0,300\n")
+    _set("sim", "horizon_s", 1e12)(demo)
+
+
+def _llm_with_huge_tokens(demo):
+    _set("sim", "mode", "llm")(demo)
+    _set("sim", "tokens_per_request", 10**400)(demo)
+
+
+def _huge_workload_layer(demo):
+    (demo / "workload.csv").write_text("n,c,k,r,s,p,q,elem_bytes\n1,100000,100000,100000,100000,100,100,1\n")
+
+
+def _huge_exec_table_batch(demo):
+    path = demo / "exec_table.csv"
+    path.write_text(path.read_text() + f"{10**400},0,1000.0,1.0\n{10**400},1,1000.0,1.0\n")
+
+
+SIMULATE = ["simulate", "--trace", "ci_trace.csv", "--arrivals", "poisson", "--policy", "adaptive"]
+
+
+@pytest.mark.parametrize(
+    "edit, command, reason",
+    [
+        (_set("sim", "step_s", 1e-300), SIMULATE, "sim.step_s: must be >= horizon_s / 1000000, got 1e-300"),
+        (
+            _long_run_on_one_sample_trace,
+            [*SIMULATE[:4], "arrivals.csv", *SIMULATE[5:]],
+            "sim.step_s: must be >= horizon_s / 1000000, got 5.0",
+        ),
+        (_llm_with_huge_tokens, SIMULATE, "sim: tokens_per_request: expected an integer of magnitude < 2**63"),
+        (
+            _set("design_space", "tsv_count", 10**400),
+            ["explore", "--stacking", "3d"],
+            "design_space: tsv_count: expected an integer of magnitude < 2**63",
+        ),
+        (_set_first("design_space", "px", 10**400), ["explore", "--appx"], "design_space: px: expected an integer"),
+        (
+            _set_first("design_space", "b_global", 10**400),
+            ["explore", "--appx"],
+            "design_space: b_global: expected an integer of magnitude < 2**63",
+        ),
+        (_huge_workload_layer, ["explore"], "workload.csv:2: layer MAC count 1000000000000000000000000 must be < 2**63"),
+        (_huge_exec_table_batch, SIMULATE, "exec_table.csv:10: expected an integer of magnitude < 2**63"),
+        (
+            _set("design_space", "dram_bytes_per_cycle", 1e-320),
+            ["explore", "--appx"],
+            "workload 'workload': cycle count overflows at layer 0",
+        ),
+    ],
+    ids=[
+        "sim.step_s",
+        "sim.horizon_s",
+        "sim.tokens_per_request",
+        "design_space.tsv_count",
+        "design_space.px",
+        "design_space.b_global",
+        "workload_file",
+        "sim.exec_table_file",
+        "design_space.dram_bytes_per_cycle",
+    ],
+)
+def test_cli_refuses_out_of_range_inputs_without_a_traceback(demo_copy, tmp_path, capsys, edit, command, reason):
+    edit(demo_copy)
+    verb, *flags = command
+    flags = [str(demo_copy / flag) if flag.endswith(".csv") else flag for flag in flags]
+    out = tmp_path / "out"
+    started = time.perf_counter()
+    rc = cli.main([verb, "--config", str(demo_copy / "demo.json"), *flags, "--out", str(out)])
+    elapsed = time.perf_counter() - started
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.splitlines()[0].startswith("error[VALIDATION]: ")
+    assert reason in err.splitlines()[0]
+    assert "Traceback" not in err
+    if reason.startswith("sim.step_s"):
+        # refused when the config loads, not after a run of 10**6 steps or more
+        assert elapsed < 1.0
 
 
 @pytest.mark.parametrize(
@@ -701,8 +832,16 @@ def test_cli_schedule_maps_the_demo_with_one_search(demo_copy, tmp_path, monkeyp
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("output_bytes", [-(10**12), 10**400], ids=["negative", "huge"])
-def test_cli_schedule_refuses_output_bytes_out_of_range(demo_copy, tmp_path, capsys, output_bytes):
+@pytest.mark.parametrize(
+    "output_bytes, reason",
+    [
+        (-(10**12), "layer 'l0': output_bytes must be in [0, 2**63)"),
+        # the loader refuses any integer of magnitude 2**63 or more before VariantLayer sees it
+        (10**400, "layers: output_bytes: expected an integer of magnitude < 2**63"),
+    ],
+    ids=["negative", "huge"],
+)
+def test_cli_schedule_refuses_output_bytes_out_of_range(demo_copy, tmp_path, capsys, output_bytes, reason):
     doc = json.loads((demo_copy / "variants.json").read_text())
     for variant in doc[0]["variants"]:
         for layer in variant["layers"]:
@@ -712,7 +851,7 @@ def test_cli_schedule_refuses_output_bytes_out_of_range(demo_copy, tmp_path, cap
     rc = cli.main(["schedule", "--config", str(demo_copy / "demo.json"), "--ci-now", "250", "--out", str(out)])
     err = capsys.readouterr().err
     assert rc == 2
-    assert err.startswith("error[VALIDATION]: variants_file: layer 'l0': output_bytes must be in [0, 2**63)")
+    assert err.startswith(f"error[VALIDATION]: variants_file: {reason}")
     assert "Traceback" not in err
     assert not (out / "plan.json").exists()
 

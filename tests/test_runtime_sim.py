@@ -28,6 +28,7 @@ from edcarb.runtime_sim import (
     NoVariantUnderPowerThreshold,
     PoissonArrivals,
     SimConfig,
+    SimConfigError,
     TraceArrivals,
     TraceExhausted,
     choose_batch,
@@ -212,13 +213,19 @@ def test_validators_reject_non_finite_numbers(field, value):
 
 
 def test_sim_config_reports_every_failed_check_in_order():
-    with pytest.raises(ValidationFailure) as info:
+    with pytest.raises(SimConfigError) as info:
         SimConfig(
             mode="batch", horizon_s=10.0, policy="sometimes", step_s=0.0, tokens_per_request=0, idle_power_w=-1.0
         )
+    assert info.value.failures == [
+        ("step_s", "must be finite and > 0, got 0.0"),
+        ("policy", "unknown policy 'sometimes'"),
+        ("idle_power_w", "must be finite and >= 0, got -1.0"),
+        ("tokens_per_request", "must be >= 1, got 0"),
+    ]
     assert str(info.value) == (
-        "unknown policy 'sometimes'; horizon_s and step_s must be finite and > 0; "
-        "tokens_per_request must be >= 1; idle_power_w must be finite and >= 0"
+        "step_s: must be finite and > 0, got 0.0; policy: unknown policy 'sometimes'; "
+        "idle_power_w: must be finite and >= 0, got -1.0; tokens_per_request: must be >= 1, got 0"
     )
 
 
