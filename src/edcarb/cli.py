@@ -24,7 +24,7 @@ from pathlib import Path
 from . import __version__, cli_io
 from .carbon_model import PackageKind, embodied_per_inference_g
 from .design_explorer import EvaluatedDesign, pareto_front, run_ga
-from .edc_scheduler import ci_to_threshold, plan_bottleneck_ms, select_variants
+from .edc_scheduler import ci_to_threshold, select_variants
 from .errors import IoFailure, ToolkitError, ValidationFailure
 from .runtime_sim import PoissonArrivals, run_simulation
 
@@ -140,15 +140,15 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
                 "variant": variant.name,
                 "accuracy": variant.accuracy,
                 # judged on the jointly mapped plan written below
-                "constraint_violated": (
-                    plan_bottleneck_ms(plan, variant, node) > policy.latency_constraint_ms
-                ),
+                "constraint_violated": bottleneck_ms > policy.latency_constraint_ms,
                 "segments": [
                     {"start": start, "end": end, "unit": node.units[u].id, "freq_idx": f}
                     for start, end, u, f in plan
                 ],
             }
-            for vset, variant, plan in zip(variant_sets, chosen_variants, solution.plans)
+            for vset, variant, plan, bottleneck_ms in zip(
+                variant_sets, chosen_variants, solution.plans, solution.bottleneck_ms
+            )
         ],
         "system": {
             "throughput_inf_per_s": solution.estimate.throughput_inf_per_s,

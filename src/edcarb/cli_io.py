@@ -516,8 +516,8 @@ def load_config(path: str | Path) -> ToolkitConfig:
         return _from_spec(
             DesignSpace,
             spec,
-            # a failed policy already fails the config, so 0.0 is a placeholder
-            accuracy_threshold_pct=policy.accuracy_threshold_pct if policy is not None else 0.0,
+            # a failed section stands in at its defaults; its own errors fail the config
+            accuracy_threshold_pct=(policy or PolicyParams()).accuracy_threshold_pct,
             **{
                 f"{gene}_values": _read(spec, gene, _COERCIONS["tuple[int, ...]"])
                 for gene in ("px", "py", "b_local", "b_global")
@@ -546,11 +546,15 @@ def load_config(path: str | Path) -> ToolkitConfig:
         return _from_spec(SimSettings, spec, exec_table=exec_table, llm_variants=llm_variants)
 
     sim = parse("sim", build_sim, raw.get("sim", {}))
-    if sim is not None and policy is not None:
-        try:
-            build_sim_config(sim, policy, "adaptive")
-        except SimConfigError as exc:
-            errors += [f"{'sim' if hasattr(sim, name) else 'policy'}.{name}: {reason}" for name, reason in exc.failures]
+    # a failed section is checked at its defaults, and only a loaded section's failures are listed
+    checked_sim = sim or SimSettings()
+    try:
+        build_sim_config(checked_sim, policy or PolicyParams(), "adaptive")
+    except SimConfigError as exc:
+        for name, reason in exc.failures:
+            section, loaded = ("sim", sim) if hasattr(checked_sim, name) else ("policy", policy)
+            if loaded is not None:
+                errors.append(f"{section}.{name}: {reason}")
     search = parse("search", _from_spec, SearchParams, raw.get("search", {}), rng_seed=seed)
 
     if errors:

@@ -27,7 +27,8 @@ search comes in two steps. `prepare_mapping` draws the candidates, costs
 their segments and runs the beam; `PreparedMapping.solve` filters the beam's
 pool by one threshold and runs the local search through the same memo. A
 simulation prepares once per run and re-plans at each threshold change with
-one solve; `search_mapping` is one prepare and one solve.
+one solve; `search_mapping` is one prepare and one solve. A solution carries
+each DNN's bottleneck, its slowest segment's latency, from the search's own costs.
 """
 
 from __future__ import annotations
@@ -212,6 +213,8 @@ class SearchParams:
 class MappingSolution:
     plans: tuple[Plan, ...]
     estimate: SystemEstimate
+    # per DNN, the latency ms of its plan's slowest segment
+    bottleneck_ms: tuple[float, ...]
 
 
 # A sum of throughput terms (1000 / slowest segment ms) and the max active
@@ -242,10 +245,6 @@ def segment_cost(segment: Segment, variant: ModelVariant, node: EdgeNode) -> tup
         boundary_bytes = variant.layers[start - 1].output_bytes
         latency += boundary_bytes / node.transfer_bytes_per_ms
     return latency, power
-
-
-def plan_bottleneck_ms(plan: Plan, variant: ModelVariant, node: EdgeNode) -> float:
-    return max(segment_cost(seg, variant, node)[0] for seg in plan)
 
 
 def _empty_fold(node: EdgeNode) -> _Fold:
@@ -484,7 +483,9 @@ class PreparedMapping:
                 if budget <= 0:
                     break
 
-        return MappingSolution(plans=best_plans, estimate=best_exact)
+        # every segment of a ranked plan is in the memo
+        bottleneck_ms = tuple(max(self.segment_costs[(d, seg)][1] for seg in plan) for d, plan in enumerate(best_plans))
+        return MappingSolution(plans=best_plans, estimate=best_exact, bottleneck_ms=bottleneck_ms)
 
 
 def prepare_mapping(
@@ -620,7 +621,7 @@ def select_variants(
         except NoFeasiblePlan:
             continue
         chosen = variants, solution
-        if all(plan_bottleneck_ms(p, v, node) <= latency_constraint_ms for v, p in zip(variants, solution.plans)):
+        if max(solution.bottleneck_ms) <= latency_constraint_ms:
             break
     if chosen is None:
         raise NoFeasiblePlan(f"no variants of {[s.name for s in variant_sets]} fit under {power_threshold_w} W")

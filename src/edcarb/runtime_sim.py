@@ -38,7 +38,6 @@ from .edc_scheduler import (
     SearchParams,
     ci_to_threshold,
     hysteresis_update,
-    plan_bottleneck_ms,
     prepare_mapping,
 )
 from .errors import InfeasibleError, ValidationFailure
@@ -524,7 +523,7 @@ class _FlowStep:
         # each threshold change solves the one search prepared here; the
         # search's other steps do not read the threshold
         self.prepared = prepare_mapping(workloads, node, search_params)
-        self.node, self.workloads, self.deadline_ms = node, workloads, config.deadline_ms
+        self.deadline_ms = config.deadline_ms
         # the current plan's (power_w, throughput, misses its deadline)
         self.flow: tuple[float, float, bool] | None = None
         # run totals: energy J, inferences and those past the deadline
@@ -535,10 +534,7 @@ class _FlowStep:
         self.flow = (
             solution.estimate.power_w,
             solution.estimate.throughput_inf_per_s,
-            any(
-                plan_bottleneck_ms(plan, variant, self.node) > self.deadline_ms
-                for variant, plan in zip(self.workloads, solution.plans)
-            ),
+            max(solution.bottleneck_ms) > self.deadline_ms,
         )
         emit(LogEvent(t, "remap", {
             "power_w": self.flow[0],

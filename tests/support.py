@@ -215,6 +215,11 @@ def validate_plan(plan: Plan, variant: ModelVariant, node: EdgeNode) -> None:
         raise ValidationFailure(f"plan for {variant.name!r}: segments do not cover all layers")
 
 
+def plan_bottleneck_ms(plan: Plan, variant: ModelVariant, node: EdgeNode) -> float:
+    """Latency ms of the plan's slowest segment, each segment costed afresh."""
+    return max(segment_cost(seg, variant, node)[0] for seg in plan)
+
+
 def enumerate_all_plans(variant: ModelVariant, node: EdgeNode) -> list[Plan]:
     """Every (cuts, unit, freq) plan for one DNN, unrestricted segment count."""
     n = len(variant.layers)
@@ -461,7 +466,7 @@ def reference_simulation(
             elif mode == "mapping":
                 solution = search_mapping(workloads, node, threshold, search_params)
                 late = any(
-                    max(segment_cost(seg, variant, node)[0] for seg in plan) > config.deadline_ms
+                    plan_bottleneck_ms(plan, variant, node) > config.deadline_ms
                     for variant, plan in zip(workloads, solution.plans)
                 )
                 flow = solution.estimate.power_w, solution.estimate.throughput_inf_per_s, late

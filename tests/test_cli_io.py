@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from edcarb import cli, cli_io, edc_scheduler
-from edcarb.edc_scheduler import EdgeNode, plan_bottleneck_ms, system_estimate
+from edcarb.edc_scheduler import EdgeNode, system_estimate
 from edcarb.errors import ValidationFailure
 from edcarb.runtime_sim import LogEvent, SimConfig, SimReport
 from edcarb.cli_io import (
@@ -29,7 +29,14 @@ from edcarb.cli_io import (
     load_config,
 )
 
-from support import make_tech, make_unit, make_variant, random_scheduler_instance, strip_timestamp_lines
+from support import (
+    make_tech,
+    make_unit,
+    make_variant,
+    plan_bottleneck_ms,
+    random_scheduler_instance,
+    strip_timestamp_lines,
+)
 
 DEMO_DIR = Path(__file__).resolve().parent.parent / "configs" / "demo"
 DEMO_CONFIG = json.loads((DEMO_DIR / "demo.json").read_text())
@@ -519,6 +526,35 @@ def test_config_lists_every_failed_sim_run_setting(demo_copy):
         "sim.deadline_ms: must be finite and > 0, got 0.0",
         "policy.p_min_w: must be > 0, got 0.0",
     ]
+
+
+@pytest.mark.parametrize(
+    "sim, policy, expected",
+    [
+        (
+            {"arrival_rate_per_s": "fast"},
+            {"hysteresis_fraction": 1.5},
+            [
+                "sim: arrival_rate_per_s: could not convert string to float: 'fast'",
+                "policy.hysteresis_fraction: must be in [0, 1], got 1.5",
+            ],
+        ),
+        (
+            {"step_s": 0},
+            {"latency_constraint_ms": 0},
+            ["policy.latency_constraint_ms: must be > 0, got 0.0", "sim.step_s: must be finite and > 0, got 0.0"],
+        ),
+    ],
+)
+def test_a_failed_section_does_not_hide_the_other_sections_run_settings(demo_copy, sim, policy, expected):
+    # the failed section is checked at its defaults, and its own run settings are not listed
+    config = json.loads((demo_copy / "demo.json").read_text())
+    config["sim"].update(sim)
+    config["policy"].update(policy)
+    (demo_copy / "demo.json").write_text(json.dumps(config))
+    with pytest.raises(ConfigError) as info:
+        load_config(demo_copy / "demo.json")
+    assert info.value.errors == expected
 
 
 def test_an_llm_config_needs_a_tps_floor_above_zero_at_load(demo_copy):

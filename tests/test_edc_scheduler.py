@@ -20,7 +20,6 @@ from edcarb.edc_scheduler import (
     VariantLayer,
     ci_to_threshold,
     hysteresis_update,
-    plan_bottleneck_ms,
     search_mapping,
     segment_cost,
     select_variants,
@@ -32,6 +31,7 @@ from support import (
     exhaustive_mapping,
     make_unit,
     make_variant,
+    plan_bottleneck_ms,
     random_scheduler_instance,
     tiny_mapping_oracle_suite,
     validate_plan,
@@ -377,6 +377,32 @@ def test_one_prepared_search_solves_every_threshold_as_search_mapping_does():
             assert prepared.solve(threshold) == expected
             solved += 1
     assert solved >= 100 and infeasible >= 10
+
+
+def test_a_solution_carries_the_bottleneck_of_each_plan():
+    # c06-shaped instances; each remap of a simulation solves one prepared
+    # search at a new threshold, so the prepared path runs a threshold sequence
+    rng = random.Random(606)
+    params = SearchParams(beam_width=4, candidate_cap=64, local_search_moves=50, rng_seed=0)
+    improved = fallback = 0
+    for _ in range(150):
+        workloads, node = random_scheduler_instance(rng)
+        thresholds = [rng.uniform(2.0, 30.0) for _ in range(4)]
+        prepared = edc_scheduler.prepare_mapping(workloads, node, params)
+        pool = {plans for plans, _ in prepared.pool}
+        for threshold in thresholds:
+            try:
+                solutions = prepared.solve(threshold), search_mapping(workloads, node, threshold, params)
+            except NoFeasiblePlan:
+                continue
+            for solution in solutions:
+                expected = tuple(plan_bottleneck_ms(p, v, node) for v, p in zip(workloads, solution.plans))
+                assert solution.bottleneck_ms == expected
+            plans = solutions[0].plans
+            improved += plans not in pool
+            u = plans[0][0][2]
+            fallback += all(plan == ((0, len(v.layers), u, 0),) for v, plan in zip(workloads, plans))
+    assert improved >= 1 and fallback >= 1, (improved, fallback)
 
 
 def test_a_prepared_search_refuses_a_threshold_that_is_not_positive():

@@ -11,6 +11,10 @@ output differs and 0 if both are equal; a script that fails stops the
 check with its error. The four runs are sequential and take about a
 minute on a 2-core host (Python 3.11). Only the standard library is
 used, besides the ``git`` command.
+
+Last, the line count of each ``src/edcarb/*.py`` module is printed for
+REV and for the working tree, with the totals, so a change can quote its
+line delta; the counts do not affect the exit code.
 """
 
 from __future__ import annotations
@@ -41,6 +45,17 @@ def _output(tool: str, tree: Path, scratch: Path) -> str:
     return subprocess.run(args, check=True, capture_output=True, text=True, cwd=ROOT).stdout
 
 
+def _print_line_counts(rev: str, base: Path) -> None:
+    before, after = (
+        {path.name: path.read_bytes().count(b"\n") for path in (tree / "src" / "edcarb").glob("*.py")}
+        for tree in (base, ROOT)
+    )
+    print(f"src/edcarb lines ({rev} -> working tree):")
+    for name in sorted(before.keys() | after.keys()):
+        print(f"  {name}: {before.get(name, '-')} -> {after.get(name, '-')}")
+    print(f"  total: {sum(before.values())} -> {sum(after.values())}")
+
+
 def main(argv: list[str]) -> int:
     if len(argv) > 1:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
@@ -66,6 +81,7 @@ def main(argv: list[str]) -> int:
             verdict = "differs" if diff else "same"
             print(f"{tool}: {verdict} ({len(before.splitlines())} lines at {rev})")
             differs = differs or bool(diff)
+        _print_line_counts(rev, base)
     return 1 if differs else 0
 
 

@@ -37,7 +37,15 @@ same inputs:
   rates from nearly idle to four times a service rate of the mode, both
   policies, idle power on and off, and ``p_min_w`` draws under the least
   power of one batch dispatch, so that some steps are power-gated. Before
-  these cases only the ``sim-load`` scenarios ran the queue step.
+  these cases only the ``sim-load`` scenarios ran the queue step;
+- ``select_variants`` (``select.random``) on 60 cases (seed 13), each with
+  2-3 variant sets of 1-3 variants. The variants come from
+  ``support.random_scheduler_instance`` draws of 4 layers, the j-th of a
+  set cut to 4 - j layers, and all map onto the node of one more draw (3
+  units, 2 frequencies). Drawn search parameters make some searches
+  enumerate their candidates and others sample them, and drawn latency
+  constraints are met by the first combination in some cases, only by a
+  later one in others, and by none in others still.
 
 Cases are listed in the order above; a new kind of case is added at the
 end, so the older ones keep their inputs.
@@ -57,7 +65,10 @@ makes the case raise instead of moving its digest:
 - a ``MappingSolution`` is its plans and the three fields of its
   ``SystemEstimate``;
 - a ``SimReport`` is every field, the decision log and the time series
-  included.
+  included;
+- a ``select_variants`` result is the chosen variants' names, its
+  ``MappingSolution`` as above, and each chosen plan's slowest segment
+  latency, costed with ``segment_cost``.
 
 Two trees behave the same on these inputs when the outputs of
 
@@ -212,6 +223,47 @@ def _random_queue_simulations(support, runtime_sim) -> None:
         _case(f"sim.queue.random.{i}.{mode}", _sim, runtime_sim.run_simulation, config, trace, arrivals, **kwargs)
 
 
+def _variant_selections(support, edc_scheduler) -> None:
+    def projection(node):
+        def project(chosen) -> tuple:
+            variants, solution = chosen
+            slowest = tuple(
+                max(edc_scheduler.segment_cost(seg, v, node)[0] for seg in plan)
+                for v, plan in zip(variants, solution.plans)
+            )
+            return tuple(v.name for v in variants), _mapping(solution), slowest
+
+        return project
+
+    rng = random.Random(13)
+    for i in range(60):
+        _, node = support.random_scheduler_instance(rng, n_layers=4, n_units=3, n_freqs=2)
+        sets = []
+        for s in range(rng.randint(2, 3)):
+            # the variants of a draw share its layer ids, so the first node profiles them all
+            variants = []
+            while len(variants) < 3:
+                variants += support.random_scheduler_instance(rng, n_layers=4, n_units=1, n_freqs=1)[0]
+            lighter = (
+                dataclasses.replace(v, name=f"s{s}.v{j}", accuracy=0.9 - 0.05 * j, layers=v.layers[: 4 - j])
+                for j, v in enumerate(variants[: rng.randint(1, 3)])
+            )
+            sets.append(edc_scheduler.ModelVariantSet(f"s{s}", tuple(lighter)))
+        params = edc_scheduler.SearchParams(
+            beam_width=rng.choice((1, 4, 8)),
+            local_search_moves=rng.choice((0, 20, 100)),
+            max_segments=rng.choice((1, 2, 4)),
+            candidate_cap=rng.choice((8, 32, 256)),
+            rng_seed=rng.randrange(1000),
+        )
+        constraint_ms = rng.uniform(1.0, 16.0)
+        threshold = rng.uniform(3.0, 30.0)
+        _case(
+            f"select.random.{i}", projection(node), edc_scheduler.select_variants,
+            sets, constraint_ms, 0.0, node, threshold, params,
+        )
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print(__doc__.strip().splitlines()[2], file=sys.stderr)
@@ -231,6 +283,7 @@ def main(argv: list[str]) -> int:
     _simulations(workloads, runtime_sim)
     _random_simulations(support, edc_scheduler, runtime_sim)
     _random_queue_simulations(support, runtime_sim)
+    _variant_selections(support, edc_scheduler)
     return 0
 
 
