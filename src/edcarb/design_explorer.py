@@ -8,9 +8,14 @@ search shares. Fitness is the carbon-delay product of the evaluated design
 designs keep their metrics but carry +inf fitness so selection routes
 around them.
 
-exhaustive_search enumerates the whole space and is the oracle the GA is
-validated against; pareto_front extracts the non-dominated
-(embodied, latency) designs from any evaluated population.
+exhaustive_search is the oracle the GA is validated against. It finds the
+true optimum without scoring each design: the cost model is separable, as
+in ACT's per-component embodied model (Gupta et al., ISCA '22), so it costs
+each embodied and each latency key once and bounds each shared
+(px, py, b_global) key by its smallest feasible embodied carbon and its
+smallest latency; ties go to the smallest index key, as in enumeration.
+pareto_front extracts the non-dominated (embodied, latency) designs from
+any evaluated population.
 """
 
 from __future__ import annotations
@@ -98,11 +103,6 @@ class DesignSpace:
     def index_key(self, c: AcceleratorConfig) -> tuple[int, ...]:
         """Lexicographic position of a chromosome; the global tie-break order."""
         return tuple(self._gene_index[g][getattr(c, g)] for g in _GENES)
-
-    def chromosomes(self):
-        """All chromosomes in lexicographic gene order."""
-        for values in itertools.product(*self._genes.values()):
-            yield AcceleratorConfig(*values, *self._fixed)
 
     def random_chromosome(self, rng: random.Random) -> AcceleratorConfig:
         return AcceleratorConfig(*(rng.choice(self.candidates(g)) for g in _GENES), *self._fixed)
@@ -322,20 +322,69 @@ def exhaustive_search(
 ) -> EvaluatedDesign:
     """True optimum over the whole space; the GA's oracle.
 
-    Ties break by lexicographic chromosome order, which enumeration order
-    already guarantees.
+    Returns what scoring every design and keeping the first feasible
+    minimum in enumeration order returns, without scoring each design:
+    1. Every embodied and every latency key is costed once, so a model error
+       anywhere in the space raises as it would when enumerating.
+    2. A shared key's best fitness is `cdp(min feasible kg, min latency)`,
+       or the min latency for delay fitness. This is exact: both factors are
+       >= 0 and IEEE multiplication is monotone in each. `cdp`'s check on
+       the key's largest factors fails iff it fails on a feasible design.
+    3. Ties go to the smallest `space.index_key`, as enumeration order
+       gives. Index keys start with (px, py), so the designs of the best
+       keys with the first (px, py) are walked in enumeration order, and
+       the first feasible one that reaches the best fitness is returned.
+    Only that design becomes an EvaluatedDesign.
     """
     if fitness not in ("cdp", "delay"):
         raise ValidationFailure(f"unknown fitness {fitness!r}")
     if space.size > cap:
         raise SpaceTooLarge(f"space has {space.size} designs, cap is {cap}")
+    # each gene's distinct values, in the order of their first place in the candidate list
+    px_values, py_values, b_locals, b_globals, dataflows, multipliers = space._gene_index.values()
+    fixed = space._fixed
     tables = CostTables()
-    designs = (evaluate(c, workload, space, tables) for c in space.chromosomes())
-    feasible = (d for d in designs if d.feasible)
-    best = min(feasible, key=lambda d: _fitness_of(d, fitness), default=None)
-    if best is None:
+    kgs = {}  # shared key (px, py, b_global) -> embodied kg of its feasible entries
+    # latency reads no multiplier and embodied carbon no dataflow, so the first of each stands in
+    for px, py, b_local, b_global in itertools.product(px_values, py_values, b_locals, b_globals):
+        shared = kgs.get((px, py, b_global))
+        if shared is None:
+            shared = kgs[px, py, b_global] = []
+            for df in dataflows:
+                config = AcceleratorConfig(px, py, b_local, b_global, df, space.multipliers[0], *fixed)
+                tables.latency_s[px, py, b_global, df] = estimate_latency(config, workload)
+        for m in multipliers:
+            config = AcceleratorConfig(px, py, b_local, b_global, space.dataflows[0], m, *fixed)
+            kg, reason = tables.embodied[px, py, b_local, b_global, m] = _embodied_verdict(config, space)
+            if reason is None:
+                shared.append(kg)
+
+    def fit(kg: float, latency: float) -> float:
+        return latency if fitness == "delay" else cdp(kg, latency)
+
+    best, best_keys = math.inf, []
+    for (px, py, b_global), shared in kgs.items():
+        if not shared:
+            continue
+        latencies = [tables.latency_s[px, py, b_global, df] for df in dataflows]
+        cdp(max(shared), max(latencies))  # the check every feasible design of the key gets
+        key_best = fit(min(shared), min(latencies))
+        if key_best < best:
+            best, best_keys = key_best, [(px, py, b_global)]
+        elif key_best == best:
+            best_keys.append((px, py, b_global))
+    if not best_keys:
         raise NoFeasibleDesign("every design in the space is infeasible")
-    return best
+
+    # the min-kg, min-latency design of each best key reaches `best`, so the walk returns
+    px, py = best_keys[0][:2]
+    key_globals = [b_global for kpx, kpy, b_global in best_keys if (kpx, kpy) == (px, py)]
+    for b_local, b_global, df, m in itertools.product(b_locals, key_globals, dataflows, multipliers):
+        kg, reason = tables.embodied[px, py, b_local, b_global, m]
+        latency = tables.latency_s[px, py, b_global, df]
+        if reason is None and fit(kg, latency) == best:
+            chromosome = AcceleratorConfig(px, py, b_local, b_global, df, m, *fixed)
+            return EvaluatedDesign(chromosome, kg, latency, cdp(kg, latency), feasible=True)
 
 
 def pareto_front(

@@ -50,6 +50,11 @@ MAX_CUT_PATTERNS = 1_000_000
 # Largest number of variant combinations `select_variants` maps, one search each.
 MAX_VARIANT_COMBINATIONS = 1_000
 
+# Largest `SearchParams.candidate_cap`: the candidate plans kept per DNN, of
+# up to ten times as many draws. At the bound, a search of two 12-layer DNNs
+# at max_segments=12 takes ~0.7 s (2-core host, Python 3.11).
+MAX_CANDIDATE_CAP = 10_000
+
 
 class MissingProfileEntry(ValidationFailure):
     """A (layer, frequency) pair used by a plan has no profile entry."""
@@ -205,6 +210,8 @@ class SearchParams:
         for name in ("beam_width", "max_segments", "candidate_cap"):
             if getattr(self, name) < 1:
                 raise ValidationFailure(f"{name} must be >= 1")
+        if self.candidate_cap > MAX_CANDIDATE_CAP:
+            raise ValidationFailure(f"candidate_cap must be <= {MAX_CANDIDATE_CAP}")
         if self.local_search_moves < 0:
             raise ValidationFailure("local_search_moves must be >= 0")
 

@@ -1,9 +1,10 @@
 """Shared builders and independent oracles used across the test suite.
 
 Oracles here deliberately avoid the library's own search/estimation paths:
-the wafer oracle counts squares on a grid, the mapping oracle enumerates
-every plan, the policy oracles brute-force every option, and the simulator
-reference re-runs a whole simulation in one plain loop.
+the wafer oracle counts squares on a grid, the explorer oracle scores every
+design, the mapping oracle enumerates every plan, the policy oracles
+brute-force every option, and the simulator reference re-runs a whole
+simulation in one plain loop.
 """
 
 from __future__ import annotations
@@ -16,8 +17,18 @@ import random
 from bisect import bisect_right
 from dataclasses import replace
 
-from edcarb.accelerator_model import AreaParams, ConvLayer, DnnWorkload, MultiplierVariant
-from edcarb.carbon_model import TechnologyParams
+from edcarb.accelerator_model import AcceleratorConfig, AreaParams, ConvLayer, Dataflow, DnnWorkload, MultiplierVariant
+from edcarb.carbon_model import PackageKind, TechnologyParams
+from edcarb.design_explorer import (
+    _GENES,
+    CostTables,
+    DesignSpace,
+    EvaluatedDesign,
+    NoFeasibleDesign,
+    SpaceTooLarge,
+    _fitness_of,
+    evaluate,
+)
 from edcarb.edc_scheduler import (
     EdgeNode,
     ModelVariant,
@@ -124,6 +135,78 @@ def make_workload(n_layers: int = 3) -> DnnWorkload:
         ConvLayer(n=1, c=64, k=64, r=1, s=1, p=8, q=8),
     ]
     return DnnWorkload(name="toy", layers=tuple(shapes[:n_layers]))
+
+
+# ---------------------------------------------------------------------------
+# explorer oracle
+# ---------------------------------------------------------------------------
+
+
+def chromosomes(space: DesignSpace):
+    """All chromosomes of `space` in lexicographic gene order."""
+    fixed = (space.stacking, space.clock_hz, space.dram_bytes_per_cycle, space.tsv_count)
+    for values in itertools.product(*map(space.candidates, _GENES)):
+        yield AcceleratorConfig(*values, *fixed)
+
+
+def reference_exhaustive_search(
+    space: DesignSpace,
+    workload: DnnWorkload,
+    fitness: str = "cdp",
+    cap: int = 1_000_000,
+) -> EvaluatedDesign:
+    """True optimum over the whole space, by scoring every design.
+
+    Ties break by lexicographic chromosome order, which enumeration order
+    already guarantees.
+    """
+    if fitness not in ("cdp", "delay"):
+        raise ValidationFailure(f"unknown fitness {fitness!r}")
+    if space.size > cap:
+        raise SpaceTooLarge(f"space has {space.size} designs, cap is {cap}")
+    tables = CostTables()
+    designs = (evaluate(c, workload, space, tables) for c in chromosomes(space))
+    feasible = (d for d in designs if d.feasible)
+    best = min(feasible, key=lambda d: _fitness_of(d, fitness), default=None)
+    if best is None:
+        raise NoFeasibleDesign("every design in the space is infeasible")
+    return best
+
+
+def twin_multiplier(m: MultiplierVariant) -> MultiplierVariant:
+    """A copy of `m` under another name: every design with it ties its twin."""
+    return MultiplierVariant(f"{m.name}_twin", m.area_mm2, m.accuracy_drop_pct)
+
+
+def random_design_space(rng: random.Random, stacking: PackageKind = PackageKind.PLANAR_2D) -> DesignSpace:
+    """A small space (at most 324 designs) drawn to force ties in both factors.
+
+    Arrays no wider than 3, the smallest dimension of the `make_workload`
+    layers, keep every PE busy under every dataflow, so a wide DRAM bus
+    makes the dataflows, the b_global values and the transposed (px, py)
+    shapes tie in latency, and the twin of a multiplier ties it in embodied
+    carbon. A width of 8 leaves PEs idle in some dataflows, and a narrow bus
+    makes latency depend on b_global and the dataflow. Some draws cap the
+    area or list multipliers over the accuracy threshold, so some designs,
+    and sometimes all, are infeasible.
+    """
+    lossy = MultiplierVariant("apx_lossy", 0.002, 3.0)
+    half = MultiplierVariant("apx_half", 0.004, 1.5)
+    pool = (EXACT_MULT, twin_multiplier(EXACT_MULT), half, twin_multiplier(half), lossy)
+    return DesignSpace(
+        px_values=tuple(rng.sample((1, 2, 3, 8), rng.randint(1, 3))),
+        py_values=tuple(rng.sample((1, 2, 3, 8), rng.randint(1, 3))),
+        b_local_values=tuple(rng.sample((64, 256), rng.randint(1, 2))),
+        b_global_values=tuple(rng.sample((512, 4096, 65536), rng.randint(1, 2))),
+        dataflows=tuple(rng.sample(tuple(Dataflow), rng.randint(1, 3))),
+        multipliers=tuple(rng.sample(pool, rng.randint(1, 3))),
+        tech=make_tech(),
+        area_params=make_area_params(),
+        stacking=stacking,
+        dram_bytes_per_cycle=rng.choice((1.0, 16.0, 1e6)),
+        tsv_count=rng.choice((0, 200)),
+        max_area_cm2=rng.choice((None, None, 0.05, 0.09)),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -1143,6 +1143,28 @@ def test_cli_schedule_rejects_search_params_that_break_the_search(demo_copy, tmp
     assert any(line.startswith(f"  - search: {field} must be >= ") for line in err)
 
 
+@pytest.mark.parametrize("cap", [edc_scheduler.MAX_CANDIDATE_CAP + 1, 10_000_000])
+def test_cli_schedule_refuses_a_candidate_cap_above_the_bound_at_load(demo_copy, tmp_path, capsys, cap):
+    # a 10^7 cap would make each search draw up to 10^8 candidate plans
+    config = json.loads((demo_copy / "demo.json").read_text())
+    config["search"]["candidate_cap"] = cap
+    path = demo_copy / "search.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "o"
+    start = time.perf_counter()
+    rc = cli.main(["schedule", "--config", str(path), "--ci-now", "250", "--out", str(out)])
+    assert time.perf_counter() - start < 1.0
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith("error[VALIDATION]: ")
+    assert f"  - search: candidate_cap must be <= {edc_scheduler.MAX_CANDIDATE_CAP}" in err
+    assert not (out / "plan.json").exists()
+
+
+def test_search_params_accept_the_largest_candidate_cap():
+    assert edc_scheduler.SearchParams(candidate_cap=edc_scheduler.MAX_CANDIDATE_CAP).candidate_cap == 10_000
+
+
 @pytest.mark.parametrize("lifetime", [0, -5, float("nan")])
 def test_cli_simulate_bad_lifetime_inferences_is_validation(demo_copy, tmp_path, capsys, lifetime):
     config = json.loads((demo_copy / "demo.json").read_text())

@@ -23,6 +23,7 @@ from edcarb.design_explorer import (
     GaParams,
     NoFeasibleDesign,
     SpaceTooLarge,
+    _fitness_of,
     crossover,
     evaluate,
     exhaustive_search,
@@ -32,7 +33,15 @@ from edcarb.design_explorer import (
 )
 from edcarb.errors import ValidationFailure
 
-from support import EXACT_MULT, make_area_params, make_tech, make_workload
+from support import (
+    EXACT_MULT,
+    chromosomes,
+    make_area_params,
+    make_tech,
+    make_workload,
+    random_design_space,
+    reference_exhaustive_search,
+)
 
 APX_MULT = MultiplierVariant(name="apx_half", area_mm2=0.004, accuracy_drop_pct=1.5)
 BAD_MULT = MultiplierVariant(name="apx_lossy", area_mm2=0.002, accuracy_drop_pct=3.0)
@@ -56,7 +65,7 @@ def make_space(**overrides) -> DesignSpace:
 
 
 def first_chromosome(space: DesignSpace) -> AcceleratorConfig:
-    return next(iter(space.chromosomes()))
+    return next(iter(chromosomes(space)))
 
 
 def design(space: DesignSpace, *genes) -> AcceleratorConfig:
@@ -115,12 +124,12 @@ def test_search_evaluator_matches_the_direct_model(stacking):
         stacking=stacking,
         tsv_count=200,
     )
-    areas = sorted(estimate_area(c, base.area_params).total_2d_equiv_cm2 for c in base.chromosomes())
+    areas = sorted(estimate_area(c, base.area_params).total_2d_equiv_cm2 for c in chromosomes(base))
     space = replace(base, max_area_cm2=areas[len(areas) // 2])
     workload = make_workload()
     tables = CostTables()
     reasons = set()
-    for c in space.chromosomes():
+    for c in chromosomes(space):
         # the direct model's design: the chromosome's genes and the space's fixed settings
         config = design(space, *(getattr(c, g) for g in _GENES))
         breakdown = estimate_area(config, space.area_params)
@@ -161,7 +170,7 @@ def test_index_key_is_the_first_tuple_index_of_each_gene():
         dataflows=(Dataflow.OUTPUT_STATIONARY, Dataflow.WEIGHT_STATIONARY, Dataflow.OUTPUT_STATIONARY),
         multipliers=(EXACT_MULT, APX_MULT, exact_again),
     )
-    for c in space.chromosomes():
+    for c in chromosomes(space):
         assert space.index_key(c) == tuple(space.candidates(g).index(getattr(c, g)) for g in _GENES)
     repeated = design(space, 4, 2, 64, 4096, Dataflow.OUTPUT_STATIONARY, exact_again)
     assert space.index_key(repeated) == (0, 0, 0, 0, 0, 0)
@@ -232,7 +241,7 @@ def test_every_design_carries_the_fixed_settings_of_its_space(stacking):
     # them would be scored as planar, at 1 GHz, in a 3D run at another clock
     space = make_space(stacking=stacking, clock_hz=7e8, dram_bytes_per_cycle=4.0, tsv_count=300)
     rng = random.Random(8)
-    designs = list(space.chromosomes())
+    designs = list(chromosomes(space))
     for _ in range(50):
         a, b = space.random_chromosome(rng), space.random_chromosome(rng)
         designs += [a, b, *crossover(a, b, rng), mutate(a, 1.0, space, rng), mutate(b, 0.3, space, rng)]
@@ -385,10 +394,76 @@ def test_exhaustive_delay_fitness_ignores_carbon():
     space = make_space()
     workload = make_workload()
     fastest = exhaustive_search(space, workload, fitness="delay")
-    for chromosome in space.chromosomes():
+    for chromosome in chromosomes(space):
         design = evaluate(chromosome, workload, space)
         if design.feasible:
             assert fastest.latency_s <= design.latency_s
+
+
+def _outcome(search, *args, **kwargs):
+    """What the search returns, or the type of the exception it raises."""
+    try:
+        return search(*args, **kwargs)
+    except Exception as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("stacking", [PackageKind.PLANAR_2D, PackageKind.STACKED_3D])
+@pytest.mark.parametrize("fitness", ["cdp", "delay"])
+def test_exhaustive_search_returns_what_enumeration_returns(fitness, stacking):
+    rng = random.Random(2025)
+    workload = make_workload()
+    tied = infeasible = 0
+    for _ in range(60):
+        space = random_design_space(rng, stacking)
+        expected = _outcome(reference_exhaustive_search, space, workload, fitness)
+        assert _outcome(exhaustive_search, space, workload, fitness) == expected
+        if expected is NoFeasibleDesign:
+            infeasible += 1
+        else:
+            fits = [_fitness_of(evaluate(c, workload, space), fitness) for c in chromosomes(space)]
+            tied += fits.count(min(fits)) > 1
+    # the draws must reach the tie rule and the all-infeasible refusal
+    assert tied >= 10 and infeasible >= 2
+
+
+def test_exhaustive_search_breaks_a_tie_across_the_b_global_of_one_array():
+    # A wide DRAM bus makes the 8x8 array's latency the same at both global
+    # buffers, so both keys reach the best delay. Under the area cap the first
+    # b_local (256) fits only beside the global buffer listed second.
+    space = make_space(
+        px_values=(8,), py_values=(8,), b_local_values=(256, 16), b_global_values=(65536, 512),
+        dram_bytes_per_cycle=1e6, max_area_cm2=0.12,
+    )
+    best = exhaustive_search(space, make_workload(), fitness="delay")
+    assert best == reference_exhaustive_search(space, make_workload(), fitness="delay")
+    assert (best.chromosome.b_local, best.chromosome.b_global) == (256, 512)
+
+
+@pytest.mark.parametrize("fitness", ["cdp", "delay"])
+@pytest.mark.parametrize(
+    "overrides, error",
+    [
+        # every latency overflows, though no design is feasible
+        (dict(multipliers=(BAD_MULT,), dram_bytes_per_cycle=1e-320), ValidationFailure),
+        # the slowest designs' latency rounds to inf, which cdp refuses on feasible designs only
+        (dict(clock_hz=1e-303), ValidationFailure),
+        (dict(multipliers=(BAD_MULT,), clock_hz=1e-303), NoFeasibleDesign),
+        (dict(multipliers=(BAD_MULT,)), NoFeasibleDesign),
+    ],
+)
+def test_exhaustive_search_raises_what_enumeration_raises(fitness, overrides, error):
+    space, workload = make_space(**overrides), make_workload()
+    assert _outcome(reference_exhaustive_search, space, workload, fitness) is error
+    assert _outcome(exhaustive_search, space, workload, fitness) is error
+
+
+def test_exhaustive_search_refuses_what_enumeration_refuses():
+    space, workload = make_space(), make_workload()
+    for kwargs, error in ((dict(cap=space.size - 1), SpaceTooLarge), (dict(fitness="bogus"), ValidationFailure)):
+        assert _outcome(reference_exhaustive_search, space, workload, **kwargs) is error
+        assert _outcome(exhaustive_search, space, workload, **kwargs) is error
+    assert exhaustive_search(space, workload, cap=space.size) == reference_exhaustive_search(space, workload)
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +513,7 @@ def test_pareto_front_contains_cdp_optimum():
     space = make_space()
     workload = make_workload()
     optimum = exhaustive_search(space, workload)
-    designs = [evaluate(c, workload, space) for c in space.chromosomes()]
+    designs = [evaluate(c, workload, space) for c in chromosomes(space)]
     front = pareto_front(designs, space)
     assert any(d.chromosome == optimum.chromosome for d in front)
 
@@ -449,7 +524,7 @@ def test_pareto_front_does_not_depend_on_input_order():
     twin = MultiplierVariant("exact_twin", EXACT_MULT.area_mm2, EXACT_MULT.accuracy_drop_pct)
     space = make_space(multipliers=(EXACT_MULT, APX_MULT, twin))
     workload = make_workload()
-    designs = [evaluate(c, workload, space) for c in space.chromosomes()]
+    designs = [evaluate(c, workload, space) for c in chromosomes(space)]
     front = pareto_front(designs, space)
     ties = [(a, b) for a, b in zip(front, front[1:]) if (a.embodied_kg, a.latency_s) == (b.embodied_kg, b.latency_s)]
     assert ties and all(space.index_key(a.chromosome) < space.index_key(b.chromosome) for a, b in ties)

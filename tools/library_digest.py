@@ -46,6 +46,15 @@ same inputs:
   enumerate their candidates and others sample them, and drawn latency
   constraints are met by the first combination in some cases, only by a
   later one in others, and by none in others still.
+- ``exhaustive_search``, ``run_ga`` and ``pareto_front`` on spaces made to
+  tie (``explore.ties``), for the cdp and delay fitnesses, planar and
+  ``STACKED_3D``: the ``search`` workload's space at seeds 0-2 with each
+  multiplier followed by a renamed copy of equal area and accuracy
+  (``support.twin_multiplier``), so every design ties the twin of its
+  multiplier; then 40 ``support.random_design_space`` draws (seed 17),
+  whose gene lists also make dataflows, global buffers and transposed
+  arrays tie in latency, with the ``support.make_workload`` workload and a
+  small drawn GA. Some of these draws have no feasible design.
 
 Cases are listed in the order above; a new kind of case is added at the
 end, so the older ones keep their inputs.
@@ -85,6 +94,7 @@ import dataclasses
 import hashlib
 import random
 import sys
+import types
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -264,6 +274,27 @@ def _variant_selections(support, edc_scheduler) -> None:
         )
 
 
+def _tie_searches(workloads, support, design_explorer, package_kind) -> None:
+    for seed in range(3):
+        full = workloads.Search().setup(seed, smoke=False)
+        pairs = tuple(m for original in full.space.multipliers for m in (original, support.twin_multiplier(original)))
+        space = dataclasses.replace(full.space, multipliers=pairs)
+        for fitness in ("cdp", "delay"):
+            _explore(f"explore.ties.seed{seed}.{fitness}", design_explorer, full, space, fitness)
+            stacked_space = dataclasses.replace(space, stacking=package_kind.STACKED_3D)
+            _explore(f"explore.ties.seed{seed}.{fitness}.stacked3d", design_explorer, full, stacked_space, fitness)
+    rng = random.Random(17)
+    for i in range(40):
+        stacking = rng.choice(tuple(package_kind))
+        space = support.random_design_space(rng, stacking)
+        inputs = types.SimpleNamespace(
+            conv=support.make_workload(),
+            ga=design_explorer.GaParams(population_size=8, generations=5, rng_seed=rng.randrange(1000)),
+        )
+        for fitness in ("cdp", "delay"):
+            _explore(f"explore.ties.random.{i}.{fitness}.{stacking.value}", design_explorer, inputs, space, fitness)
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print(__doc__.strip().splitlines()[2], file=sys.stderr)
@@ -284,6 +315,7 @@ def main(argv: list[str]) -> int:
     _random_simulations(support, edc_scheduler, runtime_sim)
     _random_queue_simulations(support, runtime_sim)
     _variant_selections(support, edc_scheduler)
+    _tie_searches(workloads, support, design_explorer, PackageKind)
     return 0
 
 
