@@ -17,10 +17,12 @@ their position in the node, and only the CLI writes their ids.
 The pipeline model is a fold: each mapped DNN contributes a summary (its
 throughput term and the max active power it puts on each unit), and the
 system estimate folds the summaries in DNN order. The search memoizes
-segment costs and carries the fold state with each beam partial, so every
-estimate it ranks on is bit-identical to `system_estimate` over the same
-plans. Equal scores break on the concatenated plans: by unit position in the
-node, never by unit id.
+segment costs and carries the fold state with each beam partial. It ranks an
+extension on the ipw computed straight from the partial's state and the
+candidate's summary, in the fold's float order, so every score it ranks on is
+bit-identical to `system_estimate` over the same plans. Equal scores break on
+the concatenated plans, compared through each partial's and each candidate's
+position in sorted order: by unit position in the node, never by unit id.
 
 Only the final filter and the local search read the power threshold, so the
 search comes in two steps. `prepare_mapping` draws the candidates, costs
@@ -33,8 +35,10 @@ each DNN's bottleneck, its slowest segment's latency, from the search's own cost
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass
 from enum import Enum
@@ -52,8 +56,13 @@ MAX_VARIANT_COMBINATIONS = 1_000
 
 # Largest `SearchParams.candidate_cap`: the candidate plans kept per DNN, of
 # up to ten times as many draws. At the bound, a search of two 12-layer DNNs
-# at max_segments=12 takes ~0.7 s (2-core host, Python 3.11).
+# at max_segments=12 and beam width 1 takes ~0.5 s (2-core host, Python 3.11).
 MAX_CANDIDATE_CAP = 10_000
+
+# Largest `SearchParams.beam_width`: each DNN after the first ranks beam width
+# x candidate cap extensions. At both bounds, that same two-DNN search ranks
+# ~10^7 extensions and takes 6-7 s (2-core host, Python 3.11).
+MAX_BEAM_WIDTH = 1_024
 
 
 class MissingProfileEntry(ValidationFailure):
@@ -212,6 +221,8 @@ class SearchParams:
                 raise ValidationFailure(f"{name} must be >= 1")
         if self.candidate_cap > MAX_CANDIDATE_CAP:
             raise ValidationFailure(f"candidate_cap must be <= {MAX_CANDIDATE_CAP}")
+        if self.beam_width > MAX_BEAM_WIDTH:
+            raise ValidationFailure(f"beam_width must be <= {MAX_BEAM_WIDTH}")
         if self.local_search_moves < 0:
             raise ValidationFailure("local_search_moves must be >= 0")
 
@@ -271,19 +282,20 @@ def _fold(state: _Fold, summary: _Fold) -> _Fold:
     return state[0] + summary[0], tuple([a if a >= b else b for a, b in zip(state[1], summary[1])])
 
 
-def _estimate(throughput: float, power: float) -> SystemEstimate:
+def _ipw(throughput: float, power: float) -> float:
     if power > 0:
-        ipw = throughput / power
-    else:
-        ipw = float("inf") if throughput > 0 else 0.0
-    return SystemEstimate(throughput_inf_per_s=throughput, power_w=power, ipw=ipw)
+        return throughput / power
+    return math.inf if throughput > 0 else 0.0
 
 
 def _folded_estimate(state: _Fold, node: EdgeNode) -> SystemEstimate:
     throughput, unit_power = state
     # Active power is validated >= 0, so only an empty unit pays idle power.
-    power = sum([p if p >= 0.0 else u.idle_power_w for p, u in zip(unit_power, node.units)])
-    return _estimate(throughput, power)
+    # Units add left to right in node order, as the beam's ranking adds them.
+    power = 0.0
+    for p, u in zip(unit_power, node.units):
+        power += p if p >= 0.0 else u.idle_power_w
+    return SystemEstimate(throughput_inf_per_s=throughput, power_w=power, ipw=_ipw(throughput, power))
 
 
 def system_estimate(
@@ -445,6 +457,50 @@ def _exact_estimate(
     return _folded_estimate(state, node)
 
 
+def _positions(items: Sequence) -> list[int]:
+    """Each item's position in sorted order; the items are distinct."""
+    positions = [0] * len(items)
+    for rank, k in enumerate(sorted(range(len(items)), key=items.__getitem__)):
+        positions[k] = rank
+    return positions
+
+
+def _ranked_extensions(
+    beam: list[tuple[tuple[Plan, ...], _Fold]],
+    options: list[Plan],
+    summaries: list[_Fold],
+    node: EdgeNode,
+):
+    """Rank key (-ipw, key position, plan position, i, j) of extending beam
+    partial i by candidate plan j, whose summary is summaries[j], partial by
+    partial.
+
+    ipw is the one `_folded_estimate` gives for `_fold` of the two, from the
+    same floats in the same order: the per-unit max (an empty partial unit
+    takes the candidate's power, or idle power when both leave it empty),
+    then the units added left to right (from the first unit rather than from
+    0.0, which can only flip the sign of a zero total, and `_ipw` reads a
+    zero power the same either way). The positions order the extensions
+    as their concatenated plans do: partials carry distinct plans of the same
+    DNNs, and every plan covers all its layers, so no concatenation is a
+    proper prefix of another and the first differing plan decides.
+    """
+    plan_throughput = [throughput for throughput, _ in summaries]
+    # per unit in node order, each candidate's max active power, -inf when it leaves the unit empty
+    columns = list(zip(*(unit_power for _, unit_power in summaries)))
+    alone = [[p if p >= 0.0 else unit.idle_power_w for p in column] for column, unit in zip(columns, node.units)]
+    key_positions = _positions([plans for plans, _ in beam])
+    plan_positions = _positions(options)
+    indices = range(len(summaries))
+    for i, ((_, (throughput, unit_power)), key_position) in enumerate(zip(beam, key_positions)):
+        power = None
+        for a, column, empty in zip(unit_power, columns, alone):
+            unit = empty if a < 0.0 else [a if a >= b else b for b in column]
+            power = unit if power is None else list(map(operator.add, power, unit))
+        neg_ipw = [-_ipw(throughput + t, p) for t, p in zip(plan_throughput, power)]
+        yield from zip(neg_ipw, itertools.repeat(key_position), plan_positions, itertools.repeat(i), indices)
+
+
 def _check_threshold(power_threshold_w: float) -> None:
     if power_threshold_w <= 0:
         raise ValidationFailure("power_threshold_w must be > 0")
@@ -503,12 +559,17 @@ def prepare_mapping(
     """Candidate plans, segment costs and beam of a mapping search.
 
     Beam search assigns DNNs one at a time over enumerated (or sampled)
-    per-DNN candidate plans, ranking every extension on the exact estimate.
-    Segment costs are memoized per (DNN, segment), and each beam partial
-    carries its fold state, so an extension costs one fold instead of a
-    re-estimate of the whole prefix. The beam survivors and the fallbacks
-    form the pool that `PreparedMapping.solve` filters by the threshold.
-    Deterministic for a fixed seed.
+    per-DNN candidate plans, ranking every extension on the exact estimate's
+    ipw. Segment costs are memoized per (DNN, segment), and each beam partial
+    carries its fold state, so an extension's ipw comes from that state and
+    the candidate's summary, a few floats per unit, without a re-estimate of
+    the whole prefix. Equal ipw breaks on the partial's position among the
+    beam's plans in sorted order, then on the candidate's among the
+    candidates: the order of the concatenated plans. A heap picks the
+    `beam_width` best extensions, so memory grows with the beam and not with
+    beam x candidates, and only the survivors are folded. The survivors and
+    the fallbacks form the pool that `PreparedMapping.solve` filters by the
+    threshold. Deterministic for a fixed seed.
     """
     if not workloads:
         raise ValidationFailure("search_mapping needs at least one workload")
@@ -546,21 +607,16 @@ def prepare_mapping(
     ]
 
     segment_costs: _SegmentCosts = {}
-    # Each beam entry is (plans, fold state). Extensions are ranked by
-    # (-ipw, concatenated plans); only the survivors' fold states are kept.
+    # Each beam entry is (plans, fold state); only the survivors' fold states are kept.
     beam: list[tuple[tuple[Plan, ...], _Fold]] = [((), _empty_fold(node))]
     for d, variant in enumerate(workloads):
-        options = [(plan, _summary(segment_costs, d, plan, variant, node)) for plan in candidates[d]]
-        ranked = []
-        for i, (plans, state) in enumerate(beam):
-            key = sum(plans, ())
-            for j, (plan, plan_sum) in enumerate(options):
-                exact = _folded_estimate(_fold(state, plan_sum), node)
-                ranked.append((-exact.ipw, key + plan, i, j))
-        ranked.sort()
+        options = candidates[d]
+        summaries = [_summary(segment_costs, d, plan, variant, node) for plan in options]
+        extensions = _ranked_extensions(beam, options, summaries, node)
+        # the rank keys are distinct, so these are the first of them in sorted order
         beam = [
-            (beam[i][0] + (options[j][0],), _fold(beam[i][1], options[j][1]))
-            for _, _, i, j in ranked[: params.beam_width]
+            (beam[i][0] + (options[j],), _fold(beam[i][1], summaries[j]))
+            for *_, i, j in heapq.nsmallest(params.beam_width, extensions)
         ]
 
     # A fallback the beam holds repeats its plans and estimate, so the best

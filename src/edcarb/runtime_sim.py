@@ -594,6 +594,9 @@ class _QueueStep:
         # llm mode: the selected variant's dispatch, (requests served, head
         # detail, duration_s, energy_j, power_w) as `_plan_batch_dispatch` returns
         self.fixed: tuple[int, dict, float, float, float] | None = None
+        # batch mode: this run's `_plan_batch_dispatch` cost memo, kept per run
+        # because it holds sums over this run's table
+        self.dispatch_costs: _DispatchCosts = {}
 
     def adapt(self, t, ci, threshold, trace, emit) -> None:
         if self.variants is None:
@@ -616,6 +619,7 @@ class _QueueStep:
         rest; returns the step's energy. The run's state is copied into locals
         for the step, as attribute access per dispatch slows the queue path."""
         events, kinds, fixed, table, config = self.events, self.queued_kinds, self.fixed, self.table, self.config
+        dispatch_costs = self.dispatch_costs
         n_events, deadline_s = len(events), config.deadline_ms / 1000.0
         head, next_arrival, max_queue_len, misses = self.head, self.next_arrival, self.max_queue_len, self.misses
         device_free, busy_s, run_energy_j = self.device_free, self.busy_s, self.energy_j
@@ -636,7 +640,7 @@ class _QueueStep:
             if now >= step_end:
                 break
             dispatch = fixed or _plan_batch_dispatch(
-                events, head, next_arrival, len(kinds), table, config, threshold, now
+                events, head, next_arrival, len(kinds), table, config, threshold, now, dispatch_costs
             )
             if dispatch is None:
                 emit(LogEvent(now, "power_gated", {"threshold_w": threshold, "ci": ci}))
@@ -697,6 +701,11 @@ class _QueueStep:
         )
 
 
+# batch sizes of one dispatch's groups -> (serial ms, serial energy J, power W)
+# of those groups at each frequency; a function of the sizes and the table
+_DispatchCosts = dict[tuple[int, ...], list[tuple[float, float, float]]]
+
+
 def _plan_batch_dispatch(
     events: list[tuple[float, str]],
     head: int,
@@ -706,12 +715,15 @@ def _plan_batch_dispatch(
     config: SimConfig,
     threshold_w: float,
     now: float,
+    cost_memo: _DispatchCosts,
 ) -> tuple[int, dict, float, float, float] | None:
     """Apply the policy hierarchy to the queue head; None means the step is
     power-gated (no frequency fits under the threshold).
 
     The queue is events[head:tail], (arrival_s, kind) in arrival order, and
-    holds active_kinds distinct kinds.
+    holds active_kinds distinct kinds. cost_memo holds the group costs of
+    batch-size lists already planned against `table`; the batch-size lists
+    repeat, so each is summed once.
 
     Returns (requests served, head detail, duration_s, energy_j, power_w),
     where the head detail holds the leading dispatch log keys: the batch
@@ -730,12 +742,13 @@ def _plan_batch_dispatch(
             sizes.append(b)
             offset += b
         t_scale, p_scale = table.scales(len(sizes))
-        # (serial ms, serial energy J, power W) of the groups at each frequency
-        costs = []
-        for f in range(table.n_freqs):
-            serial_ms = sum(table.latency_ms(b, f) for b in sizes)
-            serial_energy = sum(table.energy_j(b, f) for b in sizes)
-            costs.append((serial_ms, serial_energy, serial_energy * 1000.0 / serial_ms * p_scale))
+        costs = cost_memo.get(key := tuple(sizes))
+        if costs is None:
+            costs = cost_memo[key] = []
+            for f in range(table.n_freqs):
+                serial_ms = sum(table.latency_ms(b, f) for b in sizes)
+                serial_energy = sum(table.energy_j(b, f) for b in sizes)
+                costs.append((serial_ms, serial_energy, serial_energy * 1000.0 / serial_ms * p_scale))
         allowed = [f for f in range(table.n_freqs) if costs[f][2] <= threshold_w]
         if not allowed:
             continue

@@ -33,9 +33,17 @@ from edcarb.edc_scheduler import (
     EdgeNode,
     ModelVariant,
     Plan,
+    PreparedMapping,
     ProcessingUnit,
+    SearchParams,
     UnitKind,
     VariantLayer,
+    _candidate_plans,
+    _empty_fold,
+    _exact_estimate,
+    _fold,
+    _folded_estimate,
+    _summary,
     ci_to_threshold,
     hysteresis_update,
     search_mapping,
@@ -373,6 +381,57 @@ def tiny_mapping_oracle_suite() -> tuple:
         best = exhaustive_mapping(workloads, node, threshold)
         suite.append((workloads, node, threshold, None if best is None else best[0]))
     return tuple(suite)
+
+
+def reference_prepare_mapping(workloads, node: EdgeNode, params: SearchParams) -> PreparedMapping:
+    """`prepare_mapping` as it was before its beam ranked on floats and positions.
+
+    It folds every (partial, candidate) extension, builds its estimate and
+    its concatenated-plan key, and sorts the whole list. The candidate draws,
+    segment costs and fold are the library's; the library's own ranking must
+    keep the same survivors in the same order.
+    """
+    rng = random.Random(params.rng_seed)
+    coverings = []
+    for variant in workloads:
+        coverings.append([u for u, unit in enumerate(node.units) if unit.covers(variant.layer_ids)])
+    fallbacks = [
+        tuple(((0, len(v.layers), u, 0),) for v in workloads)
+        for u in range(len(node.units))
+        if all(u in cov for cov in coverings)
+    ]
+    candidates = [
+        _candidate_plans(len(variant.layers), coverings[d], node, params, rng)
+        for d, variant in enumerate(workloads)
+    ]
+
+    segment_costs = {}
+    beam = [((), _empty_fold(node))]
+    for d, variant in enumerate(workloads):
+        options = [(plan, _summary(segment_costs, d, plan, variant, node)) for plan in candidates[d]]
+        ranked = []
+        for i, (plans, state) in enumerate(beam):
+            key = sum(plans, ())
+            for j, (plan, plan_sum) in enumerate(options):
+                exact = _folded_estimate(_fold(state, plan_sum), node)
+                ranked.append((-exact.ipw, key + plan, i, j))
+        ranked.sort()
+        beam = [
+            (beam[i][0] + (options[j][0],), _fold(beam[i][1], options[j][1]))
+            for _, _, i, j in ranked[: params.beam_width]
+        ]
+
+    pool = [(plans, _folded_estimate(state, node)) for plans, state in beam]
+    pool += [(fb, _exact_estimate(segment_costs, fb, workloads, node)) for fb in fallbacks]
+    pool.sort(key=lambda entry: (-entry[1].ipw, sum(entry[0], ())))
+    return PreparedMapping(
+        workloads=tuple(workloads),
+        node=node,
+        coverings=tuple(coverings),
+        local_search_moves=params.local_search_moves,
+        pool=tuple(pool),
+        segment_costs=segment_costs,
+    )
 
 
 # ---------------------------------------------------------------------------

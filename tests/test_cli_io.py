@@ -1165,6 +1165,28 @@ def test_search_params_accept_the_largest_candidate_cap():
     assert edc_scheduler.SearchParams(candidate_cap=edc_scheduler.MAX_CANDIDATE_CAP).candidate_cap == 10_000
 
 
+@pytest.mark.parametrize("beam", [edc_scheduler.MAX_BEAM_WIDTH + 1, 10_000])
+def test_cli_schedule_refuses_a_beam_width_above_the_bound_at_load(demo_copy, tmp_path, capsys, beam):
+    # with two variant sets at a 10^4 candidate cap, a 10^4 beam would rank 10^8 extensions
+    config = json.loads((demo_copy / "demo.json").read_text())
+    config["search"]["beam_width"] = beam
+    path = demo_copy / "search.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "o"
+    rc = cli.main(["schedule", "--config", str(path), "--ci-now", "250", "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith("error[VALIDATION]: ")
+    assert f"  - search: beam_width must be <= {edc_scheduler.MAX_BEAM_WIDTH}" in err
+    assert not (out / "plan.json").exists()
+
+
+def test_search_params_bound_the_beam_width():
+    assert edc_scheduler.SearchParams(beam_width=edc_scheduler.MAX_BEAM_WIDTH).beam_width == 1_024
+    with pytest.raises(ValidationFailure, match=r"^beam_width must be <= 1024$"):
+        edc_scheduler.SearchParams(beam_width=edc_scheduler.MAX_BEAM_WIDTH + 1)
+
+
 @pytest.mark.parametrize("lifetime", [0, -5, float("nan")])
 def test_cli_simulate_bad_lifetime_inferences_is_validation(demo_copy, tmp_path, capsys, lifetime):
     config = json.loads((demo_copy / "demo.json").read_text())

@@ -33,6 +33,7 @@ from support import (
     make_variant,
     plan_bottleneck_ms,
     random_scheduler_instance,
+    reference_prepare_mapping,
     tiny_mapping_oracle_suite,
     validate_plan,
 )
@@ -377,6 +378,66 @@ def test_one_prepared_search_solves_every_threshold_as_search_mapping_does():
             assert prepared.solve(threshold) == expected
             solved += 1
     assert solved >= 100 and infeasible >= 10
+
+
+def random_instance_with_twin_units(rng: random.Random):
+    """1-3 DNNs of 1-4 layers on 1-3 units and a twin of one of them: the twin
+    has the same profile and idle power under another id and position, so a
+    plan and its mirror across the twins have the same ipw. One draw in four
+    zeroes one unit's active power."""
+    n_layers = rng.randint(1, 4)
+    _, node = random_scheduler_instance(rng, n_layers=n_layers, n_units=rng.randint(1, 3), n_freqs=rng.randint(1, 2))
+    units = list(node.units)
+    if rng.random() < 0.25:
+        # a unit that draws no active power: occupied, it pays 0 W, not its idle power
+        k = rng.randrange(len(units))
+        units[k] = dataclasses.replace(units[k], profile={key: (ms, 0.0) for key, (ms, _) in units[k].profile.items()})
+    units.insert(rng.randint(0, len(units)), dataclasses.replace(rng.choice(units), id="twin"))
+    workloads = [
+        ModelVariant(
+            f"m{d}", 0.9, tuple(VariantLayer(f"l{i}", rng.randint(10_000, 200_000)) for i in range(rng.randint(1, n_layers)))
+        )
+        for d in range(rng.randint(1, 3))
+    ]
+    return workloads, dataclasses.replace(node, units=tuple(units))
+
+
+def test_beam_keeps_the_survivors_of_sorting_every_extension():
+    # the reference folds and estimates every extension and sorts them all on
+    # (-ipw, concatenated plans); twin units make many of those ipw equal
+    rng = random.Random(2201)
+    tied = solved = 0
+    seen = set()
+    for _ in range(150):
+        workloads, node = random_instance_with_twin_units(rng)
+        params = SearchParams(
+            beam_width=rng.choice((1, 2, 3, 4, 8, 16)),
+            local_search_moves=rng.choice((0, 20)),
+            max_segments=rng.choice((1, 2, 3, 4)),
+            candidate_cap=rng.choice((1, 4, 16, 64, 256)),
+            rng_seed=rng.randrange(1000),
+        )
+        prepared = edc_scheduler.prepare_mapping(workloads, node, params)
+        reference = reference_prepare_mapping(workloads, node, params)
+        assert prepared == reference
+        for threshold in [rng.uniform(2.0, 30.0) for _ in range(3)]:
+            try:
+                expected = reference.solve(threshold)
+            except NoFeasiblePlan:
+                with pytest.raises(NoFeasiblePlan):
+                    prepared.solve(threshold)
+                continue
+            assert prepared.solve(threshold) == expected
+            solved += 1
+        entries = set(prepared.pool)
+        tied += len({estimate.ipw for _, estimate in entries}) < len(entries)
+        n_choices = sum(len(unit.freq_levels_hz) for unit in node.units)
+        for variant in workloads:
+            counts = edc_scheduler._cut_counts(len(variant.layers), params.max_segments)
+            n_plans = sum(count * n_choices ** (k + 1) for k, count in enumerate(counts))
+            seen.add((len(workloads), "sampled" if n_plans > params.candidate_cap else "enumerated"))
+    assert seen == {(n, kind) for n in (1, 2, 3) for kind in ("sampled", "enumerated")}
+    assert tied >= 100 and solved >= 300, (tied, solved)
 
 
 def test_a_solution_carries_the_bottleneck_of_each_plan():

@@ -55,6 +55,12 @@ same inputs:
   whose gene lists also make dataflows, global buffers and transposed
   arrays tie in latency, with the ``support.make_workload`` workload and a
   small drawn GA. Some of these draws have no feasible design.
+- ``search_mapping`` (``mapping.many``) on the first 8 two-DNN draws among
+  ``support.random_scheduler_instance`` draws (seed 23) of 20-50 layers, 3
+  units and 2 frequencies, at drawn thresholds. The first 6 search at the
+  demo config's search settings (beam 8, candidate cap 256, 200 moves, 4
+  segments) and the last 2 at beam 128, candidate cap 4,096 and 2,000 moves,
+  so the beam ranks up to ~5 x 10^5 extensions of many-layer plans.
 
 Cases are listed in the order above; a new kind of case is added at the
 end, so the older ones keep their inputs.
@@ -295,6 +301,22 @@ def _tie_searches(workloads, support, design_explorer, package_kind) -> None:
             _explore(f"explore.ties.random.{i}.{fitness}.{stacking.value}", design_explorer, inputs, space, fitness)
 
 
+def _many_layer_searches(support, edc_scheduler) -> None:
+    demo = edc_scheduler.SearchParams(beam_width=8, local_search_moves=200, max_segments=4, candidate_cap=256)
+    larger = dataclasses.replace(demo, beam_width=128, local_search_moves=2000, candidate_cap=4096)
+    rng = random.Random(23)
+    i = 0
+    while i < 8:
+        models, node = support.random_scheduler_instance(rng, n_layers=rng.randint(20, 50), n_units=3, n_freqs=2)
+        if len(models) != 2:
+            continue
+        label, params = ("demo", demo) if i < 6 else ("larger", larger)
+        params = dataclasses.replace(params, rng_seed=rng.randrange(1000))
+        threshold = rng.uniform(8.0, 40.0)
+        _case(f"mapping.many.{i}.{label}", _mapping, edc_scheduler.search_mapping, models, node, threshold, params)
+        i += 1
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print(__doc__.strip().splitlines()[2], file=sys.stderr)
@@ -316,6 +338,7 @@ def main(argv: list[str]) -> int:
     _random_queue_simulations(support, runtime_sim)
     _variant_selections(support, edc_scheduler)
     _tie_searches(workloads, support, design_explorer, PackageKind)
+    _many_layer_searches(support, edc_scheduler)
     return 0
 
 
