@@ -42,8 +42,9 @@ from .edc_scheduler import (
 )
 from .errors import InfeasibleError, ValidationFailure
 
-# PoissonArrivals.materialize builds every arrival up front; it refuses a
-# horizon whose expected arrival count (rate x horizon) is above this.
+# PoissonArrivals draws every arrival of the horizon up front, into a list of
+# times and a list of kinds; it refuses a horizon whose expected arrival count
+# (rate x horizon) is above this.
 MAX_EXPECTED_ARRIVALS = 1_000_000
 # SimConfig refuses a run of more clock steps (horizon_s / step_s) than this.
 MAX_STEPS = 1_000_000
@@ -108,17 +109,27 @@ class CiTrace:
 
 @dataclass(frozen=True)
 class TraceArrivals:
-    """Explicit request arrivals, (time_s, kind), non-decreasing in time."""
+    """Explicit request arrivals, (time_s, kind), at times >= 0 and
+    non-decreasing."""
 
     events: tuple[tuple[float, str], ...]
 
     def __post_init__(self) -> None:
         times = [t for t, _ in self.events]
+        early = [t for t in times if not t >= 0]
+        if early:
+            raise ValidationFailure(f"arrival times must be >= 0, got {early[0]}")
         if any(b < a for a, b in zip(times, times[1:])):
             raise ValidationFailure("arrival times must be non-decreasing")
 
     def materialize(self, horizon_s: float) -> list[tuple[float, str]]:
+        """The arrivals before horizon_s, as (time_s, kind) in time order."""
         return [(t, kind) for t, kind in self.events if t < horizon_s]
+
+    def columns(self, horizon_s: float) -> tuple[list[float], list[str]]:
+        """The arrivals of `materialize`, as a list of times and a list of kinds."""
+        events = self.materialize(horizon_s)
+        return [t for t, _ in events], [kind for _, kind in events]
 
 
 @dataclass(frozen=True)
@@ -134,19 +145,40 @@ class PoissonArrivals:
             raise ValidationFailure("PoissonArrivals needs at least one kind")
 
     def materialize(self, horizon_s: float) -> list[tuple[float, str]]:
+        """The arrivals before horizon_s, as (time_s, kind) in time order."""
+        return list(zip(*self.columns(horizon_s)))
+
+    def columns(self, horizon_s: float) -> tuple[list[float], list[str]]:
+        """The arrivals before horizon_s, as a list of times and a list of kinds.
+
+        The gaps are exponential draws from one `random.Random(seed)`; with
+        several kinds, each arrival's kind is a `choice` drawn between its
+        time and the next gap.
+        """
         if self.rate_per_s * horizon_s > MAX_EXPECTED_ARRIVALS:
             raise ValidationFailure(
                 f"Poisson rate {self.rate_per_s}/s over {horizon_s} s expects more than "
                 f"{MAX_EXPECTED_ARRIVALS} arrivals"
             )
         rng = random.Random(self.seed)
-        events: list[tuple[float, str]] = []
-        t = rng.expovariate(self.rate_per_s)
+        # each gap is Random.expovariate(rate) as CPython 3.10-3.13 computes
+        # it, written out: the method call costs more than the arithmetic
+        uniform, log, rate, kinds = rng.random, math.log, self.rate_per_s, self.kinds
+        times: list[float] = []
+        add_time = times.append
+        t = -log(1.0 - uniform()) / rate
+        if len(kinds) == 1:
+            while t < horizon_s:
+                add_time(t)
+                t += -log(1.0 - uniform()) / rate
+            return times, [kinds[0]] * len(times)
+        drawn: list[str] = []
+        add_kind, choice = drawn.append, rng.choice
         while t < horizon_s:
-            kind = self.kinds[0] if len(self.kinds) == 1 else rng.choice(self.kinds)
-            events.append((t, kind))
-            t += rng.expovariate(self.rate_per_s)
-        return events
+            add_time(t)
+            add_kind(choice(kinds))
+            t += -log(1.0 - uniform()) / rate
+        return times, drawn
 
 
 @dataclass(frozen=True)
@@ -569,11 +601,13 @@ class _QueueStep:
     """Batch and llm mode: requests queue in arrival order and the device
     serves the queue head one dispatch at a time.
 
-    Arrivals are served in order, so the queue is events[head:next_arrival]
-    and head counts the requests served; queued_kinds counts the queue by
-    kind. Batch mode plans every dispatch against the queue. llm mode serves
-    one request per dispatch at the fixed cost of the variant selected at the
-    last threshold change.
+    The arrivals are two columns, their times and their kinds. Arrivals are
+    served in order, so the queue is the arrivals head:next_arrival and head
+    counts the requests served. Batch mode plans every dispatch against the
+    queue, and queued_kinds counts the queue by kind for its stream count.
+    llm mode serves one request per dispatch at the fixed cost of the variant
+    selected at the last threshold change; it never reads the kinds, so it
+    keeps no count (queued_kinds is None).
     """
 
     def __init__(self, config, arrivals, table, llm_variants) -> None:
@@ -587,8 +621,8 @@ class _QueueStep:
             raise ValidationFailure(f"{config.mode} mode needs an arrival model")
         self.config, self.table = config, table
         self.variants = llm_variants if config.mode == "llm" else None
-        self.events = arrivals.materialize(config.horizon_s)
-        self.queued_kinds: Counter[str] = Counter()
+        self.arrival_times, self.arrival_kinds = arrivals.columns(config.horizon_s)
+        self.queued_kinds: Counter[str] | None = None if config.mode == "llm" else Counter()
         self.head = self.next_arrival = self.max_queue_len = self.misses = 0
         self.device_free = self.busy_s = self.energy_j = 0.0
         # llm mode: the selected variant's dispatch, (requests served, head
@@ -618,9 +652,9 @@ class _QueueStep:
         """Serve the queue over [t, t + dt), then charge idle power for the
         rest; returns the step's energy. The run's state is copied into locals
         for the step, as attribute access per dispatch slows the queue path."""
-        events, kinds, fixed, table, config = self.events, self.queued_kinds, self.fixed, self.table, self.config
-        dispatch_costs = self.dispatch_costs
-        n_events, deadline_s = len(events), config.deadline_ms / 1000.0
+        times, kinds, queued = self.arrival_times, self.arrival_kinds, self.queued_kinds
+        fixed, table, config, dispatch_costs = self.fixed, self.table, self.config, self.dispatch_costs
+        n_arrivals, deadline_s = len(times), config.deadline_ms / 1000.0
         head, next_arrival, max_queue_len, misses = self.head, self.next_arrival, self.max_queue_len, self.misses
         device_free, busy_s, run_energy_j = self.device_free, self.busy_s, self.energy_j
         step_end = t + dt
@@ -628,34 +662,36 @@ class _QueueStep:
         busy_in_window = max(0.0, min(device_free, step_end) - t)
         now = max(device_free, t)
         while True:
-            while next_arrival < n_events and events[next_arrival][0] <= now:
-                kinds[events[next_arrival][1]] += 1
+            while next_arrival < n_arrivals and times[next_arrival] <= now:
+                if queued is not None:
+                    queued[kinds[next_arrival]] += 1
                 next_arrival += 1
             max_queue_len = max(max_queue_len, next_arrival - head)
             if head == next_arrival:
-                if next_arrival < n_events and events[next_arrival][0] < step_end:
-                    now = max(now, events[next_arrival][0])
+                if next_arrival < n_arrivals and times[next_arrival] < step_end:
+                    now = max(now, times[next_arrival])
                     continue
                 break
             if now >= step_end:
                 break
             dispatch = fixed or _plan_batch_dispatch(
-                events, head, next_arrival, len(kinds), table, config, threshold, now, dispatch_costs
+                times, head, next_arrival, len(queued), table, config, threshold, now, dispatch_costs
             )
             if dispatch is None:
                 emit(LogEvent(now, "power_gated", {"threshold_w": threshold, "ci": ci}))
                 break
             n_served, head_detail, duration_s, energy_j, power_w = dispatch
             completion = now + duration_s
-            arrival_times = []
+            arrival_times = times[head : head + n_served]
             n_miss = 0
-            for arrival_s, kind in events[head : head + n_served]:
-                arrival_times.append(arrival_s)
+            for arrival_s in arrival_times:
                 if completion > arrival_s + deadline_s:
                     n_miss += 1
-                kinds[kind] -= 1
-                if not kinds[kind]:
-                    del kinds[kind]
+            if queued is not None:
+                for kind in kinds[head : head + n_served]:
+                    queued[kind] -= 1
+                    if not queued[kind]:
+                        del queued[kind]
             head += n_served
             misses += n_miss
             busy_s += duration_s
@@ -687,7 +723,7 @@ class _QueueStep:
     def counts(self) -> dict:
         # every arrival before the horizon has arrived by then: the requests
         # not yet taken in count towards the final queue
-        backlog = len(self.events) - self.head
+        backlog = len(self.arrival_times) - self.head
         mean_tps = 0.0
         if self.variants is not None and self.busy_s > 0:
             mean_tps = self.head * self.config.tokens_per_request / self.busy_s
@@ -695,7 +731,7 @@ class _QueueStep:
             inferences_done=self.head,
             deadline_misses=self.misses,
             mean_tps=mean_tps,
-            arrivals_total=len(self.events),
+            arrivals_total=len(self.arrival_times),
             backlog_at_horizon=backlog,
             max_queue_len=max(self.max_queue_len, backlog),
         )
@@ -707,7 +743,7 @@ _DispatchCosts = dict[tuple[int, ...], list[tuple[float, float, float]]]
 
 
 def _plan_batch_dispatch(
-    events: list[tuple[float, str]],
+    times: list[float],
     head: int,
     tail: int,
     active_kinds: int,
@@ -720,24 +756,24 @@ def _plan_batch_dispatch(
     """Apply the policy hierarchy to the queue head; None means the step is
     power-gated (no frequency fits under the threshold).
 
-    The queue is events[head:tail], (arrival_s, kind) in arrival order, and
-    holds active_kinds distinct kinds. cost_memo holds the group costs of
-    batch-size lists already planned against `table`; the batch-size lists
-    repeat, so each is summed once.
+    The queue is the arrivals head:tail, whose arrival times in order are
+    times[head:tail], and it holds active_kinds distinct kinds. cost_memo
+    holds the group costs of batch-size lists already planned against
+    `table`; the batch-size lists repeat, so each is summed once.
 
     Returns (requests served, head detail, duration_s, energy_j, power_w),
     where the head detail holds the leading dispatch log keys: the batch
     sizes, the stream count and the frequency index.
     """
     top_freq = table.n_freqs - 1
-    wait_ms = (now - events[head][0]) * 1000.0
+    wait_ms = (now - times[head]) * 1000.0
     k = choose_concurrency(active_kinds, table)
     # Retry with one stream when no frequency fits the k groups under the cap.
     for k_try in (k, 1) if k > 1 else (1,):
         sizes: list[int] = []
         offset = head
         while len(sizes) < k_try and offset < tail:
-            head_wait = (now - events[offset][0]) * 1000.0
+            head_wait = (now - times[offset]) * 1000.0
             b = choose_batch(tail - offset, table, config.deadline_ms, head_wait, top_freq)
             sizes.append(b)
             offset += b

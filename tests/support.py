@@ -513,6 +513,20 @@ LLM_VARIANTS = (
 )
 
 
+def reference_poisson_arrivals(model: PoissonArrivals, horizon_s: float) -> list[tuple[float, str]]:
+    """The (time_s, kind) arrivals of `model` before horizon_s, drawn by
+    `random.Random.expovariate` and, with more than one kind, a `choice`
+    between an arrival's time and the next gap."""
+    rng = random.Random(model.seed)
+    events = []
+    t = rng.expovariate(model.rate_per_s)
+    while t < horizon_s:
+        kind = model.kinds[0] if len(model.kinds) == 1 else rng.choice(model.kinds)
+        events.append((t, kind))
+        t += rng.expovariate(model.rate_per_s)
+    return events
+
+
 def random_queue_scenario(rng: random.Random, mode: str):
     """A seeded batch or llm run: (config, trace, arrivals, run_simulation keywords).
 

@@ -1114,6 +1114,21 @@ def test_cli_simulate_bad_poisson_rate_is_validation(demo_copy, tmp_path, capsys
     assert capsys.readouterr().err.splitlines()[0].startswith("error[VALIDATION]: ")
 
 
+def test_cli_simulate_negative_arrival_time_is_validation(demo_copy, tmp_path, capsys):
+    arrivals = demo_copy / "negative.csv"
+    arrivals.write_text("time_s,kind\n-5,a\n1,a\n2,b\n")
+    rc = cli.main(
+        [
+            "simulate", "--config", str(demo_copy / "demo.json"),
+            "--trace", str(demo_copy / "ci_trace.csv"),
+            "--arrivals", str(arrivals), "--out", str(tmp_path / "o"),
+        ]
+    )
+    assert rc == 2
+    assert capsys.readouterr().err.splitlines()[0].startswith("error[VALIDATION]: ")
+    assert not (tmp_path / "o").exists()
+
+
 def test_cli_simulate_over_the_poisson_cap_is_validation(demo_copy, tmp_path, capsys):
     # 10^6 req/s over the demo's 7,200 s horizon: ~7*10^9 arrivals
     rc = cli.main(

@@ -47,6 +47,7 @@ from support import (
     make_variant,
     random_exec_table,
     random_scheduler_instance,
+    reference_poisson_arrivals,
 )
 
 TWO_FREQ_TABLE = ExecLookupTable(
@@ -156,9 +157,33 @@ def test_poisson_refuses_more_expected_arrivals_than_the_cap(rate, horizon):
         PoissonArrivals(rate_per_s=rate).materialize(horizon)
 
 
+@pytest.mark.parametrize("kinds", [("default",), ("a", "b", "c")], ids=["one-kind", "three-kinds"])
+def test_poisson_draws_match_the_reference_loop(kinds):
+    horizon = 90.0
+    for seed in (0, 1, 7, 65535):
+        for rate in (0.05, 3.0, 41.7):
+            model = PoissonArrivals(rate_per_s=rate, seed=seed, kinds=kinds)
+            expected = reference_poisson_arrivals(model, horizon)
+            assert model.materialize(horizon) == expected
+            # the two columns the simulator reads, from either arrival model
+            columns = ([t for t, _ in expected], [kind for _, kind in expected])
+            assert model.columns(horizon) == columns
+            assert TraceArrivals(tuple(expected)).columns(horizon) == columns
+            if rate == 41.7:
+                assert {kind for _, kind in expected} == set(kinds)
+
+
 def test_trace_arrivals_must_be_sorted():
     with pytest.raises(ValidationFailure):
         TraceArrivals(events=((2.0, "a"), (1.0, "a")))
+
+
+@pytest.mark.parametrize("first", [-5.0, -1e-300, math.nan])
+def test_trace_arrivals_refuse_times_before_the_run(first):
+    # an arrival before t=0 would be served as having waited since before
+    # the run began
+    with pytest.raises(ValidationFailure, match=">= 0"):
+        TraceArrivals(events=((first, "a"), (1.0, "a"), (2.0, "b")))
 
 
 @pytest.mark.parametrize("rate", [math.inf, math.nan, 0.0, -1.0])
@@ -844,6 +869,26 @@ def test_llm_mode_needs_a_finite_positive_tps_floor(tps_floor):
             llm_config(tps_floor=tps_floor), flat_trace(100.0, 60.0),
             PoissonArrivals(rate_per_s=0.5), llm_variants=LLM_VARIANTS,
         )
+
+
+def test_llm_mode_ignores_the_request_kinds():
+    # the same arrival times under one kind and under interleaved kinds; the
+    # run is overloaded and moves between variants, and some requests miss
+    # their deadline
+    times = [t for t, _ in PoissonArrivals(rate_per_s=2.0, seed=3).materialize(60.0)]
+    reports = [
+        run_simulation(
+            llm_config(deadline_ms=3000.0), two_level_trace(100.0, 500.0, 60.0),
+            TraceArrivals(tuple((t, labels[i % len(labels)]) for i, t in enumerate(times))),
+            llm_variants=LLM_VARIANTS,
+        )
+        for labels in (("a",), ("a", "b", "c"), ("b", "b", "a"))
+    ]
+    assert reports[0].backlog_at_horizon > 0
+    assert 0 < reports[0].deadline_misses < reports[0].inferences_done
+    assert len({ev.detail["variant"] for ev in reports[0].decision_log if ev.kind == "llm_select"}) > 1
+    assert reports[1] == reports[0]
+    assert reports[2] == reports[0]
 
 
 def test_llm_adaptive_saves_carbon_vs_static():

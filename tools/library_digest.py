@@ -61,6 +61,16 @@ same inputs:
   demo config's search settings (beam 8, candidate cap 256, 200 moves, 4
   segments) and the last 2 at beam 128, candidate cap 4,096 and 2,000 moves,
   so the beam ranks up to ~5 x 10^5 extensions of many-layer plans.
+- batch and llm ``run_simulation`` (``sim.arrivals``) on 20
+  ``support.random_queue_scenario`` draws (seed 19), the two modes in
+  turn, each stretched to about 400 of the mode's slowest service times
+  and with its Poisson arrivals replaced by ``TraceArrivals`` in four
+  windows. In the first three quarters of a window only kind ``a``
+  arrives, at a tenth of that service rate; in the last quarter kinds
+  ``a``, ``b`` and ``c`` arrive at two to eight times it. So the queue
+  overloads in each burst, and each run ends in one. In most runs ``b``
+  and ``c`` drain from the queue between bursts and come back with the
+  next one.
 
 Cases are listed in the order above; a new kind of case is added at the
 end, so the older ones keep their inputs.
@@ -239,6 +249,37 @@ def _random_queue_simulations(support, runtime_sim) -> None:
         _case(f"sim.queue.random.{i}.{mode}", _sim, runtime_sim.run_simulation, config, trace, arrivals, **kwargs)
 
 
+def _trace_arrival_simulations(support, runtime_sim) -> None:
+    rng = random.Random(19)
+    for i in range(20):
+        mode = ("batch", "llm")[i % 2]
+        config, trace, _, kwargs = support.random_queue_scenario(rng, mode)
+        # the slowest service: one request per dispatch on one stream at the
+        # lowest frequency, or the slowest variant
+        if mode == "batch":
+            service_rate = 1000.0 / kwargs["table"].latency_ms(1, 0)
+        else:
+            slowest_tps = min(min(v.tokens_per_s) for v in kwargs["llm_variants"])
+            service_rate = slowest_tps / config.tokens_per_request
+        # about 400 of those service times, with the trace stretched to cover them
+        horizon = 400.0 / service_rate
+        stretch = horizon / config.horizon_s
+        config = dataclasses.replace(config, horizon_s=horizon)
+        trace = runtime_sim.CiTrace(tuple((t * stretch, ci) for t, ci in trace.samples), horizon_s=horizon)
+        burst = rng.choice((2.0, 4.0, 8.0))
+        window = horizon / 4.0
+        events = []
+        t = 0.0
+        while True:
+            in_burst = t % window >= 0.75 * window
+            t += rng.expovariate(service_rate * (burst if in_burst else 0.1))
+            if t >= horizon:
+                break
+            events.append((t, rng.choice("abc") if t % window >= 0.75 * window else "a"))
+        arrivals = runtime_sim.TraceArrivals(tuple(events))
+        _case(f"sim.arrivals.{i}.{mode}", _sim, runtime_sim.run_simulation, config, trace, arrivals, **kwargs)
+
+
 def _variant_selections(support, edc_scheduler) -> None:
     def projection(node):
         def project(chosen) -> tuple:
@@ -339,6 +380,7 @@ def main(argv: list[str]) -> int:
     _variant_selections(support, edc_scheduler)
     _tie_searches(workloads, support, design_explorer, PackageKind)
     _many_layer_searches(support, edc_scheduler)
+    _trace_arrival_simulations(support, runtime_sim)
     return 0
 
 
