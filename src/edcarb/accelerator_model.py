@@ -7,6 +7,13 @@ of the resulting die areas via carbon_model. One AcceleratorConfig is one
 design point and is also the design explorer's chromosome: its six genes
 plus the fixed settings of the run (stacking, clock, DRAM width, TSVs).
 
+Latency reads a whole AcceleratorConfig. The embodied side reads only
+gene values and settings, so a search can cost each embodied key without
+building a design: estimate_area takes the five genes it depends on
+(array shape, both buffers, multiplier) and the stacking,
+accelerator_embodied the areas, stacking and TSV count, and
+accuracy_feasible the multiplier.
+
 The latency model is intentionally coarse: per layer, the active fraction
 of the PE array is set by the dataflow, DRAM traffic by a single refetch
 factor over the global buffer. It is order-preserving across configs rather
@@ -18,6 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .carbon_model import PackageKind, TechnologyParams, embodied_carbon
 from .errors import ValidationFailure
@@ -120,9 +128,9 @@ class AreaParams:
             raise ValidationFailure("area parameters must be >= 0")
 
 
-@dataclass(frozen=True)
-class AreaBreakdown:
-    """Die areas in cm2. For 3D, compute_die + memory_die = total_2d_equiv."""
+class AreaBreakdown(NamedTuple):
+    """Die areas in cm2. For 3D, compute_die + memory_die = total_2d_equiv
+    up to rounding: the total is summed on its own, in the planar order."""
 
     compute_die_cm2: float
     memory_die_cm2: float
@@ -190,39 +198,44 @@ def estimate_latency(config: AcceleratorConfig, workload: DnnWorkload) -> float:
         raise ValidationFailure(f"workload {workload.name!r}: cycle count overflows at layer {index}: {exc}") from exc
 
 
-def estimate_area(config: AcceleratorConfig, params: AreaParams) -> AreaBreakdown:
-    """Die areas of a config in cm2.
+def estimate_area(
+    px: int,
+    py: int,
+    b_local: int,
+    b_global: int,
+    multiplier: MultiplierVariant,
+    params: AreaParams,
+    stacking: PackageKind,
+) -> AreaBreakdown:
+    """Die areas in cm2 of a px x py array with `b_local` bytes per PE, a
+    `b_global`-byte global buffer and `multiplier`, packaged as `stacking`.
 
     PE array pays one multiplier plus one (exact) adder per PE; buffers scale
     linearly with capacity. For 3D stacks the global buffer moves to its own
     memory die, everything else stays on the compute die.
     """
-    pe_count = config.px * config.py
-    pe_array = pe_count * (config.multiplier.area_mm2 + params.mac_adder_mm2) / MM2_PER_CM2
-    local = pe_count * config.b_local * params.sram_mm2_per_byte / MM2_PER_CM2
-    global_buf = config.b_global * params.sram_mm2_per_byte / MM2_PER_CM2
+    pe_count = px * py
+    pe_array = pe_count * (multiplier.area_mm2 + params.mac_adder_mm2) / MM2_PER_CM2
+    local = pe_count * b_local * params.sram_mm2_per_byte / MM2_PER_CM2
+    global_buf = b_global * params.sram_mm2_per_byte / MM2_PER_CM2
     overhead = params.fixed_overhead_mm2 / MM2_PER_CM2
     total = pe_array + local + global_buf + overhead
-    if config.stacking is PackageKind.STACKED_3D:
-        compute_die = pe_array + local + overhead
-        memory_die = global_buf
-    else:
-        compute_die = total
-        memory_die = 0.0
-    return AreaBreakdown(compute_die_cm2=compute_die, memory_die_cm2=memory_die, total_2d_equiv_cm2=total)
+    if stacking is PackageKind.STACKED_3D:
+        return AreaBreakdown(pe_array + local + overhead, global_buf, total)
+    return AreaBreakdown(total, 0.0, total)
 
 
-def accelerator_embodied(config: AcceleratorConfig, tech: TechnologyParams, breakdown: AreaBreakdown) -> float:
-    """Embodied carbon (kg) of the config with die areas `breakdown`: one die
-    when planar, compute+memory dies (bond interface = the larger die,
-    configured TSV count) when stacked."""
-    if config.stacking is PackageKind.STACKED_3D:
-        compute, memory = breakdown.compute_die_cm2, breakdown.memory_die_cm2
-        return embodied_carbon((compute, memory), tech, PackageKind.STACKED_3D, config.tsv_count, max(compute, memory))
-    return embodied_carbon((breakdown.total_2d_equiv_cm2,), tech)
+def accelerator_embodied(area: AreaBreakdown, tech: TechnologyParams, stacking: PackageKind, tsv_count: int) -> float:
+    """Embodied carbon (kg) of a design with die areas `area`: one die when
+    planar, compute+memory dies (bond interface = the larger die,
+    `tsv_count` TSVs) when stacked."""
+    if stacking is PackageKind.STACKED_3D:
+        compute, memory = area.compute_die_cm2, area.memory_die_cm2
+        return embodied_carbon((compute, memory), tech, PackageKind.STACKED_3D, tsv_count, max(compute, memory))
+    return embodied_carbon((area.total_2d_equiv_cm2,), tech)
 
 
-def accuracy_feasible(config: AcceleratorConfig, max_drop_pct: float) -> bool:
-    """Whether the config's multiplier keeps accuracy loss within the threshold
+def accuracy_feasible(multiplier: MultiplierVariant, max_drop_pct: float) -> bool:
+    """Whether the multiplier keeps accuracy loss within the threshold
     (inclusive at the boundary)."""
-    return config.multiplier.accuracy_drop_pct <= max_drop_pct
+    return multiplier.accuracy_drop_pct <= max_drop_pct

@@ -75,10 +75,14 @@ def dies_per_wafer(die_area_cm2: float, wafer_diameter_cm: float) -> int:
 
     Uses the standard closed-form estimate: the wafer area divided by the die
     area, minus an edge-loss term proportional to wafer circumference over the
-    die pitch. Raises DieTooLarge when the estimate drops to zero.
+    die pitch. Raises DieTooLarge when the estimate drops to zero, and
+    ValidationFailure on a die area that is not > 0 (NaN included) or a
+    wafer diameter that is not finite and > 0.
     """
-    if die_area_cm2 <= 0:
+    if not die_area_cm2 > 0:
         raise ValidationFailure("die area must be > 0")
+    if not 0 < wafer_diameter_cm < math.inf:
+        raise ValidationFailure(f"wafer diameter must be finite and > 0, got {wafer_diameter_cm}")
     radius = wafer_diameter_cm / 2.0
     wafer_area = math.pi * radius * radius
     if die_area_cm2 >= wafer_area:

@@ -6,7 +6,9 @@ space's stacking, clock, DRAM width and TSV count, which every design of a
 search shares. Fitness is the carbon-delay product of the evaluated design
 (or plain latency when emulating a delay-first baseline). Infeasible
 designs keep their metrics but carry +inf fitness so selection routes
-around them.
+around them. The GA ranks on each distinct design's (fitness, index key),
+computed once when the design is first evaluated, and a child whose genes
+are its parent's is that parent, not a new design.
 
 exhaustive_search is the oracle the GA is validated against. It finds the
 true optimum without scoring each design: the cost model is separable, as
@@ -14,6 +16,9 @@ in ACT's per-component embodied model (Gupta et al., ISCA '22), so it costs
 each embodied and each latency key once and bounds each shared
 (px, py, b_global) key by its smallest feasible embodied carbon and its
 smallest latency; ties go to the smallest index key, as in enumeration.
+An embodied key is costed from its five gene values (_embodied_verdict, the
+one caller of the embodied model, for evaluate too), so only the latency
+keys and the winner become AcceleratorConfigs.
 pareto_front extracts the non-dominated (embodied, latency) designs from
 any evaluated population.
 """
@@ -24,6 +29,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .accelerator_model import (
     AcceleratorConfig,
@@ -186,7 +192,7 @@ def evaluate(
     embodied_key = (c.px, c.py, c.b_local, c.b_global, c.multiplier)
     embodied = tables.embodied.get(embodied_key)
     if embodied is None:
-        embodied = tables.embodied[embodied_key] = _embodied_verdict(c, space)
+        embodied = tables.embodied[embodied_key] = _embodied_verdict(*embodied_key, space)
     latency_key = (c.px, c.py, c.b_global, c.dataflow)
     latency = tables.latency_s.get(latency_key)
     if latency is None:
@@ -203,12 +209,15 @@ def evaluate(
     )
 
 
-def _embodied_verdict(config: AcceleratorConfig, space: DesignSpace) -> tuple[float, str | None]:
-    """(embodied kg, infeasibility reason or None) of one config."""
-    area = estimate_area(config, space.area_params)
-    embodied_kg = accelerator_embodied(config, space.tech, area)
+def _embodied_verdict(
+    px: int, py: int, b_local: int, b_global: int, multiplier: MultiplierVariant, space: DesignSpace
+) -> tuple[float, str | None]:
+    """(embodied kg, infeasibility reason or None) of one embodied key under
+    the space's fixed settings; no design is built for it."""
+    area = estimate_area(px, py, b_local, b_global, multiplier, space.area_params, space.stacking)
+    embodied_kg = accelerator_embodied(area, space.tech, space.stacking, space.tsv_count)
     reasons = []
-    if not accuracy_feasible(config, space.accuracy_threshold_pct):
+    if not accuracy_feasible(multiplier, space.accuracy_threshold_pct):
         reasons.append("accuracy")
     if space.max_area_cm2 is not None and area.total_2d_equiv_cm2 > space.max_area_cm2:
         reasons.append("area")
@@ -216,12 +225,17 @@ def _embodied_verdict(config: AcceleratorConfig, space: DesignSpace) -> tuple[fl
 
 
 def _with_genes(c: AcceleratorConfig, genes: list) -> AcceleratorConfig:
-    """The design of `genes`, in `_GENES` order, with the fixed settings of `c`."""
+    """The design of `genes`, in `_GENES` order, with the fixed settings of
+    `c`; `c` itself when `genes` are its own."""
+    if genes == [c.px, c.py, c.b_local, c.b_global, c.dataflow, c.multiplier]:
+        return c
     return AcceleratorConfig(*genes, c.stacking, c.clock_hz, c.dram_bytes_per_cycle, c.tsv_count)
 
 
 def crossover(a: AcceleratorConfig, b: AcceleratorConfig, rng: random.Random) -> tuple[AcceleratorConfig, ...]:
-    """Uniform crossover: each gene swaps between the children with prob 0.5."""
+    """Uniform crossover: each gene swaps between the children with prob 0.5.
+    A child whose genes equal its own parent's (`a` for the first, `b` for
+    the second) is that parent."""
     swaps = [rng.random() < 0.5 for _ in _GENES]
     genes_a = [getattr(b if swap else a, g) for swap, g in zip(swaps, _GENES)]
     genes_b = [getattr(a if swap else b, g) for swap, g in zip(swaps, _GENES)]
@@ -229,7 +243,8 @@ def crossover(a: AcceleratorConfig, b: AcceleratorConfig, rng: random.Random) ->
 
 
 def mutate(c: AcceleratorConfig, rate: float, space: DesignSpace, rng: random.Random) -> AcceleratorConfig:
-    """Resample each gene from its candidate list independently with prob `rate`."""
+    """Resample each gene from its candidate list independently with prob
+    `rate`; `c` itself when no gene changes."""
     updates = {}
     for gene in _GENES:
         if rng.random() < rate:
@@ -255,29 +270,30 @@ def run_ga(
     per-generation (best, mean) fitness history over the feasible members of
     each population. Fully deterministic for a fixed seed: all randomness is
     drawn from one seeded stream, and evaluations are cached by chromosome.
+    Each distinct design's sort key, (fitness, index key), is computed once,
+    when it is first evaluated, and every ranking reads it from the cache.
     """
     if fitness not in ("cdp", "delay"):
         raise ValidationFailure(f"unknown fitness {fitness!r}")
     rng = random.Random(params.rng_seed)
-    cache: dict[AcceleratorConfig, EvaluatedDesign] = {}
+    # chromosome -> (its design, its sort key)
+    cache: dict[AcceleratorConfig, tuple[EvaluatedDesign, tuple]] = {}
     tables = CostTables()
 
-    def eval_cached(c: AcceleratorConfig) -> EvaluatedDesign:
+    def eval_cached(c: AcceleratorConfig) -> tuple[EvaluatedDesign, tuple]:
         hit = cache.get(c)
         if hit is None:
-            hit = evaluate(c, workload, space, tables)
-            cache[c] = hit
+            d = evaluate(c, workload, space, tables)
+            hit = cache[c] = (d, (_fitness_of(d, fitness), space.index_key(c)))
         return hit
 
-    def sort_key(d: EvaluatedDesign) -> tuple:
-        return (_fitness_of(d, fitness), space.index_key(d.chromosome))
-
     population = [space.random_chromosome(rng) for _ in range(params.population_size)]
+    positions = range(params.population_size)
     history: list[GenerationStats] = []
 
     for generation in range(1, params.generations + 1):
-        designs = [eval_cached(c) for c in population]
-        feasible_fit = [_fitness_of(d, fitness) for d in designs if d.feasible]
+        entries = [eval_cached(c) for c in population]
+        feasible_fit = [key[0] for d, key in entries if d.feasible]
         history.append(
             GenerationStats(
                 generation=generation,
@@ -288,13 +304,14 @@ def run_ga(
         if generation == params.generations:
             break
 
-        keys = [sort_key(d) for d in designs]
+        keys = [key for _, key in entries]
 
         def tournament() -> AcceleratorConfig:
-            picks = [rng.randrange(len(designs)) for _ in range(params.tournament_k)]
-            return designs[min(picks, key=keys.__getitem__)].chromosome
+            picks = [rng.randrange(params.population_size) for _ in range(params.tournament_k)]
+            return population[min(picks, key=keys.__getitem__)]
 
-        next_pop = [d.chromosome for d in sorted(designs, key=sort_key)[: params.elitism_count]]
+        # equal keys are equal designs, so the stable sort elects what sorting the designs did
+        next_pop = [population[i] for i in sorted(positions, key=keys.__getitem__)[: params.elitism_count]]
         while len(next_pop) < params.population_size:
             parent_a, parent_b = tournament(), tournament()
             if rng.random() < params.crossover_rate:
@@ -306,12 +323,12 @@ def run_ga(
                 next_pop.append(mutate(child_b, params.mutation_rate, space, rng))
         population = next_pop
 
-    # Every design a generation held is in `cache` once, and `sort_key` ends in
+    # Every design a generation held is in `cache` once, and its sort key ends in
     # the unique index key, so this is the best design seen in any generation.
-    best = min((d for d in cache.values() if d.feasible), key=sort_key, default=None)
+    best = min((entry for entry in cache.values() if entry[0].feasible), key=itemgetter(1), default=None)
     if best is None:
         raise NoFeasibleDesign("no feasible design found in any generation")
-    return GaResult(best=best, history=tuple(history), evaluated=tuple(cache.values()))
+    return GaResult(best=best[0], history=tuple(history), evaluated=tuple(d for d, _ in cache.values()))
 
 
 def exhaustive_search(
@@ -343,48 +360,50 @@ def exhaustive_search(
     # each gene's distinct values, in the order of their first place in the candidate list
     px_values, py_values, b_locals, b_globals, dataflows, multipliers = space._gene_index.values()
     fixed = space._fixed
-    tables = CostTables()
-    kgs = {}  # shared key (px, py, b_global) -> embodied kg of its feasible entries
-    # latency reads no multiplier and embodied carbon no dataflow, so the first of each stands in
+    # Per key, lists in `dataflows` and `multipliers` order: no key hashes a gene object.
+    kgs = {}  # shared key (px, py, b_global) -> embodied kg of its feasible designs
+    latencies = {}  # shared key -> latency of each dataflow
+    verdicts = {}  # (px, py, b_local, b_global) -> (embodied kg, reason) of each multiplier
     for px, py, b_local, b_global in itertools.product(px_values, py_values, b_locals, b_globals):
         shared = kgs.get((px, py, b_global))
         if shared is None:
             shared = kgs[px, py, b_global] = []
-            for df in dataflows:
-                config = AcceleratorConfig(px, py, b_local, b_global, df, space.multipliers[0], *fixed)
-                tables.latency_s[px, py, b_global, df] = estimate_latency(config, workload)
-        for m in multipliers:
-            config = AcceleratorConfig(px, py, b_local, b_global, space.dataflows[0], m, *fixed)
-            kg, reason = tables.embodied[px, py, b_local, b_global, m] = _embodied_verdict(config, space)
-            if reason is None:
-                shared.append(kg)
+            # latency reads no multiplier, so the first one stands in
+            stand_in = space.multipliers[0]
+            designs = (AcceleratorConfig(px, py, b_local, b_global, df, stand_in, *fixed) for df in dataflows)
+            latencies[px, py, b_global] = [estimate_latency(config, workload) for config in designs]
+        key_verdicts = verdicts[px, py, b_local, b_global] = [
+            _embodied_verdict(px, py, b_local, b_global, m, space) for m in multipliers
+        ]
+        shared += [kg for kg, reason in key_verdicts if reason is None]
 
     def fit(kg: float, latency: float) -> float:
         return latency if fitness == "delay" else cdp(kg, latency)
 
     best, best_keys = math.inf, []
-    for (px, py, b_global), shared in kgs.items():
+    for key, shared in kgs.items():
         if not shared:
             continue
-        latencies = [tables.latency_s[px, py, b_global, df] for df in dataflows]
-        cdp(max(shared), max(latencies))  # the check every feasible design of the key gets
-        key_best = fit(min(shared), min(latencies))
+        key_latencies = latencies[key]
+        cdp(max(shared), max(key_latencies))  # the check every feasible design of the key gets
+        key_best = fit(min(shared), min(key_latencies))
         if key_best < best:
-            best, best_keys = key_best, [(px, py, b_global)]
+            best, best_keys = key_best, [key]
         elif key_best == best:
-            best_keys.append((px, py, b_global))
+            best_keys.append(key)
     if not best_keys:
         raise NoFeasibleDesign("every design in the space is infeasible")
 
     # the min-kg, min-latency design of each best key reaches `best`, so the walk returns
     px, py = best_keys[0][:2]
     key_globals = [b_global for kpx, kpy, b_global in best_keys if (kpx, kpy) == (px, py)]
-    for b_local, b_global, df, m in itertools.product(b_locals, key_globals, dataflows, multipliers):
-        kg, reason = tables.embodied[px, py, b_local, b_global, m]
-        latency = tables.latency_s[px, py, b_global, df]
-        if reason is None and fit(kg, latency) == best:
-            chromosome = AcceleratorConfig(px, py, b_local, b_global, df, m, *fixed)
-            return EvaluatedDesign(chromosome, kg, latency, cdp(kg, latency), feasible=True)
+    for b_local, b_global in itertools.product(b_locals, key_globals):
+        key_verdicts = verdicts[px, py, b_local, b_global]
+        for df, latency in zip(dataflows, latencies[px, py, b_global]):
+            for m, (kg, reason) in zip(multipliers, key_verdicts):
+                if reason is None and fit(kg, latency) == best:
+                    chromosome = AcceleratorConfig(px, py, b_local, b_global, df, m, *fixed)
+                    return EvaluatedDesign(chromosome, kg, latency, cdp(kg, latency), feasible=True)
 
 
 def pareto_front(

@@ -2,7 +2,8 @@
 
 Oracles here deliberately avoid the library's own search/estimation paths:
 the wafer oracle counts squares on a grid, the explorer oracle scores every
-design, the mapping oracle enumerates every plan, the policy oracles
+design, the reference GA builds every child and re-ranks every design, the
+mapping oracle enumerates every plan, the policy oracles
 brute-force every option, and the simulator reference re-runs a whole
 simulation in one plain loop.
 """
@@ -17,13 +18,25 @@ import random
 from bisect import bisect_right
 from dataclasses import replace
 
-from edcarb.accelerator_model import AcceleratorConfig, AreaParams, ConvLayer, Dataflow, DnnWorkload, MultiplierVariant
+from edcarb.accelerator_model import (
+    AcceleratorConfig,
+    AreaBreakdown,
+    AreaParams,
+    ConvLayer,
+    Dataflow,
+    DnnWorkload,
+    MultiplierVariant,
+    estimate_area,
+)
 from edcarb.carbon_model import PackageKind, TechnologyParams
 from edcarb.design_explorer import (
     _GENES,
     CostTables,
     DesignSpace,
     EvaluatedDesign,
+    GaParams,
+    GaResult,
+    GenerationStats,
     NoFeasibleDesign,
     SpaceTooLarge,
     _fitness_of,
@@ -135,6 +148,12 @@ def make_area_params(**overrides) -> AreaParams:
 EXACT_MULT = MultiplierVariant(name="exact", area_mm2=0.008, accuracy_drop_pct=0.0)
 
 
+def area_of(config: AcceleratorConfig, params: AreaParams) -> AreaBreakdown:
+    """The model's die areas for the genes and the stacking of `config`."""
+    c = config
+    return estimate_area(c.px, c.py, c.b_local, c.b_global, c.multiplier, params, c.stacking)
+
+
 def make_workload(n_layers: int = 3) -> DnnWorkload:
     shapes = [
         ConvLayer(n=1, c=3, k=16, r=3, s=3, p=32, q=32),
@@ -179,6 +198,102 @@ def reference_exhaustive_search(
     if best is None:
         raise NoFeasibleDesign("every design in the space is infeasible")
     return best
+
+
+def _reference_with_genes(c: AcceleratorConfig, genes: list) -> AcceleratorConfig:
+    return AcceleratorConfig(*genes, c.stacking, c.clock_hz, c.dram_bytes_per_cycle, c.tsv_count)
+
+
+def _reference_crossover(a: AcceleratorConfig, b: AcceleratorConfig, rng: random.Random) -> tuple:
+    swaps = [rng.random() < 0.5 for _ in _GENES]
+    genes_a = [getattr(b if swap else a, g) for swap, g in zip(swaps, _GENES)]
+    genes_b = [getattr(a if swap else b, g) for swap, g in zip(swaps, _GENES)]
+    return _reference_with_genes(a, genes_a), _reference_with_genes(b, genes_b)
+
+
+def _reference_mutate(c: AcceleratorConfig, rate: float, space: DesignSpace, rng: random.Random) -> AcceleratorConfig:
+    updates = {}
+    for gene in _GENES:
+        if rng.random() < rate:
+            updates[gene] = rng.choice(space.candidates(gene))
+    return _reference_with_genes(c, [updates.get(g, getattr(c, g)) for g in _GENES]) if updates else c
+
+
+def ga_extremes(population_size: int) -> dict[str, dict]:
+    """GaParams overrides that put one setting at a bound, by case name."""
+    return {
+        "elitism0": dict(elitism_count=0),
+        "elitism_all_but_one": dict(elitism_count=population_size - 1),
+        "tournament1": dict(tournament_k=1),
+        "tournament_above_population": dict(tournament_k=population_size + 1),
+        "crossover0": dict(crossover_rate=0.0),
+        "crossover1": dict(crossover_rate=1.0),
+        "mutation0": dict(mutation_rate=0.0),
+        "mutation1": dict(mutation_rate=1.0),
+    }
+
+
+def reference_run_ga(space: DesignSpace, params: GaParams, workload: DnnWorkload, fitness: str = "cdp") -> GaResult:
+    """The GA as a plain loop: every child a new design, the sort key of a
+    design recomputed at each ranking, the elites from sorting the designs.
+
+    Draws the same random numbers in the same order as `run_ga`, so the two
+    return equal results.
+    """
+    if fitness not in ("cdp", "delay"):
+        raise ValidationFailure(f"unknown fitness {fitness!r}")
+    rng = random.Random(params.rng_seed)
+    cache: dict[AcceleratorConfig, EvaluatedDesign] = {}
+    tables = CostTables()
+
+    def eval_cached(c: AcceleratorConfig) -> EvaluatedDesign:
+        hit = cache.get(c)
+        if hit is None:
+            hit = evaluate(c, workload, space, tables)
+            cache[c] = hit
+        return hit
+
+    def sort_key(d: EvaluatedDesign) -> tuple:
+        return (_fitness_of(d, fitness), space.index_key(d.chromosome))
+
+    population = [space.random_chromosome(rng) for _ in range(params.population_size)]
+    history: list[GenerationStats] = []
+
+    for generation in range(1, params.generations + 1):
+        designs = [eval_cached(c) for c in population]
+        feasible_fit = [_fitness_of(d, fitness) for d in designs if d.feasible]
+        history.append(
+            GenerationStats(
+                generation=generation,
+                best_fitness=min(feasible_fit) if feasible_fit else math.inf,
+                mean_fitness=sum(feasible_fit) / len(feasible_fit) if feasible_fit else math.inf,
+            )
+        )
+        if generation == params.generations:
+            break
+
+        keys = [sort_key(d) for d in designs]
+
+        def tournament() -> AcceleratorConfig:
+            picks = [rng.randrange(len(designs)) for _ in range(params.tournament_k)]
+            return designs[min(picks, key=keys.__getitem__)].chromosome
+
+        next_pop = [d.chromosome for d in sorted(designs, key=sort_key)[: params.elitism_count]]
+        while len(next_pop) < params.population_size:
+            parent_a, parent_b = tournament(), tournament()
+            if rng.random() < params.crossover_rate:
+                child_a, child_b = _reference_crossover(parent_a, parent_b, rng)
+            else:
+                child_a, child_b = parent_a, parent_b
+            next_pop.append(_reference_mutate(child_a, params.mutation_rate, space, rng))
+            if len(next_pop) < params.population_size:
+                next_pop.append(_reference_mutate(child_b, params.mutation_rate, space, rng))
+        population = next_pop
+
+    best = min((d for d in cache.values() if d.feasible), key=sort_key, default=None)
+    if best is None:
+        raise NoFeasibleDesign("no feasible design found in any generation")
+    return GaResult(best=best, history=tuple(history), evaluated=tuple(cache.values()))
 
 
 def twin_multiplier(m: MultiplierVariant) -> MultiplierVariant:

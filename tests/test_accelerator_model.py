@@ -16,7 +16,6 @@ from edcarb.accelerator_model import (
     accelerator_embodied,
     accuracy_feasible,
     dram_traffic,
-    estimate_area,
     estimate_latency,
     layer_macs,
     operand_bytes,
@@ -25,7 +24,7 @@ from edcarb.accelerator_model import (
 from edcarb.carbon_model import PackageKind
 from edcarb.errors import ValidationFailure
 
-from support import EXACT_MULT, make_area_params, make_tech, make_workload, only_coefficients
+from support import EXACT_MULT, area_of, make_area_params, make_tech, make_workload, only_coefficients
 
 
 def make_config(**overrides) -> AcceleratorConfig:
@@ -174,17 +173,17 @@ def test_estimate_area_reference_point():
         multiplier=MultiplierVariant("m", area_mm2=0.01, accuracy_drop_pct=0.0),
     )
     params = AreaParams(sram_mm2_per_byte=1e-4, fixed_overhead_mm2=0.0, mac_adder_mm2=0.005)
-    area = estimate_area(config, params)
+    area = area_of(config, params)
     assert area.total_2d_equiv_cm2 == pytest.approx(0.2 / 100)
     assert area.memory_die_cm2 == 0.0
     assert area.compute_die_cm2 == area.total_2d_equiv_cm2
     # the 3D split puts the global buffer on the memory die and the PE array
     # plus local buffers (no overhead here) on the compute die
     stacked = replace(config, stacking=PackageKind.STACKED_3D)
-    split = estimate_area(stacked, params)
+    split = area_of(stacked, params)
     assert split.memory_die_cm2 == pytest.approx(0.1 / 100)
     assert split.compute_die_cm2 == pytest.approx((0.06 + 0.04) / 100)
-    no_sram = estimate_area(stacked, replace(params, sram_mm2_per_byte=0.0))
+    no_sram = area_of(stacked, replace(params, sram_mm2_per_byte=0.0))
     assert no_sram.compute_die_cm2 == pytest.approx(0.06 / 100)  # the PE array alone
 
 
@@ -193,8 +192,8 @@ def test_halving_multiplier_area_shrinks_only_pe_array():
     # the PE array plus local buffers and overhead
     params = make_area_params()
     stacked = PackageKind.STACKED_3D
-    full = estimate_area(make_config(multiplier=MultiplierVariant("a", 0.008, 0.0), stacking=stacked), params)
-    half = estimate_area(make_config(multiplier=MultiplierVariant("b", 0.004, 1.0), stacking=stacked), params)
+    full = area_of(make_config(multiplier=MultiplierVariant("a", 0.008, 0.0), stacking=stacked), params)
+    half = area_of(make_config(multiplier=MultiplierVariant("b", 0.004, 1.0), stacking=stacked), params)
     assert half.memory_die_cm2 == full.memory_die_cm2
     assert full.compute_die_cm2 - half.compute_die_cm2 == pytest.approx(16 * 0.004 / 100)
     assert full.total_2d_equiv_cm2 - half.total_2d_equiv_cm2 == pytest.approx(16 * 0.004 / 100)
@@ -203,7 +202,7 @@ def test_halving_multiplier_area_shrinks_only_pe_array():
 def test_stacked_area_partitions_total():
     params = make_area_params()
     config = make_config(stacking=PackageKind.STACKED_3D)
-    area = estimate_area(config, params)
+    area = area_of(config, params)
     assert area.compute_die_cm2 + area.memory_die_cm2 == pytest.approx(
         area.total_2d_equiv_cm2, rel=1e-12
     )
@@ -225,7 +224,7 @@ def test_area_components_always_sum_to_total():
             fixed_overhead_mm2=rng.uniform(0, 5),
             mac_adder_mm2=rng.uniform(0, 0.02),
         )
-        area = estimate_area(config, params)
+        area = area_of(config, params)
         pe_count = config.px * config.py
         pe_array = pe_count * (config.multiplier.area_mm2 + params.mac_adder_mm2) / 100
         local = pe_count * config.b_local * params.sram_mm2_per_byte / 100
@@ -252,16 +251,16 @@ def test_area_affine_in_parameters_exact_finite_differences():
 
     step = 64
     grown = make_config(px=4, py=4, b_local=64 + step, b_global=4096, multiplier=mult)
-    diff = estimate_area(grown, params).total_2d_equiv_cm2 - estimate_area(base, params).total_2d_equiv_cm2
+    diff = area_of(grown, params).total_2d_equiv_cm2 - area_of(base, params).total_2d_equiv_cm2
     assert diff == 16 * step * 2**-16
 
     grown = make_config(px=4, py=4, b_local=64, b_global=4096 + step, multiplier=mult)
-    diff = estimate_area(grown, params).total_2d_equiv_cm2 - estimate_area(base, params).total_2d_equiv_cm2
+    diff = area_of(grown, params).total_2d_equiv_cm2 - area_of(base, params).total_2d_equiv_cm2
     assert diff == step * 2**-16
 
     bigger_mult = MultiplierVariant("m2", area_mm2=100 * (2**-10 + 2**-11), accuracy_drop_pct=0.0)
     grown = make_config(px=4, py=4, b_local=64, b_global=4096, multiplier=bigger_mult)
-    diff = estimate_area(grown, params).total_2d_equiv_cm2 - estimate_area(base, params).total_2d_equiv_cm2
+    diff = area_of(grown, params).total_2d_equiv_cm2 - area_of(base, params).total_2d_equiv_cm2
     assert diff == 16 * 2**-11
 
 
@@ -271,7 +270,7 @@ def test_area_affine_in_parameters_exact_finite_differences():
 
 
 def _embodied(config, tech, params) -> float:
-    return accelerator_embodied(config, tech, estimate_area(config, params))
+    return accelerator_embodied(area_of(config, params), tech, config.stacking, config.tsv_count)
 
 
 def test_embodied_packaging_only_when_coefficients_vanish():
@@ -327,11 +326,11 @@ def test_embodied_monotone_in_area_coefficients():
 
 
 def test_accuracy_feasibility_threshold():
-    assert accuracy_feasible(make_config(), 0.0)
+    assert accuracy_feasible(make_config().multiplier, 0.0)
     dropped = make_config(multiplier=MultiplierVariant("apx", 0.004, 2.5))
-    assert not accuracy_feasible(dropped, 2.0)
+    assert not accuracy_feasible(dropped.multiplier, 2.0)
     boundary = make_config(multiplier=MultiplierVariant("apx", 0.004, 2.0))
-    assert accuracy_feasible(boundary, 2.0)
+    assert accuracy_feasible(boundary.multiplier, 2.0)
 
 
 def test_config_validation():

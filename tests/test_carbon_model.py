@@ -66,6 +66,22 @@ def test_die_too_large_errors():
         wasted_area(-1.0, 10.0)
 
 
+@pytest.mark.parametrize("fn", [dies_per_wafer, wasted_area])
+def test_nan_die_area_is_refused_as_validation(fn):
+    with pytest.raises(ValidationFailure, match="die area must be > 0") as refused:
+        fn(math.nan, 30.0)
+    assert not isinstance(refused.value, DieTooLarge)
+
+
+@pytest.mark.parametrize("fn", [dies_per_wafer, wasted_area])
+@pytest.mark.parametrize("diameter", [math.nan, math.inf, 0.0, -30.0])
+def test_wafer_diameter_that_is_not_finite_and_positive_is_refused(fn, diameter):
+    # a negative diameter used to yield 773 dies of 1 cm2, and NaN or inf a bare ValueError
+    with pytest.raises(ValidationFailure, match="wafer diameter must be finite and > 0") as refused:
+        fn(1.0, diameter)
+    assert not isinstance(refused.value, DieTooLarge)
+
+
 # ---------------------------------------------------------------------------
 # die_carbon
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ from edcarb.accelerator_model import (
     Dataflow,
     MultiplierVariant,
     accelerator_embodied,
-    estimate_area,
     estimate_latency,
 )
 from edcarb.carbon_model import PackageKind
@@ -21,6 +20,7 @@ from edcarb.design_explorer import (
     DesignSpace,
     EvaluatedDesign,
     GaParams,
+    GaResult,
     NoFeasibleDesign,
     SpaceTooLarge,
     _fitness_of,
@@ -35,12 +35,15 @@ from edcarb.errors import ValidationFailure
 
 from support import (
     EXACT_MULT,
+    area_of,
     chromosomes,
+    ga_extremes,
     make_area_params,
     make_tech,
     make_workload,
     random_design_space,
     reference_exhaustive_search,
+    reference_run_ga,
 )
 
 APX_MULT = MultiplierVariant(name="apx_half", area_mm2=0.004, accuracy_drop_pct=1.5)
@@ -124,7 +127,7 @@ def test_search_evaluator_matches_the_direct_model(stacking):
         stacking=stacking,
         tsv_count=200,
     )
-    areas = sorted(estimate_area(c, base.area_params).total_2d_equiv_cm2 for c in chromosomes(base))
+    areas = sorted(area_of(c, base.area_params).total_2d_equiv_cm2 for c in chromosomes(base))
     space = replace(base, max_area_cm2=areas[len(areas) // 2])
     workload = make_workload()
     tables = CostTables()
@@ -132,8 +135,8 @@ def test_search_evaluator_matches_the_direct_model(stacking):
     for c in chromosomes(space):
         # the direct model's design: the chromosome's genes and the space's fixed settings
         config = design(space, *(getattr(c, g) for g in _GENES))
-        breakdown = estimate_area(config, space.area_params)
-        embodied = accelerator_embodied(config, space.tech, breakdown)
+        breakdown = area_of(config, space.area_params)
+        embodied = accelerator_embodied(breakdown, space.tech, config.stacking, config.tsv_count)
         latency = estimate_latency(config, workload)
         area = breakdown.total_2d_equiv_cm2
         why = [
@@ -408,6 +411,32 @@ def _outcome(search, *args, **kwargs):
         return type(exc)
 
 
+@pytest.mark.parametrize("extreme", [None, *ga_extremes(2)])
+@pytest.mark.parametrize("stacking", [PackageKind.PLANAR_2D, PackageKind.STACKED_3D])
+@pytest.mark.parametrize("fitness", ["cdp", "delay"])
+def test_run_ga_returns_what_the_reference_ga_returns(fitness, stacking, extreme):
+    # Spaces made to tie rank designs of equal fitness by index key alone, and
+    # small populations over few genes make children that equal a parent.
+    rng = random.Random(f"{fitness}-{stacking.value}-{extreme}")
+    workload = make_workload()
+    outcomes = []
+    for _ in range(12):
+        space = random_design_space(rng, stacking)
+        population = rng.randint(2, 10)
+        values = dict(
+            population_size=population,
+            generations=rng.randint(1, 6),
+            elitism_count=rng.randint(0, min(2, population - 1)),
+            rng_seed=rng.randrange(1000),
+        )
+        params = GaParams(**{**values, **(ga_extremes(population)[extreme] if extreme else {})})
+        expected = _outcome(reference_run_ga, space, params, workload, fitness)
+        assert _outcome(run_ga, space, params, workload, fitness) == expected
+        outcomes.append(expected)
+    # whole results, history and evaluated designs in order, are compared
+    assert sum(isinstance(o, GaResult) for o in outcomes) >= 6
+
+
 @pytest.mark.parametrize("stacking", [PackageKind.PLANAR_2D, PackageKind.STACKED_3D])
 @pytest.mark.parametrize("fitness", ["cdp", "delay"])
 def test_exhaustive_search_returns_what_enumeration_returns(fitness, stacking):
@@ -464,6 +493,69 @@ def test_exhaustive_search_refuses_what_enumeration_refuses():
         assert _outcome(reference_exhaustive_search, space, workload, **kwargs) is error
         assert _outcome(exhaustive_search, space, workload, **kwargs) is error
     assert exhaustive_search(space, workload, cap=space.size) == reference_exhaustive_search(space, workload)
+
+
+# ---------------------------------------------------------------------------
+# work counts
+# ---------------------------------------------------------------------------
+
+
+def _count_calls(monkeypatch, owner, name: str, counts: dict) -> None:
+    original = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        counts[name] = counts.get(name, 0) + 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+
+
+def _work_counts(monkeypatch) -> dict:
+    """Calls of the explorer's model functions, of `index_key`, and designs
+    built (`AcceleratorConfig.__post_init__` runs once per construction)."""
+    from edcarb import design_explorer
+
+    counts: dict[str, int] = {}
+    for name in ("estimate_area", "accelerator_embodied", "estimate_latency"):
+        _count_calls(monkeypatch, design_explorer, name, counts)
+    _count_calls(monkeypatch, DesignSpace, "index_key", counts)
+    _count_calls(monkeypatch, AcceleratorConfig, "__post_init__", counts)
+    return counts
+
+
+def test_exhaustive_search_costs_each_key_once_and_builds_only_latency_designs(monkeypatch):
+    twin = MultiplierVariant("exact_twin", EXACT_MULT.area_mm2, EXACT_MULT.accuracy_drop_pct)
+    space = make_space(
+        px_values=(2, 4, 8, 4),  # a repeated value is one key
+        b_local_values=(16, 64, 256),
+        dataflows=tuple(Dataflow),
+        multipliers=(EXACT_MULT, APX_MULT, twin),
+        max_area_cm2=0.2,
+    )
+    embodied_keys = 3 * 3 * 3 * 2 * 3  # px, py, b_local, b_global, multiplier
+    latency_keys = 3 * 3 * 2 * 3  # px, py, b_global, dataflow
+    expected = reference_exhaustive_search(space, make_workload())
+    counts = _work_counts(monkeypatch)
+    assert exhaustive_search(space, make_workload()) == expected
+    assert counts.pop("estimate_area") == counts.pop("accelerator_embodied") == embodied_keys == 162
+    assert counts.pop("estimate_latency") == latency_keys
+    # one design per latency key and one for the winner; one per embodied key as well would make 217
+    assert counts.pop("__post_init__") == latency_keys + 1 == 55
+    assert counts == {}
+
+
+def test_run_ga_ranks_each_distinct_design_once(monkeypatch):
+    space = make_space(b_local_values=(16, 64, 256), dataflows=tuple(Dataflow))
+    params = GaParams(population_size=16, generations=12, rng_seed=4)
+    counts = _work_counts(monkeypatch)
+    result = run_ga(space, params, make_workload())
+    distinct = len(result.evaluated)
+    assert counts["index_key"] == distinct == 55
+    assert counts["estimate_area"] == counts["accelerator_embodied"] == len(
+        {(c.px, c.py, c.b_local, c.b_global, c.multiplier) for c in (d.chromosome for d in result.evaluated)}
+    )
+    # a child whose genes are its parent's is the parent, so only new designs are built
+    assert counts["__post_init__"] == 114
 
 
 # ---------------------------------------------------------------------------

@@ -71,6 +71,13 @@ same inputs:
   overloads in each burst, and each run ends in one. In most runs ``b``
   and ``c`` drain from the queue between bursts and come back with the
   next one.
+- ``run_ga`` (``explore.ga``) with one GA setting at a bound
+  (``support.ga_extremes``: elitism 0 and population - 1, tournament size 1
+  and above the population, crossover and mutation rates of 0 and 1), for
+  the cdp and delay fitnesses: on the ``search`` workload's space at seeds
+  0-2 (planar) and on its tie space with twin multipliers (``STACKED_3D``),
+  with that workload's GA at 20 generations; then on 20
+  ``support.random_design_space`` draws (seed 29) with a small drawn GA.
 
 Cases are listed in the order above; a new kind of case is added at the
 end, so the older ones keep their inputs.
@@ -151,7 +158,9 @@ def _sim(report) -> tuple:
     return tuple(getattr(report, name) for name in _SIM_REPORT_FIELDS)
 
 
-def _explore(prefix: str, design_explorer, inputs, space, fitness: str) -> None:
+def _projections(design_explorer) -> tuple:
+    """The projections of one design, of a list of designs and of a GaResult."""
+
     def design(d) -> tuple:
         genes = tuple(getattr(d.chromosome, gene) for gene in design_explorer._GENES)
         return genes + (d.embodied_kg, d.latency_s, d.cdp_kg_s, d.feasible, d.infeasibility_reason)
@@ -163,6 +172,11 @@ def _explore(prefix: str, design_explorer, inputs, space, fitness: str) -> None:
         history = tuple((h.generation, h.best_fitness, h.mean_fitness) for h in result.history)
         return design(result.best), history, designs(result.evaluated)
 
+    return design, designs, ga_result
+
+
+def _explore(prefix: str, design_explorer, inputs, space, fitness: str) -> None:
+    design, designs, ga_result = _projections(design_explorer)
     _case(f"{prefix}.exhaustive", design, design_explorer.exhaustive_search, space, inputs.conv, fitness)
     ga = _case(f"{prefix}.ga", ga_result, design_explorer.run_ga, space, inputs.ga, inputs.conv, fitness)
     if ga is not None:
@@ -358,6 +372,36 @@ def _many_layer_searches(support, edc_scheduler) -> None:
         i += 1
 
 
+def _ga_extremes(workloads, support, design_explorer, package_kind) -> None:
+    ga_result = _projections(design_explorer)[2]
+
+    def run(prefix: str, space, workload, params) -> None:
+        for fitness in ("cdp", "delay"):
+            for name, overrides in support.ga_extremes(params.population_size).items():
+                ga = dataclasses.replace(params, **overrides)
+                _case(f"{prefix}.{fitness}.{name}", ga_result, design_explorer.run_ga, space, ga, workload, fitness)
+
+    for seed in range(3):
+        full = workloads.Search().setup(seed, smoke=False)
+        params = dataclasses.replace(full.ga, generations=20)
+        run(f"explore.ga.seed{seed}", full.space, full.conv, params)
+        pairs = tuple(m for original in full.space.multipliers for m in (original, support.twin_multiplier(original)))
+        tied = dataclasses.replace(full.space, multipliers=pairs, stacking=package_kind.STACKED_3D)
+        run(f"explore.ga.ties.seed{seed}.stacked3d", tied, full.conv, params)
+    rng = random.Random(29)
+    for i in range(20):
+        stacking = rng.choice(tuple(package_kind))
+        space = support.random_design_space(rng, stacking)
+        population = rng.randint(2, 12)
+        params = design_explorer.GaParams(
+            population_size=population,
+            generations=rng.randint(1, 8),
+            elitism_count=rng.randint(0, min(2, population - 1)),
+            rng_seed=rng.randrange(1000),
+        )
+        run(f"explore.ga.random.{i}.{stacking.value}", space, support.make_workload(), params)
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print(__doc__.strip().splitlines()[2], file=sys.stderr)
@@ -381,6 +425,7 @@ def main(argv: list[str]) -> int:
     _tie_searches(workloads, support, design_explorer, PackageKind)
     _many_layer_searches(support, edc_scheduler)
     _trace_arrival_simulations(support, runtime_sim)
+    _ga_extremes(workloads, support, design_explorer, PackageKind)
     return 0
 
 
