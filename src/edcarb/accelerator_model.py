@@ -5,14 +5,14 @@ Covers the three quantities the design explorer trades off: silicon area
 per-layer roofline (compute-bound vs DRAM-bound), and the embodied carbon
 of the resulting die areas via carbon_model. One AcceleratorConfig is one
 design point and is also the design explorer's chromosome: its six genes
-plus the fixed settings of the run (stacking, clock, DRAM width, TSVs).
+only; a run's stacking, clock, DRAM width and TSV count are DesignSpace's.
 
-Latency reads a whole AcceleratorConfig. The embodied side reads only
-gene values and settings, so a search can cost each embodied key without
-building a design: estimate_area takes the five genes it depends on
-(array shape, both buffers, multiplier) and the stacking,
-accelerator_embodied the areas, stacking and TSV count, and
-accuracy_feasible the multiplier.
+Every function takes the values it reads, so a search can cost each key
+without building a design: estimate_latency takes the four genes it
+depends on (array shape, global buffer, dataflow) and the clock and DRAM
+width, estimate_area the five it depends on (array shape, both buffers,
+multiplier) and the stacking, accelerator_embodied the areas, stacking and
+TSV count, and accuracy_feasible the multiplier.
 
 The latency model is intentionally coarse: per layer, the active fraction
 of the PE array is set by the dataflow, DRAM traffic by a single refetch
@@ -65,22 +65,12 @@ class AcceleratorConfig:
     b_global: int
     dataflow: Dataflow
     multiplier: MultiplierVariant
-    stacking: PackageKind = PackageKind.PLANAR_2D
-    clock_hz: float = 1e9
-    dram_bytes_per_cycle: float = 16.0
-    tsv_count: int = 0
 
     def __post_init__(self) -> None:
         if self.px < 1 or self.py < 1:
             raise ValidationFailure("PE array dimensions must be >= 1")
         if self.b_local < 1 or self.b_global < 1:
             raise ValidationFailure("buffer capacities must be >= 1 byte")
-        if not 0 < self.clock_hz < math.inf:
-            raise ValidationFailure("clock_hz must be finite and > 0")
-        if not 0 < self.dram_bytes_per_cycle < math.inf:
-            raise ValidationFailure("dram_bytes_per_cycle must be finite and > 0")
-        if self.tsv_count < 0:
-            raise ValidationFailure("tsv_count must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -124,8 +114,9 @@ class AreaParams:
     mac_adder_mm2: float
 
     def __post_init__(self) -> None:
-        if self.sram_mm2_per_byte < 0 or self.fixed_overhead_mm2 < 0 or self.mac_adder_mm2 < 0:
-            raise ValidationFailure("area parameters must be >= 0")
+        # NaN fails every comparison, so a check written as `x < 0` lets it through
+        if not all(0 <= c < math.inf for c in (self.sram_mm2_per_byte, self.fixed_overhead_mm2, self.mac_adder_mm2)):
+            raise ValidationFailure("area parameters must be finite and >= 0")
 
 
 class AreaBreakdown(NamedTuple):
@@ -161,26 +152,31 @@ def operand_bytes(layer: ConvLayer) -> tuple[int, int, int]:
     return weights, inputs, outputs
 
 
-def dram_traffic(config: AcceleratorConfig, layer: ConvLayer) -> int:
-    """DRAM bytes moved for one layer.
+def dram_traffic(dataflow: Dataflow, b_global: int, layer: ConvLayer) -> int:
+    """DRAM bytes moved for one layer under `dataflow` with a `b_global`-byte buffer.
 
     The stationary operand (weights for weight/row-stationary, outputs for
     output-stationary) streams once; the other two operands are refetched
     once per global-buffer-sized tile of the stationary operand.
     """
     weights, inputs, outputs = operand_bytes(layer)
-    if config.dataflow is Dataflow.OUTPUT_STATIONARY:
+    if dataflow is Dataflow.OUTPUT_STATIONARY:
         stationary = outputs
         streamed = weights + inputs
     else:
         stationary = weights
         streamed = inputs + outputs
-    refetch = max(1, -(-stationary // config.b_global))
+    refetch = max(1, -(-stationary // b_global))
     return stationary + refetch * streamed
 
 
-def estimate_latency(config: AcceleratorConfig, workload: DnnWorkload) -> float:
-    """Workload latency in seconds: per layer, max(compute, memory) cycles.
+def estimate_latency(
+    px: int, py: int, b_global: int, dataflow: Dataflow, clock_hz: float, dram_bytes_per_cycle: float,
+    workload: DnnWorkload,
+) -> float:
+    """Latency in seconds of `workload` on a px x py array with a
+    `b_global`-byte global buffer under `dataflow`, at `clock_hz` and
+    `dram_bytes_per_cycle`: per layer, max(compute, memory) cycles.
 
     A cycle count beyond the float range (a DRAM width near zero) fails
     with ValidationFailure, which names the layer it was reached at.
@@ -188,11 +184,11 @@ def estimate_latency(config: AcceleratorConfig, workload: DnnWorkload) -> float:
     total_cycles = 0
     try:
         for layer in workload.layers:
-            active = spatial_parallelism(config.dataflow, layer, config.px, config.py)
+            active = spatial_parallelism(dataflow, layer, px, py)
             compute_cycles = -(-layer_macs(layer) // active)
-            memory_cycles = math.ceil(dram_traffic(config, layer) / config.dram_bytes_per_cycle)
+            memory_cycles = math.ceil(dram_traffic(dataflow, b_global, layer) / dram_bytes_per_cycle)
             total_cycles += max(compute_cycles, memory_cycles)
-        return total_cycles / config.clock_hz
+        return total_cycles / clock_hz
     except OverflowError as exc:
         index = workload.layers.index(layer)
         raise ValidationFailure(f"workload {workload.name!r}: cycle count overflows at layer {index}: {exc}") from exc

@@ -1,14 +1,14 @@
 """Genetic-algorithm search over accelerator design points.
 
 A chromosome is an AcceleratorConfig: six genes (array width and height,
-per-PE buffer, global buffer, dataflow, multiplier variant) plus the
-space's stacking, clock, DRAM width and TSV count, which every design of a
-search shares. Fitness is the carbon-delay product of the evaluated design
-(or plain latency when emulating a delay-first baseline). Infeasible
-designs keep their metrics but carry +inf fitness so selection routes
-around them. The GA ranks on each distinct design's (fitness, index key),
-computed once when the design is first evaluated, and a child whose genes
-are its parent's is that parent, not a new design.
+per-PE buffer, global buffer, dataflow, multiplier variant). The stacking,
+clock, DRAM width and TSV count, which every design of a search shares,
+are read from the DesignSpace alone. Fitness is the carbon-delay product
+of the evaluated design (or plain latency when emulating a delay-first
+baseline). Infeasible designs keep their metrics but carry +inf fitness so
+selection routes around them. The GA ranks on each distinct design's
+(fitness, index key), computed once when the design is first evaluated,
+and a child whose genes are its parent's is that parent, not a new design.
 
 exhaustive_search is the oracle the GA is validated against. It finds the
 true optimum without scoring each design: the cost model is separable, as
@@ -16,9 +16,9 @@ in ACT's per-component embodied model (Gupta et al., ISCA '22), so it costs
 each embodied and each latency key once and bounds each shared
 (px, py, b_global) key by its smallest feasible embodied carbon and its
 smallest latency; ties go to the smallest index key, as in enumeration.
-An embodied key is costed from its five gene values (_embodied_verdict, the
-one caller of the embodied model, for evaluate too), so only the latency
-keys and the winner become AcceleratorConfigs.
+Each key is costed from its gene values and the space's settings
+(_embodied_verdict, the one caller of the embodied model, for evaluate
+too), so only the winner becomes an AcceleratorConfig.
 pareto_front extracts the non-dominated (embodied, latency) designs from
 any evaluated population.
 """
@@ -29,7 +29,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass, field
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 
 from .accelerator_model import (
     AcceleratorConfig,
@@ -58,10 +58,11 @@ class SpaceTooLarge(ValidationFailure):
 
 @dataclass(frozen=True)
 class DesignSpace:
-    """Candidate values per gene plus the fixed run-mode context.
+    """Candidate values per gene plus the settings every design of a run shares.
 
-    Stacking is a run mode, not a gene: 2D and 3D explorations are separate
-    studies. The multiplier candidate list is the approximation dimension;
+    Stacking, clock, DRAM width and TSV count are run settings, not genes:
+    they live here alone, and 2D and 3D explorations are separate studies.
+    The multiplier candidate list is the approximation dimension;
     an exact-only run simply passes a single-variant list.
     """
 
@@ -86,10 +87,20 @@ class DesignSpace:
         for name, values in zip(fields, genes.values()):
             if not values:
                 raise ValidationFailure(f"design space: candidate list {name} is empty")
-        fixed = (self.stacking, self.clock_hz, self.dram_bytes_per_cycle, self.tsv_count)
         # AcceleratorConfig checks genes only against lower bounds, so the smallest genes stand for all
         smallest = (min(self.px_values), min(self.py_values), min(self.b_local_values), min(self.b_global_values))
-        AcceleratorConfig(*smallest, self.dataflows[0], self.multipliers[0], *fixed)
+        AcceleratorConfig(*smallest, self.dataflows[0], self.multipliers[0])
+        for rate in ("clock_hz", "dram_bytes_per_cycle"):
+            if not 0 < getattr(self, rate) < math.inf:
+                raise ValidationFailure(f"{rate} must be finite and > 0")
+        if self.tsv_count < 0:
+            raise ValidationFailure("tsv_count must be >= 0")
+        # area grows with each gene and the multiplier's area, so the largest design bounds them all
+        largest = (max(self.px_values), max(self.py_values), max(self.b_local_values), max(self.b_global_values))
+        biggest_multiplier = max(self.multipliers, key=attrgetter("area_mm2"))
+        area = estimate_area(*largest, biggest_multiplier, self.area_params, self.stacking).total_2d_equiv_cm2
+        if not area < math.inf:
+            raise ValidationFailure(f"the largest design's area must be finite under area_params, got {area} cm2")
         # gene -> {value: its first index}, the position `tuple.index` gives
         index = {gene: {} for gene in genes}
         for gene, values in genes.items():
@@ -97,7 +108,6 @@ class DesignSpace:
                 index[gene].setdefault(value, i)
         object.__setattr__(self, "_genes", genes)
         object.__setattr__(self, "_gene_index", index)
-        object.__setattr__(self, "_fixed", fixed)
 
     def candidates(self, gene: str) -> tuple:
         return self._genes[gene]
@@ -111,7 +121,7 @@ class DesignSpace:
         return tuple(self._gene_index[g][getattr(c, g)] for g in _GENES)
 
     def random_chromosome(self, rng: random.Random) -> AcceleratorConfig:
-        return AcceleratorConfig(*(rng.choice(self.candidates(g)) for g in _GENES), *self._fixed)
+        return AcceleratorConfig(*(rng.choice(self.candidates(g)) for g in _GENES))
 
 
 @dataclass(frozen=True)
@@ -196,7 +206,8 @@ def evaluate(
     latency_key = (c.px, c.py, c.b_global, c.dataflow)
     latency = tables.latency_s.get(latency_key)
     if latency is None:
-        latency = tables.latency_s[latency_key] = estimate_latency(c, workload)
+        latency = estimate_latency(*latency_key, space.clock_hz, space.dram_bytes_per_cycle, workload)
+        tables.latency_s[latency_key] = latency
     embodied_kg, reason = embodied
     feasible = reason is None
     return EvaluatedDesign(
@@ -213,7 +224,7 @@ def _embodied_verdict(
     px: int, py: int, b_local: int, b_global: int, multiplier: MultiplierVariant, space: DesignSpace
 ) -> tuple[float, str | None]:
     """(embodied kg, infeasibility reason or None) of one embodied key under
-    the space's fixed settings; no design is built for it."""
+    the space's settings; no design is built for it."""
     area = estimate_area(px, py, b_local, b_global, multiplier, space.area_params, space.stacking)
     embodied_kg = accelerator_embodied(area, space.tech, space.stacking, space.tsv_count)
     reasons = []
@@ -225,11 +236,11 @@ def _embodied_verdict(
 
 
 def _with_genes(c: AcceleratorConfig, genes: list) -> AcceleratorConfig:
-    """The design of `genes`, in `_GENES` order, with the fixed settings of
-    `c`; `c` itself when `genes` are its own."""
+    """The design of `genes`, in `_GENES` order; `c` itself when `genes`
+    are its own."""
     if genes == [c.px, c.py, c.b_local, c.b_global, c.dataflow, c.multiplier]:
         return c
-    return AcceleratorConfig(*genes, c.stacking, c.clock_hz, c.dram_bytes_per_cycle, c.tsv_count)
+    return AcceleratorConfig(*genes)
 
 
 def crossover(a: AcceleratorConfig, b: AcceleratorConfig, rng: random.Random) -> tuple[AcceleratorConfig, ...]:
@@ -359,7 +370,6 @@ def exhaustive_search(
         raise SpaceTooLarge(f"space has {space.size} designs, cap is {cap}")
     # each gene's distinct values, in the order of their first place in the candidate list
     px_values, py_values, b_locals, b_globals, dataflows, multipliers = space._gene_index.values()
-    fixed = space._fixed
     # Per key, lists in `dataflows` and `multipliers` order: no key hashes a gene object.
     kgs = {}  # shared key (px, py, b_global) -> embodied kg of its feasible designs
     latencies = {}  # shared key -> latency of each dataflow
@@ -368,10 +378,10 @@ def exhaustive_search(
         shared = kgs.get((px, py, b_global))
         if shared is None:
             shared = kgs[px, py, b_global] = []
-            # latency reads no multiplier, so the first one stands in
-            stand_in = space.multipliers[0]
-            designs = (AcceleratorConfig(px, py, b_local, b_global, df, stand_in, *fixed) for df in dataflows)
-            latencies[px, py, b_global] = [estimate_latency(config, workload) for config in designs]
+            latencies[px, py, b_global] = [
+                estimate_latency(px, py, b_global, df, space.clock_hz, space.dram_bytes_per_cycle, workload)
+                for df in dataflows
+            ]
         key_verdicts = verdicts[px, py, b_local, b_global] = [
             _embodied_verdict(px, py, b_local, b_global, m, space) for m in multipliers
         ]
@@ -402,7 +412,7 @@ def exhaustive_search(
         for df, latency in zip(dataflows, latencies[px, py, b_global]):
             for m, (kg, reason) in zip(multipliers, key_verdicts):
                 if reason is None and fit(kg, latency) == best:
-                    chromosome = AcceleratorConfig(px, py, b_local, b_global, df, m, *fixed)
+                    chromosome = AcceleratorConfig(px, py, b_local, b_global, df, m)
                     return EvaluatedDesign(chromosome, kg, latency, cdp(kg, latency), feasible=True)
 
 

@@ -27,6 +27,7 @@ from edcarb.accelerator_model import (
     DnnWorkload,
     MultiplierVariant,
     estimate_area,
+    estimate_latency,
 )
 from edcarb.carbon_model import PackageKind, TechnologyParams
 from edcarb.design_explorer import (
@@ -148,10 +149,20 @@ def make_area_params(**overrides) -> AreaParams:
 EXACT_MULT = MultiplierVariant(name="exact", area_mm2=0.008, accuracy_drop_pct=0.0)
 
 
-def area_of(config: AcceleratorConfig, params: AreaParams) -> AreaBreakdown:
-    """The model's die areas for the genes and the stacking of `config`."""
+def area_of(
+    config: AcceleratorConfig, params: AreaParams, stacking: PackageKind = PackageKind.PLANAR_2D
+) -> AreaBreakdown:
+    """The model's die areas for the genes of `config`, packaged as `stacking`."""
     c = config
-    return estimate_area(c.px, c.py, c.b_local, c.b_global, c.multiplier, params, c.stacking)
+    return estimate_area(c.px, c.py, c.b_local, c.b_global, c.multiplier, params, stacking)
+
+
+def latency_of(
+    config: AcceleratorConfig, workload: DnnWorkload, clock_hz: float = 1e9, dram_bytes_per_cycle: float = 16.0
+) -> float:
+    """The model's latency for the genes of `config` at `clock_hz` and `dram_bytes_per_cycle`."""
+    c = config
+    return estimate_latency(c.px, c.py, c.b_global, c.dataflow, clock_hz, dram_bytes_per_cycle, workload)
 
 
 def make_workload(n_layers: int = 3) -> DnnWorkload:
@@ -171,9 +182,8 @@ def make_workload(n_layers: int = 3) -> DnnWorkload:
 
 def chromosomes(space: DesignSpace):
     """All chromosomes of `space` in lexicographic gene order."""
-    fixed = (space.stacking, space.clock_hz, space.dram_bytes_per_cycle, space.tsv_count)
     for values in itertools.product(*map(space.candidates, _GENES)):
-        yield AcceleratorConfig(*values, *fixed)
+        yield AcceleratorConfig(*values)
 
 
 def reference_exhaustive_search(
@@ -200,15 +210,11 @@ def reference_exhaustive_search(
     return best
 
 
-def _reference_with_genes(c: AcceleratorConfig, genes: list) -> AcceleratorConfig:
-    return AcceleratorConfig(*genes, c.stacking, c.clock_hz, c.dram_bytes_per_cycle, c.tsv_count)
-
-
 def _reference_crossover(a: AcceleratorConfig, b: AcceleratorConfig, rng: random.Random) -> tuple:
     swaps = [rng.random() < 0.5 for _ in _GENES]
     genes_a = [getattr(b if swap else a, g) for swap, g in zip(swaps, _GENES)]
     genes_b = [getattr(a if swap else b, g) for swap, g in zip(swaps, _GENES)]
-    return _reference_with_genes(a, genes_a), _reference_with_genes(b, genes_b)
+    return AcceleratorConfig(*genes_a), AcceleratorConfig(*genes_b)
 
 
 def _reference_mutate(c: AcceleratorConfig, rate: float, space: DesignSpace, rng: random.Random) -> AcceleratorConfig:
@@ -216,7 +222,7 @@ def _reference_mutate(c: AcceleratorConfig, rate: float, space: DesignSpace, rng
     for gene in _GENES:
         if rng.random() < rate:
             updates[gene] = rng.choice(space.candidates(gene))
-    return _reference_with_genes(c, [updates.get(g, getattr(c, g)) for g in _GENES]) if updates else c
+    return AcceleratorConfig(*(updates.get(g, getattr(c, g)) for g in _GENES)) if updates else c
 
 
 def ga_extremes(population_size: int) -> dict[str, dict]:

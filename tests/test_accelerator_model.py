@@ -16,7 +16,6 @@ from edcarb.accelerator_model import (
     accelerator_embodied,
     accuracy_feasible,
     dram_traffic,
-    estimate_latency,
     layer_macs,
     operand_bytes,
     spatial_parallelism,
@@ -24,7 +23,16 @@ from edcarb.accelerator_model import (
 from edcarb.carbon_model import PackageKind
 from edcarb.errors import ValidationFailure
 
-from support import EXACT_MULT, area_of, make_area_params, make_tech, make_workload, only_coefficients
+from support import (
+    EXACT_MULT,
+    area_of,
+    latency_of,
+    make_area_params,
+    make_tech,
+    make_workload,
+    only_coefficients,
+    random_design_space,
+)
 
 
 def make_config(**overrides) -> AcceleratorConfig:
@@ -35,8 +43,6 @@ def make_config(**overrides) -> AcceleratorConfig:
         b_global=65536,
         dataflow=Dataflow.WEIGHT_STATIONARY,
         multiplier=EXACT_MULT,
-        clock_hz=1e9,
-        dram_bytes_per_cycle=16.0,
     )
     values.update(overrides)
     return AcceleratorConfig(**values)
@@ -91,8 +97,7 @@ def test_operand_bytes():
 def test_dram_traffic_everything_fits():
     layer = ConvLayer(1, 2, 2, 3, 3, 3, 5)
     weights, inputs, outputs = operand_bytes(layer)
-    config = make_config(b_global=10**9)
-    assert dram_traffic(config, layer) == weights + inputs + outputs
+    assert dram_traffic(Dataflow.WEIGHT_STATIONARY, 10**9, layer) == weights + inputs + outputs
 
 
 def test_dram_traffic_refetch_factor_two():
@@ -100,22 +105,20 @@ def test_dram_traffic_refetch_factor_two():
     layer = ConvLayer(n=1, c=2, k=2, r=3, s=3, p=3, q=5)
     weights, inputs, outputs = operand_bytes(layer)
     assert weights == 36 and inputs + outputs == 100
-    config = make_config(b_global=18)
-    assert dram_traffic(config, layer) == 36 + 2 * 100
+    assert dram_traffic(Dataflow.WEIGHT_STATIONARY, 18, layer) == 36 + 2 * 100
 
 
 def test_dram_traffic_output_stationary_keeps_outputs():
     layer = ConvLayer(n=1, c=2, k=2, r=3, s=3, p=3, q=5)
     weights, inputs, outputs = operand_bytes(layer)
-    config = make_config(dataflow=Dataflow.OUTPUT_STATIONARY, b_global=outputs)
-    assert dram_traffic(config, layer) == outputs + (weights + inputs)
+    assert dram_traffic(Dataflow.OUTPUT_STATIONARY, outputs, layer) == outputs + (weights + inputs)
 
 
 def test_dram_traffic_non_increasing_in_global_buffer():
     layer = ConvLayer(2, 16, 32, 3, 3, 14, 14)
     previous = None
     for b_global in [64, 256, 1024, 4096, 16384, 10**7]:
-        traffic = dram_traffic(make_config(b_global=b_global), layer)
+        traffic = dram_traffic(Dataflow.WEIGHT_STATIONARY, b_global, layer)
         if previous is not None:
             assert traffic <= previous
         previous = traffic
@@ -129,26 +132,26 @@ def test_dram_traffic_non_increasing_in_global_buffer():
 def test_latency_compute_bound_case():
     # 96 MACs on 6 active PEs, memory made free by a huge bus, 1 MHz clock
     layer = ConvLayer(n=1, c=3, k=2, r=1, s=1, p=4, q=4)
-    config = make_config(px=2, py=3, clock_hz=1e6, dram_bytes_per_cycle=1e12, b_global=10**9)
+    config = make_config(px=2, py=3, b_global=10**9)
     assert spatial_parallelism(config.dataflow, layer, 2, 3) == 6
     workload = DnnWorkload("one", (layer,))
-    assert estimate_latency(config, workload) == pytest.approx(16 / 1e6)
+    assert latency_of(config, workload, clock_hz=1e6, dram_bytes_per_cycle=1e12) == pytest.approx(16 / 1e6)
 
 
 def test_latency_memory_bound_case():
     # traffic 900 B at 1 B/cycle dwarfs the 4 compute cycles
     layer = ConvLayer(1, 1, 1, 1, 1, 2, 2, elem_bytes=100)
-    config = make_config(px=1, py=1, b_global=10**9, dram_bytes_per_cycle=1.0, clock_hz=1e6)
-    assert dram_traffic(config, layer) == 900
+    config = make_config(px=1, py=1, b_global=10**9)
+    assert dram_traffic(config.dataflow, config.b_global, layer) == 900
     workload = DnnWorkload("one", (layer,))
-    assert estimate_latency(config, workload) == pytest.approx(900 / 1e6)
+    assert latency_of(config, workload, clock_hz=1e6, dram_bytes_per_cycle=1.0) == pytest.approx(900 / 1e6)
 
 
 def test_latency_additive_over_layers():
     layer = ConvLayer(1, 8, 8, 3, 3, 8, 8)
     config = make_config()
-    one = estimate_latency(config, DnnWorkload("one", (layer,)))
-    two = estimate_latency(config, DnnWorkload("two", (layer, layer)))
+    one = latency_of(config, DnnWorkload("one", (layer,)))
+    two = latency_of(config, DnnWorkload("two", (layer, layer)))
     assert two == pytest.approx(2 * one)
 
 
@@ -156,7 +159,7 @@ def test_latency_non_increasing_in_array_size():
     workload = make_workload(3)
     previous = None
     for px in [1, 2, 4, 8, 16, 32]:
-        latency = estimate_latency(make_config(px=px, py=px), workload)
+        latency = latency_of(make_config(px=px, py=px), workload)
         if previous is not None:
             assert latency <= previous
         previous = latency
@@ -179,11 +182,11 @@ def test_estimate_area_reference_point():
     assert area.compute_die_cm2 == area.total_2d_equiv_cm2
     # the 3D split puts the global buffer on the memory die and the PE array
     # plus local buffers (no overhead here) on the compute die
-    stacked = replace(config, stacking=PackageKind.STACKED_3D)
-    split = area_of(stacked, params)
+    stacked = PackageKind.STACKED_3D
+    split = area_of(config, params, stacked)
     assert split.memory_die_cm2 == pytest.approx(0.1 / 100)
     assert split.compute_die_cm2 == pytest.approx((0.06 + 0.04) / 100)
-    no_sram = area_of(stacked, replace(params, sram_mm2_per_byte=0.0))
+    no_sram = area_of(config, replace(params, sram_mm2_per_byte=0.0), stacked)
     assert no_sram.compute_die_cm2 == pytest.approx(0.06 / 100)  # the PE array alone
 
 
@@ -192,8 +195,8 @@ def test_halving_multiplier_area_shrinks_only_pe_array():
     # the PE array plus local buffers and overhead
     params = make_area_params()
     stacked = PackageKind.STACKED_3D
-    full = area_of(make_config(multiplier=MultiplierVariant("a", 0.008, 0.0), stacking=stacked), params)
-    half = area_of(make_config(multiplier=MultiplierVariant("b", 0.004, 1.0), stacking=stacked), params)
+    full = area_of(make_config(multiplier=MultiplierVariant("a", 0.008, 0.0)), params, stacked)
+    half = area_of(make_config(multiplier=MultiplierVariant("b", 0.004, 1.0)), params, stacked)
     assert half.memory_die_cm2 == full.memory_die_cm2
     assert full.compute_die_cm2 - half.compute_die_cm2 == pytest.approx(16 * 0.004 / 100)
     assert full.total_2d_equiv_cm2 - half.total_2d_equiv_cm2 == pytest.approx(16 * 0.004 / 100)
@@ -201,8 +204,8 @@ def test_halving_multiplier_area_shrinks_only_pe_array():
 
 def test_stacked_area_partitions_total():
     params = make_area_params()
-    config = make_config(stacking=PackageKind.STACKED_3D)
-    area = area_of(config, params)
+    config = make_config()
+    area = area_of(config, params, PackageKind.STACKED_3D)
     assert area.compute_die_cm2 + area.memory_die_cm2 == pytest.approx(
         area.total_2d_equiv_cm2, rel=1e-12
     )
@@ -217,14 +220,14 @@ def test_area_components_always_sum_to_total():
             py=rng.randint(1, 32),
             b_local=rng.randint(1, 4096),
             b_global=rng.randint(1, 10**6),
-            stacking=rng.choice(list(PackageKind)),
         )
+        stacking = rng.choice(list(PackageKind))
         params = AreaParams(
             sram_mm2_per_byte=rng.uniform(0, 1e-3),
             fixed_overhead_mm2=rng.uniform(0, 5),
             mac_adder_mm2=rng.uniform(0, 0.02),
         )
-        area = area_of(config, params)
+        area = area_of(config, params, stacking)
         pe_count = config.px * config.py
         pe_array = pe_count * (config.multiplier.area_mm2 + params.mac_adder_mm2) / 100
         local = pe_count * config.b_local * params.sram_mm2_per_byte / 100
@@ -233,7 +236,7 @@ def test_area_components_always_sum_to_total():
         total = pe_array + local + global_buf + overhead
         assert area.total_2d_equiv_cm2 == pytest.approx(total, rel=1e-12)
         assert area.compute_die_cm2 + area.memory_die_cm2 == pytest.approx(total, rel=1e-12)
-        if config.stacking is PackageKind.STACKED_3D:
+        if stacking is PackageKind.STACKED_3D:
             assert area.memory_die_cm2 == pytest.approx(global_buf, rel=1e-12)
             assert area.compute_die_cm2 == pytest.approx(pe_array + local + overhead, rel=1e-12)
 
@@ -269,8 +272,8 @@ def test_area_affine_in_parameters_exact_finite_differences():
 # ---------------------------------------------------------------------------
 
 
-def _embodied(config, tech, params) -> float:
-    return accelerator_embodied(area_of(config, params), tech, config.stacking, config.tsv_count)
+def _embodied(config, tech, params, stacking=PackageKind.PLANAR_2D, tsv_count=0) -> float:
+    return accelerator_embodied(area_of(config, params, stacking), tech, stacking, tsv_count)
 
 
 def test_embodied_packaging_only_when_coefficients_vanish():
@@ -283,22 +286,22 @@ def test_embodied_packaging_only_when_coefficients_vanish():
 def test_embodied_planar_vs_stacked_relation_computed_per_instance():
     tech = make_tech()
     params = make_area_params()
-    planar_config = make_config()
-    stacked_config = make_config(stacking=PackageKind.STACKED_3D, tsv_count=500)
+    config = make_config()
+    stacked = (PackageKind.STACKED_3D, 500)
     # both branches evaluated; with these coefficients the 3D overheads
     # outweigh the wastage savings of two smaller dies. Each term is the
     # embodied carbon with every other coefficient zeroed.
     bonding_and_tsv = only_coefficients(tech, "bonding_kg_per_cm2", "tsv_kg_per_via")
     wastage = only_coefficients(tech, "cfpa_si_kg_per_cm2")
-    extra_3d = _embodied(stacked_config, bonding_and_tsv, params)
-    wastage_savings = _embodied(planar_config, wastage, params) - _embodied(stacked_config, wastage, params)
-    assert extra_3d > 0.0 and _embodied(planar_config, bonding_and_tsv, params) == 0.0
-    planar = _embodied(planar_config, tech, params)
-    stacked = _embodied(stacked_config, tech, params)
+    extra_3d = _embodied(config, bonding_and_tsv, params, *stacked)
+    wastage_savings = _embodied(config, wastage, params) - _embodied(config, wastage, params, *stacked)
+    assert extra_3d > 0.0 and _embodied(config, bonding_and_tsv, params) == 0.0
+    planar_kg = _embodied(config, tech, params)
+    stacked_kg = _embodied(config, tech, params, *stacked)
     if extra_3d > wastage_savings:
-        assert stacked > planar
+        assert stacked_kg > planar_kg
     else:
-        assert stacked <= planar
+        assert stacked_kg <= planar_kg
 
 
 def test_embodied_grows_with_array_size():
@@ -333,6 +336,13 @@ def test_accuracy_feasibility_threshold():
     assert accuracy_feasible(boundary.multiplier, 2.0)
 
 
+@pytest.mark.parametrize("field", ["sram_mm2_per_byte", "fixed_overhead_mm2", "mac_adder_mm2"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+def test_area_params_refuse_a_coefficient_that_is_not_finite_and_non_negative(field, value):
+    with pytest.raises(ValidationFailure, match="area parameters must be finite and >= 0"):
+        make_area_params(**{field: value})
+
+
 def test_config_validation():
     with pytest.raises(ValidationFailure):
         make_config(px=0)
@@ -349,6 +359,8 @@ def test_config_validation():
 @pytest.mark.parametrize("field", ["clock_hz", "dram_bytes_per_cycle"])
 @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
 def test_config_refuses_a_rate_that_is_not_finite_and_positive(field, value):
+    # the rates are run settings, so the design space that holds them checks them;
     # NaN fails every comparison, so a check written as `x <= 0` lets it through
+    space = random_design_space(random.Random(0))
     with pytest.raises(ValidationFailure, match=f"{field} must be finite and > 0"):
-        make_config(**{field: value})
+        replace(space, **{field: value})

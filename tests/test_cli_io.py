@@ -652,6 +652,11 @@ SIMULATE = ["simulate", "--trace", "ci_trace.csv", "--arrivals", "poisson", "--p
             ["explore", "--appx"],
             "workload 'workload': cycle count overflows at layer 0",
         ),
+        (
+            _set("area_params", "sram_mm2_per_byte", 1e308),
+            ["explore", "--appx"],
+            "design_space: the largest design's area must be finite under area_params, got inf cm2",
+        ),
     ],
     ids=[
         "sim.step_s",
@@ -663,6 +668,7 @@ SIMULATE = ["simulate", "--trace", "ci_trace.csv", "--arrivals", "poisson", "--p
         "workload_file",
         "sim.exec_table_file",
         "design_space.dram_bytes_per_cycle",
+        "area_params.sram_mm2_per_byte",
     ],
 )
 def test_cli_refuses_out_of_range_inputs_without_a_traceback(demo_copy, tmp_path, capsys, edit, command, reason):

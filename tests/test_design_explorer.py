@@ -11,7 +11,6 @@ from edcarb.accelerator_model import (
     Dataflow,
     MultiplierVariant,
     accelerator_embodied,
-    estimate_latency,
 )
 from edcarb.carbon_model import PackageKind
 from edcarb.design_explorer import (
@@ -38,6 +37,7 @@ from support import (
     area_of,
     chromosomes,
     ga_extremes,
+    latency_of,
     make_area_params,
     make_tech,
     make_workload,
@@ -69,11 +69,6 @@ def make_space(**overrides) -> DesignSpace:
 
 def first_chromosome(space: DesignSpace) -> AcceleratorConfig:
     return next(iter(chromosomes(space)))
-
-
-def design(space: DesignSpace, *genes) -> AcceleratorConfig:
-    """The chromosome of `genes`, in `_GENES` order, with the fixed settings of `space`."""
-    return AcceleratorConfig(*genes, space.stacking, space.clock_hz, space.dram_bytes_per_cycle, space.tsv_count)
 
 
 def in_space(chromosome: AcceleratorConfig, space: DesignSpace) -> bool:
@@ -111,17 +106,19 @@ def test_bigger_global_buffer_trades_latency_for_carbon():
     # memory-bound workload: large traffic, narrow DRAM bus
     space = make_space(b_global_values=(512, 10**6), dram_bytes_per_cycle=1.0)
     workload = make_workload(3)
-    small = evaluate(design(space, 4, 4, 64, 512, Dataflow.WEIGHT_STATIONARY, EXACT_MULT), workload, space)
-    big = evaluate(design(space, 4, 4, 64, 10**6, Dataflow.WEIGHT_STATIONARY, EXACT_MULT), workload, space)
+    small = evaluate(AcceleratorConfig(4, 4, 64, 512, Dataflow.WEIGHT_STATIONARY, EXACT_MULT), workload, space)
+    big = evaluate(AcceleratorConfig(4, 4, 64, 10**6, Dataflow.WEIGHT_STATIONARY, EXACT_MULT), workload, space)
     assert big.latency_s <= small.latency_s
     assert big.embodied_kg >= small.embodied_kg
 
 
 @pytest.mark.parametrize("stacking", [PackageKind.PLANAR_2D, PackageKind.STACKED_3D])
 def test_search_evaluator_matches_the_direct_model(stacking):
-    # a narrow DRAM bus and a small global buffer make latency depend on b_global
+    # a narrow DRAM bus and a small global buffer make latency depend on b_global;
+    # the clock, DRAM width and TSV count are off their defaults, so the evaluator must read them from the space
     base = make_space(
         b_global_values=(512, 65536),
+        clock_hz=7e8,
         dram_bytes_per_cycle=1.0,
         multipliers=(EXACT_MULT, APX_MULT, BAD_MULT),
         stacking=stacking,
@@ -133,11 +130,9 @@ def test_search_evaluator_matches_the_direct_model(stacking):
     tables = CostTables()
     reasons = set()
     for c in chromosomes(space):
-        # the direct model's design: the chromosome's genes and the space's fixed settings
-        config = design(space, *(getattr(c, g) for g in _GENES))
-        breakdown = area_of(config, space.area_params)
-        embodied = accelerator_embodied(breakdown, space.tech, config.stacking, config.tsv_count)
-        latency = estimate_latency(config, workload)
+        breakdown = area_of(c, space.area_params, space.stacking)
+        embodied = accelerator_embodied(breakdown, space.tech, space.stacking, space.tsv_count)
+        latency = latency_of(c, workload, space.clock_hz, space.dram_bytes_per_cycle)
         area = breakdown.total_2d_equiv_cm2
         why = [
             reason
@@ -175,7 +170,7 @@ def test_index_key_is_the_first_tuple_index_of_each_gene():
     )
     for c in chromosomes(space):
         assert space.index_key(c) == tuple(space.candidates(g).index(getattr(c, g)) for g in _GENES)
-    repeated = design(space, 4, 2, 64, 4096, Dataflow.OUTPUT_STATIONARY, exact_again)
+    repeated = AcceleratorConfig(4, 2, 64, 4096, Dataflow.OUTPUT_STATIONARY, exact_again)
     assert space.index_key(repeated) == (0, 0, 0, 0, 0, 0)
 
 
@@ -238,26 +233,29 @@ def test_mutate_stays_in_space():
         assert in_space(chromosome, space)
 
 
+@pytest.mark.parametrize(
+    "field, value, error",
+    [
+        ("clock_hz", math.nan, "clock_hz must be finite and > 0"),
+        ("dram_bytes_per_cycle", math.nan, "dram_bytes_per_cycle must be finite and > 0"),
+        ("clock_hz", math.inf, "clock_hz must be finite and > 0"),
+        ("tsv_count", -1, "tsv_count must be >= 0"),
+    ],
+    ids=["clock_hz", "dram_bytes_per_cycle", "clock_hz-inf", "tsv_count-negative"],
+)
+def test_space_refuses_a_nan_fixed_setting_at_construction(field, value, error):
+    with pytest.raises(ValidationFailure, match=error):
+        make_space(**{field: value})
+
+
 @pytest.mark.parametrize("stacking", list(PackageKind))
-def test_every_design_carries_the_fixed_settings_of_its_space(stacking):
-    # the model reads these settings from the design, so a design that lost
-    # them would be scored as planar, at 1 GHz, in a 3D run at another clock
-    space = make_space(stacking=stacking, clock_hz=7e8, dram_bytes_per_cycle=4.0, tsv_count=300)
-    rng = random.Random(8)
-    designs = list(chromosomes(space))
-    for _ in range(50):
-        a, b = space.random_chromosome(rng), space.random_chromosome(rng)
-        designs += [a, b, *crossover(a, b, rng), mutate(a, 1.0, space, rng), mutate(b, 0.3, space, rng)]
-    result = run_ga(space, GaParams(population_size=12, generations=6, rng_seed=1), make_workload())
-    designs += [d.chromosome for d in result.evaluated]
-    settings = {(c.stacking, c.clock_hz, c.dram_bytes_per_cycle, c.tsv_count) for c in designs}
-    assert settings == {(stacking, 7e8, 4.0, 300)}
-
-
-@pytest.mark.parametrize("field", ["clock_hz", "dram_bytes_per_cycle"])
-def test_space_refuses_a_nan_fixed_setting_at_construction(field):
-    with pytest.raises(ValidationFailure, match=f"{field} must be finite and > 0"):
-        make_space(**{field: math.nan})
+def test_space_refuses_a_largest_design_of_infinite_area_at_construction(stacking):
+    # a finite coefficient whose product with the largest global buffer overflows
+    huge = make_area_params(sram_mm2_per_byte=1e304)
+    with pytest.raises(ValidationFailure, match="largest design's area must be finite under area_params, got inf"):
+        make_space(area_params=huge, stacking=stacking)
+    # while the smallest design's area is finite
+    assert area_of(first_chromosome(make_space()), huge).total_2d_equiv_cm2 < math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -523,7 +521,7 @@ def _work_counts(monkeypatch) -> dict:
     return counts
 
 
-def test_exhaustive_search_costs_each_key_once_and_builds_only_latency_designs(monkeypatch):
+def test_exhaustive_search_costs_each_key_once_and_builds_only_the_winner(monkeypatch):
     twin = MultiplierVariant("exact_twin", EXACT_MULT.area_mm2, EXACT_MULT.accuracy_drop_pct)
     space = make_space(
         px_values=(2, 4, 8, 4),  # a repeated value is one key
@@ -539,8 +537,8 @@ def test_exhaustive_search_costs_each_key_once_and_builds_only_latency_designs(m
     assert exhaustive_search(space, make_workload()) == expected
     assert counts.pop("estimate_area") == counts.pop("accelerator_embodied") == embodied_keys == 162
     assert counts.pop("estimate_latency") == latency_keys
-    # one design per latency key and one for the winner; one per embodied key as well would make 217
-    assert counts.pop("__post_init__") == latency_keys + 1 == 55
+    # the keys are costed from gene values, so only the winner becomes a design
+    assert counts.pop("__post_init__") == 1
     assert counts == {}
 
 
@@ -584,8 +582,8 @@ def test_pareto_single_design():
 
 def test_pareto_two_non_dominating():
     space = make_space()
-    a = evaluate(design(space, 2, 2, 64, 4096, Dataflow.WEIGHT_STATIONARY, EXACT_MULT), make_workload(), space)
-    b = evaluate(design(space, 8, 8, 256, 65536, Dataflow.WEIGHT_STATIONARY, EXACT_MULT), make_workload(), space)
+    a = evaluate(AcceleratorConfig(2, 2, 64, 4096, Dataflow.WEIGHT_STATIONARY, EXACT_MULT), make_workload(), space)
+    b = evaluate(AcceleratorConfig(8, 8, 256, 65536, Dataflow.WEIGHT_STATIONARY, EXACT_MULT), make_workload(), space)
     assert not _dominates(a, b) and not _dominates(b, a)
     front = pareto_front([a, b], space)
     assert set((d.chromosome for d in front)) == {a.chromosome, b.chromosome}

@@ -78,6 +78,12 @@ same inputs:
   0-2 (planar) and on its tie space with twin multipliers (``STACKED_3D``),
   with that workload's GA at 20 generations; then on 20
   ``support.random_design_space`` draws (seed 29) with a small drawn GA.
+- ``exhaustive_search``, ``run_ga`` and ``pareto_front``
+  (``explore.settings``) on the ``search`` workload's space at seeds 0-2
+  with every run setting off its default (``clock_hz`` 7e8,
+  ``dram_bytes_per_cycle`` 4.0, ``tsv_count`` 300), planar and
+  ``STACKED_3D``, for the cdp and delay fitnesses. Every earlier space
+  runs at 1 GHz, so only these cases show the clock reaching latency.
 
 Cases are listed in the order above; a new kind of case is added at the
 end, so the older ones keep their inputs.
@@ -402,6 +408,16 @@ def _ga_extremes(workloads, support, design_explorer, package_kind) -> None:
         run(f"explore.ga.random.{i}.{stacking.value}", space, support.make_workload(), params)
 
 
+def _settings_searches(workloads, design_explorer, package_kind) -> None:
+    for seed in range(3):
+        full = workloads.Search().setup(seed, smoke=False)
+        space = dataclasses.replace(full.space, clock_hz=7e8, dram_bytes_per_cycle=4.0, tsv_count=300)
+        for stacking in (package_kind.PLANAR_2D, package_kind.STACKED_3D):
+            for fitness in ("cdp", "delay"):
+                prefix = f"explore.settings.seed{seed}.{fitness}.{stacking.value}"
+                _explore(prefix, design_explorer, full, dataclasses.replace(space, stacking=stacking), fitness)
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print(__doc__.strip().splitlines()[2], file=sys.stderr)
@@ -426,6 +442,7 @@ def main(argv: list[str]) -> int:
     _many_layer_searches(support, edc_scheduler)
     _trace_arrival_simulations(support, runtime_sim)
     _ga_extremes(workloads, support, design_explorer, PackageKind)
+    _settings_searches(workloads, design_explorer, PackageKind)
     return 0
 
 
