@@ -503,7 +503,14 @@ def load_config(path: str | Path) -> ToolkitConfig:
         for label, spec in (parse("technology", _object, raw.get("technology", {})) or {}).items()
     }
 
-    area_params = parse("area_params", _from_spec, AreaParams, raw["area_params"]) if "area_params" in raw else None
+    def build_area_params(spec: dict) -> AreaParams:
+        params = _from_spec(AreaParams, spec)
+        # a 3D stack's memory die is the global buffer alone, so it has no area without SRAM
+        if params.sram_mm2_per_byte == 0:
+            raise ValidationFailure(f"area_params.sram_mm2_per_byte: must be > 0, got {params.sram_mm2_per_byte}")
+        return params
+
+    area_params = parse("area_params", build_area_params, raw["area_params"]) if "area_params" in raw else None
 
     policy = parse("policy", _from_spec, PolicyParams, raw.get("policy", {}))
 
@@ -662,10 +669,8 @@ def sim_report_to_dict(report: SimReport, embodied_g_per_inference: float | None
 
 
 def timeseries_rows(report: SimReport) -> list[list]:
-    return [
-        [s.t_s, s.ci, s.threshold_w, s.power_w, s.energy_kwh, s.cumulative_g]
-        for s in report.steps
-    ]
+    """One row per step sample: its fields, in the order of TIMESERIES_COLUMNS."""
+    return [list(sample) for sample in report.steps]
 
 
 TIMESERIES_COLUMNS = ["time", "ci", "power_threshold", "power", "energy", "cumulative_g"]

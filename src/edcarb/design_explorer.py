@@ -305,11 +305,15 @@ def run_ga(
     for generation in range(1, params.generations + 1):
         entries = [eval_cached(c) for c in population]
         feasible_fit = [key[0] for d, key in entries if d.feasible]
+        # left to right, as the built-in sum adds floats only up to 3.11
+        total_fit = 0.0
+        for fit in feasible_fit:
+            total_fit += fit
         history.append(
             GenerationStats(
                 generation=generation,
                 best_fitness=min(feasible_fit) if feasible_fit else math.inf,
-                mean_fitness=sum(feasible_fit) / len(feasible_fit) if feasible_fit else math.inf,
+                mean_fitness=total_fit / len(feasible_fit) if feasible_fit else math.inf,
             )
         )
         if generation == params.generations:

@@ -30,6 +30,7 @@ from bisect import bisect_right
 from collections import Counter
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .carbon_model import J_PER_KWH, operational_carbon
 from .edc_scheduler import (
@@ -306,16 +307,17 @@ def choose_batch(
 
     Energy per inference is non-increasing in batch size (a load-time
     invariant), so the largest feasible batch is also the energy-minimal one.
+    Latency is non-decreasing in batch size (another), so no batch after the
+    first one that misses the deadline meets it.
     """
     if queue_len < 1:
         raise ValidationFailure("queue_len must be >= 1")
-    best = 0
+    best = 1
     for b in table.batch_sizes:
-        if b > queue_len:
+        if b > queue_len or table.latency_ms(b, freq_idx) + elapsed_wait_ms > deadline_ms:
             break
-        if table.latency_ms(b, freq_idx) + elapsed_wait_ms <= deadline_ms:
-            best = b
-    return best if best else 1
+        best = b
+    return best
 
 
 def choose_frequency(
@@ -442,15 +444,15 @@ class SimConfig:
             raise SimConfigError(failures)
 
 
-@dataclass(frozen=True)
-class LogEvent:
+class LogEvent(NamedTuple):
     t_s: float
     kind: str
     detail: dict
 
 
-@dataclass(frozen=True)
-class StepSample:
+class StepSample(NamedTuple):
+    """One clock step, its fields in the order of the timeseries.csv columns."""
+
     t_s: float
     ci: float
     threshold_w: float
@@ -512,14 +514,18 @@ def run_simulation(
     if emit is None:
         emit = log.append
     samples: list[StepSample] = []
+    ci_at, run, add_sample = ci_trace.ci_at, step.run, samples.append
     operational_g = 0.0
     threshold = config.p_max_w
     ci_ref: float | None = None
+    # the hysteresis rule never fires at the intensity of the step before:
+    # either that step's rule did not fire against ci_ref, or it set ci_ref
+    ci_last: float | None = None
     t = 0.0
     while t < horizon_s - 1e-12:
         dt = min(step_s, horizon_s - t)
-        ci = ci_trace.ci_at(t)
-        if ci_ref is None or adaptive and hysteresis_update(
+        ci = ci_at(t)
+        if ci_ref is None or adaptive and ci != ci_last and hysteresis_update(
             ci_ref, ci, ci_trace.ci_range, config.hysteresis_fraction
         ):
             cause = "initial" if ci_ref is None else "ci_change"
@@ -530,9 +536,10 @@ def run_simulation(
                 )
             emit(LogEvent(t, "adapt", {"threshold_w": threshold, "ci": ci, "cause": cause}))
             step.adapt(t, ci, threshold, ci_trace, emit)
-        step_energy_j = step.run(t, dt, ci, threshold, emit)
+        ci_last = ci
+        step_energy_j = run(t, dt, ci, threshold, emit)
         operational_g += operational_carbon(ci, step_energy_j)
-        samples.append(StepSample(t, ci, threshold, step_energy_j / dt, step_energy_j / J_PER_KWH, operational_g))
+        add_sample(StepSample(t, ci, threshold, step_energy_j / dt, step_energy_j / J_PER_KWH, operational_g))
         t += dt
 
     return SimReport(
@@ -604,10 +611,13 @@ class _QueueStep:
     The arrivals are two columns, their times and their kinds. Arrivals are
     served in order, so the queue is the arrivals head:next_arrival and head
     counts the requests served. Batch mode plans every dispatch against the
-    queue, and queued_kinds counts the queue by kind for its stream count.
-    llm mode serves one request per dispatch at the fixed cost of the variant
-    selected at the last threshold change; it never reads the kinds, so it
-    keeps no count (queued_kinds is None).
+    queue with the stream count that `choose_concurrency` gives for the
+    number of kinds queued, read from `streams`, which holds it for each
+    number up to the kinds among the arrivals. queued_kinds counts the queue
+    by kind only when the arrivals hold two kinds or more; with fewer, every
+    planned queue holds one kind. llm mode serves one request per dispatch
+    at the fixed cost of the variant selected at the last threshold change;
+    it never reads the kinds, so it keeps no count either.
     """
 
     def __init__(self, config, arrivals, table, llm_variants) -> None:
@@ -622,7 +632,10 @@ class _QueueStep:
         self.config, self.table = config, table
         self.variants = llm_variants if config.mode == "llm" else None
         self.arrival_times, self.arrival_kinds = arrivals.columns(config.horizon_s)
-        self.queued_kinds: Counter[str] | None = None if config.mode == "llm" else Counter()
+        self.streams: list[int] = []
+        if self.variants is None:
+            self.streams = [choose_concurrency(n, table) for n in range(len(set(self.arrival_kinds)) + 1)]
+        self.queued_kinds: Counter[str] | None = Counter() if len(self.streams) > 2 else None
         self.head = self.next_arrival = self.max_queue_len = self.misses = 0
         self.device_free = self.busy_s = self.energy_j = 0.0
         # llm mode: the selected variant's dispatch, (requests served, head
@@ -652,7 +665,7 @@ class _QueueStep:
         """Serve the queue over [t, t + dt), then charge idle power for the
         rest; returns the step's energy. The run's state is copied into locals
         for the step, as attribute access per dispatch slows the queue path."""
-        times, kinds, queued = self.arrival_times, self.arrival_kinds, self.queued_kinds
+        times, kinds, queued, streams = self.arrival_times, self.arrival_kinds, self.queued_kinds, self.streams
         fixed, table, config, dispatch_costs = self.fixed, self.table, self.config, self.dispatch_costs
         n_arrivals, deadline_s = len(times), config.deadline_ms / 1000.0
         head, next_arrival, max_queue_len, misses = self.head, self.next_arrival, self.max_queue_len, self.misses
@@ -662,10 +675,10 @@ class _QueueStep:
         busy_in_window = max(0.0, min(device_free, step_end) - t)
         now = max(device_free, t)
         while True:
-            while next_arrival < n_arrivals and times[next_arrival] <= now:
-                if queued is not None:
-                    queued[kinds[next_arrival]] += 1
-                next_arrival += 1
+            arrived = bisect_right(times, now, next_arrival)
+            if queued is not None and arrived > next_arrival:
+                queued.update(kinds[next_arrival:arrived])
+            next_arrival = arrived
             max_queue_len = max(max_queue_len, next_arrival - head)
             if head == next_arrival:
                 if next_arrival < n_arrivals and times[next_arrival] < step_end:
@@ -675,7 +688,8 @@ class _QueueStep:
             if now >= step_end:
                 break
             dispatch = fixed or _plan_batch_dispatch(
-                times, head, next_arrival, len(queued), table, config, threshold, now, dispatch_costs
+                times, head, next_arrival, streams[len(queued) if queued else 1],
+                table, config, threshold, now, dispatch_costs,
             )
             if dispatch is None:
                 emit(LogEvent(now, "power_gated", {"threshold_w": threshold, "ci": ci}))
@@ -746,7 +760,7 @@ def _plan_batch_dispatch(
     times: list[float],
     head: int,
     tail: int,
-    active_kinds: int,
+    k: int,
     table: ExecLookupTable,
     config: SimConfig,
     threshold_w: float,
@@ -757,9 +771,10 @@ def _plan_batch_dispatch(
     power-gated (no frequency fits under the threshold).
 
     The queue is the arrivals head:tail, whose arrival times in order are
-    times[head:tail], and it holds active_kinds distinct kinds. cost_memo
-    holds the group costs of batch-size lists already planned against
-    `table`; the batch-size lists repeat, so each is summed once.
+    times[head:tail], and k is the stream count that `choose_concurrency`
+    gives for its kinds. cost_memo holds the group costs of batch-size lists
+    already planned against `table`; the batch-size lists repeat, so each is
+    summed once.
 
     Returns (requests served, head detail, duration_s, energy_j, power_w),
     where the head detail holds the leading dispatch log keys: the batch
@@ -767,7 +782,6 @@ def _plan_batch_dispatch(
     """
     top_freq = table.n_freqs - 1
     wait_ms = (now - times[head]) * 1000.0
-    k = choose_concurrency(active_kinds, table)
     # Retry with one stream when no frequency fits the k groups under the cap.
     for k_try in (k, 1) if k > 1 else (1,):
         sizes: list[int] = []
@@ -782,8 +796,12 @@ def _plan_batch_dispatch(
         if costs is None:
             costs = cost_memo[key] = []
             for f in range(table.n_freqs):
-                serial_ms = sum(table.latency_ms(b, f) for b in sizes)
-                serial_energy = sum(table.energy_j(b, f) for b in sizes)
+                # left to right, as the built-in sum adds floats only up to 3.11
+                serial_ms = serial_energy = 0.0
+                for b in sizes:
+                    latency_ms, energy_j = table.entries[(b, f)]
+                    serial_ms += latency_ms
+                    serial_energy += energy_j
                 costs.append((serial_ms, serial_energy, serial_energy * 1000.0 / serial_ms * p_scale))
         allowed = [f for f in range(table.n_freqs) if costs[f][2] <= threshold_w]
         if not allowed:

@@ -14,6 +14,7 @@ import functools
 import itertools
 import json
 import math
+import operator
 import random
 from bisect import bisect_right
 from dataclasses import replace
@@ -84,6 +85,12 @@ from edcarb.runtime_sim import (
 # ---------------------------------------------------------------------------
 # wafer oracle
 # ---------------------------------------------------------------------------
+
+
+def left_sum(values) -> float:
+    """The floats added left to right from 0.0, as the built-in sum adds
+    them up to Python 3.11 and the library adds them on every version."""
+    return functools.reduce(operator.add, values, 0.0)
 
 
 def grid_placement_count(die_area_cm2: float, wafer_diameter_cm: float) -> int:
@@ -272,7 +279,7 @@ def reference_run_ga(space: DesignSpace, params: GaParams, workload: DnnWorkload
             GenerationStats(
                 generation=generation,
                 best_fitness=min(feasible_fit) if feasible_fit else math.inf,
-                mean_fitness=sum(feasible_fit) / len(feasible_fit) if feasible_fit else math.inf,
+                mean_fitness=left_sum(feasible_fit) / len(feasible_fit) if feasible_fit else math.inf,
             )
         )
         if generation == params.generations:
@@ -853,8 +860,8 @@ def _reference_batch_dispatch(queue, now, table, deadline_ms, threshold_w):
         t_scale, p_scale = table.concurrency[len(sizes)]
         fits = {}
         for f in range(table.n_freqs):
-            serial_ms = sum(table.entries[b, f][0] for b in sizes)
-            serial_j = sum(table.entries[b, f][1] for b in sizes)
+            serial_ms = left_sum(table.entries[b, f][0] for b in sizes)
+            serial_j = left_sum(table.entries[b, f][1] for b in sizes)
             if serial_j * 1000.0 / serial_ms * p_scale <= threshold_w:
                 fits[f] = serial_ms, serial_j
         if fits:

@@ -14,7 +14,7 @@ import pytest
 from edcarb import cli, cli_io, edc_scheduler
 from edcarb.edc_scheduler import EdgeNode, system_estimate
 from edcarb.errors import ValidationFailure
-from edcarb.runtime_sim import LogEvent, SimConfig, SimReport
+from edcarb.runtime_sim import LogEvent, SimConfig, SimReport, StepSample
 from edcarb.cli_io import (
     ConfigError,
     NegativeCi,
@@ -657,6 +657,16 @@ SIMULATE = ["simulate", "--trace", "ci_trace.csv", "--arrivals", "poisson", "--p
             ["explore", "--appx"],
             "design_space: the largest design's area must be finite under area_params, got inf cm2",
         ),
+        (
+            _set("area_params", "sram_mm2_per_byte", 0),
+            ["explore", "--appx", "--stacking", "3d"],
+            "area_params.sram_mm2_per_byte: must be > 0, got 0.0",
+        ),
+        (
+            _set("area_params", "sram_mm2_per_byte", 0),
+            ["explore"],
+            "area_params.sram_mm2_per_byte: must be > 0, got 0.0",
+        ),
     ],
     ids=[
         "sim.step_s",
@@ -669,6 +679,8 @@ SIMULATE = ["simulate", "--trace", "ci_trace.csv", "--arrivals", "poisson", "--p
         "sim.exec_table_file",
         "design_space.dram_bytes_per_cycle",
         "area_params.sram_mm2_per_byte",
+        "area_params.sram_mm2_per_byte.zero-3d",
+        "area_params.sram_mm2_per_byte.zero-planar",
     ],
 )
 def test_cli_refuses_out_of_range_inputs_without_a_traceback(demo_copy, tmp_path, capsys, edit, command, reason):
@@ -1039,6 +1051,21 @@ def test_cli_simulate_and_report(demo_copy, tmp_path, capsys):
     rc = cli.main(["report", "--in", str(out)])
     assert rc == 0
     assert "operational_g" in capsys.readouterr().out
+
+
+def test_step_sample_fields_follow_the_timeseries_columns():
+    # timeseries_rows writes each sample by position, so field i is column i
+    assert list(zip(StepSample._fields, cli_io.TIMESERIES_COLUMNS, strict=True)) == [
+        ("t_s", "time"),
+        ("ci", "ci"),
+        ("threshold_w", "power_threshold"),
+        ("power_w", "power"),
+        ("energy_kwh", "energy"),
+        ("cumulative_g", "cumulative_g"),
+    ]
+    sample = StepSample(1.5, 250.0, 9.0, 4.0, 1e-6, 0.25)
+    report = SimReport(0.0, 0.0, 0, 0, 0.0, 0, 0, 0, decision_log=[], steps=[sample])
+    assert cli_io.timeseries_rows(report) == [[1.5, 250.0, 9.0, 4.0, 1e-6, 0.25]]
 
 
 def test_cli_simulate_explicit_arrivals(demo_copy, tmp_path):

@@ -13,9 +13,9 @@ from collections import Counter
 import pytest
 
 from edcarb.edc_scheduler import NoFeasiblePlan, SearchParams
-from edcarb.runtime_sim import CiTrace, SimConfig, run_simulation
+from edcarb.runtime_sim import CiTrace, ExecLookupTable, SimConfig, TraceArrivals, run_simulation
 
-from support import random_queue_scenario, random_scheduler_instance, reference_simulation
+from support import LLM_VARIANTS, random_queue_scenario, random_scheduler_instance, reference_simulation
 
 
 def assert_same_run(report, expected) -> None:
@@ -41,6 +41,48 @@ def test_queue_modes_match_the_reference_simulator(mode):
         seen["drained"] += report.arrivals_total > 0 and report.backlog_at_horizon == 0
     assert min(seen[k] for k in ("idle", "adaptive", "static", "overloaded", "drained")) >= 5
     assert seen["power_gated"] >= (5 if mode == "batch" else 0)
+
+
+TIE_TABLE = ExecLookupTable(
+    {(1, 0): (40.0, 0.2), (2, 0): (60.0, 0.3), (4, 0): (100.0, 0.4),
+     (1, 1): (20.0, 0.3), (2, 1): (30.0, 0.45), (4, 1): (50.0, 0.6)},
+    concurrency={1: (1.0, 1.0), 2: (1.6, 1.2)},
+)
+
+
+@pytest.mark.parametrize(
+    "mode, kinds",
+    [("llm", ("a",)), ("batch", ("a",)), ("batch", ("a", "b"))],
+    ids=["llm", "batch-one-kind", "batch-two-kinds"],
+)
+def test_arrivals_at_one_instant_and_at_a_completion_match_the_reference(mode, kinds):
+    # an arrival at time now is queued for a dispatch that starts at now,
+    # so arrivals at one instant, at a step's start and at a dispatch's
+    # completion all join the queue together
+    config = SimConfig(
+        mode=mode, horizon_s=4.0, step_s=0.5, deadline_ms=40.0, p_min_w=8.0, p_max_w=20.0,
+        tokens_per_request=4, tps_floor=10.0,
+    )
+    trace = CiTrace(((0.0, 200.0), (2.0, 400.0)), horizon_s=4.0)
+    kwargs = {"llm_variants": LLM_VARIANTS} if mode == "llm" else {"table": TIE_TABLE}
+    # with two kinds, the first arrival at each instant is the only one of its kind
+    instants = (0.25, 0.25, 0.25, 0.25, 1.0, 1.0, 2.5, 2.5, 2.5)
+    events = [(at, kinds[-1] if at not in instants[:i] else kinds[0]) for i, at in enumerate(instants)]
+    first = run_simulation(config, trace, TraceArrivals(tuple(events)), **kwargs)
+    completion = next(ev.detail["completion_s"] for ev in first.decision_log if ev.kind == "dispatch")
+    tied = sorted(events + [(completion, kinds[-1]), (completion, kinds[0])], key=lambda event: event[0])
+    arrivals = TraceArrivals(tuple(tied))
+    report = run_simulation(config, trace, arrivals, **kwargs)
+    assert_same_run(report, reference_simulation(config, trace, arrivals, **kwargs))
+    dispatches = [ev for ev in report.decision_log if ev.kind == "dispatch"]
+    assert dispatches[0].detail["completion_s"] == completion
+    # the next dispatch starts at that completion, with the arrivals made then queued
+    assert dispatches[1].t_s == completion and report.arrivals_total == 11
+    assert sum(ev.detail["arrivals"].count(completion) for ev in dispatches) == 2
+    if mode == "batch":
+        # one batch of two per stream, and a stream per kind queued
+        assert dispatches[0].detail["arrivals"] == [0.25] * 2 * len(kinds)
+        assert dispatches[0].detail["streams"] == len(kinds)
 
 
 def test_mapping_mode_matches_the_reference_simulator():

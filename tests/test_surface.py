@@ -27,6 +27,7 @@ REFERENCES = {
 # Fields that nothing in the library reads but that stay, with the reason.
 UNREAD_FIELDS = {
     "EvaluatedDesign.infeasibility_reason": "kept for counting infeasible designs by reason (ROADMAP item 6)",
+    "StepSample.energy_kwh": "timeseries_rows writes every field of a sample by position, as list(sample)",
 }
 
 

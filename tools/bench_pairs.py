@@ -14,10 +14,17 @@ first in even pairs and the change first in odd ones.
 For each end-to-end metric that this checkout's ``BENCHMARK.json``
 declares, the summary prints each side's median and interquartile range
 over the runs and in how many pairs the change read better (an equal
-reading counts for neither side). Last it prints, per side, how many runs
-were ``correct`` and how many checks ``failed`` in all. ``--seconds``
-defaults to the ``run_seconds`` of ``BENCHMARK.json``. Only the standard
-library is used; nothing under ``perfbench/`` is imported or written.
+reading counts for neither side). It also prints whether the claim rule
+holds: at least 10 pairs ran, the change read better in at least 9 of 10
+of them, and its median is better than the parent's by more than the
+parent's interquartile range.
+The same columns, without the claim, follow for each of the workload's own
+``metric NAME VALUE UNIT`` lines (``sim_day_s``, ``simulate_s``, ...); of
+those, a rate (a unit ending in ``/s``) is better higher and every other
+metric lower. Last it prints, per side, how many runs were ``correct`` and
+how many checks ``failed`` in all. ``--seconds`` defaults to the
+``run_seconds`` of ``BENCHMARK.json``. Only the standard library is used;
+nothing under ``perfbench/`` is imported or written.
 """
 
 from __future__ import annotations
@@ -38,8 +45,13 @@ _NOT_COPIED = shutil.ignore_patterns(".git", "__pycache__", ".perfbench_tmp", ".
 
 
 def result_of(stdout: str) -> dict:
-    """The final JSON line of one ``perfbench/run.py`` run."""
-    return json.loads(stdout.strip().splitlines()[-1])
+    """The final JSON line of one ``perfbench/run.py`` run, with the run's
+    ``metric NAME VALUE UNIT`` lines as ``printed``: NAME -> (VALUE, UNIT)."""
+    *lines, last = stdout.strip().splitlines()
+    result = json.loads(last)
+    printed = (line.split() for line in lines if line.startswith("metric "))
+    result["printed"] = {name: (float(value), unit) for _, name, value, unit in printed}
+    return result
 
 
 def _spread(values: list[float]) -> tuple[float, float]:
@@ -50,16 +62,32 @@ def _spread(values: list[float]) -> tuple[float, float]:
     return statistics.median(values), q3 - q1
 
 
+def _row(name: str, parent: list[float], change: list[float], better: str, claim: bool) -> str:
+    sign = 1 if better == "lower" else -1
+    won = sum(sign * (c - p) < 0 for p, c in zip(parent, change))
+    (p_median, p_iqr), (c_median, c_iqr) = _spread(parent), _spread(change)
+    row = f"{name:<22}{f'{p_median:.4g} ({p_iqr:.2g})':>22}{f'{c_median:.4g} ({c_iqr:.2g})':>22}  {f'{won}/{len(parent)}':>10}"
+    if claim:
+        holds = len(parent) >= 10 and won * 10 >= 9 * len(parent) and sign * (p_median - c_median) > p_iqr
+        row += "  holds" if holds else "  not met"
+    return row
+
+
 def summarize(pairs: list[tuple[dict, dict]], metrics: list[tuple[str, str]]) -> list[str]:
-    """Summary lines of `pairs` of (parent, change) results, for each
-    (metric name, "lower" or "higher" is better) in `metrics`."""
-    lines = [f"{'metric':<14}{'parent median (IQR)':>24}{'change median (IQR)':>24}  change won"]
+    """Summary lines of `pairs` of (parent, change) results: one per
+    end-to-end (metric name, "lower" or "higher" is better) in `metrics`,
+    then one per other metric that every run printed."""
+    lines = [f"{'metric':<22}{'parent median (IQR)':>22}{'change median (IQR)':>22}  change won  claim"]
     for name, better in metrics:
         parent, change = ([side["metrics"][name]["value"] for side in sides] for sides in zip(*pairs))
-        sign = 1 if better == "lower" else -1
-        won = sum(sign * (c - p) < 0 for p, c in zip(parent, change))
-        cells = ("{:.4g} ({:.2g})".format(*_spread(values)) for values in (parent, change))
-        lines.append(f"{name:<14}{next(cells):>24}{next(cells):>24}  {won}/{len(pairs)}")
+        lines.append(_row(name, parent, change, better, claim=True))
+    results = [result for pair in pairs for result in pair]
+    shown = {name for name, _ in metrics}
+    for name, (_, unit) in results[0]["printed"].items():
+        if name in shown or not all(name in result["printed"] for result in results):
+            continue
+        parent, change = ([side["printed"][name][0] for side in sides] for sides in zip(*pairs))
+        lines.append(_row(name, parent, change, "higher" if unit.endswith("/s") else "lower", claim=False))
     for side, results in zip(SIDES, zip(*pairs)):
         correct = sum(r["correct"] is True for r in results)
         failed = sum(r["failed"] for r in results)
@@ -73,7 +101,7 @@ def _run(tree: Path, args) -> dict:
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     try:
         return result_of(proc.stdout)
-    except (IndexError, json.JSONDecodeError):
+    except ValueError:  # no lines, or a last line that is not JSON
         raise SystemExit(f"{tree.name}: perfbench exited {proc.returncode} without a result:\n{proc.stderr}")
 
 
