@@ -25,7 +25,8 @@ File formats
 - CI trace CSV: header ``timestamp,ci_g_per_kwh``; timestamps are integer
   seconds or ISO-8601; they are rebased to start at zero and held
   step-wise until the next sample.
-- Arrival trace CSV: header ``time_s,kind``.
+- Arrival trace CSV: header ``time_s,kind``; times are >= 0 and
+  non-decreasing, and an empty kind is ``default``.
 - Workload CSV: header ``n,c,k,r,s,p,q,elem_bytes``, one convolution layer
   per row.
 - Unit profile CSV: header ``layer,freq_index,latency_ms,power_w``.
@@ -363,7 +364,7 @@ def load_arrivals(path: str | Path) -> TraceArrivals:
         ["time_s", "kind"],
         lambda row: (_finite(row["time_s"]), row["kind"].strip() or "default"),
     )
-    return TraceArrivals(events=tuple(events))
+    return TraceArrivals(tuple(t for t, _ in events), tuple(kind for _, kind in events))
 
 
 def load_workload(path: str | Path) -> DnnWorkload:

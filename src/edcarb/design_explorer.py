@@ -189,15 +189,12 @@ def evaluate(
     chromosome: AcceleratorConfig,
     workload: DnnWorkload,
     space: DesignSpace,
-    tables: CostTables | None = None,
+    tables: CostTables,
 ) -> EvaluatedDesign:
     """Score one design point; infeasibility is a value, never an error.
 
-    `tables` carries the model's results between the calls of one search;
-    without it the evaluation is one-shot.
+    `tables` carries the model's results between the calls of one search.
     """
-    if tables is None:
-        tables = CostTables()
     c = chromosome
     embodied_key = (c.px, c.py, c.b_local, c.b_global, c.multiplier)
     embodied = tables.embodied.get(embodied_key)

@@ -17,6 +17,11 @@ the hysteresis rule fires, and the mode re-selects its execution strategy,
   plans re-planned at every threshold change, each a solve of the mapping
   search the run prepares once.
 
+The queue step reads its requests as two columns, their times and their
+kinds, up to the horizon. `TraceArrivals` holds explicit arrivals of any
+kinds, such as an arrivals CSV; `PoissonArrivals` draws seeded arrivals,
+all of kind "default".
+
 Everything is a pure function of the inputs; the only randomness is the
 Poisson arrival model, which carries its own seed. The decision log and step
 series are byte-reproducible.
@@ -26,7 +31,7 @@ from __future__ import annotations
 
 import math
 import random
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
@@ -110,52 +115,46 @@ class CiTrace:
 
 @dataclass(frozen=True)
 class TraceArrivals:
-    """Explicit request arrivals, (time_s, kind), at times >= 0 and
-    non-decreasing."""
+    """Explicit request arrivals as two columns: their times, >= 0 and
+    non-decreasing, and their kinds."""
 
-    events: tuple[tuple[float, str], ...]
+    times: tuple[float, ...]
+    kinds: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        times = [t for t, _ in self.events]
+        times = self.times
+        if len(times) != len(self.kinds):
+            raise ValidationFailure(f"{len(times)} arrival times but {len(self.kinds)} kinds")
         early = [t for t in times if not t >= 0]
         if early:
             raise ValidationFailure(f"arrival times must be >= 0, got {early[0]}")
         if any(b < a for a, b in zip(times, times[1:])):
             raise ValidationFailure("arrival times must be non-decreasing")
 
-    def materialize(self, horizon_s: float) -> list[tuple[float, str]]:
-        """The arrivals before horizon_s, as (time_s, kind) in time order."""
-        return [(t, kind) for t, kind in self.events if t < horizon_s]
-
     def columns(self, horizon_s: float) -> tuple[list[float], list[str]]:
-        """The arrivals of `materialize`, as a list of times and a list of kinds."""
-        events = self.materialize(horizon_s)
-        return [t for t, _ in events], [kind for _, kind in events]
+        """The arrivals before horizon_s, as a list of times and a list of kinds."""
+        n = bisect_left(self.times, horizon_s)
+        return list(self.times[:n]), list(self.kinds[:n])
 
 
 @dataclass(frozen=True)
 class PoissonArrivals:
+    """Arrivals of kind "default" whose gaps are exponential draws at
+    rate_per_s from one `random.Random(seed)`."""
+
     rate_per_s: float
     seed: int = 0
-    kinds: tuple[str, ...] = ("default",)
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.rate_per_s) and self.rate_per_s > 0):
             raise ValidationFailure(f"Poisson rate must be a finite number > 0, got {self.rate_per_s}")
-        if not self.kinds:
-            raise ValidationFailure("PoissonArrivals needs at least one kind")
 
     def materialize(self, horizon_s: float) -> list[tuple[float, str]]:
         """The arrivals before horizon_s, as (time_s, kind) in time order."""
         return list(zip(*self.columns(horizon_s)))
 
     def columns(self, horizon_s: float) -> tuple[list[float], list[str]]:
-        """The arrivals before horizon_s, as a list of times and a list of kinds.
-
-        The gaps are exponential draws from one `random.Random(seed)`; with
-        several kinds, each arrival's kind is a `choice` drawn between its
-        time and the next gap.
-        """
+        """The arrivals before horizon_s, as a list of times and a list of kinds."""
         if self.rate_per_s * horizon_s > MAX_EXPECTED_ARRIVALS:
             raise ValidationFailure(
                 f"Poisson rate {self.rate_per_s}/s over {horizon_s} s expects more than "
@@ -164,22 +163,14 @@ class PoissonArrivals:
         rng = random.Random(self.seed)
         # each gap is Random.expovariate(rate) as CPython 3.10-3.13 computes
         # it, written out: the method call costs more than the arithmetic
-        uniform, log, rate, kinds = rng.random, math.log, self.rate_per_s, self.kinds
+        uniform, log, rate = rng.random, math.log, self.rate_per_s
         times: list[float] = []
         add_time = times.append
         t = -log(1.0 - uniform()) / rate
-        if len(kinds) == 1:
-            while t < horizon_s:
-                add_time(t)
-                t += -log(1.0 - uniform()) / rate
-            return times, [kinds[0]] * len(times)
-        drawn: list[str] = []
-        add_kind, choice = drawn.append, rng.choice
         while t < horizon_s:
             add_time(t)
-            add_kind(choice(kinds))
             t += -log(1.0 - uniform()) / rate
-        return times, drawn
+        return times, ["default"] * len(times)
 
 
 @dataclass(frozen=True)
@@ -249,9 +240,6 @@ class ExecLookupTable:
 
     def latency_ms(self, b: int, f: int) -> float:
         return self.entries[(b, f)][0]
-
-    def energy_j(self, b: int, f: int) -> float:
-        return self.entries[(b, f)][1]
 
     def scales(self, k: int) -> tuple[float, float]:
         return self.concurrency[k]

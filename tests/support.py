@@ -70,7 +70,6 @@ from edcarb.runtime_sim import (
     ExecLookupTable,
     LlmVariant,
     LogEvent,
-    PoissonArrivals,
     SimConfig,
     SimReport,
     StepSample,
@@ -601,7 +600,7 @@ def brute_force_batch(queue_len, table, deadline_ms, wait_ms, freq_idx):
     ]
     if not feasible:
         return 1
-    return min(feasible, key=lambda b: (table.energy_j(b, freq_idx) / b, -b))
+    return min(feasible, key=lambda b: (table.entries[(b, freq_idx)][1] / b, -b))
 
 
 def brute_force_frequency(batch, table, deadline_ms, wait_ms):
@@ -641,29 +640,38 @@ LLM_VARIANTS = (
 )
 
 
-def reference_poisson_arrivals(model: PoissonArrivals, horizon_s: float) -> list[tuple[float, str]]:
-    """The (time_s, kind) arrivals of `model` before horizon_s, drawn by
-    `random.Random.expovariate` and, with more than one kind, a `choice`
-    between an arrival's time and the next gap."""
-    rng = random.Random(model.seed)
-    events = []
-    t = rng.expovariate(model.rate_per_s)
+def reference_poisson_arrivals(
+    rate_per_s: float, seed: int, horizon_s: float, kinds: tuple[str, ...] = ("default",)
+) -> tuple[tuple[float, ...], tuple[str, ...]]:
+    """Poisson arrivals before horizon_s as two columns, their times and
+    their kinds. The gaps are `random.Random(seed).expovariate(rate_per_s)`
+    draws; with more than one kind, each arrival's kind is a `choice` drawn
+    between its time and the next gap. One kind gives the draws of
+    `PoissonArrivals(rate_per_s, seed)`."""
+    rng = random.Random(seed)
+    times, drawn = [], []
+    t = rng.expovariate(rate_per_s)
     while t < horizon_s:
-        kind = model.kinds[0] if len(model.kinds) == 1 else rng.choice(model.kinds)
-        events.append((t, kind))
-        t += rng.expovariate(model.rate_per_s)
-    return events
+        times.append(t)
+        drawn.append(kinds[0] if len(kinds) == 1 else rng.choice(kinds))
+        t += rng.expovariate(rate_per_s)
+    return tuple(times), tuple(drawn)
 
 
 def random_queue_scenario(rng: random.Random, mode: str):
-    """A seeded batch or llm run: (config, trace, arrivals, run_simulation keywords).
+    """A seeded batch or llm run: (config, trace, arrival columns,
+    run_simulation keywords).
 
-    The Poisson rate is a multiple of a service rate of the mode, from nearly
-    idle to several times overload, and the horizon is cut so that about
-    1,500 requests arrive at most. p_min_w is drawn around the least power
-    one dispatch draws; in batch mode a draw under it power-gates the queue
-    whenever the threshold falls to p_min_w (in llm mode no variant could be
-    selected there, so its draws stay at or above it).
+    The arrivals are the two columns of `reference_poisson_arrivals`, with
+    one to three kinds; they are not a `TraceArrivals`, so that
+    `tools/library_digest.py` can pass them to any version of the library
+    through an arrivals CSV. The Poisson rate is a multiple of a service rate
+    of the mode, from nearly idle to several times overload, and the horizon
+    is cut so that about 1,500 requests arrive at most. p_min_w is drawn
+    around the least power one dispatch draws; in batch mode a draw under it
+    power-gates the queue whenever the threshold falls to p_min_w (in llm
+    mode no variant could be selected there, so its draws stay at or above
+    it).
     """
     tokens = rng.choice((16, 64))
     if mode == "batch":
@@ -683,7 +691,8 @@ def random_queue_scenario(rng: random.Random, mode: str):
     horizon = min(rng.uniform(10.0, 40.0), 1500.0 / rate)
     ci = [rng.uniform(50.0, 600.0) for _ in range(rng.randint(1, 6))]
     trace = CiTrace(tuple((i * horizon / len(ci), c) for i, c in enumerate(ci)), horizon_s=horizon)
-    arrivals = PoissonArrivals(rate, seed=rng.randrange(2**16), kinds=tuple("abc"[: rng.randint(1, 3)]))
+    seed = rng.randrange(2**16)
+    arrivals = reference_poisson_arrivals(rate, seed, horizon, tuple("abc"[: rng.randint(1, 3)]))
     p_min = floor * rng.choice(factors)
     config = SimConfig(
         mode=mode,
@@ -718,7 +727,7 @@ def reference_simulation(
     mode = config.mode
     ci_min = min(ci for _, ci in trace.samples)
     ci_max = max(ci for _, ci in trace.samples)
-    events = [] if mode == "mapping" else arrivals.materialize(config.horizon_s)
+    events = [] if mode == "mapping" else list(zip(*arrivals.columns(config.horizon_s)))
     arrival_times = [a for a, _ in events]
     log, steps = [], []
     threshold, ci_ref, llm, flow = config.p_max_w, None, None, None

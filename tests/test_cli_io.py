@@ -402,7 +402,7 @@ def test_load_arrivals(tmp_path):
     path = tmp_path / "arrivals.csv"
     path.write_text("time_s,kind\n0.5,default\n1.5,vision\n")
     arrivals = load_arrivals(path)
-    assert arrivals.events == ((0.5, "default"), (1.5, "vision"))
+    assert (arrivals.times, arrivals.kinds) == ((0.5, 1.5), ("default", "vision"))
 
 
 def test_single_sample_trace_covers_everything(tmp_path):
@@ -1145,6 +1145,22 @@ def test_cli_simulate_bad_poisson_rate_is_validation(demo_copy, tmp_path, capsys
     )
     assert rc == 2
     assert capsys.readouterr().err.splitlines()[0].startswith("error[VALIDATION]: ")
+
+
+def test_cli_simulate_header_only_arrivals_is_an_empty_run(demo_copy, tmp_path):
+    arrivals = demo_copy / "empty.csv"
+    arrivals.write_text("time_s,kind\n")
+    rc = cli.main(
+        [
+            "simulate", "--config", str(demo_copy / "demo.json"),
+            "--trace", str(demo_copy / "ci_trace.csv"),
+            "--arrivals", str(arrivals), "--out", str(tmp_path / "o"),
+        ]
+    )
+    assert rc == 0
+    report = json.loads((tmp_path / "o" / "sim_report.json").read_text())
+    assert report["arrivals_total"] == 0
+    assert report["inferences_done"] == 0
 
 
 def test_cli_simulate_negative_arrival_time_is_validation(demo_copy, tmp_path, capsys):

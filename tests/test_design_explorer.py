@@ -82,14 +82,14 @@ def in_space(chromosome: AcceleratorConfig, space: DesignSpace) -> bool:
 
 def test_exact_multiplier_always_accuracy_feasible():
     space = make_space(multipliers=(EXACT_MULT,))
-    design = evaluate(first_chromosome(space), make_workload(), space)
+    design = evaluate(first_chromosome(space), make_workload(), space, CostTables())
     assert design.feasible
     assert design.cdp_kg_s == pytest.approx(design.embodied_kg * design.latency_s)
 
 
 def test_lossy_multiplier_infeasible_under_default_threshold():
     space = make_space(multipliers=(BAD_MULT,))
-    design = evaluate(first_chromosome(space), make_workload(), space)
+    design = evaluate(first_chromosome(space), make_workload(), space, CostTables())
     assert not design.feasible
     assert design.infeasibility_reason == "accuracy"
     assert design.cdp_kg_s == math.inf
@@ -97,7 +97,7 @@ def test_lossy_multiplier_infeasible_under_default_threshold():
 
 def test_area_cap_infeasibility_reason():
     space = make_space(multipliers=(EXACT_MULT,), max_area_cm2=1e-9)
-    design = evaluate(first_chromosome(space), make_workload(), space)
+    design = evaluate(first_chromosome(space), make_workload(), space, CostTables())
     assert not design.feasible
     assert design.infeasibility_reason == "area"
 
@@ -106,8 +106,9 @@ def test_bigger_global_buffer_trades_latency_for_carbon():
     # memory-bound workload: large traffic, narrow DRAM bus
     space = make_space(b_global_values=(512, 10**6), dram_bytes_per_cycle=1.0)
     workload = make_workload(3)
-    small = evaluate(AcceleratorConfig(4, 4, 64, 512, Dataflow.WEIGHT_STATIONARY, EXACT_MULT), workload, space)
-    big = evaluate(AcceleratorConfig(4, 4, 64, 10**6, Dataflow.WEIGHT_STATIONARY, EXACT_MULT), workload, space)
+    tables = CostTables()
+    small = evaluate(AcceleratorConfig(4, 4, 64, 512, Dataflow.WEIGHT_STATIONARY, EXACT_MULT), workload, space, tables)
+    big = evaluate(AcceleratorConfig(4, 4, 64, 10**6, Dataflow.WEIGHT_STATIONARY, EXACT_MULT), workload, space, tables)
     assert big.latency_s <= small.latency_s
     assert big.embodied_kg >= small.embodied_kg
 
@@ -151,7 +152,7 @@ def test_search_evaluator_matches_the_direct_model(stacking):
             infeasibility_reason="+".join(why) if why else None,
         )
         assert evaluate(c, workload, space, tables) == expected
-        assert evaluate(c, workload, space) == expected
+        assert evaluate(c, workload, space, CostTables()) == expected
         reasons.add(expected.infeasibility_reason)
     assert reasons == {None, "accuracy", "area", "accuracy+area"}
     assert len(tables.latency_s) < len(tables.embodied) < space.size
@@ -269,7 +270,7 @@ def test_singleton_space_found_in_first_generation():
         dataflows=(Dataflow.WEIGHT_STATIONARY,), multipliers=(EXACT_MULT,),
     )
     result = run_ga(space, GaParams(population_size=4, generations=3, rng_seed=0), make_workload())
-    only = evaluate(first_chromosome(space), make_workload(), space)
+    only = evaluate(first_chromosome(space), make_workload(), space, CostTables())
     assert result.best.chromosome == only.chromosome
     assert len(result.history) == 3  # one entry per generation
     assert result.history[0].best_fitness == pytest.approx(only.cdp_kg_s)
@@ -396,7 +397,7 @@ def test_exhaustive_delay_fitness_ignores_carbon():
     workload = make_workload()
     fastest = exhaustive_search(space, workload, fitness="delay")
     for chromosome in chromosomes(space):
-        design = evaluate(chromosome, workload, space)
+        design = evaluate(chromosome, workload, space, CostTables())
         if design.feasible:
             assert fastest.latency_s <= design.latency_s
 
@@ -448,7 +449,7 @@ def test_exhaustive_search_returns_what_enumeration_returns(fitness, stacking):
         if expected is NoFeasibleDesign:
             infeasible += 1
         else:
-            fits = [_fitness_of(evaluate(c, workload, space), fitness) for c in chromosomes(space)]
+            fits = [_fitness_of(evaluate(c, workload, space, CostTables()), fitness) for c in chromosomes(space)]
             tied += fits.count(min(fits)) > 1
     # the draws must reach the tie rule and the all-infeasible refusal
     assert tied >= 10 and infeasible >= 2
@@ -576,14 +577,15 @@ def brute_force_front(designs):
 
 def test_pareto_single_design():
     space = make_space()
-    design = evaluate(first_chromosome(space), make_workload(), space)
+    design = evaluate(first_chromosome(space), make_workload(), space, CostTables())
     assert pareto_front([design], space) == [design]
 
 
 def test_pareto_two_non_dominating():
     space = make_space()
-    a = evaluate(AcceleratorConfig(2, 2, 64, 4096, Dataflow.WEIGHT_STATIONARY, EXACT_MULT), make_workload(), space)
-    b = evaluate(AcceleratorConfig(8, 8, 256, 65536, Dataflow.WEIGHT_STATIONARY, EXACT_MULT), make_workload(), space)
+    workload, tables = make_workload(), CostTables()
+    a = evaluate(AcceleratorConfig(2, 2, 64, 4096, Dataflow.WEIGHT_STATIONARY, EXACT_MULT), workload, space, tables)
+    b = evaluate(AcceleratorConfig(8, 8, 256, 65536, Dataflow.WEIGHT_STATIONARY, EXACT_MULT), workload, space, tables)
     assert not _dominates(a, b) and not _dominates(b, a)
     front = pareto_front([a, b], space)
     assert set((d.chromosome for d in front)) == {a.chromosome, b.chromosome}
@@ -593,7 +595,7 @@ def test_pareto_matches_pairwise_dominance_oracle():
     space = make_space()
     workload = make_workload()
     rng = random.Random(17)
-    designs = [evaluate(space.random_chromosome(rng), workload, space) for _ in range(100)]
+    designs = [evaluate(space.random_chromosome(rng), workload, space, CostTables()) for _ in range(100)]
     front = pareto_front(designs, space)
     oracle = brute_force_front(designs)
     assert {d.chromosome for d in front} == {d.chromosome for d in oracle}
@@ -603,7 +605,7 @@ def test_pareto_front_contains_cdp_optimum():
     space = make_space()
     workload = make_workload()
     optimum = exhaustive_search(space, workload)
-    designs = [evaluate(c, workload, space) for c in chromosomes(space)]
+    designs = [evaluate(c, workload, space, CostTables()) for c in chromosomes(space)]
     front = pareto_front(designs, space)
     assert any(d.chromosome == optimum.chromosome for d in front)
 
@@ -614,7 +616,7 @@ def test_pareto_front_does_not_depend_on_input_order():
     twin = MultiplierVariant("exact_twin", EXACT_MULT.area_mm2, EXACT_MULT.accuracy_drop_pct)
     space = make_space(multipliers=(EXACT_MULT, APX_MULT, twin))
     workload = make_workload()
-    designs = [evaluate(c, workload, space) for c in chromosomes(space)]
+    designs = [evaluate(c, workload, space, CostTables()) for c in chromosomes(space)]
     front = pareto_front(designs, space)
     ties = [(a, b) for a, b in zip(front, front[1:]) if (a.embodied_kg, a.latency_s) == (b.embodied_kg, b.latency_s)]
     assert ties and all(space.index_key(a.chromosome) < space.index_key(b.chromosome) for a, b in ties)

@@ -143,39 +143,37 @@ def test_ci_at_matches_a_linear_scan_reference():
 
 def test_poisson_arrivals_deterministic_and_bounded():
     model = PoissonArrivals(rate_per_s=5.0, seed=11)
-    first = model.materialize(30.0)
-    second = model.materialize(30.0)
-    assert first == second
-    assert all(0 <= t < 30.0 for t, _ in first)
-    assert len(first) > 50  # ~150 expected
+    times, kinds = model.columns(30.0)
+    assert model.columns(30.0) == (times, kinds)
+    assert all(0 <= t < 30.0 for t in times)
+    assert len(times) > 50  # ~150 expected
+    assert kinds == ["default"] * len(times)
 
 
 @pytest.mark.parametrize("rate, horizon", [(1e6, 7200.0), (1.0, math.inf)])
 def test_poisson_refuses_more_expected_arrivals_than_the_cap(rate, horizon):
     # both would build billions of arrivals, or never stop, before the cap
     with pytest.raises(ValidationFailure, match="expects more than"):
-        PoissonArrivals(rate_per_s=rate).materialize(horizon)
+        PoissonArrivals(rate_per_s=rate).columns(horizon)
 
 
-@pytest.mark.parametrize("kinds", [("default",), ("a", "b", "c")], ids=["one-kind", "three-kinds"])
+@pytest.mark.parametrize("kinds", [("default",)], ids=["one-kind"])
 def test_poisson_draws_match_the_reference_loop(kinds):
     horizon = 90.0
     for seed in (0, 1, 7, 65535):
         for rate in (0.05, 3.0, 41.7):
-            model = PoissonArrivals(rate_per_s=rate, seed=seed, kinds=kinds)
-            expected = reference_poisson_arrivals(model, horizon)
-            assert model.materialize(horizon) == expected
+            model = PoissonArrivals(rate_per_s=rate, seed=seed)
+            times, drawn = reference_poisson_arrivals(rate, seed, horizon, kinds)
             # the two columns the simulator reads, from either arrival model
-            columns = ([t for t, _ in expected], [kind for _, kind in expected])
+            columns = (list(times), list(drawn))
             assert model.columns(horizon) == columns
-            assert TraceArrivals(tuple(expected)).columns(horizon) == columns
-            if rate == 41.7:
-                assert {kind for _, kind in expected} == set(kinds)
+            assert TraceArrivals(times, drawn).columns(horizon) == columns
+            assert model.materialize(horizon) == list(zip(times, drawn))
 
 
 def test_trace_arrivals_must_be_sorted():
     with pytest.raises(ValidationFailure):
-        TraceArrivals(events=((2.0, "a"), (1.0, "a")))
+        TraceArrivals((2.0, 1.0), ("a", "a"))
 
 
 @pytest.mark.parametrize("first", [-5.0, -1e-300, math.nan])
@@ -183,7 +181,26 @@ def test_trace_arrivals_refuse_times_before_the_run(first):
     # an arrival before t=0 would be served as having waited since before
     # the run began
     with pytest.raises(ValidationFailure, match=">= 0"):
-        TraceArrivals(events=((first, "a"), (1.0, "a"), (2.0, "b")))
+        TraceArrivals((first, 1.0, 2.0), ("a", "a", "b"))
+
+
+@pytest.mark.parametrize("kinds", [("a",), ("a", "b", "c")], ids=["fewer", "more"])
+def test_trace_arrivals_refuse_columns_of_unequal_length(kinds):
+    with pytest.raises(ValidationFailure, match="2 arrival times but"):
+        TraceArrivals((0.5, 1.0), kinds)
+
+
+def test_trace_arrival_columns_stop_before_the_horizon():
+    # arrivals exactly at the horizon are left out, ties included, and so
+    # are the ones after it; every one before it is kept
+    arrivals = TraceArrivals((0.0, 1.0, 2.0, 2.0, 3.0, 3.0, 4.0), tuple("abcdefg"))
+    assert arrivals.columns(3.0) == ([0.0, 1.0, 2.0, 2.0], ["a", "b", "c", "d"])
+    assert arrivals.columns(2.0) == ([0.0, 1.0], ["a", "b"])
+    assert arrivals.columns(0.0) == ([], [])
+    assert arrivals.columns(2.5) == ([0.0, 1.0, 2.0, 2.0], ["a", "b", "c", "d"])
+    assert arrivals.columns(math.inf) == (list(arrivals.times), list(arrivals.kinds))
+    # lists, as the dispatch log's arrivals are slices of the times
+    assert all(type(column) is list for column in arrivals.columns(3.0))
 
 
 @pytest.mark.parametrize("rate", [math.inf, math.nan, 0.0, -1.0])
@@ -453,7 +470,7 @@ def test_llm_variant_order_validation():
 def test_zero_arrivals_zero_idle_power_is_all_zero():
     config = batch_config(idle_power_w=0.0)
     report = run_simulation(
-        config, flat_trace(250.0, 120.0), TraceArrivals(()), table=TWO_FREQ_TABLE
+        config, flat_trace(250.0, 120.0), TraceArrivals((), ()), table=TWO_FREQ_TABLE
     )
     assert report.total_energy_kwh == 0.0
     assert report.operational_g == 0.0
@@ -465,7 +482,7 @@ def test_constant_ci_constant_power_closed_form():
     # idle-only run: constant 2 W for 2 hours at 300 g/kWh -> 300 * 0.002 * 2 g
     config = batch_config(idle_power_w=2.0, horizon_s=7200.0)
     report = run_simulation(
-        config, flat_trace(300.0, 7200.0), TraceArrivals(()), table=TWO_FREQ_TABLE
+        config, flat_trace(300.0, 7200.0), TraceArrivals((), ()), table=TWO_FREQ_TABLE
     )
     assert report.total_energy_kwh == pytest.approx(2.0 * 7200.0 / J_PER_KWH, rel=1e-9)
     assert report.operational_g == pytest.approx(300.0 * 2.0 * 7200.0 / J_PER_KWH, rel=1e-9)
@@ -474,7 +491,7 @@ def test_constant_ci_constant_power_closed_form():
 def test_trace_exhausted():
     config = batch_config(horizon_s=100.0)
     with pytest.raises(TraceExhausted):
-        run_simulation(config, flat_trace(100.0, 50.0), TraceArrivals(()), table=TWO_FREQ_TABLE)
+        run_simulation(config, flat_trace(100.0, 50.0), TraceArrivals((), ()), table=TWO_FREQ_TABLE)
 
 
 def assert_totals_recompute_from_log(report) -> None:
@@ -513,7 +530,7 @@ def test_power_gated_requests_stay_queued_until_the_threshold_rises():
     assert len(served) == report.inferences_done
     # requests held through the first high quarter are served once CI falls;
     # those of the last one are still queued at the horizon
-    arrived = [t for t, _ in arrivals.materialize(config.horizon_s)]
+    arrived = arrivals.columns(config.horizon_s)[0]
     assert any(15.0 <= a < 30.0 for a in arrived)
     assert sorted(served) == [a for a in arrived if a < 45.0]
     assert_totals_recompute_from_log(report)
@@ -524,7 +541,7 @@ def test_report_accounts_for_requests_queued_at_the_horizon():
     config = batch_config(p_min_w=4.0)
     arrivals = PoissonArrivals(rate_per_s=3.0, seed=7)
     report = run_simulation(config, two_level_trace(100.0, 500.0, 60.0), arrivals, table=TWO_FREQ_TABLE)
-    arrived = [t for t, _ in arrivals.materialize(config.horizon_s)]
+    arrived = arrivals.columns(config.horizon_s)[0]
     assert report.arrivals_total == len(arrived)
     assert report.backlog_at_horizon == sum(1 for a in arrived if a >= 45.0) > 0
     assert report.arrivals_total == report.inferences_done + report.backlog_at_horizon
@@ -539,7 +556,7 @@ def test_stream_count_follows_the_queued_kinds(kinds):
     # every request arrives at t=0; two streams beat one in this table
     # (1.8 / 1.5 > 1), but only while two kinds are queued. No batch meets
     # the 30 ms deadline, so each stream serves one request per dispatch.
-    arrivals = TraceArrivals(tuple((0.0, kind) for kind in kinds))
+    arrivals = TraceArrivals((0.0,) * len(kinds), tuple(kinds))
     config = batch_config(idle_power_w=0.0, horizon_s=10.0, deadline_ms=30.0)
     report = run_simulation(config, flat_trace(250.0, 10.0), arrivals, table=TWO_FREQ_TABLE)
     assert report.inferences_done == len(kinds)
@@ -620,7 +637,7 @@ def reference_capped_frequency(
     fits = [
         f
         for f in range(table.n_freqs)
-        if sum(table.energy_j(b, f) for b in batches) * 1000.0
+        if sum(table.entries[(b, f)][1] for b in batches) * 1000.0
         / sum(table.latency_ms(b, f) for b in batches)
         * p_scale
         <= cap_w
@@ -641,7 +658,7 @@ def test_capped_dispatches_match_the_reference_frequency_on_random_runs():
             {(b, order[f]): cost for (b, f), cost in table.entries.items()}, table.concurrency
         )
         top = table.n_freqs - 1
-        top_powers = [table.energy_j(b, top) * 1000.0 / table.latency_ms(b, top) for b in table.batch_sizes]
+        top_powers = [table.entries[(b, top)][1] * 1000.0 / table.latency_ms(b, top) for b in table.batch_sizes]
         # p_max_w lies between the lowest and the highest top-frequency power
         # of one batch, and p_min_w under the lowest: the cap often forces a
         # frequency other than the one the deadline asks for, or gates
@@ -656,10 +673,9 @@ def test_capped_dispatches_match_the_reference_frequency_on_random_runs():
         trace = CiTrace(
             samples=tuple((float(t), rng.uniform(50.0, 500.0)) for t in [0, *times]), horizon_s=20.0
         )
-        arrivals = PoissonArrivals(
-            rate_per_s=rng.uniform(5.0, 40.0), seed=rng.randrange(1000), kinds=("a", "b", "c")
-        )
-        arrival_times = [t for t, _ in arrivals.materialize(config.horizon_s)]
+        rate, seed = rng.uniform(5.0, 40.0), rng.randrange(1000)
+        arrivals = TraceArrivals(*reference_poisson_arrivals(rate, seed, config.horizon_s, ("a", "b", "c")))
+        arrival_times = arrivals.columns(config.horizon_s)[0]
         report = run_simulation(config, trace, arrivals, table=table)
         threshold = None
         served = 0
@@ -796,7 +812,7 @@ def test_remap_only_on_hysteresis_triggers():
     trace = CiTrace(samples=samples, horizon_s=60.0)
     for policy, expected_times in (("adaptive", [0.0, 40.0, 50.0]), ("static", [0.0])):
         config = batch_config(horizon_s=60.0, idle_power_w=0.1, policy=policy)
-        report = run_simulation(config, trace, TraceArrivals(()), table=TWO_FREQ_TABLE)
+        report = run_simulation(config, trace, TraceArrivals((), ()), table=TWO_FREQ_TABLE)
         assert [t for t, _, _ in logged_adapts(report)] == expected_times
         assert logged_adapts(report) == reference_adapts(config, trace)
 
@@ -815,7 +831,7 @@ def test_remap_only_on_hysteresis_triggers():
             policy=rng.choice(["adaptive", "static"]),
             hysteresis_fraction=rng.uniform(0.0, 0.4),
         )
-        report = run_simulation(config, trace, TraceArrivals(()), table=TWO_FREQ_TABLE)
+        report = run_simulation(config, trace, TraceArrivals((), ()), table=TWO_FREQ_TABLE)
         adapts = logged_adapts(report)
         assert adapts == reference_adapts(config, trace)
         changes += len(adapts) - 1
@@ -875,11 +891,11 @@ def test_llm_mode_ignores_the_request_kinds():
     # the same arrival times under one kind and under interleaved kinds; the
     # run is overloaded and moves between variants, and some requests miss
     # their deadline
-    times = [t for t, _ in PoissonArrivals(rate_per_s=2.0, seed=3).materialize(60.0)]
+    times = tuple(PoissonArrivals(rate_per_s=2.0, seed=3).columns(60.0)[0])
     reports = [
         run_simulation(
             llm_config(deadline_ms=3000.0), two_level_trace(100.0, 500.0, 60.0),
-            TraceArrivals(tuple((t, labels[i % len(labels)]) for i, t in enumerate(times))),
+            TraceArrivals(times, tuple(labels[i % len(labels)] for i in range(len(times)))),
             llm_variants=LLM_VARIANTS,
         )
         for labels in (("a",), ("a", "b", "c"), ("b", "b", "a"))

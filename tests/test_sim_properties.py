@@ -11,12 +11,12 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from edcarb.runtime_sim import (  # noqa: E402
     CiTrace,
-    PoissonArrivals,
     SimConfig,
+    TraceArrivals,
     run_simulation,
 )
 
-from support import LLM_VARIANTS, random_exec_table  # noqa: E402
+from support import LLM_VARIANTS, random_exec_table, reference_poisson_arrivals  # noqa: E402
 
 LLM_FLOOR_W = 5.0  # the lowest power any variant draws
 
@@ -28,11 +28,9 @@ def scenarios(draw):
     ci = draw(st.lists(st.floats(50.0, 600.0), min_size=1, max_size=6))
     span = horizon / len(ci)
     trace = CiTrace(samples=tuple((i * span, c) for i, c in enumerate(ci)), horizon_s=horizon)
-    arrivals = PoissonArrivals(
-        rate_per_s=draw(st.floats(0.5, 60.0)),
-        seed=draw(st.integers(0, 2**16)),
-        kinds=tuple("abc"[: draw(st.integers(1, 3))]),
-    )
+    rate, seed = draw(st.floats(0.5, 60.0)), draw(st.integers(0, 2**16))
+    kinds = tuple("abc"[: draw(st.integers(1, 3))])
+    arrivals = TraceArrivals(*reference_poisson_arrivals(rate, seed, horizon, kinds))
     if mode == "batch":
         table = random_exec_table(random.Random(draw(st.integers(0, 2**16))))
         # the least power any single dispatch can draw; a p_min_w under it
@@ -65,7 +63,7 @@ def scenarios(draw):
 def test_every_arrival_is_served_or_queued_at_the_horizon(scenario):
     config, trace, arrivals, kwargs = scenario
     report = run_simulation(config, trace, arrivals, **kwargs)
-    assert report.arrivals_total == len(arrivals.materialize(config.horizon_s))
+    assert report.arrivals_total == len(arrivals.times)
     assert report.arrivals_total == report.inferences_done + report.backlog_at_horizon
     served = [a for ev in report.decision_log if ev.kind == "dispatch" for a in ev.detail["arrivals"]]
     assert len(served) == report.inferences_done

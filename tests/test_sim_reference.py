@@ -3,8 +3,7 @@
 `support.reference_simulation` re-runs a simulation in one loop and shares
 only the tested policy functions with the library. Counts and decision logs
 must be equal and every total and step sample bit-equal, on seeded batch,
-llm and mapping runs. The file imports only names that have been stable
-across versions of the library, so it also runs against an older tree.
+llm and mapping runs.
 """
 
 import random
@@ -31,7 +30,8 @@ def test_queue_modes_match_the_reference_simulator(mode):
     rng = random.Random(2)
     seen = Counter()
     for _ in range(30):
-        config, trace, arrivals, kwargs = random_queue_scenario(rng, mode)
+        config, trace, columns, kwargs = random_queue_scenario(rng, mode)
+        arrivals = TraceArrivals(*columns)
         report = run_simulation(config, trace, arrivals, **kwargs)
         assert_same_run(report, reference_simulation(config, trace, arrivals, **kwargs))
         logged = {ev.kind for ev in report.decision_log}
@@ -67,11 +67,11 @@ def test_arrivals_at_one_instant_and_at_a_completion_match_the_reference(mode, k
     kwargs = {"llm_variants": LLM_VARIANTS} if mode == "llm" else {"table": TIE_TABLE}
     # with two kinds, the first arrival at each instant is the only one of its kind
     instants = (0.25, 0.25, 0.25, 0.25, 1.0, 1.0, 2.5, 2.5, 2.5)
-    events = [(at, kinds[-1] if at not in instants[:i] else kinds[0]) for i, at in enumerate(instants)]
-    first = run_simulation(config, trace, TraceArrivals(tuple(events)), **kwargs)
+    labels = tuple(kinds[-1] if at not in instants[:i] else kinds[0] for i, at in enumerate(instants))
+    first = run_simulation(config, trace, TraceArrivals(instants, labels), **kwargs)
     completion = next(ev.detail["completion_s"] for ev in first.decision_log if ev.kind == "dispatch")
-    tied = sorted(events + [(completion, kinds[-1]), (completion, kinds[0])], key=lambda event: event[0])
-    arrivals = TraceArrivals(tuple(tied))
+    tied = sorted(zip(instants + (completion, completion), labels + (kinds[-1], kinds[0])), key=lambda a: a[0])
+    arrivals = TraceArrivals(tuple(t for t, _ in tied), tuple(kind for _, kind in tied))
     report = run_simulation(config, trace, arrivals, **kwargs)
     assert_same_run(report, reference_simulation(config, trace, arrivals, **kwargs))
     dispatches = [ev for ev in report.decision_log if ev.kind == "dispatch"]

@@ -37,7 +37,9 @@ same inputs:
   rates from nearly idle to four times a service rate of the mode, both
   policies, idle power on and off, and ``p_min_w`` draws under the least
   power of one batch dispatch, so that some steps are power-gated. Before
-  these cases only the ``sim-load`` scenarios ran the queue step;
+  these cases only the ``sim-load`` scenarios ran the queue step. The
+  scenario's arrivals are columns of one to three kinds, and each run
+  reads them from an arrivals CSV (see below);
 - ``select_variants`` (``select.random``) on 60 cases (seed 13), each with
   2-3 variant sets of 1-3 variants. The variants come from
   ``support.random_scheduler_instance`` draws of 4 layers, the j-th of a
@@ -64,13 +66,13 @@ same inputs:
 - batch and llm ``run_simulation`` (``sim.arrivals``) on 20
   ``support.random_queue_scenario`` draws (seed 19), the two modes in
   turn, each stretched to about 400 of the mode's slowest service times
-  and with its Poisson arrivals replaced by ``TraceArrivals`` in four
-  windows. In the first three quarters of a window only kind ``a``
-  arrives, at a tenth of that service rate; in the last quarter kinds
-  ``a``, ``b`` and ``c`` arrive at two to eight times it. So the queue
-  overloads in each burst, and each run ends in one. In most runs ``b``
-  and ``c`` drain from the queue between bursts and come back with the
-  next one.
+  and with its Poisson arrivals replaced by arrivals in four windows,
+  read from an arrivals CSV. In the first three quarters of a window only
+  kind ``a`` arrives, at a tenth of that service rate; in the last quarter
+  kinds ``a``, ``b`` and ``c`` arrive at two to eight times it. So the
+  queue overloads in each burst, and each run ends in one. In most runs
+  ``b`` and ``c`` drain from the queue between bursts and come back with
+  the next one.
 - ``run_ga`` (``explore.ga``) with one GA setting at a bound
   (``support.ga_extremes``: elitism 0 and population - 1, tournament size 1
   and above the population, crossover and mutation rates of 0 and 1), for
@@ -86,7 +88,10 @@ same inputs:
   runs at 1 GHz, so only these cases show the clock reaching latency.
 
 Cases are listed in the order above; a new kind of case is added at the
-end, so the older ones keep their inputs.
+end, so the older ones keep their inputs. Explicit arrivals reach the
+library only through ``cli_io.load_arrivals``, on a CSV whose times are
+written with ``repr`` and so read back exactly: the loader's signature is
+the same on every tree, while ``TraceArrivals``'s constructor need not be.
 
 Each line is a case name and the SHA-256 of the ``repr`` of a projection of
 its result, or ``raises <ExceptionType>`` when the call raises. The
@@ -123,6 +128,7 @@ import dataclasses
 import hashlib
 import random
 import sys
+import tempfile
 import types
 from pathlib import Path
 
@@ -153,6 +159,15 @@ def _case(name: str, project, fn, *args, **kwargs):
         return None
     print(f"{name} {digest}")
     return value
+
+
+def _csv_arrivals(cli_io, times, kinds):
+    """The arrivals of these columns, as ``cli_io.load_arrivals`` reads them
+    from a CSV written to a temporary directory."""
+    with tempfile.TemporaryDirectory(prefix="edcarb-digest-") as tmp:
+        path = Path(tmp) / "arrivals.csv"
+        path.write_text("time_s,kind\n" + "".join(f"{t!r},{kind}\n" for t, kind in zip(times, kinds)))
+        return cli_io.load_arrivals(path)
 
 
 def _mapping(solution) -> tuple:
@@ -261,15 +276,16 @@ def _random_simulations(support, edc_scheduler, runtime_sim) -> None:
             )
 
 
-def _random_queue_simulations(support, runtime_sim) -> None:
+def _random_queue_simulations(support, cli_io, runtime_sim) -> None:
     rng = random.Random(11)
     for i in range(60):
         mode = ("batch", "llm")[i % 2]
-        config, trace, arrivals, kwargs = support.random_queue_scenario(rng, mode)
+        config, trace, (times, kinds), kwargs = support.random_queue_scenario(rng, mode)
+        arrivals = _csv_arrivals(cli_io, times, kinds)
         _case(f"sim.queue.random.{i}.{mode}", _sim, runtime_sim.run_simulation, config, trace, arrivals, **kwargs)
 
 
-def _trace_arrival_simulations(support, runtime_sim) -> None:
+def _trace_arrival_simulations(support, cli_io, runtime_sim) -> None:
     rng = random.Random(19)
     for i in range(20):
         mode = ("batch", "llm")[i % 2]
@@ -288,15 +304,16 @@ def _trace_arrival_simulations(support, runtime_sim) -> None:
         trace = runtime_sim.CiTrace(tuple((t * stretch, ci) for t, ci in trace.samples), horizon_s=horizon)
         burst = rng.choice((2.0, 4.0, 8.0))
         window = horizon / 4.0
-        events = []
+        times, kinds = [], []
         t = 0.0
         while True:
             in_burst = t % window >= 0.75 * window
             t += rng.expovariate(service_rate * (burst if in_burst else 0.1))
             if t >= horizon:
                 break
-            events.append((t, rng.choice("abc") if t % window >= 0.75 * window else "a"))
-        arrivals = runtime_sim.TraceArrivals(tuple(events))
+            times.append(t)
+            kinds.append(rng.choice("abc") if t % window >= 0.75 * window else "a")
+        arrivals = _csv_arrivals(cli_io, times, kinds)
         _case(f"sim.arrivals.{i}.{mode}", _sim, runtime_sim.run_simulation, config, trace, arrivals, **kwargs)
 
 
@@ -426,7 +443,7 @@ def main(argv: list[str]) -> int:
     sys.path[:0] = [str(tree / "src"), str(ROOT / "perfbench"), str(ROOT / "tests")]
     import support
     import workloads
-    from edcarb import design_explorer, edc_scheduler, runtime_sim
+    from edcarb import cli_io, design_explorer, edc_scheduler, runtime_sim
     from edcarb.carbon_model import PackageKind
 
     if Path(design_explorer.__file__).resolve().parent != tree / "src" / "edcarb":
@@ -436,11 +453,11 @@ def main(argv: list[str]) -> int:
     _random_searches(support, edc_scheduler)
     _simulations(workloads, runtime_sim)
     _random_simulations(support, edc_scheduler, runtime_sim)
-    _random_queue_simulations(support, runtime_sim)
+    _random_queue_simulations(support, cli_io, runtime_sim)
     _variant_selections(support, edc_scheduler)
     _tie_searches(workloads, support, design_explorer, PackageKind)
     _many_layer_searches(support, edc_scheduler)
-    _trace_arrival_simulations(support, runtime_sim)
+    _trace_arrival_simulations(support, cli_io, runtime_sim)
     _ga_extremes(workloads, support, design_explorer, PackageKind)
     _settings_searches(workloads, design_explorer, PackageKind)
     return 0
