@@ -4,8 +4,9 @@ Covers the three quantities the design explorer trades off: silicon area
 (split across dies for 3D stacks), end-to-end workload latency under a
 per-layer roofline (compute-bound vs DRAM-bound), and the embodied carbon
 of the resulting die areas via carbon_model. One AcceleratorConfig is one
-design point and is also the design explorer's chromosome: its six genes
-only; a run's stacking, clock, DRAM width and TSV count are DesignSpace's.
+design point, its six genes only; a run's stacking, clock, DRAM width and
+TSV count are DesignSpace's. The design explorer breeds index keys, and an
+EvaluatedDesign's chromosome is the AcceleratorConfig that its key names.
 
 Every function takes the values it reads, so a search can cost each key
 without building a design: estimate_latency takes the four genes it

@@ -111,6 +111,10 @@ class PolicyParams:
     latency_constraint_ms: float = 100.0
 
     def __post_init__(self) -> None:
+        if self.accuracy_threshold_pct < 0:
+            raise ValidationFailure(
+                f"policy.accuracy_threshold_pct: must be >= 0, got {self.accuracy_threshold_pct}"
+            )
         if self.latency_constraint_ms <= 0:
             raise ValidationFailure(
                 f"policy.latency_constraint_ms: must be > 0, got {self.latency_constraint_ms}"

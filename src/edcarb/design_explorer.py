@@ -1,14 +1,14 @@
 """Genetic-algorithm search over accelerator design points.
 
-A chromosome is an AcceleratorConfig: six genes (array width and height,
-per-PE buffer, global buffer, dataflow, multiplier variant). The stacking,
-clock, DRAM width and TSV count, which every design of a search shares,
-are read from the DesignSpace alone. Fitness is the carbon-delay product
-of the evaluated design (or plain latency when emulating a delay-first
-baseline). Infeasible designs keep their metrics but carry +inf fitness so
-selection routes around them. The GA ranks on each distinct design's
-(fitness, index key), computed once when the design is first evaluated,
-and a child whose genes are its parent's is that parent, not a new design.
+A chromosome is a design's index key: the first position of each of six
+genes (array width and height, per-PE buffer, global buffer, dataflow,
+multiplier variant) in the DesignSpace's candidate lists, so equal genes are
+equal keys. The stacking, clock, DRAM width and TSV count, which every design
+of a search shares, are read from the DesignSpace alone. Fitness is the
+carbon-delay product of the evaluated design (or plain latency when emulating
+a delay-first baseline). Infeasible designs keep their metrics but carry +inf
+fitness so selection routes around them. The GA ranks on each distinct key's
+(fitness, key) and builds the key's design once, when it is first evaluated.
 
 exhaustive_search is the oracle the GA is validated against. It finds the
 true optimum without scoring each design: the cost model is separable, as
@@ -95,6 +95,8 @@ class DesignSpace:
                 raise ValidationFailure(f"{rate} must be finite and > 0")
         if self.tsv_count < 0:
             raise ValidationFailure("tsv_count must be >= 0")
+        if self.max_area_cm2 is not None and not self.max_area_cm2 > 0:
+            raise ValidationFailure(f"max_area_cm2 must be > 0, got {self.max_area_cm2}")
         # area grows with each gene and the multiplier's area, so the largest design bounds them all
         largest = (max(self.px_values), max(self.py_values), max(self.b_local_values), max(self.b_global_values))
         biggest_multiplier = max(self.multipliers, key=attrgetter("area_mm2"))
@@ -108,20 +110,25 @@ class DesignSpace:
                 index[gene].setdefault(value, i)
         object.__setattr__(self, "_genes", genes)
         object.__setattr__(self, "_gene_index", index)
-
-    def candidates(self, gene: str) -> tuple:
-        return self._genes[gene]
+        # per gene, in `_GENES` order, the index-key position of the value at each position
+        positions = tuple(tuple(map(index[gene].__getitem__, values)) for gene, values in genes.items())
+        object.__setattr__(self, "_positions", positions)
 
     @property
     def size(self) -> int:
         return math.prod(map(len, self._genes.values()))
 
     def index_key(self, c: AcceleratorConfig) -> tuple[int, ...]:
-        """Lexicographic position of a chromosome; the global tie-break order."""
+        """Each gene's first position in its candidate list; the global tie-break order."""
         return tuple(self._gene_index[g][getattr(c, g)] for g in _GENES)
 
-    def random_chromosome(self, rng: random.Random) -> AcceleratorConfig:
-        return AcceleratorConfig(*(rng.choice(self.candidates(g)) for g in _GENES))
+    def design(self, key: tuple[int, ...]) -> AcceleratorConfig:
+        """The design whose index key is `key`."""
+        return AcceleratorConfig(*(values[i] for values, i in zip(self._genes.values(), key)))
+
+    def random_chromosome(self, rng: random.Random) -> tuple[int, ...]:
+        """The index key of a design drawn uniformly, one candidate per gene."""
+        return tuple(rng.choice(positions) for positions in self._positions)
 
 
 @dataclass(frozen=True)
@@ -232,32 +239,19 @@ def _embodied_verdict(
     return embodied_kg, "+".join(reasons) if reasons else None
 
 
-def _with_genes(c: AcceleratorConfig, genes: list) -> AcceleratorConfig:
-    """The design of `genes`, in `_GENES` order; `c` itself when `genes`
-    are its own."""
-    if genes == [c.px, c.py, c.b_local, c.b_global, c.dataflow, c.multiplier]:
-        return c
-    return AcceleratorConfig(*genes)
-
-
-def crossover(a: AcceleratorConfig, b: AcceleratorConfig, rng: random.Random) -> tuple[AcceleratorConfig, ...]:
-    """Uniform crossover: each gene swaps between the children with prob 0.5.
-    A child whose genes equal its own parent's (`a` for the first, `b` for
-    the second) is that parent."""
+def crossover(a: tuple[int, ...], b: tuple[int, ...], rng: random.Random) -> tuple[tuple[int, ...], ...]:
+    """Uniform crossover of two index keys: each gene swaps between the
+    children with prob 0.5."""
     swaps = [rng.random() < 0.5 for _ in _GENES]
-    genes_a = [getattr(b if swap else a, g) for swap, g in zip(swaps, _GENES)]
-    genes_b = [getattr(a if swap else b, g) for swap, g in zip(swaps, _GENES)]
-    return _with_genes(a, genes_a), _with_genes(b, genes_b)
+    child_a = tuple(j if swap else i for swap, i, j in zip(swaps, a, b))
+    child_b = tuple(i if swap else j for swap, i, j in zip(swaps, a, b))
+    return child_a, child_b
 
 
-def mutate(c: AcceleratorConfig, rate: float, space: DesignSpace, rng: random.Random) -> AcceleratorConfig:
-    """Resample each gene from its candidate list independently with prob
-    `rate`; `c` itself when no gene changes."""
-    updates = {}
-    for gene in _GENES:
-        if rng.random() < rate:
-            updates[gene] = rng.choice(space.candidates(gene))
-    return _with_genes(c, [updates.get(g, getattr(c, g)) for g in _GENES]) if updates else c
+def mutate(key: tuple[int, ...], rate: float, space: DesignSpace, rng: random.Random) -> tuple[int, ...]:
+    """Redraw each gene of an index key independently with prob `rate`, as
+    `DesignSpace.random_chromosome` draws it."""
+    return tuple(rng.choice(positions) if rng.random() < rate else i for i, positions in zip(key, space._positions))
 
 
 def _fitness_of(design: EvaluatedDesign, fitness: str) -> float:
@@ -277,22 +271,22 @@ def run_ga(
     Returns the best feasible design seen across all generations plus a
     per-generation (best, mean) fitness history over the feasible members of
     each population. Fully deterministic for a fixed seed: all randomness is
-    drawn from one seeded stream, and evaluations are cached by chromosome.
-    Each distinct design's sort key, (fitness, index key), is computed once,
-    when it is first evaluated, and every ranking reads it from the cache.
+    drawn from one seeded stream. The population is index keys; a key's design
+    and sort key, (fitness, index key), are built once, when it is first
+    evaluated, and every ranking reads them from the cache.
     """
     if fitness not in ("cdp", "delay"):
         raise ValidationFailure(f"unknown fitness {fitness!r}")
     rng = random.Random(params.rng_seed)
-    # chromosome -> (its design, its sort key)
-    cache: dict[AcceleratorConfig, tuple[EvaluatedDesign, tuple]] = {}
+    # index key -> (its design, its sort key)
+    cache: dict[tuple[int, ...], tuple[EvaluatedDesign, tuple]] = {}
     tables = CostTables()
 
-    def eval_cached(c: AcceleratorConfig) -> tuple[EvaluatedDesign, tuple]:
-        hit = cache.get(c)
+    def eval_cached(key: tuple[int, ...]) -> tuple[EvaluatedDesign, tuple]:
+        hit = cache.get(key)
         if hit is None:
-            d = evaluate(c, workload, space, tables)
-            hit = cache[c] = (d, (_fitness_of(d, fitness), space.index_key(c)))
+            d = evaluate(space.design(key), workload, space, tables)
+            hit = cache[key] = (d, (_fitness_of(d, fitness), key))
         return hit
 
     population = [space.random_chromosome(rng) for _ in range(params.population_size)]
@@ -318,11 +312,11 @@ def run_ga(
 
         keys = [key for _, key in entries]
 
-        def tournament() -> AcceleratorConfig:
+        def tournament() -> tuple[int, ...]:
             picks = [rng.randrange(params.population_size) for _ in range(params.tournament_k)]
             return population[min(picks, key=keys.__getitem__)]
 
-        # equal keys are equal designs, so the stable sort elects what sorting the designs did
+        # equal sort keys are equal designs, so the stable sort elects what sorting the designs did
         next_pop = [population[i] for i in sorted(positions, key=keys.__getitem__)[: params.elitism_count]]
         while len(next_pop) < params.population_size:
             parent_a, parent_b = tournament(), tournament()

@@ -186,9 +186,19 @@ def make_workload(n_layers: int = 3) -> DnnWorkload:
 # ---------------------------------------------------------------------------
 
 
+_GENE_FIELDS = dict(
+    zip(_GENES, ("px_values", "py_values", "b_local_values", "b_global_values", "dataflows", "multipliers"))
+)
+
+
+def gene_values(space: DesignSpace, gene: str) -> tuple:
+    """The candidate list of `gene`, a name in `_GENES`, in `space`."""
+    return getattr(space, _GENE_FIELDS[gene])
+
+
 def chromosomes(space: DesignSpace):
-    """All chromosomes of `space` in lexicographic gene order."""
-    for values in itertools.product(*map(space.candidates, _GENES)):
+    """All designs of `space` in lexicographic gene order."""
+    for values in itertools.product(*(gene_values(space, g) for g in _GENES)):
         yield AcceleratorConfig(*values)
 
 
@@ -227,7 +237,7 @@ def _reference_mutate(c: AcceleratorConfig, rate: float, space: DesignSpace, rng
     updates = {}
     for gene in _GENES:
         if rng.random() < rate:
-            updates[gene] = rng.choice(space.candidates(gene))
+            updates[gene] = rng.choice(gene_values(space, gene))
     return AcceleratorConfig(*(updates.get(g, getattr(c, g)) for g in _GENES)) if updates else c
 
 
@@ -246,8 +256,9 @@ def ga_extremes(population_size: int) -> dict[str, dict]:
 
 
 def reference_run_ga(space: DesignSpace, params: GaParams, workload: DnnWorkload, fitness: str = "cdp") -> GaResult:
-    """The GA as a plain loop: every child a new design, the sort key of a
-    design recomputed at each ranking, the elites from sorting the designs.
+    """The GA as a plain loop over AcceleratorConfigs: every child a new
+    design, the sort key of a design recomputed at each ranking, the elites
+    from sorting the designs.
 
     Draws the same random numbers in the same order as `run_ga`, so the two
     return equal results.
@@ -268,7 +279,9 @@ def reference_run_ga(space: DesignSpace, params: GaParams, workload: DnnWorkload
     def sort_key(d: EvaluatedDesign) -> tuple:
         return (_fitness_of(d, fitness), space.index_key(d.chromosome))
 
-    population = [space.random_chromosome(rng) for _ in range(params.population_size)]
+    population = [
+        AcceleratorConfig(*(rng.choice(gene_values(space, g)) for g in _GENES)) for _ in range(params.population_size)
+    ]
     history: list[GenerationStats] = []
 
     for generation in range(1, params.generations + 1):

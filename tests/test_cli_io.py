@@ -667,6 +667,18 @@ SIMULATE = ["simulate", "--trace", "ci_trace.csv", "--arrivals", "poisson", "--p
             ["explore"],
             "area_params.sram_mm2_per_byte: must be > 0, got 0.0",
         ),
+        # bounds that leave no design feasible, refused at load and not by the search
+        *(
+            (edit, command, reason)
+            for edit, reason in (
+                (_set("design_space", "max_area_cm2", -1), "design_space: max_area_cm2 must be > 0, got -1.0"),
+                (
+                    _set("policy", "accuracy_threshold_pct", -0.5),
+                    "policy.accuracy_threshold_pct: must be >= 0, got -0.5",
+                ),
+            )
+            for command in (["explore", "--appx"], ["schedule", "--ci-now", "250"], SIMULATE)
+        ),
     ],
     ids=[
         "sim.step_s",
@@ -681,6 +693,11 @@ SIMULATE = ["simulate", "--trace", "ci_trace.csv", "--arrivals", "poisson", "--p
         "area_params.sram_mm2_per_byte",
         "area_params.sram_mm2_per_byte.zero-3d",
         "area_params.sram_mm2_per_byte.zero-planar",
+        *(
+            f"{key}-{verb}"
+            for key in ("design_space.max_area_cm2", "policy.accuracy_threshold_pct")
+            for verb in ("explore", "schedule", "simulate")
+        ),
     ],
 )
 def test_cli_refuses_out_of_range_inputs_without_a_traceback(demo_copy, tmp_path, capsys, edit, command, reason):

@@ -37,6 +37,7 @@ from support import (
     area_of,
     chromosomes,
     ga_extremes,
+    gene_values,
     latency_of,
     make_area_params,
     make_tech,
@@ -72,7 +73,18 @@ def first_chromosome(space: DesignSpace) -> AcceleratorConfig:
 
 
 def in_space(chromosome: AcceleratorConfig, space: DesignSpace) -> bool:
-    return all(getattr(chromosome, g) in space.candidates(g) for g in _GENES)
+    return all(getattr(chromosome, g) in gene_values(space, g) for g in _GENES)
+
+
+def repeated_value_space() -> DesignSpace:
+    """A space whose px, dataflow and multiplier lists each repeat a value;
+    the multiplier's repeat is an equal copy, not the same object."""
+    exact_again = MultiplierVariant(EXACT_MULT.name, EXACT_MULT.area_mm2, EXACT_MULT.accuracy_drop_pct)
+    return make_space(
+        px_values=(4, 2, 4, 8),
+        dataflows=(Dataflow.OUTPUT_STATIONARY, Dataflow.WEIGHT_STATIONARY, Dataflow.OUTPUT_STATIONARY),
+        multipliers=(EXACT_MULT, APX_MULT, exact_again),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -163,16 +175,13 @@ def test_search_evaluator_matches_the_direct_model(stacking):
 
 
 def test_index_key_is_the_first_tuple_index_of_each_gene():
-    exact_again = MultiplierVariant(EXACT_MULT.name, EXACT_MULT.area_mm2, EXACT_MULT.accuracy_drop_pct)
-    space = make_space(
-        px_values=(4, 2, 4, 8),
-        dataflows=(Dataflow.OUTPUT_STATIONARY, Dataflow.WEIGHT_STATIONARY, Dataflow.OUTPUT_STATIONARY),
-        multipliers=(EXACT_MULT, APX_MULT, exact_again),
-    )
+    space = repeated_value_space()
     for c in chromosomes(space):
-        assert space.index_key(c) == tuple(space.candidates(g).index(getattr(c, g)) for g in _GENES)
-    repeated = AcceleratorConfig(4, 2, 64, 4096, Dataflow.OUTPUT_STATIONARY, exact_again)
+        assert space.index_key(c) == tuple(gene_values(space, g).index(getattr(c, g)) for g in _GENES)
+    repeated = AcceleratorConfig(4, 2, 64, 4096, Dataflow.OUTPUT_STATIONARY, space.multipliers[2])
     assert space.index_key(repeated) == (0, 0, 0, 0, 0, 0)
+    # `design` inverts `index_key`
+    assert all(space.design(space.index_key(c)) == c for c in chromosomes(space))
 
 
 # ---------------------------------------------------------------------------
@@ -196,8 +205,7 @@ def test_crossover_children_genes_come_from_parents():
         b = space.random_chromosome(rng)
         child_a, child_b = crossover(a, b, rng)
         for child in (child_a, child_b):
-            for gene in _GENES:
-                assert getattr(child, gene) in (getattr(a, gene), getattr(b, gene))
+            assert all(gene in pair for gene, pair in zip(child, zip(a, b)))
 
 
 def test_crossover_deterministic_under_seed():
@@ -221,17 +229,18 @@ def test_mutate_rate_one_singleton_lists_is_identity():
         px_values=(4,), py_values=(4,), b_local_values=(64,), b_global_values=(4096,),
         dataflows=(Dataflow.WEIGHT_STATIONARY,), multipliers=(EXACT_MULT,),
     )
-    chromosome = first_chromosome(space)
-    assert mutate(chromosome, 1.0, space, random.Random(6)) == chromosome
+    key = space.index_key(first_chromosome(space))
+    assert mutate(key, 1.0, space, random.Random(6)) == key == (0, 0, 0, 0, 0, 0)
 
 
 def test_mutate_stays_in_space():
-    space = make_space()
+    space = repeated_value_space()
     rng = random.Random(7)
-    chromosome = space.random_chromosome(rng)
+    key = space.random_chromosome(rng)
     for _ in range(100):
-        chromosome = mutate(chromosome, 0.5, space, rng)
-        assert in_space(chromosome, space)
+        key = mutate(key, 0.5, space, rng)
+        # a key of the space, and the index key of its design: a repeated value takes its first position
+        assert space.index_key(space.design(key)) == key
 
 
 @pytest.mark.parametrize(
@@ -436,6 +445,17 @@ def test_run_ga_returns_what_the_reference_ga_returns(fitness, stacking, extreme
     assert sum(isinstance(o, GaResult) for o in outcomes) >= 6
 
 
+@pytest.mark.parametrize(
+    "overrides", [{}, dict(mutation_rate=1.0), dict(crossover_rate=1.0)], ids=["default", "mutation1", "crossover1"]
+)
+@pytest.mark.parametrize("fitness", ["cdp", "delay"])
+def test_run_ga_on_genes_with_repeated_values_returns_what_the_reference_ga_returns(fitness, overrides):
+    # A value that repeats in a candidate list is drawn at each of its
+    # positions, and every draw of it is one design, ranked and cached once.
+    space, workload, params = repeated_value_space(), make_workload(), GaParams(**overrides)
+    assert run_ga(space, params, workload, fitness) == reference_run_ga(space, params, workload, fitness)
+
+
 @pytest.mark.parametrize("stacking", [PackageKind.PLANAR_2D, PackageKind.STACKED_3D])
 @pytest.mark.parametrize("fitness", ["cdp", "delay"])
 def test_exhaustive_search_returns_what_enumeration_returns(fitness, stacking):
@@ -549,12 +569,13 @@ def test_run_ga_ranks_each_distinct_design_once(monkeypatch):
     counts = _work_counts(monkeypatch)
     result = run_ga(space, params, make_workload())
     distinct = len(result.evaluated)
-    assert counts["index_key"] == distinct == 55
+    assert distinct == 55
     assert counts["estimate_area"] == counts["accelerator_embodied"] == len(
         {(c.px, c.py, c.b_local, c.b_global, c.multiplier) for c in (d.chromosome for d in result.evaluated)}
     )
-    # a child whose genes are its parent's is the parent, so only new designs are built
-    assert counts["__post_init__"] == 114
+    # the GA breeds and ranks index keys, so it builds a design only for a key's first evaluation
+    assert "index_key" not in counts
+    assert counts["__post_init__"] == distinct
 
 
 # ---------------------------------------------------------------------------
@@ -595,7 +616,7 @@ def test_pareto_matches_pairwise_dominance_oracle():
     space = make_space()
     workload = make_workload()
     rng = random.Random(17)
-    designs = [evaluate(space.random_chromosome(rng), workload, space, CostTables()) for _ in range(100)]
+    designs = [evaluate(space.design(space.random_chromosome(rng)), workload, space, CostTables()) for _ in range(100)]
     front = pareto_front(designs, space)
     oracle = brute_force_front(designs)
     assert {d.chromosome for d in front} == {d.chromosome for d in oracle}

@@ -1,16 +1,19 @@
 """Check that the working tree behaves as a git revision does on the equivalence scripts.
 
-Usage: python3 tools/equivalence.py [REV]
+Usage: python3 tools/equivalence.py [REV] [--python PY ...]
 
 REV (default ``HEAD``) is exported with ``git archive`` into a temporary
 directory. This checkout's ``tools/demo_matrix.py`` and
-``tools/library_digest.py`` then run on that tree and on the working tree
-of this checkout, and a unified diff of each script's output, REV's
-against the working tree's, is printed. The exit code is 1 if either
-output differs and 0 if both are equal; a script that fails stops the
-check with its error. The four runs are sequential and take about a
-minute on a 2-core host (Python 3.11). Only the standard library is
-used, besides the ``git`` command.
+``tools/library_digest.py`` run on that tree under the first PY (default:
+the interpreter running this script), and their output is the reference.
+They then run on the working tree of this checkout under each PY in turn,
+and a unified diff of each output against the reference is printed,
+followed by one verdict line per script and interpreter. The exit code is
+1 if any output differs and 0 if all are equal; a script that fails stops
+the check with its error. The runs are sequential and take about a minute
+each per interpreter on a 2-core host (Python 3.11). Only the standard
+library is used, besides the ``git`` command, and the interpreters need
+nothing installed besides their own.
 
 Last, the line count of each ``src/edcarb/*.py`` module is printed for
 REV and for the working tree, with the totals, so a change can quote its
@@ -19,6 +22,7 @@ line delta; the counts do not affect the exit code.
 
 from __future__ import annotations
 
+import argparse
 import difflib
 import io
 import subprocess
@@ -38,11 +42,15 @@ def _export(rev: str, target: Path) -> None:
         tar.extractall(target, **({"filter": "data"} if hasattr(tarfile, "data_filter") else {}))
 
 
-def _output(tool: str, tree: Path, scratch: Path) -> str:
-    args = [sys.executable, str(ROOT / "tools" / tool), str(tree)]
+def _output(python: str, tool: str, tree: Path, scratch: Path) -> str:
+    args = [python, str(ROOT / "tools" / tool), str(tree)]
     if tool == "demo_matrix.py":
         args.append(str(scratch))
     return subprocess.run(args, check=True, capture_output=True, text=True, cwd=ROOT).stdout
+
+
+def _version(python: str) -> str:
+    return subprocess.run([python, "--version"], check=True, capture_output=True, text=True).stdout.strip()
 
 
 def _print_line_counts(rev: str, base: Path) -> None:
@@ -57,31 +65,34 @@ def _print_line_counts(rev: str, base: Path) -> None:
 
 
 def main(argv: list[str]) -> int:
-    if len(argv) > 1:
-        print(__doc__.split("\n\n")[1], file=sys.stderr)
-        return 2
-    rev = argv[0] if argv else "HEAD"
+    parser = argparse.ArgumentParser(usage=__doc__.split("\n\n")[1].removeprefix("Usage: "))
+    parser.add_argument("rev", nargs="?", default="HEAD")
+    parser.add_argument("--python", nargs="+", default=[sys.executable], metavar="PY")
+    args = parser.parse_args(argv)
+    names = {python: f"{python} ({_version(python)})" for python in args.python}
+    reference = f"{args.rev} under {names[args.python[0]]}"
     differs = False
     with tempfile.TemporaryDirectory(prefix="edcarb-equivalence-") as tmp:
         base = Path(tmp) / "tree"
         base.mkdir()
-        _export(rev, base)
+        _export(args.rev, base)
         for tool in TOOLS:
-            before = _output(tool, base, Path(tmp) / f"{tool}.base")
-            after = _output(tool, ROOT, Path(tmp) / f"{tool}.work")
-            diff = list(
-                difflib.unified_diff(
-                    before.splitlines(keepends=True),
-                    after.splitlines(keepends=True),
-                    fromfile=f"{rev}: {tool}",
-                    tofile=f"working tree: {tool}",
+            before = _output(args.python[0], tool, base, Path(tmp) / f"{tool}.base")
+            for i, python in enumerate(args.python):
+                after = _output(python, tool, ROOT, Path(tmp) / f"{tool}.{i}")
+                diff = list(
+                    difflib.unified_diff(
+                        before.splitlines(keepends=True),
+                        after.splitlines(keepends=True),
+                        fromfile=f"{reference}: {tool}",
+                        tofile=f"working tree under {names[python]}: {tool}",
+                    )
                 )
-            )
-            sys.stdout.writelines(diff)
-            verdict = "differs" if diff else "same"
-            print(f"{tool}: {verdict} ({len(before.splitlines())} lines at {rev})")
-            differs = differs or bool(diff)
-        _print_line_counts(rev, base)
+                sys.stdout.writelines(diff)
+                verdict = "differs" if diff else "same"
+                print(f"{tool} under {names[python]}: {verdict} ({len(before.splitlines())} lines at {reference})")
+                differs = differs or bool(diff)
+        _print_line_counts(args.rev, base)
     return 1 if differs else 0
 
 
