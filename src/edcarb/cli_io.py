@@ -31,7 +31,9 @@ File formats
   per row.
 - Unit profile CSV: header ``layer,freq_index,latency_ms,power_w``.
 - Exec table CSV: header ``batch,freq_index,latency_ms,energy_j``;
-  concurrency CSV: header ``streams,throughput_scale,power_scale``.
+  concurrency CSV: header ``streams,throughput_scale,power_scale``, with
+  stream counts 1 to K and no gap. A key repeated in these or a unit
+  profile (the columns before the last two) is refused.
 - Node, model-variant and LLM-variant descriptions are small JSON files.
 """
 
@@ -394,9 +396,18 @@ def _load_json(path: Path, **options):
 
 
 def _float_table(path: str | Path, columns: list[str], key) -> dict:
-    """A CSV table mapping key(row) to the floats in its last two columns."""
+    """A CSV table mapping key(row) to the floats in its last two columns;
+    a key on a second row fails as ``file:line: duplicate key ...``."""
     a, b = columns[-2:]
-    return dict(_parse_csv(Path(path), columns, lambda row: (key(row), (_finite(row[a]), _finite(row[b])))))
+    table: dict = {}
+
+    def add(row: dict[str, str]) -> None:
+        if (row_key := key(row)) in table:
+            raise ParseError(f"duplicate key {row_key!r}")
+        table[row_key] = _finite(row[a]), _finite(row[b])
+
+    _parse_csv(Path(path), columns, add)
+    return table
 
 
 def load_unit_profile(path: str | Path) -> dict[tuple[str, int], tuple[float, float]]:

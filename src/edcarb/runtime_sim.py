@@ -176,20 +176,20 @@ class PoissonArrivals:
 @dataclass(frozen=True)
 class ExecLookupTable:
     """Precomputed (batch, frequency) -> (latency, energy) profile plus a
-    concurrency-scaling table (stream count 1 alone when None).
+    stream count -> (throughput scale, power scale) table (1 alone when None).
 
     Load-time invariants: batch latency non-decreasing and energy per
     inference non-increasing in the batch size at every frequency; the table
     must be rectangular over its batch sizes and frequency levels and contain
-    batch size 1 and stream count 1. The sorted batch sizes and stream counts
-    and the number of frequency levels are derived once, at construction.
+    batch size 1. The stream counts run from 1 to some K with no gap, so a
+    dispatch of fewer groups than the streams chosen finds its scales. The
+    sorted batch sizes and the number of frequency levels are derived once.
     """
 
     entries: dict[tuple[int, int], tuple[float, float]]
     concurrency: dict[int, tuple[float, float]] | None = None
     batch_sizes: tuple[int, ...] = field(init=False, repr=False, compare=False)
     n_freqs: int = field(init=False, repr=False, compare=False)
-    stream_counts: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         entries = self.entries
@@ -202,8 +202,6 @@ class ExecLookupTable:
         if freqs != list(range(len(freqs))):
             raise ValidationFailure("frequency indices must be contiguous from 0")
         for b in batch_sizes:
-            if b < 1:
-                raise ValidationFailure("batch sizes must be >= 1")
             for f in freqs:
                 if (b, f) not in entries:
                     raise ValidationFailure(f"table is not rectangular: missing (b={b}, f={f})")
@@ -223,11 +221,9 @@ class ExecLookupTable:
                         f"energy per inference must be non-increasing in batch size (freq {f})"
                     )
         concurrency = dict(self.concurrency) if self.concurrency else {1: (1.0, 1.0)}
-        if 1 not in concurrency:
-            raise ValidationFailure("concurrency table must contain k=1")
+        if sorted(concurrency) != list(range(1, len(concurrency) + 1)):
+            raise ValidationFailure(f"stream counts must run from 1 to K with no gap, got {sorted(concurrency)}")
         for k, (t_scale, p_scale) in concurrency.items():
-            if k < 1:
-                raise ValidationFailure("stream counts must be >= 1")
             if not 0 < t_scale <= k:
                 raise ValidationFailure(f"throughput scale for k={k} must be in (0, k]")
             if not 1.0 <= p_scale < math.inf:
@@ -236,13 +232,9 @@ class ExecLookupTable:
         object.__setattr__(self, "concurrency", concurrency)
         object.__setattr__(self, "batch_sizes", tuple(batch_sizes))
         object.__setattr__(self, "n_freqs", len(freqs))
-        object.__setattr__(self, "stream_counts", tuple(sorted(concurrency)))
 
     def latency_ms(self, b: int, f: int) -> float:
         return self.entries[(b, f)][0]
-
-    def scales(self, k: int) -> tuple[float, float]:
-        return self.concurrency[k]
 
 
 @dataclass(frozen=True)
@@ -325,16 +317,8 @@ def choose_frequency(
 
 def choose_concurrency(active_models: int, table: ExecLookupTable) -> int:
     """Stream count maximizing throughput-per-power scaling; ties pick fewer streams."""
-    best_k = 1
-    best_ratio = -math.inf
-    for k in table.stream_counts:
-        if k > max(1, active_models):
-            continue
-        t_scale, p_scale = table.scales(k)
-        ratio = t_scale / p_scale
-        if ratio > best_ratio:
-            best_k, best_ratio = k, ratio
-    return best_k
+    counts = range(1, min(max(1, active_models), len(table.concurrency)) + 1)
+    return max(counts, key=lambda k: table.concurrency[k][0] / table.concurrency[k][1])
 
 
 def ci_level_of(ci_now: float, ci_min: float, ci_max: float) -> str:
@@ -768,25 +752,26 @@ def _plan_batch_dispatch(
     where the head detail holds the leading dispatch log keys: the batch
     sizes, the stream count and the frequency index.
     """
-    top_freq = table.n_freqs - 1
+    top_freq, deadline_ms = table.n_freqs - 1, config.deadline_ms
     wait_ms = (now - times[head]) * 1000.0
-    # Retry with one stream when no frequency fits the k groups under the cap.
-    for k_try in (k, 1) if k > 1 else (1,):
-        sizes: list[int] = []
-        offset = head
-        while len(sizes) < k_try and offset < tail:
-            head_wait = (now - times[offset]) * 1000.0
-            b = choose_batch(tail - offset, table, config.deadline_ms, head_wait, top_freq)
-            sizes.append(b)
-            offset += b
-        t_scale, p_scale = table.scales(len(sizes))
-        costs = cost_memo.get(key := tuple(sizes))
+    sizes = [choose_batch(tail - head, table, deadline_ms, wait_ms, top_freq)]
+    offset = head + sizes[0]
+    while len(sizes) < k and offset < tail:
+        b = choose_batch(tail - offset, table, deadline_ms, (now - times[offset]) * 1000.0, top_freq)
+        sizes.append(b)
+        offset += b
+    # Retry with one stream, the carve's first group, when no frequency fits
+    # the groups under the cap; one group has nothing to retry.
+    whole = sizes, offset - head
+    for groups, n_served in (whole, (sizes[:1], sizes[0])) if len(sizes) > 1 else (whole,):
+        t_scale, p_scale = table.concurrency[len(groups)]
+        costs = cost_memo.get(key := tuple(groups))
         if costs is None:
             costs = cost_memo[key] = []
             for f in range(table.n_freqs):
                 # left to right, as the built-in sum adds floats only up to 3.11
                 serial_ms = serial_energy = 0.0
-                for b in sizes:
+                for b in groups:
                     latency_ms, energy_j = table.entries[(b, f)]
                     serial_ms += latency_ms
                     serial_energy += energy_j
@@ -794,11 +779,11 @@ def _plan_batch_dispatch(
         allowed = [f for f in range(table.n_freqs) if costs[f][2] <= threshold_w]
         if not allowed:
             continue
-        f = choose_frequency(sizes[0], table, config.deadline_ms, wait_ms, allowed)
+        f = choose_frequency(groups[0], table, deadline_ms, wait_ms, allowed)
         serial_ms, serial_energy, power_w = costs[f]
         # the log keeps every dispatch's batch list: copy it to its exact size,
         # as an appended list keeps spare capacity
-        head_detail = {"batches": list(sizes), "streams": len(sizes), "freq_idx": f}
+        head_detail = {"batches": list(groups), "streams": len(groups), "freq_idx": f}
         duration_s = serial_ms / t_scale / 1000.0
-        return offset - head, head_detail, duration_s, serial_energy * p_scale / t_scale, power_w
+        return n_served, head_detail, duration_s, serial_energy * p_scale / t_scale, power_w
     return None

@@ -621,6 +621,21 @@ def _huge_exec_table_batch(demo):
     path.write_text(path.read_text() + f"{10**400},0,1000.0,1.0\n{10**400},1,1000.0,1.0\n")
 
 
+def _append(name: str, rows: str):
+    def edit(demo):
+        path = demo / name
+        path.write_text(path.read_text() + rows)
+
+    return edit
+
+
+def _gapped_streams_and_three_kinds(demo):
+    # a queue of kinds a, b and c at t=0 chooses 3 streams, and carves it into
+    # two groups (batches of 2 and 1), a stream count the table lacks
+    (demo / "concurrency.csv").write_text("streams,throughput_scale,power_scale\n1,1.0,1.0\n3,2.9,1.2\n")
+    (demo / "arrivals.csv").write_text("time_s,kind\n0,a\n0,b\n0,c\n")
+
+
 SIMULATE = ["simulate", "--trace", "ci_trace.csv", "--arrivals", "poisson", "--policy", "adaptive"]
 
 
@@ -647,6 +662,18 @@ SIMULATE = ["simulate", "--trace", "ci_trace.csv", "--arrivals", "poisson", "--p
         ),
         (_huge_workload_layer, ["explore"], "workload.csv:2: layer MAC count 1000000000000000000000000 must be < 2**63"),
         (_huge_exec_table_batch, SIMULATE, "exec_table.csv:10: expected an integer of magnitude < 2**63"),
+        (_append("exec_table.csv", "1,0,75.0,0.39\n"), SIMULATE, "exec_table.csv:10: duplicate key (1, 0)"),
+        (_append("concurrency.csv", "2,1.7,1.5\n"), SIMULATE, "concurrency.csv:4: duplicate key 2"),
+        (
+            _append("cpu0_profile.csv", "l0,0,4.0,3.0\n"),
+            ["schedule", "--ci-now", "250"],
+            "cpu0_profile.csv:14: duplicate key ('l0', 0)",
+        ),
+        (
+            _gapped_streams_and_three_kinds,
+            [*SIMULATE[:4], "arrivals.csv", *SIMULATE[5:]],
+            "sim.exec_table_file: stream counts must run from 1 to K with no gap, got [1, 3]",
+        ),
         (
             _set("design_space", "dram_bytes_per_cycle", 1e-320),
             ["explore", "--appx"],
@@ -689,6 +716,10 @@ SIMULATE = ["simulate", "--trace", "ci_trace.csv", "--arrivals", "poisson", "--p
         "design_space.b_global",
         "workload_file",
         "sim.exec_table_file",
+        "sim.exec_table_file.duplicate",
+        "sim.concurrency_file.duplicate",
+        "node_file.profile_file.duplicate",
+        "sim.concurrency_file.gapped",
         "design_space.dram_bytes_per_cycle",
         "area_params.sram_mm2_per_byte",
         "area_params.sram_mm2_per_byte.zero-3d",

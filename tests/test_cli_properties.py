@@ -1,7 +1,8 @@
-"""Property tests: each CLI verb, run in process on any flag value or artifact
-content, exits 0, 2, 3 or 4. A failure's first stderr line is an
-``error[LABEL]`` line, no exception escapes ``cli.main``, and no artifact
-holds a NaN, Infinity, nan or inf token."""
+"""Property tests: each CLI verb, run in process on any flag value, artifact
+content or change to the values and rows of the files a config names, exits
+0, 2, 3 or 4. A failure's first stderr line is an ``error[LABEL]`` line, no
+exception escapes ``cli.main``, and no artifact holds a NaN, Infinity, nan
+or inf token."""
 
 import io
 import json
@@ -152,19 +153,28 @@ ARTIFACTS = {
 
 def _paths(doc, prefix=()):
     yield prefix
-    if isinstance(doc, dict):
-        for key, value in doc.items():
-            yield from _paths(value, prefix + (key,))
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from _paths(value, prefix + (key,))
 
 
 # every node of every artifact, the whole document included
 REPORT_TARGETS = [(name, path) for name, doc in ARTIFACTS.items() for path in _paths(doc)]
 
 
+# a value that takes its node out of the document: a key of an object, an item of a list
+DROP = object()
+
+
 def _replaced(doc, path, value):
+    """doc with the node at path set to value, or taken out if value is DROP."""
     if not path:
         return value
-    return {**doc, path[0]: _replaced(doc[path[0]], path[1:], value)}
+    key, rest = path[0], path[1:]
+    child = _replaced(doc[key], rest, value)
+    pairs = enumerate(doc) if isinstance(doc, list) else doc.items()
+    kept = [(k, child if k == key else v) for k, v in pairs if k != key or child is not DROP]
+    return [v for _, v in kept] if isinstance(doc, list) else dict(kept)
 
 
 @settings(max_examples=120, deadline=None)
@@ -177,3 +187,95 @@ def test_report_on_fuzzed_artifacts(target, value):
             doc = _replaced(doc, path, value) if artifact == name else doc
             (folder / "in" / artifact).write_text(json.dumps(doc))
         run_cli(["report", "--in", str(folder / "in"), "--out", str(folder / "out")], folder / "out")
+
+
+def json_edits(name: str):
+    """The demo JSON file `name` as text, with one node set to any JSON value
+    or taken out (a key, a unit, a variant); taking out the root empties it."""
+    doc = json.loads((DEMO_DIR / name).read_text())
+    return st.tuples(st.sampled_from(list(_paths(doc))), json_values | st.just(DROP)).map(
+        lambda edit: "" if edit[1] is DROP and not edit[0] else json.dumps(_replaced(doc, *edit))
+    )
+
+
+CELLS = st.sampled_from(["0", "1", "2", "-1", "0.5", "75.0", "1e308", "5e-324", "inf", "nan", "", "x", "01"])
+
+
+@st.composite
+def csv_edits(draw, name: str):
+    """The demo CSV file `name` as text, with up to three rows dropped,
+    repeated or given a new value in one cell (none: the demo file)."""
+    header, *rows = (line.split(",") for line in (DEMO_DIR / name).read_text().splitlines())
+    for _ in range(draw(st.integers(0, 3))):
+        if not rows:
+            break
+        i = draw(st.integers(0, len(rows) - 1))
+        action = draw(st.sampled_from(["set", "drop", "repeat"]))
+        if action == "set":
+            rows[i] = list(rows[i])
+            rows[i][draw(st.integers(0, len(header) - 1))] = draw(CELLS)
+        elif action == "drop":
+            del rows[i]
+        else:
+            rows.insert(i, rows[i])
+    return "".join(",".join(row) + "\n" for row in [header, *rows])
+
+
+@st.composite
+def concurrency_csvs(draw):
+    """Whole concurrency tables: stream count 1 and any of 0, 2, 3 and 4, so
+    gapped or not; the scales of a count above 0 are in range."""
+    rows = ["streams,throughput_scale,power_scale"]
+    for k in sorted({1} | draw(st.sets(st.sampled_from([0, 2, 3, 4])))):
+        rows.append(f"{k},{k * draw(st.sampled_from([0.95, 0.5]))},{draw(st.sampled_from([1.0, 1.5]))}")
+    return "\n".join(rows) + "\n"
+
+
+# Whole arrival lists of up to eight requests, in bursts of several kinds:
+# requests of different kinds at one time queue together, so that a
+# dispatch plans several streams.
+arrivals_csvs = st.lists(
+    st.tuples(st.sampled_from([0.0, 1.0, 30.0]), st.sampled_from(["a", "b", "c", ""])), max_size=8
+).map(lambda rows: "time_s,kind\n" + "".join(f"{t},{kind}\n" for t, kind in sorted(rows)))
+
+FILE_EDITS = {
+    "node.json": json_edits("node.json"),
+    "variants.json": json_edits("variants.json"),
+    "llm_variants.json": json_edits("llm_variants.json"),
+    "exec_table.csv": csv_edits("exec_table.csv"),
+    "concurrency.csv": concurrency_csvs(),
+    "arrivals.csv": arrivals_csvs,
+}
+
+# Each verb's flags, on a copy of the demo fixture in `in`, and the fuzzed
+# files that its run reads. Every verb loads them all with the config, so
+# explore, whose run reads none of them, fuzzes them all at load.
+VERBS = {
+    "explore": (["explore", "--config", "in/batch.json"], tuple(FILE_EDITS)),
+    "schedule": (["schedule", "--config", "in/batch.json", "--ci-now", "250"], ("node.json", "variants.json")),
+    "simulate-batch": (
+        ["simulate", "--config", "in/batch.json", "--trace", "in/ci_trace.csv", "--arrivals", "in/arrivals.csv"],
+        ("exec_table.csv", "concurrency.csv", "arrivals.csv"),
+    ),
+    "simulate-llm": (
+        ["simulate", "--config", "in/llm.json", "--trace", "in/ci_trace.csv", "--arrivals", "poisson"],
+        ("llm_variants.json",),
+    ),
+    "simulate-mapping": (
+        ["simulate", "--config", "in/mapping.json", "--trace", "in/ci_trace.csv", "--arrivals", "poisson"],
+        ("node.json", "variants.json"),
+    ),
+}
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(verb=st.sampled_from(sorted(VERBS)), data=st.data())
+def test_each_verb_on_fuzzed_referenced_files(demo, verb, data):
+    flags, files = VERBS[verb]
+    edits = data.draw(st.fixed_dictionaries({name: FILE_EDITS[name] for name in files}))
+    with scratch_dir() as folder:
+        shutil.copytree(demo, folder / "in")
+        for name, text in edits.items():
+            (folder / "in" / name).write_text(text)
+        argv = [str(folder / flag) if flag.startswith("in/") else flag for flag in flags]
+        run_cli([*argv, "--out", str(folder / "out")], folder / "out")

@@ -300,6 +300,14 @@ def test_concurrency_scale_bounds():
         ExecLookupTable(entries={(1, 0): (5.0, 1.0)}, concurrency={1: (1.0, 1.0), 2: (1.5, 0.8)})
 
 
+@pytest.mark.parametrize("counts", [(1, 3), (2,), (0, 1)])
+def test_table_refuses_stream_counts_that_do_not_run_from_one_without_a_gap(counts):
+    # a dispatch runs as many streams as the groups it carves, any number up
+    # to the one chosen, so each must have its scales
+    with pytest.raises(ValidationFailure, match="stream counts must run from 1 to K with no gap"):
+        ExecLookupTable(entries={(1, 0): (5.0, 1.0)}, concurrency={k: (1.0, 1.0) for k in counts})
+
+
 # ---------------------------------------------------------------------------
 # policy operations
 # ---------------------------------------------------------------------------
@@ -360,10 +368,10 @@ def test_choose_frequency_matches_brute_force_on_random_level_subsets():
         assert choose_frequency(b, table, deadline, wait, levels) == expected
 
 
-def test_exec_table_derives_sorted_stream_counts_and_compares_its_inputs():
+def test_exec_table_holds_its_stream_counts_and_compares_its_inputs():
     entries = {(1, 0): (5.0, 1.0), (2, 0): (6.0, 1.5)}
     table = ExecLookupTable(entries, {3: (2.0, 1.5), 1: (1.0, 1.0), 2: (1.5, 1.2)})
-    assert table.stream_counts == (1, 2, 3)
+    assert tuple(sorted(table.concurrency)) == (1, 2, 3)
     assert table.batch_sizes == (1, 2) and table.n_freqs == 1
     assert ExecLookupTable(entries) == ExecLookupTable(dict(entries), {1: (1.0, 1.0)})
     assert ExecLookupTable(entries) != table
@@ -514,6 +522,21 @@ def test_energy_and_grams_recomputable_from_decision_log():
     assert_totals_recompute_from_log(report)
 
 
+@pytest.mark.parametrize("deadline_ms, groups", [(45.0, 2), (60.0, 1)])
+def test_a_power_gated_dispatch_carves_its_queue_once(monkeypatch, deadline_ms, groups):
+    # two kinds queued run two streams, and under a 1 W cap neither the carve
+    # nor its first group alone fits: the one-stream retry reuses that group,
+    # so each group costs one choose_batch call (a 45 ms deadline carves the
+    # two requests into two groups of 1, a 60 ms one into a single group of 2)
+    calls = []
+    monkeypatch.setattr(runtime_sim, "choose_batch", lambda *args: calls.append(args) or choose_batch(*args))
+    config = batch_config(horizon_s=1.0, deadline_ms=deadline_ms, policy="static", p_min_w=1.0, p_max_w=1.0)
+    arrivals = TraceArrivals((0.0, 0.0), ("a", "b"))
+    report = run_simulation(config, flat_trace(100.0, 1.0), arrivals, table=TWO_FREQ_TABLE)
+    assert [ev.kind for ev in report.decision_log] == ["adapt", "power_gated", "idle"]
+    assert len(calls) == groups
+
+
 def test_power_gated_requests_stay_queued_until_the_threshold_rises():
     # at high CI the threshold drops to p_min_w = 4 W, under the 5 W that the
     # table draws at its lowest frequency: nothing can dispatch
@@ -633,7 +656,7 @@ def reference_capped_frequency(
 ) -> int | None:
     """Lowest frequency whose group power fits the cap and whose first batch
     meets the deadline; else the highest that fits the cap; None if none fits."""
-    _, p_scale = table.scales(streams)
+    _, p_scale = table.concurrency[streams]
     fits = [
         f
         for f in range(table.n_freqs)
