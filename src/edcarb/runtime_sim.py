@@ -221,13 +221,7 @@ class ExecLookupTable:
                         f"energy per inference must be non-increasing in batch size (freq {f})"
                     )
         concurrency = dict(self.concurrency) if self.concurrency else {1: (1.0, 1.0)}
-        if sorted(concurrency) != list(range(1, len(concurrency) + 1)):
-            raise ValidationFailure(f"stream counts must run from 1 to K with no gap, got {sorted(concurrency)}")
-        for k, (t_scale, p_scale) in concurrency.items():
-            if not 0 < t_scale <= k:
-                raise ValidationFailure(f"throughput scale for k={k} must be in (0, k]")
-            if not 1.0 <= p_scale < math.inf:
-                raise ValidationFailure(f"power scale for k={k} must be finite and >= 1")
+        validate_concurrency(concurrency)
         object.__setattr__(self, "entries", dict(entries))
         object.__setattr__(self, "concurrency", concurrency)
         object.__setattr__(self, "batch_sizes", tuple(batch_sizes))
@@ -235,6 +229,18 @@ class ExecLookupTable:
 
     def latency_ms(self, b: int, f: int) -> float:
         return self.entries[(b, f)][0]
+
+
+def validate_concurrency(concurrency: dict[int, tuple[float, float]]) -> None:
+    """Stream counts run from 1 to some K with no gap; the throughput scale
+    of k streams is in (0, k] and the power scale finite and >= 1."""
+    if sorted(concurrency) != list(range(1, len(concurrency) + 1)):
+        raise ValidationFailure(f"stream counts must run from 1 to K with no gap, got {sorted(concurrency)}")
+    for k, (t_scale, p_scale) in concurrency.items():
+        if not 0 < t_scale <= k:
+            raise ValidationFailure(f"throughput scale for k={k} must be in (0, k]")
+        if not 1.0 <= p_scale < math.inf:
+            raise ValidationFailure(f"power scale for k={k} must be finite and >= 1")
 
 
 @dataclass(frozen=True)

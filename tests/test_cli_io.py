@@ -672,7 +672,7 @@ SIMULATE = ["simulate", "--trace", "ci_trace.csv", "--arrivals", "poisson", "--p
         (
             _gapped_streams_and_three_kinds,
             [*SIMULATE[:4], "arrivals.csv", *SIMULATE[5:]],
-            "sim.exec_table_file: stream counts must run from 1 to K with no gap, got [1, 3]",
+            "concurrency.csv: stream counts must run from 1 to K with no gap, got [1, 3]",
         ),
         (
             _set("design_space", "dram_bytes_per_cycle", 1e-320),
@@ -747,6 +747,25 @@ def test_cli_refuses_out_of_range_inputs_without_a_traceback(demo_copy, tmp_path
     if reason.startswith("sim.step_s"):
         # refused when the config loads, not after a run of 10**6 steps or more
         assert elapsed < 1.0
+
+
+@pytest.mark.parametrize(
+    "rows, reason",
+    [
+        ("1,1.0,1.0\n3,2.9,1.2\n", "{path}: stream counts must run from 1 to K with no gap, got [1, 3]"),
+        ("1,1.0,1.0\n2,1.8,1.5\n2,1.7,1.5\n", "{path}:4: duplicate key 2"),
+        ("1,1.0,1.0\n2,2.5,1.5\n", "{path}: throughput scale for k=2 must be in (0, k]"),
+    ],
+    ids=["gapped", "duplicate", "scale"],
+)
+def test_cli_reports_a_concurrency_fault_under_its_config_key_and_file(demo_copy, tmp_path, capsys, rows, reason):
+    path = demo_copy / "concurrency.csv"
+    path.write_text("streams,throughput_scale,power_scale\n" + rows)
+    rc = cli.main([SIMULATE[0], "--config", str(demo_copy / "demo.json"), *SIMULATE[1:], "--out", str(tmp_path / "o")])
+    assert rc == 2
+    # the one fault, as the summary line and as the config's only listed error
+    message = f"sim.concurrency_file: {reason.format(path=path)}"
+    assert capsys.readouterr().err.splitlines() == [f"error[VALIDATION]: {message}", f"  - {message}"]
 
 
 @pytest.mark.parametrize(
@@ -1467,10 +1486,53 @@ def test_decision_log_writes_one_compact_line_per_event(tmp_path):
     }
 
 
+def _with_bad(kind: str, field: str, bad: float) -> LogEvent:
+    """A valid event of the shape a batch run logs most, with `bad` in one number."""
+    detail = {"idle_s": 1.0, "energy_j": 0.5, "ci": 250.0}
+    if kind == "dispatch":
+        detail = {
+            "batches": [2, 1], "streams": 2, "freq_idx": 0, "duration_s": 0.1, "energy_j": 0.5, "power_w": 5.0,
+            "completion_s": 1.1, "misses": 0, "arrivals": [0.5, 0.75, 1.0], "ci": 250.0,
+        }
+    if field == "t_s":
+        return LogEvent(bad, kind, detail)
+    if field == "arrivals":
+        return LogEvent(1.0, kind, {**detail, "arrivals": [0.5, bad]})
+    return LogEvent(1.0, kind, {**detail, field: bad})
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
-def test_decision_log_refuses_non_finite_and_removes_what_it_made(tmp_path, bad):
+@pytest.mark.parametrize(
+    "kind, field",
+    [
+        *(("dispatch", field) for field in ("t_s", "duration_s", "energy_j", "power_w", "completion_s", "ci")),
+        ("dispatch", "arrivals"),
+        *(("idle", field) for field in ("t_s", "idle_s", "energy_j", "ci")),
+    ],
+)
+def test_decision_log_refuses_non_finite_and_removes_what_it_made(tmp_path, kind, field, bad):
     with pytest.raises(ValidationFailure, match="decision_log.jsonl would hold a non-finite number"):
         with cli_io.decision_log(tmp_path / "o" / "sim") as emit:
             emit(LogEvent(0.0, "adapt", {"threshold_w": 15.5, "ci": 250.0, "cause": "initial"}))
-            emit(LogEvent(1.0, "idle", {"idle_s": 1.0, "energy_j": bad, "ci": 250.0}))
+            # the same shape with finite numbers first, so their texts are kept
+            emit(_with_bad(kind, "ci", 250.0))
+            emit(_with_bad(kind, field, bad))
     assert not (tmp_path / "o").exists()
+
+
+def test_demo_simulate_sends_only_its_adapt_events_to_the_generic_encoder(tmp_path, monkeypatch):
+    # a count of work, not a time: the demo's dispatch and idle events all
+    # take a line template, so only its two threshold changes are encoded
+    encoded = []
+    encode = cli_io._encode_event
+    monkeypatch.setattr(cli_io, "_encode_event", lambda doc: encoded.append(doc["kind"]) or encode(doc))
+    out = tmp_path / "o"
+    rc = cli.main(
+        [
+            "simulate", "--config", str(DEMO_DIR / "demo.json"), "--trace", str(DEMO_DIR / "ci_trace.csv"),
+            "--arrivals", "poisson", "--policy", "adaptive", "--out", str(out),
+        ]
+    )
+    assert rc == 0
+    assert encoded == ["adapt", "adapt"]
+    assert (out / "decision_log.jsonl").read_text().count("\n") == 22_823

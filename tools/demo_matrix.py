@@ -13,7 +13,13 @@ subprocess with ``PYTHONPATH=TREE/src``:
   two models' joint plan decides which variants are chosen;
 - simulate: ``sim.mode`` batch/llm/mapping x arrivals ``poisson``,
   ``poisson:20`` and ``arrivals.csv`` x policy adaptive/static;
-- report over every run above.
+- report over every run above;
+- last, so that the lines of the runs above stay put, simulate in batch
+  mode under the adaptive policy on ``arrivals_two_kinds.csv``: each time
+  of the demo's ``arrivals.csv`` three times, of kinds ``a``, ``b`` and
+  ``a``. Its queues hold two kinds and more requests than one batch takes,
+  so its log has dispatches of two groups on two streams, which the demo's
+  one-kind arrivals never make.
 
 For each run it prints the exit code and the first stderr line, then one
 SHA-256 per artifact, taken with the ``generated_at`` line removed and OUT
@@ -24,10 +30,10 @@ outputs of
     python3 tools/demo_matrix.py CHANGED_TREE /tmp/b > b.txt
 
 are equal (``diff a.txt b.txt``). The configs the runs need besides the
-demo's own are written into ``OUT/demo``. The 26 runs are sequential and
-take about half a minute on a 2-core host (Python 3.11), most of it in the
-18 simulations over the demo's full 7,200 s horizon. Only the standard
-library is used.
+demo's own, and the two-kind arrivals, are written into ``OUT/demo``.
+The 27 runs are sequential and take about half a minute on a 2-core host
+(Python 3.11), most of it in the 19 simulations over the demo's full
+7,200 s horizon. Only the standard library is used.
 """
 
 from __future__ import annotations
@@ -80,6 +86,14 @@ def _runs(demo: Path, out: Path) -> list[tuple[str, list[str]]]:
                      "--arrivals", arrivals, "--policy", policy],
                 ))
     runs.append(("report", ["report", "--in", *(str(out / name) for name, _ in runs)]))
+    two_kinds = demo / "arrivals_two_kinds.csv"
+    times = [row.split(",")[0] for row in (demo / "arrivals.csv").read_text().splitlines()[1:]]
+    two_kinds.write_text("time_s,kind\n" + "".join(f"{t},{kind}\n" for t in times for kind in "aba"))
+    runs.append((
+        "simulate-batch-two-kinds-adaptive",
+        ["simulate", "--config", str(demo / "demo_batch.json"), "--trace", str(demo / "ci_trace.csv"),
+         "--arrivals", str(two_kinds), "--policy", "adaptive"],
+    ))
     return runs
 
 
