@@ -65,8 +65,10 @@ from .edc_scheduler import (
 )
 from .errors import IoFailure, ValidationFailure
 from .runtime_sim import (
+    BatchDispatch,
     CiTrace,
     ExecLookupTable,
+    Idle,
     LlmVariant,
     LogEvent,
     SimConfig,
@@ -633,33 +635,30 @@ DECISION_LOG_FILE = "decision_log.jsonl"
 # template writes.
 _encode_event = json.JSONEncoder(separators=(",", ":"), allow_nan=False).encode
 
-# The detail keys, in order, of the two events that batch-mode runs make
-# the most of: one per dispatch and one per step with idle time.
-_DISPATCH_KEYS = (
-    "batches", "streams", "freq_idx", "duration_s", "energy_j", "power_w", "completion_s", "misses", "arrivals", "ci",
-)
-_IDLE_KEYS = ("idle_s", "energy_j", "ci")
-
 # How many distinct numbers a log keeps the text of.
 _MAX_KEPT_TEXTS = 256
 
 
-def _line_templates() -> Callable[[LogEvent], str | None]:
-    """A function giving the line that `_encode_event` writes for a
-    batch-mode ``dispatch`` or an ``idle`` event, newline included, or None
-    for any other event.
+def _encoded_line(ev: LogEvent) -> str:
+    """The line `_encode_event` writes for any record, newline included."""
+    return _encode_event({"t_s": ev.t_s, "kind": ev.kind, **ev.detail}) + "\n"
 
-    An event takes its template only if its detail keys are exactly
-    `_DISPATCH_KEYS` or `_IDLE_KEYS`, in order, its float fields hold floats
-    and its int fields ints (not bools), and every float is finite; None
-    leaves every other event, a failing one included, to the encoder. The
-    key text is written once, in the template, and each number as its
-    ``float.__repr__`` or ``int.__repr__``, which is what the encoder writes.
-    The durations, energies, powers and intensities of a run repeat, so the
-    text of each is kept for the next equal float, up to `_MAX_KEPT_TEXTS`
-    of them; zero is not kept, since -0.0 == 0.0. A dispatch of one request
-    that arrived at an idle device starts at its arrival time, the same
-    float, whose text is then written once.
+
+def _line_writers() -> dict[type, Callable[[LogEvent], str]]:
+    """The line writers of the two records that batch-mode runs make the
+    most of, `BatchDispatch` and `Idle`, by record type. Each gives the line
+    that `_encode_event` writes for its record, newline included.
+
+    A writer fills its template only if the record's float fields hold
+    floats and its int fields ints (not bools), and every float is finite;
+    it leaves every other record, a failing one included, to the encoder.
+    The key text is written once, in the template, and each number as its
+    ``float.__repr__`` or ``int.__repr__``, which is what the encoder
+    writes. The durations, energies, powers and intensities of a run
+    repeat, so the text of each is kept for the next equal float, up to
+    `_MAX_KEPT_TEXTS` of them; zero is not kept, since -0.0 == 0.0. A
+    dispatch of one request that arrived at an idle device starts at its
+    arrival time, the same float, whose text is then written once.
     """
     kept: dict[float, str] = {}
 
@@ -671,51 +670,47 @@ def _line_templates() -> Callable[[LogEvent], str | None]:
                 kept[x] = text
         return text
 
-    def template_line(ev: LogEvent) -> str | None:
-        t_s, kind, detail = ev
-        if kind == "dispatch" and tuple(detail) == _DISPATCH_KEYS:
-            batches, streams, freq_idx, duration, energy, power, completion, misses, arrivals, ci = detail.values()
-            if not (
-                type(t_s) is type(duration) is type(energy) is type(power) is type(completion) is type(ci) is float
-                and type(streams) is type(freq_idx) is type(misses) is int
-                and type(batches) is type(arrivals) is list
-            ):
-                return None
-            for b in batches:
-                if type(b) is not int:
-                    return None
-            t_text = repr(t_s)
-            if len(arrivals) == 1 and arrivals[0] is t_s:
-                arrivals_text = t_text
-            else:
-                try:
-                    arrivals_text = ",".join(map(float.__repr__, arrivals))
-                except TypeError:  # an arrival that is not a float
-                    return None
-            # a sum with an inf or a nan in it is not finite (one that only
-            # overflows sends a finite event to the encoder), and only the
-            # text of a non-finite float holds an "n"
-            if not math.isfinite(t_s + duration + energy + power + completion + ci) or "n" in arrivals_text:
-                return None
-            return (
-                f'{{"t_s":{t_text},"kind":"dispatch","batches":[{",".join(map(repr, batches))}],'
-                f'"streams":{streams},"freq_idx":{freq_idx},"duration_s":{number_text(duration)},'
-                f'"energy_j":{number_text(energy)},"power_w":{number_text(power)},"completion_s":{completion!r},'
-                f'"misses":{misses},"arrivals":[{arrivals_text}],"ci":{number_text(ci)}}}\n'
-            )
-        if kind == "idle" and tuple(detail) == _IDLE_KEYS:
-            idle_s, energy, ci = detail.values()
-            if not (type(t_s) is type(idle_s) is type(energy) is type(ci) is float):
-                return None
-            if not math.isfinite(t_s + idle_s + energy + ci):
-                return None
+    def dispatch_line(ev: BatchDispatch) -> str:
+        t_s, batches, streams, freq_idx, duration, energy, power, completion, misses, arrivals, ci = ev
+        if not (
+            type(t_s) is type(duration) is type(energy) is type(power) is type(completion) is type(ci) is float
+            and type(streams) is type(freq_idx) is type(misses) is int
+            and type(batches) is type(arrivals) is list
+        ):
+            return _encoded_line(ev)
+        for b in batches:
+            if type(b) is not int:
+                return _encoded_line(ev)
+        t_text = repr(t_s)
+        if len(arrivals) == 1 and arrivals[0] is t_s:
+            arrivals_text = t_text
+        else:
+            try:
+                arrivals_text = ",".join(map(float.__repr__, arrivals))
+            except TypeError:  # an arrival that is not a float
+                return _encoded_line(ev)
+        # a sum with an inf or a nan in it is not finite (one that only
+        # overflows sends a finite event to the encoder), and only the
+        # text of a non-finite float holds an "n"
+        if not math.isfinite(t_s + duration + energy + power + completion + ci) or "n" in arrivals_text:
+            return _encoded_line(ev)
+        return (
+            f'{{"t_s":{t_text},"kind":"dispatch","batches":[{",".join(map(repr, batches))}],'
+            f'"streams":{streams},"freq_idx":{freq_idx},"duration_s":{number_text(duration)},'
+            f'"energy_j":{number_text(energy)},"power_w":{number_text(power)},"completion_s":{completion!r},'
+            f'"misses":{misses},"arrivals":[{arrivals_text}],"ci":{number_text(ci)}}}\n'
+        )
+
+    def idle_line(ev: Idle) -> str:
+        t_s, idle_s, energy, ci = ev
+        if type(t_s) is type(idle_s) is type(energy) is type(ci) is float and math.isfinite(t_s + idle_s + energy + ci):
             return (
                 f'{{"t_s":{t_s!r},"kind":"idle","idle_s":{idle_s!r},'
                 f'"energy_j":{number_text(energy)},"ci":{number_text(ci)}}}\n'
             )
-        return None
+        return _encoded_line(ev)
 
-    return template_line
+    return {BatchDispatch: dispatch_line, Idle: idle_line}
 
 
 @contextmanager
@@ -727,30 +722,31 @@ def decision_log(out_dir: str | Path) -> Iterator[Callable[[LogEvent], None]]:
     ``kind`` and then the event's detail keys in order, with Python's
     shortest round-trip floats and no timestamp. Each line is what
     ``json.dumps(..., separators=(",", ":"), allow_nan=False)`` writes for
-    the event. Batch-mode ``dispatch`` and ``idle`` events, nearly all of a
-    batch run's, are written through fixed line templates
-    (`_line_templates`); every other event goes through the generic
-    encoder, `_encode_event`. A non-finite number fails the event that
-    holds it with ValidationFailure. The log is written under a ``.part``
-    name and takes its own name when the body returns. If the body raises,
-    the partial file is removed, and so is every directory this created
-    that is left empty, so a failed run leaves what it would have left
-    without the log, an earlier run's log included.
+    the event. Its writer is chosen by the record's type: batch-mode
+    `BatchDispatch` and `Idle` records, nearly all of a batch run's, fill
+    fixed line templates (`_line_writers`); the others go through the
+    generic encoder, `_encode_event`. A non-finite number, or an int too
+    long to write, fails its event with ValidationFailure. The log is
+    written under a ``.part`` name and takes its own name when the body
+    returns. If the body raises, the partial file is removed, and so is
+    every directory this created that is left empty, so a failed run leaves
+    what it would have left without the log, an earlier run's log included.
     """
     out = Path(out_dir)
     made = [folder for folder in (out, *out.parents) if not folder.exists()]
     _make_out_dir(out)
     partial = out / f"{DECISION_LOG_FILE}.part"
-    template_line = _line_templates()
+    writers = _line_writers()
     try:
         with partial.open("w") as handle:
             write = handle.write
 
             def emit(ev: LogEvent) -> None:
                 try:
-                    line = template_line(ev) or _encode_event({"t_s": ev.t_s, "kind": ev.kind, **ev.detail}) + "\n"
-                except ValueError as exc:
-                    raise ValidationFailure(f"{DECISION_LOG_FILE} would hold a non-finite number: {exc}") from exc
+                    line = writers.get(type(ev), _encoded_line)(ev)
+                except ValueError as exc:  # nan or inf, or an int past sys.get_int_max_str_digits()
+                    what = "a non-finite number" if "Out of range float" in str(exc) else "a number it cannot write"
+                    raise ValidationFailure(f"{DECISION_LOG_FILE} would hold {what}: {exc}") from exc
                 write(line)
 
             yield emit

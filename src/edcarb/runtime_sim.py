@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_left, bisect_right
-from collections import Counter
+from collections import Counter, namedtuple
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -422,10 +422,26 @@ class SimConfig:
             raise SimConfigError(failures)
 
 
-class LogEvent(NamedTuple):
-    t_s: float
-    kind: str
-    detail: dict
+def _record(name: str, kind: str, keys: str) -> type:
+    """The named tuple of one event shape: ``t_s`` and then its log `keys`
+    in log order, with its log ``kind`` and its ``detail``, a dict of the keys."""
+    cls = namedtuple(name, f"t_s {keys}")
+    cls.kind = kind
+    cls.detail = property(lambda ev: dict(zip(ev._fields[1:], ev[1:])))
+    return cls
+
+
+# The events the simulator emits, one type per log shape.
+Adapt = _record("Adapt", "adapt", "threshold_w ci cause")
+Remap = _record("Remap", "remap", "power_w throughput segments")
+Power = _record("Power", "power", "energy_j power_w ci")
+LlmSelect = _record("LlmSelect", "llm_select", "variant freq_idx ci_level tps_violated")
+PowerGated = _record("PowerGated", "power_gated", "threshold_w ci")
+_DISPATCH_TAIL = "duration_s energy_j power_w completion_s misses arrivals ci"
+BatchDispatch = _record("BatchDispatch", "dispatch", f"batches streams freq_idx {_DISPATCH_TAIL}")
+LlmDispatch = _record("LlmDispatch", "dispatch", f"variant freq_idx tokens {_DISPATCH_TAIL}")
+Idle = _record("Idle", "idle", "idle_s energy_j ci")
+LogEvent = Adapt | Remap | Power | LlmSelect | PowerGated | BatchDispatch | LlmDispatch | Idle
 
 
 class StepSample(NamedTuple):
@@ -512,7 +528,7 @@ def run_simulation(
                 threshold = ci_to_threshold(
                     ci, ci_trace.ci_min, ci_trace.ci_max, config.p_min_w, config.p_max_w
                 )
-            emit(LogEvent(t, "adapt", {"threshold_w": threshold, "ci": ci, "cause": cause}))
+            emit(Adapt(t, threshold, ci, cause))
             step.adapt(t, ci, threshold, ci_trace, emit)
         ci_last = ci
         step_energy_j = run(t, dt, ci, threshold, emit)
@@ -553,11 +569,7 @@ class _FlowStep:
             solution.estimate.throughput_inf_per_s,
             max(solution.bottleneck_ms) > self.deadline_ms,
         )
-        emit(LogEvent(t, "remap", {
-            "power_w": self.flow[0],
-            "throughput": self.flow[1],
-            "segments": sum(map(len, solution.plans)),
-        }))
+        emit(Remap(t, self.flow[0], self.flow[1], sum(map(len, solution.plans))))
 
     def run(self, t, dt, ci, threshold, emit) -> float:
         power_w, throughput, late = self.flow
@@ -567,7 +579,7 @@ class _FlowStep:
         self.inferences += done
         if late:
             self.late += done
-        emit(LogEvent(t, "power", {"energy_j": energy_j, "power_w": power_w, "ci": ci}))
+        emit(Power(t, energy_j, power_w, ci))
         return energy_j
 
     def counts(self) -> dict:
@@ -616,9 +628,9 @@ class _QueueStep:
         self.queued_kinds: Counter[str] | None = Counter() if len(self.streams) > 2 else None
         self.head = self.next_arrival = self.max_queue_len = self.misses = 0
         self.device_free = self.busy_s = self.energy_j = 0.0
-        # llm mode: the selected variant's dispatch, (requests served, head
-        # detail, duration_s, energy_j, power_w) as `_plan_batch_dispatch` returns
-        self.fixed: tuple[int, dict, float, float, float] | None = None
+        # llm mode: the selected variant's dispatch, as `_plan_batch_dispatch`
+        # returns one: (1, (variant, freq_idx, tokens), duration_s, energy_j, power_w)
+        self.fixed: tuple[int, tuple, float, float, float] | None = None
         # batch mode: this run's `_plan_batch_dispatch` cost memo, kept per run
         # because it holds sums over this run's table
         self.dispatch_costs: _DispatchCosts = {}
@@ -630,14 +642,8 @@ class _QueueStep:
         choice = llm_select(self.variants, threshold, level, self.config.tps_floor)
         variant, f, tokens = choice.variant, choice.freq_idx, self.config.tokens_per_request
         duration_s = tokens / variant.tokens_per_s[f]
-        head_detail = {"variant": variant.name, "freq_idx": f, "tokens": tokens}
-        self.fixed = 1, head_detail, duration_s, variant.power_w[f] * duration_s, variant.power_w[f]
-        emit(LogEvent(t, "llm_select", {
-            "variant": variant.name,
-            "freq_idx": f,
-            "ci_level": level,
-            "tps_violated": choice.tps_violated,
-        }))
+        self.fixed = 1, (variant.name, f, tokens), duration_s, variant.power_w[f] * duration_s, variant.power_w[f]
+        emit(LlmSelect(t, variant.name, f, level, choice.tps_violated))
 
     def run(self, t, dt, ci, threshold, emit) -> float:
         """Serve the queue over [t, t + dt), then charge idle power for the
@@ -645,6 +651,7 @@ class _QueueStep:
         for the step, as attribute access per dispatch slows the queue path."""
         times, kinds, queued, streams = self.arrival_times, self.arrival_kinds, self.queued_kinds, self.streams
         fixed, table, config, dispatch_costs = self.fixed, self.table, self.config, self.dispatch_costs
+        dispatch_record = BatchDispatch if fixed is None else LlmDispatch
         n_arrivals, deadline_s = len(times), config.deadline_ms / 1000.0
         head, next_arrival, max_queue_len, misses = self.head, self.next_arrival, self.max_queue_len, self.misses
         device_free, busy_s, run_energy_j = self.device_free, self.busy_s, self.energy_j
@@ -670,9 +677,9 @@ class _QueueStep:
                 table, config, threshold, now, dispatch_costs,
             )
             if dispatch is None:
-                emit(LogEvent(now, "power_gated", {"threshold_w": threshold, "ci": ci}))
+                emit(PowerGated(now, threshold, ci))
                 break
-            n_served, head_detail, duration_s, energy_j, power_w = dispatch
+            n_served, leading, duration_s, energy_j, power_w = dispatch
             completion = now + duration_s
             arrival_times = times[head : head + n_served]
             n_miss = 0
@@ -690,16 +697,7 @@ class _QueueStep:
             step_energy_j += energy_j
             run_energy_j += energy_j
             busy_in_window += min(completion, step_end) - now
-            emit(LogEvent(now, "dispatch", {
-                **head_detail,
-                "duration_s": duration_s,
-                "energy_j": energy_j,
-                "power_w": power_w,
-                "completion_s": completion,
-                "misses": n_miss,
-                "arrivals": arrival_times,
-                "ci": ci,
-            }))
+            emit(dispatch_record(now, *leading, duration_s, energy_j, power_w, completion, n_miss, arrival_times, ci))
             now = device_free = completion
 
         idle_s = max(0.0, dt - busy_in_window)
@@ -707,7 +705,7 @@ class _QueueStep:
             idle_energy = config.idle_power_w * idle_s
             step_energy_j += idle_energy
             run_energy_j += idle_energy
-            emit(LogEvent(step_end, "idle", {"idle_s": idle_s, "energy_j": idle_energy, "ci": ci}))
+            emit(Idle(step_end, idle_s, idle_energy, ci))
         self.head, self.next_arrival, self.max_queue_len, self.misses = head, next_arrival, max_queue_len, misses
         self.device_free, self.busy_s, self.energy_j = device_free, busy_s, run_energy_j
         return step_energy_j
@@ -744,7 +742,7 @@ def _plan_batch_dispatch(
     threshold_w: float,
     now: float,
     cost_memo: _DispatchCosts,
-) -> tuple[int, dict, float, float, float] | None:
+) -> tuple[int, tuple, float, float, float] | None:
     """Apply the policy hierarchy to the queue head; None means the step is
     power-gated (no frequency fits under the threshold).
 
@@ -754,9 +752,9 @@ def _plan_batch_dispatch(
     already planned against `table`; the batch-size lists repeat, so each is
     summed once.
 
-    Returns (requests served, head detail, duration_s, energy_j, power_w),
-    where the head detail holds the leading dispatch log keys: the batch
-    sizes, the stream count and the frequency index.
+    Returns (requests served, (batches, streams, freq_idx), duration_s,
+    energy_j, power_w), whose inner tuple is the leading fields of the
+    dispatch's `BatchDispatch`.
     """
     top_freq, deadline_ms = table.n_freqs - 1, config.deadline_ms
     wait_ms = (now - times[head]) * 1000.0
@@ -789,7 +787,6 @@ def _plan_batch_dispatch(
         serial_ms, serial_energy, power_w = costs[f]
         # the log keeps every dispatch's batch list: copy it to its exact size,
         # as an appended list keeps spare capacity
-        head_detail = {"batches": list(groups), "streams": len(groups), "freq_idx": f}
         duration_s = serial_ms / t_scale / 1000.0
-        return n_served, head_detail, duration_s, serial_energy * p_scale / t_scale, power_w
+        return n_served, (list(groups), len(groups), f), duration_s, serial_energy * p_scale / t_scale, power_w
     return None

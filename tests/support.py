@@ -69,7 +69,6 @@ from edcarb.runtime_sim import (
     CiTrace,
     ExecLookupTable,
     LlmVariant,
-    LogEvent,
     SimConfig,
     SimReport,
     StepSample,
@@ -630,6 +629,14 @@ def strip_timestamp_lines(text: str) -> str:
     return "\n".join(ln for ln in text.splitlines() if "generated_at" not in ln)
 
 
+def logged_events(report) -> list[tuple]:
+    """The report's decision log as (t_s, kind, detail) tuples, as
+    `reference_simulation` builds its events. Records of two shapes can hold
+    equal values and compare equal as tuples, so logs compare with their
+    kinds."""
+    return [(ev.t_s, ev.kind, ev.detail) for ev in report.decision_log]
+
+
 def read_decision_log(path) -> list[dict]:
     """The events of a `decision_log.jsonl` as `simulate` writes it, one dict
     per line in file order. NaN and Infinity, which the writer refuses,
@@ -729,6 +736,8 @@ def reference_simulation(
     config, trace, arrivals=None, *, table=None, llm_variants=None, node=None, workloads=None, search_params=None
 ) -> SimReport:
     """`run_simulation` on valid inputs, as one plain loop over the clock.
+    Its decision log holds (t_s, kind, detail) tuples; `logged_events`
+    projects a library report's log the same way.
 
     The queue is rebuilt as a list before each dispatch, the LLM variant is
     re-selected and the mapping re-planned with a fresh `search_mapping` at
@@ -758,12 +767,12 @@ def reference_simulation(
             ci_ref = ci
             if adaptive:
                 threshold = ci_to_threshold(ci, ci_min, ci_max, config.p_min_w, config.p_max_w)
-            log.append(LogEvent(t, "adapt", {"threshold_w": threshold, "ci": ci, "cause": cause}))
+            log.append((t, "adapt", {"threshold_w": threshold, "ci": ci, "cause": cause}))
             if mode == "llm":
                 level = ci_level_of(ci, ci_min, ci_max)
                 choice = llm_select(llm_variants, threshold, level, config.tps_floor)
                 llm = choice.variant, choice.freq_idx
-                log.append(LogEvent(t, "llm_select", {
+                log.append((t, "llm_select", {
                     "variant": choice.variant.name,
                     "freq_idx": choice.freq_idx,
                     "ci_level": level,
@@ -776,7 +785,7 @@ def reference_simulation(
                     for variant, plan in zip(workloads, solution.plans)
                 )
                 flow = solution.estimate.power_w, solution.estimate.throughput_inf_per_s, late
-                log.append(LogEvent(t, "remap", {
+                log.append((t, "remap", {
                     "power_w": flow[0],
                     "throughput": flow[1],
                     "segments": sum(len(plan) for plan in solution.plans),
@@ -790,7 +799,7 @@ def reference_simulation(
             flow_done += throughput * dt
             if late:
                 flow_late += throughput * dt
-            log.append(LogEvent(t, "power", {"energy_j": energy, "power_w": power_w, "ci": ci}))
+            log.append((t, "power", {"energy_j": energy, "power_w": power_w, "ci": ci}))
         else:
             busy = max(0.0, min(device_free, step_end) - t)
             now = max(device_free, t)
@@ -813,7 +822,7 @@ def reference_simulation(
                 else:
                     dispatch = _reference_batch_dispatch(queue, now, table, config.deadline_ms, threshold)
                 if dispatch is None:
-                    log.append(LogEvent(now, "power_gated", {"threshold_w": threshold, "ci": ci}))
+                    log.append((now, "power_gated", {"threshold_w": threshold, "ci": ci}))
                     break
                 n, head, duration, energy, power_w = dispatch
                 completion = now + duration
@@ -825,7 +834,7 @@ def reference_simulation(
                 step_j += energy
                 total_j += energy
                 busy += min(completion, step_end) - now
-                log.append(LogEvent(now, "dispatch", {
+                log.append((now, "dispatch", {
                     **head,
                     "duration_s": duration,
                     "energy_j": energy,
@@ -841,7 +850,7 @@ def reference_simulation(
                 energy = config.idle_power_w * idle_s
                 step_j += energy
                 total_j += energy
-                log.append(LogEvent(step_end, "idle", {"idle_s": idle_s, "energy_j": energy, "ci": ci}))
+                log.append((step_end, "idle", {"idle_s": idle_s, "energy_j": energy, "ci": ci}))
         grams += ci * step_j / J_PER_KWH
         steps.append(StepSample(t, ci, threshold, step_j / dt, step_j / J_PER_KWH, grams))
         t = step_end

@@ -14,7 +14,7 @@ import pytest
 from edcarb import cli, cli_io, edc_scheduler
 from edcarb.edc_scheduler import EdgeNode, system_estimate
 from edcarb.errors import ValidationFailure
-from edcarb.runtime_sim import LogEvent, SimConfig, SimReport, StepSample
+from edcarb.runtime_sim import Adapt, BatchDispatch, Idle, LlmSelect, SimConfig, SimReport, StepSample
 from edcarb.cli_io import (
     ConfigError,
     NegativeCi,
@@ -1476,29 +1476,24 @@ def test_cli_simulate_out_that_cannot_be_created_fails_before_the_run(demo_copy,
 
 def test_decision_log_writes_one_compact_line_per_event(tmp_path):
     with cli_io.decision_log(tmp_path / "o") as emit:
-        emit(LogEvent(0.0, "adapt", {"threshold_w": 15.5, "ci": 250.0, "cause": "initial"}))
-        emit(LogEvent(1.25, "dispatch", {"batches": [2, 1], "misses": 0, "arrivals": [0.1, 1e-07]}))
+        emit(Adapt(0.0, 15.5, 250.0, "initial"))
+        emit(BatchDispatch(1.25, [2, 1], 2, 0, 0.1, 0.5, 5.0, 1.35, 0, [0.1, 1e-07], 250.0))
     assert {p.name: p.read_text() for p in (tmp_path / "o").iterdir()} == {
         "decision_log.jsonl": (
             '{"t_s":0.0,"kind":"adapt","threshold_w":15.5,"ci":250.0,"cause":"initial"}\n'
-            '{"t_s":1.25,"kind":"dispatch","batches":[2,1],"misses":0,"arrivals":[0.1,1e-07]}\n'
+            '{"t_s":1.25,"kind":"dispatch","batches":[2,1],"streams":2,"freq_idx":0,"duration_s":0.1,'
+            '"energy_j":0.5,"power_w":5.0,"completion_s":1.35,"misses":0,"arrivals":[0.1,1e-07],"ci":250.0}\n'
         )
     }
 
 
-def _with_bad(kind: str, field: str, bad: float) -> LogEvent:
-    """A valid event of the shape a batch run logs most, with `bad` in one number."""
-    detail = {"idle_s": 1.0, "energy_j": 0.5, "ci": 250.0}
+def _with_bad(kind: str, field: str, bad: float) -> BatchDispatch | Idle:
+    """A valid record of the shape a batch run logs most, with `bad` in one number."""
     if kind == "dispatch":
-        detail = {
-            "batches": [2, 1], "streams": 2, "freq_idx": 0, "duration_s": 0.1, "energy_j": 0.5, "power_w": 5.0,
-            "completion_s": 1.1, "misses": 0, "arrivals": [0.5, 0.75, 1.0], "ci": 250.0,
-        }
-    if field == "t_s":
-        return LogEvent(bad, kind, detail)
-    if field == "arrivals":
-        return LogEvent(1.0, kind, {**detail, "arrivals": [0.5, bad]})
-    return LogEvent(1.0, kind, {**detail, field: bad})
+        ev = BatchDispatch(1.0, [2, 1], 2, 0, 0.1, 0.5, 5.0, 1.1, 0, [0.5, 0.75, 1.0], 250.0)
+    else:
+        ev = Idle(1.0, 1.0, 0.5, 250.0)
+    return ev._replace(**{field: [0.5, bad] if field == "arrivals" else bad})
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
@@ -1513,10 +1508,24 @@ def _with_bad(kind: str, field: str, bad: float) -> LogEvent:
 def test_decision_log_refuses_non_finite_and_removes_what_it_made(tmp_path, kind, field, bad):
     with pytest.raises(ValidationFailure, match="decision_log.jsonl would hold a non-finite number"):
         with cli_io.decision_log(tmp_path / "o" / "sim") as emit:
-            emit(LogEvent(0.0, "adapt", {"threshold_w": 15.5, "ci": 250.0, "cause": "initial"}))
+            emit(Adapt(0.0, 15.5, 250.0, "initial"))
             # the same shape with finite numbers first, so their texts are kept
             emit(_with_bad(kind, "ci", 250.0))
             emit(_with_bad(kind, field, bad))
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "event",
+    [_with_bad("dispatch", "streams", 10**5000), LlmSelect(0.0, "q8", 10**5000, "low", False)],
+    ids=["line-template", "encoder"],
+)
+def test_decision_log_refuses_an_int_too_long_to_write_and_says_why(tmp_path, event):
+    # past sys.get_int_max_str_digits() an int has no text: that is no non-finite number
+    with pytest.raises(ValidationFailure, match="integer string conversion") as failure:
+        with cli_io.decision_log(tmp_path / "o") as emit:
+            emit(event)
+    assert "non-finite" not in str(failure.value)
     assert not (tmp_path / "o").exists()
 
 

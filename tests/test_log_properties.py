@@ -1,9 +1,9 @@
 """Property test: every line of ``decision_log.jsonl`` is the bytes that
 ``json.dumps`` writes for its event, whichever way the sink writes it.
 
-Events of each shape the simulator emits are drawn with numbers from a small
+Records of each shape the simulator emits are drawn with numbers from a small
 pool of values that look alike to a value cache (``0.0`` and ``-0.0``;
-``1.0``, ``1`` and ``True``) mixed with any finite float. Most events hold
+``1.0``, ``1`` and ``True``) mixed with any finite float. Most records hold
 floats in their float fields and ints in their int fields, as the
 simulator's do; one in four may hold an int or a bool in any of them. So
 one run of the sink sees equal numbers of different types and signs one
@@ -19,7 +19,17 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from edcarb import cli_io  # noqa: E402
-from edcarb.runtime_sim import LogEvent  # noqa: E402
+from edcarb.runtime_sim import (  # noqa: E402
+    Adapt,
+    BatchDispatch,
+    Idle,
+    LlmDispatch,
+    LlmSelect,
+    LogEvent,
+    Power,
+    PowerGated,
+    Remap,
+)
 
 plain_floats = st.sampled_from((0.0, -0.0, 1.0, 1e-07, 1e16, 0.1, 2.5, 320.0)) | st.floats(
     allow_nan=False, allow_infinity=False
@@ -39,42 +49,20 @@ def events(draw):
     # a dispatch's arrivals: its own start time alone, as a dispatch of one
     # request to an idle device logs them, or any list of numbers
     arrivals = st.just([t_s]) | st.lists(floats, max_size=4)
-    shape = draw(st.sampled_from(("adapt", "llm_select", "remap", "power", "power_gated", "batch", "llm", "idle")))
-    if shape in ("batch", "llm"):
-        if shape == "batch":
-            head = {"batches": draw(st.lists(ints, min_size=1, max_size=4)), "streams": draw(ints)}
-            head["freq_idx"] = draw(ints)
-        else:
-            head = {"variant": draw(names), "freq_idx": draw(ints), "tokens": draw(ints)}
-        detail = {
-            **head,
-            "duration_s": draw(floats),
-            "energy_j": draw(floats),
-            "power_w": draw(floats),
-            "completion_s": draw(floats),
-            "misses": draw(ints),
-            "arrivals": draw(arrivals),
-            "ci": draw(floats),
-        }
-        return LogEvent(t_s, "dispatch", detail)
-    detail = {
-        "adapt": lambda: {
-            "threshold_w": draw(floats),
-            "ci": draw(floats),
-            "cause": draw(st.sampled_from(("initial", "ci_change"))),
-        },
-        "llm_select": lambda: {
-            "variant": draw(names),
-            "freq_idx": draw(ints),
-            "ci_level": draw(st.sampled_from(("low", "mid", "high"))),
-            "tps_violated": draw(st.booleans()),
-        },
-        "remap": lambda: {"power_w": draw(floats), "throughput": draw(floats), "segments": draw(ints)},
-        "power": lambda: {"energy_j": draw(floats), "power_w": draw(floats), "ci": draw(floats)},
-        "power_gated": lambda: {"threshold_w": draw(floats), "ci": draw(floats)},
-        "idle": lambda: {"idle_s": draw(floats), "energy_j": draw(floats), "ci": draw(floats)},
-    }[shape]()
-    return LogEvent(t_s, shape, detail)
+    tail = (floats, floats, floats, floats, ints, arrivals, floats)
+    # the strategy of each field after t_s, by record type
+    fields = {
+        Adapt: (floats, floats, st.sampled_from(("initial", "ci_change"))),
+        LlmSelect: (names, ints, st.sampled_from(("low", "mid", "high")), st.booleans()),
+        Remap: (floats, floats, ints),
+        Power: (floats, floats, floats),
+        PowerGated: (floats, floats),
+        BatchDispatch: (st.lists(ints, min_size=1, max_size=4), ints, ints, *tail),
+        LlmDispatch: (names, ints, ints, *tail),
+        Idle: (floats, floats, floats),
+    }
+    record = draw(st.sampled_from(tuple(fields)))
+    return record(t_s, *(draw(field) for field in fields[record]))
 
 
 def dumped(ev: LogEvent) -> str:
@@ -96,26 +84,19 @@ def test_each_log_line_is_what_json_dumps_writes(sequence):
 
 
 def test_equal_numbers_of_another_type_or_sign_keep_their_own_text():
-    dispatch = {"batches": [1], "streams": 1, "freq_idx": 0, "duration_s": 0.08, "energy_j": 0.4, "power_w": 5.0}
-    tail = {"completion_s": 0.5, "misses": 0, "arrivals": [0.3], "ci": 320.0}
-    swapped = {"batches": [1], "streams": 1, "freq_idx": 0, "energy_j": 0.4, "duration_s": 0.08, "power_w": 5.0}
+    dispatch = BatchDispatch(0.3, [1], 1, 0, 0.08, 0.4, 5.0, 0.5, 0, [0.3], 320.0)
     sequence = [
-        LogEvent(0.3, "dispatch", {**dispatch, **tail}),
-        LogEvent(0.5, "dispatch", {**dispatch, "power_w": 5, **tail}),
-        LogEvent(0.5, "dispatch", {**dispatch, "power_w": True, **tail}),
-        LogEvent(0.5, "dispatch", {**dispatch, **tail, "misses": False}),
-        LogEvent(1.0, "idle", {"idle_s": 0.5, "energy_j": 0.0, "ci": 320.0}),
-        LogEvent(2.0, "idle", {"idle_s": 0.5, "energy_j": -0.0, "ci": 320.0}),
-        LogEvent(2.5, "idle", {"idle_s": 0.5, "energy_j": 0.25, "ci": 320}),
-        LogEvent(3.0, "dispatch", {**dispatch, "batches": [True, 1], **tail}),
+        dispatch,
+        dispatch._replace(t_s=0.5, power_w=5),
+        dispatch._replace(t_s=0.5, power_w=True),
+        dispatch._replace(t_s=0.5, misses=False),
+        Idle(1.0, 0.5, 0.0, 320.0),
+        Idle(2.0, 0.5, -0.0, 320.0),
+        Idle(2.5, 0.5, 0.25, 320),
+        dispatch._replace(t_s=3.0, batches=[True, 1]),
         # an arrival equal to the start time, but not the same float
-        LogEvent(0.0, "dispatch", {**dispatch, **tail, "arrivals": [-0.0]}),
-        LogEvent(1.0, "dispatch", {**dispatch, **tail, "arrivals": [1]}),
-        # the keys of a dispatch or an idle step, but not all of them or not in order
-        LogEvent(1.25, "dispatch", {"batches": [2, 1], "misses": 0, "arrivals": [0.1, 1e-07]}),
-        LogEvent(1.5, "dispatch", {**tail, **dispatch}),
-        LogEvent(1.5, "dispatch", {**swapped, **tail}),
-        LogEvent(4.0, "idle", {"energy_j": 0.25, "idle_s": 0.5, "ci": 320.0}),
+        dispatch._replace(t_s=0.0, arrivals=[-0.0]),
+        dispatch._replace(t_s=1.0, arrivals=[1]),
     ]
     text = logged(sequence)
     assert text == "".join(map(dumped, sequence))

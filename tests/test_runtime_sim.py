@@ -24,7 +24,6 @@ from edcarb.runtime_sim import (
     CiTrace,
     ExecLookupTable,
     LlmVariant,
-    LogEvent,
     NoVariantUnderPowerThreshold,
     PoissonArrivals,
     SimConfig,
@@ -43,6 +42,7 @@ from support import (
     LLM_VARIANTS,
     brute_force_batch,
     brute_force_frequency,
+    logged_events,
     make_unit,
     make_variant,
     random_exec_table,
@@ -740,7 +740,8 @@ def test_a_sink_gets_in_order_the_events_the_report_would_keep():
     kept = run_simulation(config, trace, arrivals, table=TWO_FREQ_TABLE)
     seen = []
     streamed = run_simulation(config, trace, arrivals, table=TWO_FREQ_TABLE, emit=seen.append)
-    assert seen == kept.decision_log and {ev.kind for ev in seen} >= {"adapt", "dispatch", "idle", "power_gated"}
+    assert [(ev.t_s, ev.kind, ev.detail) for ev in seen] == logged_events(kept)
+    assert {ev.kind for ev in seen} >= {"adapt", "dispatch", "idle", "power_gated"}
     assert streamed.decision_log == []
     assert dataclasses.replace(streamed, decision_log=kept.decision_log) == kept
 
@@ -751,7 +752,7 @@ def test_simulation_deterministic():
     trace = two_level_trace(100.0, 500.0, 60.0)
     a = run_simulation(config, trace, arrivals, table=TWO_FREQ_TABLE)
     b = run_simulation(config, trace, arrivals, table=TWO_FREQ_TABLE)
-    assert a.decision_log == b.decision_log
+    assert logged_events(a) == logged_events(b)
     assert a.steps == b.steps
     assert (a.total_energy_kwh, a.operational_g, a.inferences_done) == (
         b.total_energy_kwh,
@@ -1000,21 +1001,21 @@ def test_mapping_mode_misses_follow_each_remaps_deadline_verdict(deadline_ms, mi
 
 
 def reference_mapping_log(config, trace, workloads, node, params, sample_s):
-    """The mapping-mode log from one search_mapping per threshold, for a
-    trace whose every sample jumps across the hysteresis band and holds for
-    sample_s steps of 1 s."""
+    """The mapping-mode log, as (t_s, kind, detail) tuples, from one
+    search_mapping per threshold, for a trace whose every sample jumps
+    across the hysteresis band and holds for sample_s steps of 1 s."""
     log = []
     for t_s, ci in trace.samples:
         threshold = ci_to_threshold(ci, trace.ci_min, trace.ci_max, config.p_min_w, config.p_max_w)
         solution = search_mapping(workloads, node, threshold, params)
         power_w = solution.estimate.power_w
-        log.append(LogEvent(t_s, "adapt", {"threshold_w": threshold, "ci": ci, "cause": "ci_change" if t_s else "initial"}))
-        log.append(LogEvent(t_s, "remap", {
+        log.append((t_s, "adapt", {"threshold_w": threshold, "ci": ci, "cause": "ci_change" if t_s else "initial"}))
+        log.append((t_s, "remap", {
             "power_w": power_w,
             "throughput": solution.estimate.throughput_inf_per_s,
             "segments": sum(map(len, solution.plans)),
         }))
-        log += [LogEvent(t_s + k, "power", {"energy_j": power_w * 1.0, "power_w": power_w, "ci": ci}) for k in range(sample_s)]
+        log += [(t_s + k, "power", {"energy_j": power_w * 1.0, "power_w": power_w, "ci": ci}) for k in range(sample_s)]
     return log
 
 
@@ -1051,7 +1052,7 @@ def test_mapping_mode_remaps_as_search_mapping_at_each_threshold(monkeypatch):
             infeasible += 1
             continue
         report = run_simulation(config, trace, None, node=node, workloads=workloads, search_params=params)
-        assert report.decision_log == expected
+        assert logged_events(report) == expected
         assert len(prepares) == 1
         runs += 1
     assert infeasible >= 1

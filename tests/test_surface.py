@@ -52,6 +52,7 @@ UNREAD_METHODS = {
 UNREAD_FIELDS = {
     "EvaluatedDesign.infeasibility_reason": "kept for counting infeasible designs by reason (ROADMAP item 6)",
     "StepSample.energy_kwh": "timeseries_rows writes every field of a sample by position, as list(sample)",
+    "StepSample.threshold_w": "timeseries_rows writes every field of a sample by position, as list(sample)",
 }
 
 

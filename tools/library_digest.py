@@ -108,7 +108,9 @@ makes the case raise instead of moving its digest:
 - a ``MappingSolution`` is its plans and the three fields of its
   ``SystemEstimate``;
 - a ``SimReport`` is every field, the decision log and the time series
-  included;
+  included. Each decision event is projected as ``(t_s, kind, detail)``,
+  which reads the same whether a tree's events are one
+  ``LogEvent(t_s, kind, detail)`` type or one record type per log shape;
 - a ``select_variants`` result is the chosen variants' names, its
   ``MappingSolution`` as above, and each chosen plan's slowest segment
   latency, costed with ``segment_cost``.
@@ -176,7 +178,8 @@ def _mapping(solution) -> tuple:
 
 
 def _sim(report) -> tuple:
-    return tuple(getattr(report, name) for name in _SIM_REPORT_FIELDS)
+    log = [(ev.t_s, ev.kind, ev.detail) for ev in report.decision_log]
+    return tuple(log if name == "decision_log" else getattr(report, name) for name in _SIM_REPORT_FIELDS)
 
 
 def _projections(design_explorer) -> tuple:
