@@ -35,6 +35,7 @@ from bisect import bisect_left, bisect_right
 from collections import Counter, namedtuple
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
+from functools import partial
 from typing import NamedTuple
 
 from .carbon_model import J_PER_KWH, operational_carbon
@@ -422,13 +423,19 @@ class SimConfig:
             raise SimConfigError(failures)
 
 
+def _positional(cls: type) -> type:
+    """Give the named tuple `cls` ``make(values)``: ``cls(*values)`` with no Python frame and no arity check."""
+    cls.make = partial(tuple.__new__, cls)
+    return cls
+
+
 def _record(name: str, kind: str, keys: str) -> type:
     """The named tuple of one event shape: ``t_s`` and then its log `keys`
     in log order, with its log ``kind`` and its ``detail``, a dict of the keys."""
     cls = namedtuple(name, f"t_s {keys}")
     cls.kind = kind
     cls.detail = property(lambda ev: dict(zip(ev._fields[1:], ev[1:])))
-    return cls
+    return _positional(cls)
 
 
 # The events the simulator emits, one type per log shape.
@@ -444,6 +451,7 @@ Idle = _record("Idle", "idle", "idle_s energy_j ci")
 LogEvent = Adapt | Remap | Power | LlmSelect | PowerGated | BatchDispatch | LlmDispatch | Idle
 
 
+@_positional
 class StepSample(NamedTuple):
     """One clock step, its fields in the order of the timeseries.csv columns."""
 
@@ -508,7 +516,7 @@ def run_simulation(
     if emit is None:
         emit = log.append
     samples: list[StepSample] = []
-    ci_at, run, add_sample = ci_trace.ci_at, step.run, samples.append
+    ci_at, run, add_sample, sample = ci_trace.ci_at, step.run, samples.append, StepSample.make
     operational_g = 0.0
     threshold = config.p_max_w
     ci_ref: float | None = None
@@ -517,7 +525,7 @@ def run_simulation(
     ci_last: float | None = None
     t = 0.0
     while t < horizon_s - 1e-12:
-        dt = min(step_s, horizon_s - t)
+        dt = step_s if step_s <= horizon_s - t else horizon_s - t
         ci = ci_at(t)
         if ci_ref is None or adaptive and ci != ci_last and hysteresis_update(
             ci_ref, ci, ci_trace.ci_range, config.hysteresis_fraction
@@ -533,7 +541,7 @@ def run_simulation(
         ci_last = ci
         step_energy_j = run(t, dt, ci, threshold, emit)
         operational_g += operational_carbon(ci, step_energy_j)
-        add_sample(StepSample(t, ci, threshold, step_energy_j / dt, step_energy_j / J_PER_KWH, operational_g))
+        add_sample(sample((t, ci, threshold, step_energy_j / dt, step_energy_j / J_PER_KWH, operational_g)))
         t += dt
 
     return SimReport(
@@ -579,7 +587,7 @@ class _FlowStep:
         self.inferences += done
         if late:
             self.late += done
-        emit(Power(t, energy_j, power_w, ci))
+        emit(Power.make((t, energy_j, power_w, ci)))
         return energy_j
 
     def counts(self) -> dict:
@@ -647,27 +655,33 @@ class _QueueStep:
 
     def run(self, t, dt, ci, threshold, emit) -> float:
         """Serve the queue over [t, t + dt), then charge idle power for the
-        rest; returns the step's energy. The run's state is copied into locals
-        for the step, as attribute access per dispatch slows the queue path."""
+        rest; returns the step's energy. Per dispatch, the cursor searches the
+        arrivals only when one is due by now, the longest queue moves only
+        when arrivals join, a one-request dispatch tests its one arrival for a
+        miss, records are built by `make`, and the run's state is read from
+        locals, as attribute access slows the queue path."""
         times, kinds, queued, streams = self.arrival_times, self.arrival_kinds, self.queued_kinds, self.streams
         fixed, table, config, dispatch_costs = self.fixed, self.table, self.config, self.dispatch_costs
-        dispatch_record = BatchDispatch if fixed is None else LlmDispatch
+        dispatch_record = (BatchDispatch if fixed is None else LlmDispatch).make
         n_arrivals, deadline_s = len(times), config.deadline_ms / 1000.0
         head, next_arrival, max_queue_len, misses = self.head, self.next_arrival, self.max_queue_len, self.misses
         device_free, busy_s, run_energy_j = self.device_free, self.busy_s, self.energy_j
         step_end = t + dt
         step_energy_j = 0.0
-        busy_in_window = max(0.0, min(device_free, step_end) - t)
-        now = max(device_free, t)
+        # min and max written as the comparisons that give the builtins' floats
+        busy_in_window = (step_end if step_end < device_free else device_free) - t if device_free > t else 0.0
+        now = t if t > device_free else device_free
         while True:
-            arrived = bisect_right(times, now, next_arrival)
-            if queued is not None and arrived > next_arrival:
-                queued.update(kinds[next_arrival:arrived])
-            next_arrival = arrived
-            max_queue_len = max(max_queue_len, next_arrival - head)
+            if next_arrival < n_arrivals and times[next_arrival] <= now:
+                arrived = bisect_right(times, now, next_arrival)
+                if queued is not None:
+                    queued.update(kinds[next_arrival:arrived])
+                next_arrival = arrived
+                if next_arrival - head > max_queue_len:
+                    max_queue_len = next_arrival - head
             if head == next_arrival:
                 if next_arrival < n_arrivals and times[next_arrival] < step_end:
-                    now = max(now, times[next_arrival])
+                    now = times[next_arrival]  # later than now: the search passed every due arrival
                     continue
                 break
             if now >= step_end:
@@ -677,15 +691,18 @@ class _QueueStep:
                 table, config, threshold, now, dispatch_costs,
             )
             if dispatch is None:
-                emit(PowerGated(now, threshold, ci))
+                emit(PowerGated.make((now, threshold, ci)))
                 break
             n_served, leading, duration_s, energy_j, power_w = dispatch
             completion = now + duration_s
             arrival_times = times[head : head + n_served]
-            n_miss = 0
-            for arrival_s in arrival_times:
-                if completion > arrival_s + deadline_s:
-                    n_miss += 1
+            if n_served == 1:
+                n_miss = 1 if completion > arrival_times[0] + deadline_s else 0
+            else:
+                n_miss = 0
+                for arrival_s in arrival_times:
+                    if completion > arrival_s + deadline_s:
+                        n_miss += 1
             if queued is not None:
                 for kind in kinds[head : head + n_served]:
                     queued[kind] -= 1
@@ -696,16 +713,16 @@ class _QueueStep:
             busy_s += duration_s
             step_energy_j += energy_j
             run_energy_j += energy_j
-            busy_in_window += min(completion, step_end) - now
-            emit(dispatch_record(now, *leading, duration_s, energy_j, power_w, completion, n_miss, arrival_times, ci))
+            busy_in_window += (step_end if step_end < completion else completion) - now
+            emit(dispatch_record((now, *leading, duration_s, energy_j, power_w, completion, n_miss, arrival_times, ci)))
             now = device_free = completion
 
-        idle_s = max(0.0, dt - busy_in_window)
+        idle_s = dt - busy_in_window
         if idle_s > 0 and config.idle_power_w > 0:
             idle_energy = config.idle_power_w * idle_s
             step_energy_j += idle_energy
             run_energy_j += idle_energy
-            emit(Idle(step_end, idle_s, idle_energy, ci))
+            emit(Idle.make((step_end, idle_s, idle_energy, ci)))
         self.head, self.next_arrival, self.max_queue_len, self.misses = head, next_arrival, max_queue_len, misses
         self.device_free, self.busy_s, self.energy_j = device_free, busy_s, run_energy_j
         return step_energy_j

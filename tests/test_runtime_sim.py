@@ -5,11 +5,12 @@ import math
 import random
 from bisect import bisect_right
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
 from edcarb.cli_io import sim_report_to_dict
-from edcarb import runtime_sim
+from edcarb import cli, runtime_sim
 from edcarb.carbon_model import J_PER_KWH, operational_carbon
 from edcarb.edc_scheduler import (
     EdgeNode,
@@ -21,13 +22,22 @@ from edcarb.edc_scheduler import (
 )
 from edcarb.errors import ValidationFailure
 from edcarb.runtime_sim import (
+    Adapt,
+    BatchDispatch,
     CiTrace,
     ExecLookupTable,
+    Idle,
+    LlmDispatch,
+    LlmSelect,
     LlmVariant,
     NoVariantUnderPowerThreshold,
     PoissonArrivals,
+    Power,
+    PowerGated,
+    Remap,
     SimConfig,
     SimConfigError,
+    StepSample,
     TraceArrivals,
     TraceExhausted,
     choose_batch,
@@ -46,9 +56,12 @@ from support import (
     make_unit,
     make_variant,
     random_exec_table,
+    random_queue_scenario,
     random_scheduler_instance,
     reference_poisson_arrivals,
 )
+
+DEMO_DIR = Path(__file__).resolve().parent.parent / "configs" / "demo"
 
 TWO_FREQ_TABLE = ExecLookupTable(
     entries={
@@ -634,6 +647,25 @@ def test_deadline_misses_have_matching_logged_executions():
     assert report.deadline_misses <= report.inferences_done
 
 
+@pytest.mark.parametrize("mode, n_requests", [("batch", 1), ("batch", 2), ("llm", 1)])
+def test_a_dispatch_done_exactly_at_its_deadline_misses_nothing(mode, n_requests):
+    # every dispatch takes 250 ms, exact in binary, and the first starts at
+    # the arrivals, at 0.0: a 249 ms deadline is missed by every request (one
+    # per dispatch), a 250 ms one by none (all in one dispatch)
+    table = ExecLookupTable({(1, 0): (250.0, 1.0), (2, 0): (250.0, 2.0)})
+    variants = (LlmVariant("only", 0.9, (16.0,), (2.0,)),)
+    kwargs = {"llm_variants": variants} if mode == "llm" else {"table": table}
+    arrivals = TraceArrivals((0.0,) * n_requests, ("default",) * n_requests)
+    for deadline_ms, misses in ((249.0, n_requests), (250.0, 0)):
+        config = SimConfig(
+            mode=mode, horizon_s=1.0, policy="static", deadline_ms=deadline_ms, tokens_per_request=4, tps_floor=1.0
+        )
+        report = run_simulation(config, flat_trace(100.0, 1.0), arrivals, **kwargs)
+        dispatches = [ev for ev in report.decision_log if ev.kind == "dispatch"]
+        assert {ev.duration_s for ev in dispatches} == {0.25} and report.inferences_done == n_requests
+        assert report.deadline_misses == sum(ev.misses for ev in dispatches) == misses
+
+
 def test_dispatch_power_respects_threshold():
     config = batch_config()
     arrivals = PoissonArrivals(rate_per_s=5.0, seed=19)
@@ -744,6 +776,38 @@ def test_a_sink_gets_in_order_the_events_the_report_would_keep():
     assert {ev.kind for ev in seen} >= {"adapt", "dispatch", "idle", "power_gated"}
     assert streamed.decision_log == []
     assert dataclasses.replace(streamed, decision_log=kept.decision_log) == kept
+
+
+RECORD_TYPES = (Adapt, Remap, Power, LlmSelect, PowerGated, BatchDispatch, LlmDispatch, Idle, StepSample)
+
+
+@pytest.mark.parametrize("record", RECORD_TYPES, ids=lambda record: record.__name__)
+def test_a_record_made_by_position_is_the_record_its_values_build(record):
+    values = tuple(range(len(record._fields)))
+    made = record.make(values)
+    assert type(made) is record and made == record(*values)
+
+
+def test_every_record_of_a_run_holds_one_value_per_field(tmp_path, monkeypatch):
+    # `make` skips the named tuple's check of the value count, so the records
+    # of the demo simulate verb and of seeded queue scenarios are counted here
+    records = []
+
+    def kept(*args, emit, **kwargs):
+        report = run_simulation(*args, emit=lambda ev: records.append(ev) or emit(ev), **kwargs)
+        records.extend(report.steps)
+        return report
+
+    monkeypatch.setattr(cli, "run_simulation", kept)
+    demo = ["--config", str(DEMO_DIR / "demo.json"), "--trace", str(DEMO_DIR / "ci_trace.csv")]
+    assert cli.main(["simulate", *demo, "--arrivals", "poisson", "--out", str(tmp_path / "o")]) == 0
+    rng = random.Random(2)
+    for mode in ("batch", "llm") * 10:
+        config, trace, columns, kwargs = random_queue_scenario(rng, mode)
+        report = run_simulation(config, trace, TraceArrivals(*columns), **kwargs)
+        records += report.decision_log + report.steps
+    assert {type(record) for record in records} == set(RECORD_TYPES) - {Remap, Power}
+    assert all(len(record) == len(type(record)._fields) for record in records)
 
 
 def test_simulation_deterministic():

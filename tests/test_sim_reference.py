@@ -16,6 +16,7 @@ from edcarb.edc_scheduler import NoFeasiblePlan, SearchParams
 from edcarb.runtime_sim import CiTrace, ExecLookupTable, SimConfig, TraceArrivals, run_simulation
 
 from support import LLM_VARIANTS, logged_events, random_queue_scenario, random_scheduler_instance, reference_simulation
+from time_limit import time_limit
 
 
 def assert_same_run(report, expected) -> None:
@@ -69,11 +70,14 @@ def test_arrivals_at_one_instant_and_at_a_completion_match_the_reference(mode, k
     # with two kinds, the first arrival at each instant is the only one of its kind
     instants = (0.25, 0.25, 0.25, 0.25, 1.0, 1.0, 2.5, 2.5, 2.5)
     labels = tuple(kinds[-1] if at not in instants[:i] else kinds[0] for i, at in enumerate(instants))
-    first = run_simulation(config, trace, TraceArrivals(instants, labels), **kwargs)
+    # a queue step that never takes in an arrival due now loops: fail it in seconds
+    with time_limit(5.0):
+        first = run_simulation(config, trace, TraceArrivals(instants, labels), **kwargs)
     completion = next(ev.detail["completion_s"] for ev in first.decision_log if ev.kind == "dispatch")
     tied = sorted(zip(instants + (completion, completion), labels + (kinds[-1], kinds[0])), key=lambda a: a[0])
     arrivals = TraceArrivals(tuple(t for t, _ in tied), tuple(kind for _, kind in tied))
-    report = run_simulation(config, trace, arrivals, **kwargs)
+    with time_limit(5.0):
+        report = run_simulation(config, trace, arrivals, **kwargs)
     assert_same_run(report, reference_simulation(config, trace, arrivals, **kwargs))
     dispatches = [ev for ev in report.decision_log if ev.kind == "dispatch"]
     assert dispatches[0].detail["completion_s"] == completion

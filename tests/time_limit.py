@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import signal
 import threading
+import time
 from contextlib import contextmanager
 
 # generous: the slowest tier-1 test takes a few seconds
@@ -30,21 +31,30 @@ def can_limit() -> bool:
 def time_limit(seconds: float):
     """Raise TimeLimitExceeded in the block once it has run for `seconds`.
 
-    The limit is a SIGALRM from the real-time interval timer; it replaces any
-    other use of that timer while the block runs. Where `can_limit()` is false
-    the block runs without a limit.
+    The limit is a SIGALRM from the real-time interval timer. A limit around
+    the block, such as the suite's limit per test, still holds: the block's
+    timer fires no later than the outer one would, and once the block ends
+    the outer timer runs on with the time it has left (an outer limit that
+    ran out in the block fired there as the block's). Where `can_limit()` is
+    false the block runs without a limit.
     """
     if not can_limit():
         yield
         return
+    outer_s, _ = signal.getitimer(signal.ITIMER_REAL)
+    limit_s = min(seconds, outer_s) if outer_s else seconds
 
     def expire(signum, frame):
-        raise TimeLimitExceeded(f"ran for more than {seconds} s")
+        raise TimeLimitExceeded(f"ran for more than {limit_s} s")
 
+    started = time.monotonic()
     previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
+    signal.setitimer(signal.ITIMER_REAL, limit_s)
     try:
         yield
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+        left_s = outer_s - (time.monotonic() - started)
+        if left_s > 0:
+            signal.setitimer(signal.ITIMER_REAL, left_s)
