@@ -26,14 +26,6 @@ from .errors import ValidationFailure
 J_PER_KWH = 3.6e6
 
 
-class DieTooLarge(ValidationFailure):
-    """Die area is too large for the wafer to yield at least one die."""
-
-
-class InvalidStack(ValidationFailure):
-    """A 3D stack needs at least two dies."""
-
-
 class PackageKind(Enum):
     PLANAR_2D = "planar2D"
     STACKED_3D = "stacked3D"
@@ -75,9 +67,9 @@ def dies_per_wafer(die_area_cm2: float, wafer_diameter_cm: float) -> int:
 
     Uses the standard closed-form estimate: the wafer area divided by the die
     area, minus an edge-loss term proportional to wafer circumference over the
-    die pitch. Raises DieTooLarge when the estimate drops to zero, and
-    ValidationFailure on a die area that is not > 0 (NaN included) or a
-    wafer diameter that is not finite and > 0.
+    die pitch. Raises ValidationFailure when the estimate drops to zero, and
+    on a die area that is not > 0 (NaN included) or a wafer diameter that
+    is not finite and > 0.
     """
     if not die_area_cm2 > 0:
         raise ValidationFailure("die area must be > 0")
@@ -86,7 +78,7 @@ def dies_per_wafer(die_area_cm2: float, wafer_diameter_cm: float) -> int:
     radius = wafer_diameter_cm / 2.0
     wafer_area = math.pi * radius * radius
     if die_area_cm2 >= wafer_area:
-        raise DieTooLarge(
+        raise ValidationFailure(
             f"die of {die_area_cm2} cm2 exceeds wafer area {wafer_area:.4f} cm2"
         )
     estimate = wafer_area / die_area_cm2 - (
@@ -94,7 +86,7 @@ def dies_per_wafer(die_area_cm2: float, wafer_diameter_cm: float) -> int:
     )
     dpw = math.floor(estimate)
     if dpw <= 0:
-        raise DieTooLarge(
+        raise ValidationFailure(
             f"die of {die_area_cm2} cm2 yields no whole die on a {wafer_diameter_cm} cm wafer"
         )
     return dpw
@@ -144,7 +136,7 @@ def embodied_carbon(
     bonding = tsv = 0.0
     if kind is PackageKind.STACKED_3D:
         if len(die_areas_cm2) < 2:
-            raise InvalidStack("a 3D stack needs at least two dies")
+            raise ValidationFailure("a 3D stack needs at least two dies")
         bonding = tech.bonding_kg_per_cm2 * bond_interface_area_cm2
         tsv = tech.tsv_kg_per_via * tsv_count
     # the library passes one die, or two when stacked, and with one or two

@@ -23,8 +23,8 @@ simulator's decision log is JSON Lines with no header: the
 File formats
 ------------
 - CI trace CSV: header ``timestamp,ci_g_per_kwh``; timestamps are integer
-  seconds or ISO-8601; they are rebased to start at zero and held
-  step-wise until the next sample.
+  seconds or ISO-8601, an ISO time without an offset being UTC; they are
+  rebased to start at zero and held step-wise until the next sample.
 - Arrival trace CSV: header ``time_s,kind``; times are >= 0 and
   non-decreasing, and an empty kind is ``default``.
 - Workload CSV: header ``n,c,k,r,s,p,q,elem_bytes``, one convolution layer
@@ -78,18 +78,6 @@ from .runtime_sim import (
     validate_concurrency,
     validate_llm_variant_order,
 )
-
-
-class ParseError(ValidationFailure):
-    """Malformed structured-text input; message names file, line and field."""
-
-
-class NonMonotonicTimestamps(ParseError):
-    pass
-
-
-class NegativeCi(ParseError):
-    pass
 
 
 class ConfigError(ValidationFailure):
@@ -298,12 +286,12 @@ def _read_text(path: Path) -> str:
     except OSError as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
-        raise ParseError(f"cannot decode {path}: {exc}") from exc
+        raise ValidationFailure(f"cannot decode {path}: {exc}") from exc
 
 
 def _parse_csv(path: Path, columns: list[str], parse_row) -> list:
     """Parse every row of a CSV with a fixed header; a bad row fails as
-    ``file:line: reason``, keeping the type of a ParseError it raised.
+    ``file:line: reason``.
 
     Blank and ``#`` comment lines are skipped, but ``line`` is the row's
     physical line in the file, counting them.
@@ -313,31 +301,31 @@ def _parse_csv(path: Path, columns: list[str], parse_row) -> list:
     ]
     reader = csv.DictReader((ln for _, ln in numbered), restval="")
     if reader.fieldnames is None or [c.strip() for c in reader.fieldnames] != columns:
-        raise ParseError(f"{path}: expected header {','.join(columns)!r}, got {reader.fieldnames}")
+        raise ValidationFailure(f"{path}: expected header {','.join(columns)!r}, got {reader.fieldnames}")
     parsed = []
     for row in reader:
         try:
             parsed.append(parse_row(row))
         except _VALUE_ERRORS as exc:
-            kind = type(exc) if isinstance(exc, ParseError) else ParseError
             line = numbered[reader.line_num - 1][0]
-            raise kind(f"{path}:{line}: {exc}") from exc
+            raise ValidationFailure(f"{path}:{line}: {exc}") from exc
     return parsed
 
 
 def _parse_timestamp(value: str) -> float:
-    """Seconds as a finite number, or an ISO-8601 time."""
+    """Seconds as a finite number, or an ISO-8601 time; one without an offset is UTC."""
     try:
         return _finite(value)
     except ValueError:
-        return datetime.datetime.fromisoformat(value.strip().replace("Z", "+00:00")).timestamp()
+        moment = datetime.datetime.fromisoformat(value.strip().replace("Z", "+00:00"))
+        return (moment if moment.tzinfo else moment.replace(tzinfo=datetime.timezone.utc)).timestamp()
 
 
 def _ci_sample(row: dict[str, str]) -> tuple[float, float]:
     ts = _parse_timestamp(row["timestamp"])
     ci = _finite(row["ci_g_per_kwh"])
     if ci < 0:
-        raise NegativeCi(f"negative carbon intensity {ci}")
+        raise ValidationFailure(f"negative carbon intensity {ci}")
     return ts, ci
 
 
@@ -350,13 +338,13 @@ def load_ci_trace(path: str | Path) -> CiTrace:
         nonlocal previous
         ts, ci = _ci_sample(row)
         if ts <= previous:
-            raise NonMonotonicTimestamps(f"timestamp {ts} not after previous")
+            raise ValidationFailure(f"timestamp {ts} not after previous")
         previous = ts
         return ts, ci
 
     samples = _parse_csv(path, ["timestamp", "ci_g_per_kwh"], sample)
     if not samples:
-        raise ParseError(f"{path}: trace has no samples")
+        raise ValidationFailure(f"{path}: trace has no samples")
     base = samples[0][0]
     rebased = tuple((ts - base, ci) for ts, ci in samples)
     if len(rebased) >= 2:
@@ -384,7 +372,7 @@ def load_workload(path: str | Path) -> DnnWorkload:
         lambda row: ConvLayer(**{key: _integer(value) for key, value in row.items()}),
     )
     if not layers:
-        raise ParseError(f"{path}: workload has no layers")
+        raise ValidationFailure(f"{path}: workload has no layers")
     return DnnWorkload(name=path.stem, layers=tuple(layers))
 
 
@@ -393,9 +381,9 @@ def _load_json(path: Path, **options):
     try:
         return json.loads(text, **options)
     except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}:{exc.lineno}: {exc.msg}") from exc
+        raise ValidationFailure(f"{path}:{exc.lineno}: {exc.msg}") from exc
     except (ValueError, RecursionError) as exc:  # an over-long integer, too deep nesting
-        raise ParseError(f"{path}: {exc}") from exc
+        raise ValidationFailure(f"{path}: {exc}") from exc
 
 
 def _float_table(path: str | Path, columns: list[str], key) -> dict:
@@ -406,7 +394,7 @@ def _float_table(path: str | Path, columns: list[str], key) -> dict:
 
     def add(row: dict[str, str]) -> None:
         if (row_key := key(row)) in table:
-            raise ParseError(f"duplicate key {row_key!r}")
+            raise ValidationFailure(f"duplicate key {row_key!r}")
         table[row_key] = _finite(row[a]), _finite(row[b])
 
     _parse_csv(Path(path), columns, add)
@@ -452,7 +440,7 @@ def load_concurrency(path: str | Path) -> dict[int, tuple[float, float]]:
     try:
         validate_concurrency(table)
     except ValidationFailure as exc:
-        raise ParseError(f"{path}: {exc}") from exc
+        raise ValidationFailure(f"{path}: {exc}") from exc
     return table
 
 
@@ -494,7 +482,7 @@ def load_config(path: str | Path) -> ToolkitConfig:
     path = Path(path)
     raw = _load_json(path)
     if not isinstance(raw, dict):
-        raise ParseError(f"{path}: config must be a JSON object")
+        raise ValidationFailure(f"{path}: config must be a JSON object")
     errors: list[str] = []
 
     def parse(where: str, build, *args, **kwargs):
@@ -844,5 +832,5 @@ def read_artifact(path: Path) -> dict:
     ``meta``, if present, is an object, with no NaN or Infinity constant."""
     doc = _load_json(path, parse_constant=_finite)
     if not isinstance(doc, dict) or not isinstance(doc.get("meta", {}), dict):
-        raise ParseError(f"{path}: an artifact must be a JSON object with an object 'meta'")
+        raise ValidationFailure(f"{path}: an artifact must be a JSON object with an object 'meta'")
     return doc

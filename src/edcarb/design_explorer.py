@@ -48,14 +48,6 @@ from .errors import InfeasibleError, ValidationFailure
 _GENES = ("px", "py", "b_local", "b_global", "dataflow", "multiplier")
 
 
-class NoFeasibleDesign(InfeasibleError):
-    """Every design evaluated was infeasible."""
-
-
-class SpaceTooLarge(ValidationFailure):
-    """Exhaustive enumeration refused above the configured cap."""
-
-
 @dataclass(frozen=True)
 class DesignSpace:
     """Candidate values per gene plus the settings every design of a run shares.
@@ -333,7 +325,7 @@ def run_ga(
     # the unique index key, so this is the best design seen in any generation.
     best = min((entry for entry in cache.values() if entry[0].feasible), key=itemgetter(1), default=None)
     if best is None:
-        raise NoFeasibleDesign("no feasible design found in any generation")
+        raise InfeasibleError("no feasible design found in any generation")
     return GaResult(best=best[0], history=tuple(history), evaluated=tuple(d for d, _ in cache.values()))
 
 
@@ -362,7 +354,7 @@ def exhaustive_search(
     if fitness not in ("cdp", "delay"):
         raise ValidationFailure(f"unknown fitness {fitness!r}")
     if space.size > cap:
-        raise SpaceTooLarge(f"space has {space.size} designs, cap is {cap}")
+        raise ValidationFailure(f"space has {space.size} designs, cap is {cap}")
     # each gene's distinct values, in the order of their first place in the candidate list
     px_values, py_values, b_locals, b_globals, dataflows, multipliers = space._gene_index.values()
     # Per key, lists in `dataflows` and `multipliers` order: no key hashes a gene object.
@@ -397,7 +389,7 @@ def exhaustive_search(
         elif key_best == best:
             best_keys.append(key)
     if not best_keys:
-        raise NoFeasibleDesign("every design in the space is infeasible")
+        raise InfeasibleError("every design in the space is infeasible")
 
     # the min-kg, min-latency design of each best key reaches `best`, so the walk returns
     px, py = best_keys[0][:2]

@@ -65,16 +65,8 @@ MAX_CANDIDATE_CAP = 10_000
 MAX_BEAM_WIDTH = 1_024
 
 
-class MissingProfileEntry(ValidationFailure):
-    """A (layer, frequency) pair used by a plan has no profile entry."""
-
-
 class NoFeasiblePlan(InfeasibleError):
     """No candidate plan fits under the power threshold."""
-
-
-class NoVariantAboveAccuracyFloor(InfeasibleError):
-    """Every variant in the set falls below the requested accuracy."""
 
 
 class UnitKind(Enum):
@@ -256,7 +248,7 @@ def segment_cost(segment: Segment, variant: ModelVariant, node: EdgeNode) -> tup
         layer_id = variant.layers[idx].id
         entry = unit.profile.get((layer_id, f))
         if entry is None:
-            raise MissingProfileEntry(f"unit {unit.id!r} has no profile for layer {layer_id!r} at freq {f}")
+            raise ValidationFailure(f"unit {unit.id!r} has no profile for layer {layer_id!r} at freq {f}")
         latency += entry[0]
         power = max(power, entry[1])
     if start > 0:
@@ -580,7 +572,7 @@ def prepare_mapping(
     for variant in workloads:
         covering = [u for u, unit in enumerate(node.units) if unit.covers(variant.layer_ids)]
         if not covering:
-            raise MissingProfileEntry(
+            raise ValidationFailure(
                 f"no unit has a complete profile for variant {variant.name!r}"
             )
         n_layers = len(variant.layers)
@@ -671,7 +663,7 @@ def select_variants(
     for vset in variant_sets:
         eligible.append([v for v in vset.variants if v.accuracy >= accuracy_floor])
         if not eligible[-1]:
-            raise NoVariantAboveAccuracyFloor(f"no variant of {vset.name!r} reaches accuracy {accuracy_floor}")
+            raise InfeasibleError(f"no variant of {vset.name!r} reaches accuracy {accuracy_floor}")
     n_combinations = math.prod(map(len, eligible))
     if n_combinations > MAX_VARIANT_COMBINATIONS:
         raise ValidationFailure(

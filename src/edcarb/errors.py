@@ -3,6 +3,8 @@
 Every error raised by the toolkit derives from ToolkitError and carries the
 process exit code the CLI maps it to: 2 for bad inputs, 3 for problems that
 are well-posed but unsolvable (no feasible design/plan), 4 for I/O trouble.
+A refusal raises the base class of its exit code, and its message tells it
+from the others; a subclass exists only to carry data or to be caught.
 """
 
 from __future__ import annotations

@@ -65,14 +65,6 @@ class SimConfigError(ValidationFailure):
         super().__init__("; ".join(f"{name}: {reason}" for name, reason in failures))
 
 
-class TraceExhausted(ValidationFailure):
-    """The carbon-intensity trace does not cover the simulation horizon."""
-
-
-class NoVariantUnderPowerThreshold(InfeasibleError):
-    """No LLM variant fits under the current power threshold at any frequency."""
-
-
 @dataclass(frozen=True)
 class CiTrace:
     """Step-interpolated carbon-intensity forecast: each sample's value holds
@@ -372,7 +364,7 @@ def llm_select(
                 best = LlmChoice(variant=variant, freq_idx=f, tps_violated=True)
                 best_tps = tps
     if best is None:
-        raise NoVariantUnderPowerThreshold(
+        raise InfeasibleError(
             f"no variant runs under {power_threshold_w} W at any frequency"
         )
     return best
@@ -502,7 +494,7 @@ def run_simulation(
     list stays empty.
     """
     if config.horizon_s > ci_trace.horizon_s:
-        raise TraceExhausted(
+        raise ValidationFailure(
             f"horizon {config.horizon_s} s exceeds trace coverage {ci_trace.horizon_s} s"
         )
     if config.mode == "mapping":

@@ -39,8 +39,6 @@ from edcarb.design_explorer import (
     GaParams,
     GaResult,
     GenerationStats,
-    NoFeasibleDesign,
-    SpaceTooLarge,
     _fitness_of,
     evaluate,
 )
@@ -64,7 +62,7 @@ from edcarb.edc_scheduler import (
     search_mapping,
     segment_cost,
 )
-from edcarb.errors import ValidationFailure
+from edcarb.errors import InfeasibleError, ValidationFailure
 from edcarb.runtime_sim import (
     CiTrace,
     ExecLookupTable,
@@ -215,13 +213,13 @@ def reference_exhaustive_search(
     if fitness not in ("cdp", "delay"):
         raise ValidationFailure(f"unknown fitness {fitness!r}")
     if space.size > cap:
-        raise SpaceTooLarge(f"space has {space.size} designs, cap is {cap}")
+        raise ValidationFailure(f"space has {space.size} designs, cap is {cap}")
     tables = CostTables()
     designs = (evaluate(c, workload, space, tables) for c in chromosomes(space))
     feasible = (d for d in designs if d.feasible)
     best = min(feasible, key=lambda d: _fitness_of(d, fitness), default=None)
     if best is None:
-        raise NoFeasibleDesign("every design in the space is infeasible")
+        raise InfeasibleError("every design in the space is infeasible")
     return best
 
 
@@ -316,7 +314,7 @@ def reference_run_ga(space: DesignSpace, params: GaParams, workload: DnnWorkload
 
     best = min((d for d in cache.values() if d.feasible), key=sort_key, default=None)
     if best is None:
-        raise NoFeasibleDesign("no feasible design found in any generation")
+        raise InfeasibleError("no feasible design found in any generation")
     return GaResult(best=best, history=tuple(history), evaluated=tuple(cache.values()))
 
 

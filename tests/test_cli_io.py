@@ -4,8 +4,11 @@ import csv
 import dataclasses
 import json
 import operator
+import os
 import random
 import shutil
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -17,9 +20,6 @@ from edcarb.errors import ValidationFailure
 from edcarb.runtime_sim import Adapt, BatchDispatch, Idle, LlmSelect, SimConfig, SimReport, StepSample
 from edcarb.cli_io import (
     ConfigError,
-    NegativeCi,
-    NonMonotonicTimestamps,
-    ParseError,
     ResultBundle,
     RunMeta,
     ToolkitConfig,
@@ -362,10 +362,28 @@ def test_trace_iso_timestamps(tmp_path):
     assert trace.samples == ((0.0, 120.0), (3600.0, 240.0))
 
 
+@pytest.mark.parametrize("tz", ["UTC", "EST5EDT,M3.2.0,M11.1.0"])
+def test_trace_iso_timestamps_without_offset_are_utc_in_any_time_zone(tmp_path, tz):
+    # New York's clocks skip 02:00-03:00 on 2024-03-10, so read as local
+    # time these samples would be 3600 s and 7200 s apart, not 7200 s
+    path = tmp_path / "trace.csv"
+    path.write_text(
+        "timestamp,ci_g_per_kwh\n2024-03-10T01:00:00,100\n2024-03-10T03:00:00,200\n2024-03-10T04:00:00,300\n"
+    )
+    script = "import sys; from edcarb.cli_io import load_ci_trace; t = load_ci_trace(sys.argv[1]); print(t)"
+    src = Path(cli_io.__file__).resolve().parent.parent
+    env = {**os.environ, "TZ": tz, "PYTHONPATH": str(src)}
+    out = subprocess.run(
+        [sys.executable, "-c", script, str(path)], env=env, check=True, capture_output=True, text=True
+    ).stdout
+    expected = cli_io.CiTrace(samples=((0.0, 100.0), (7200.0, 200.0), (10800.0, 300.0)), horizon_s=16200.0)
+    assert out == f"{expected}\n"
+
+
 def test_trace_duplicate_timestamp_rejected(tmp_path):
     path = tmp_path / "trace.csv"
     path.write_text("timestamp,ci_g_per_kwh\n0,100\n0,200\n")
-    with pytest.raises(NonMonotonicTimestamps):
+    with pytest.raises(ValidationFailure, match=r"trace\.csv:3: timestamp 0\.0 not after previous"):
         load_ci_trace(path)
 
 
@@ -373,28 +391,28 @@ def test_csv_row_error_names_the_physical_line(tmp_path):
     # the comment and blank lines before the bad row still count
     path = tmp_path / "trace.csv"
     path.write_text("timestamp,ci_g_per_kwh\n# comment\n0,100\n\n30,nan\n")
-    with pytest.raises(ParseError, match=r"trace\.csv:5: "):
+    with pytest.raises(ValidationFailure, match=r"trace\.csv:5: "):
         load_ci_trace(path)
 
 
 def test_trace_non_monotonic_names_the_physical_line(tmp_path):
     path = tmp_path / "trace.csv"
     path.write_text("# forecast\ntimestamp,ci_g_per_kwh\n0,100\n# comment\n60,200\n\n60,300\n")
-    with pytest.raises(NonMonotonicTimestamps, match=r"trace\.csv:7: timestamp 60\.0 not after previous"):
+    with pytest.raises(ValidationFailure, match=r"trace\.csv:7: timestamp 60\.0 not after previous"):
         load_ci_trace(path)
 
 
 def test_trace_negative_ci_rejected(tmp_path):
     path = tmp_path / "trace.csv"
     path.write_text("timestamp,ci_g_per_kwh\n0,-5\n")
-    with pytest.raises(NegativeCi):
+    with pytest.raises(ValidationFailure, match=r"trace\.csv:2: negative carbon intensity -5\.0"):
         load_ci_trace(path)
 
 
 def test_trace_bad_header_rejected(tmp_path):
     path = tmp_path / "trace.csv"
     path.write_text("time,ci\n0,100\n")
-    with pytest.raises(ParseError):
+    with pytest.raises(ValidationFailure, match=r"trace\.csv: expected header 'timestamp,ci_g_per_kwh', got"):
         load_ci_trace(path)
 
 
@@ -403,6 +421,9 @@ def test_load_arrivals(tmp_path):
     path.write_text("time_s,kind\n0.5,default\n1.5,vision\n")
     arrivals = load_arrivals(path)
     assert (arrivals.times, arrivals.kinds) == ((0.5, 1.5), ("default", "vision"))
+    path.write_text("time_s,kind\n")
+    arrivals = load_arrivals(path)
+    assert (arrivals.times, arrivals.kinds) == ((), ())
 
 
 def test_single_sample_trace_covers_everything(tmp_path):
@@ -414,21 +435,25 @@ def test_single_sample_trace_covers_everything(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "data",
-    [b"{\"seed\": " + b"9" * 5000 + b"}", b"[" * 100_000 + b"]" * 100_000, b"\xff{}"],
+    "data, match",
+    [
+        (b"{\"seed\": " + b"9" * 5000 + b"}", r"config\.json: Exceeds the limit \(4300"),
+        (b"[" * 100_000 + b"]" * 100_000, r"config\.json: maximum recursion depth exceeded"),
+        (b"\xff{}", r"cannot decode .*config\.json: 'utf-8' codec can't decode byte 0xff"),
+    ],
     ids=["long-integer", "deep-nesting", "not-utf8"],
 )
-def test_unreadable_json_is_parse_error(tmp_path, data):
+def test_unreadable_json_is_parse_error(tmp_path, data, match):
     path = tmp_path / "config.json"
     path.write_bytes(data)
-    with pytest.raises(ParseError):
+    with pytest.raises(ValidationFailure, match=match):
         load_config(path)
 
 
 def test_non_object_config_rejected(tmp_path):
     path = tmp_path / "config.json"
     path.write_text("[1, 2, 3]")
-    with pytest.raises(ParseError):
+    with pytest.raises(ValidationFailure, match=r"config\.json: config must be a JSON object"):
         load_config(path)
 
 

@@ -20,8 +20,6 @@ from edcarb.design_explorer import (
     EvaluatedDesign,
     GaParams,
     GaResult,
-    NoFeasibleDesign,
-    SpaceTooLarge,
     _fitness_of,
     crossover,
     evaluate,
@@ -30,7 +28,7 @@ from edcarb.design_explorer import (
     pareto_front,
     run_ga,
 )
-from edcarb.errors import ValidationFailure
+from edcarb.errors import InfeasibleError, ValidationFailure
 
 from support import (
     EXACT_MULT,
@@ -346,7 +344,7 @@ def test_ga_best_is_the_minimum_of_its_evaluated_designs(fitness):
 
 def test_ga_raises_when_everything_infeasible():
     space = make_space(multipliers=(BAD_MULT,))
-    with pytest.raises(NoFeasibleDesign):
+    with pytest.raises(InfeasibleError, match="no feasible design found in any generation"):
         run_ga(space, GaParams(population_size=8, generations=3, rng_seed=0), make_workload())
 
 
@@ -373,7 +371,7 @@ def test_exhaustive_dominant_design_wins():
 
 def test_exhaustive_cap():
     space = make_space()
-    with pytest.raises(SpaceTooLarge):
+    with pytest.raises(ValidationFailure, match=rf"space has {space.size} designs, cap is 10"):
         exhaustive_search(space, make_workload(), cap=10)
 
 
@@ -387,7 +385,7 @@ def test_searches_reject_unknown_fitness():
 
 def test_exhaustive_raises_when_all_infeasible():
     space = make_space(multipliers=(BAD_MULT,))
-    with pytest.raises(NoFeasibleDesign):
+    with pytest.raises(InfeasibleError, match="every design in the space is infeasible"):
         exhaustive_search(space, make_workload())
 
 
@@ -412,11 +410,14 @@ def test_exhaustive_delay_fitness_ignores_carbon():
 
 
 def _outcome(search, *args, **kwargs):
-    """What the search returns, or the type of the exception it raises."""
+    """What the search returns, or the type and message of the exception it raises."""
     try:
         return search(*args, **kwargs)
     except Exception as exc:
-        return type(exc)
+        return type(exc), str(exc)
+
+
+ALL_INFEASIBLE = (InfeasibleError, "every design in the space is infeasible")
 
 
 @pytest.mark.parametrize("extreme", [None, *ga_extremes(2)])
@@ -466,7 +467,7 @@ def test_exhaustive_search_returns_what_enumeration_returns(fitness, stacking):
         space = random_design_space(rng, stacking)
         expected = _outcome(reference_exhaustive_search, space, workload, fitness)
         assert _outcome(exhaustive_search, space, workload, fitness) == expected
-        if expected is NoFeasibleDesign:
+        if expected == ALL_INFEASIBLE:
             infeasible += 1
         else:
             fits = [_fitness_of(evaluate(c, workload, space, CostTables()), fitness) for c in chromosomes(space)]
@@ -490,27 +491,35 @@ def test_exhaustive_search_breaks_a_tie_across_the_b_global_of_one_array():
 
 @pytest.mark.parametrize("fitness", ["cdp", "delay"])
 @pytest.mark.parametrize(
-    "overrides, error",
+    "overrides, error, match",
     [
         # every latency overflows, though no design is feasible
-        (dict(multipliers=(BAD_MULT,), dram_bytes_per_cycle=1e-320), ValidationFailure),
+        (
+            dict(multipliers=(BAD_MULT,), dram_bytes_per_cycle=1e-320),
+            ValidationFailure,
+            "workload 'toy': cycle count overflows at layer 0",
+        ),
         # the slowest designs' latency rounds to inf, which cdp refuses on feasible designs only
-        (dict(clock_hz=1e-303), ValidationFailure),
-        (dict(multipliers=(BAD_MULT,), clock_hz=1e-303), NoFeasibleDesign),
-        (dict(multipliers=(BAD_MULT,)), NoFeasibleDesign),
+        (dict(clock_hz=1e-303), ValidationFailure, "cdp needs finite, non-negative carbon and delay"),
+        (dict(multipliers=(BAD_MULT,), clock_hz=1e-303), *ALL_INFEASIBLE),
+        (dict(multipliers=(BAD_MULT,)), *ALL_INFEASIBLE),
     ],
 )
-def test_exhaustive_search_raises_what_enumeration_raises(fitness, overrides, error):
+def test_exhaustive_search_raises_what_enumeration_raises(fitness, overrides, error, match):
     space, workload = make_space(**overrides), make_workload()
-    assert _outcome(reference_exhaustive_search, space, workload, fitness) is error
-    assert _outcome(exhaustive_search, space, workload, fitness) is error
+    expected = _outcome(reference_exhaustive_search, space, workload, fitness)
+    assert expected[0] is error and expected[1].startswith(match)
+    assert _outcome(exhaustive_search, space, workload, fitness) == expected
 
 
 def test_exhaustive_search_refuses_what_enumeration_refuses():
     space, workload = make_space(), make_workload()
-    for kwargs, error in ((dict(cap=space.size - 1), SpaceTooLarge), (dict(fitness="bogus"), ValidationFailure)):
-        assert _outcome(reference_exhaustive_search, space, workload, **kwargs) is error
-        assert _outcome(exhaustive_search, space, workload, **kwargs) is error
+    for kwargs, message in (
+        (dict(cap=space.size - 1), f"space has {space.size} designs, cap is {space.size - 1}"),
+        (dict(fitness="bogus"), "unknown fitness 'bogus'"),
+    ):
+        assert _outcome(reference_exhaustive_search, space, workload, **kwargs) == (ValidationFailure, message)
+        assert _outcome(exhaustive_search, space, workload, **kwargs) == (ValidationFailure, message)
     assert exhaustive_search(space, workload, cap=space.size) == reference_exhaustive_search(space, workload)
 
 

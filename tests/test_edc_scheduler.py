@@ -9,11 +9,9 @@ import pytest
 from edcarb import edc_scheduler
 from edcarb.edc_scheduler import (
     EdgeNode,
-    MissingProfileEntry,
     ModelVariant,
     ModelVariantSet,
     NoFeasiblePlan,
-    NoVariantAboveAccuracyFloor,
     ProcessingUnit,
     SearchParams,
     UnitKind,
@@ -25,7 +23,7 @@ from edcarb.edc_scheduler import (
     select_variants,
     system_estimate,
 )
-from edcarb.errors import ValidationFailure
+from edcarb.errors import InfeasibleError, ValidationFailure
 
 from support import (
     exhaustive_mapping,
@@ -83,7 +81,7 @@ def test_transfer_penalty_monotone_in_boundary_bytes():
 def test_missing_profile_entry():
     node = simple_node()
     variant = make_variant("m", ("l0", "unknown"))
-    with pytest.raises(MissingProfileEntry):
+    with pytest.raises(ValidationFailure, match="has no profile for layer 'unknown' at freq 0"):
         segment_cost((0, 2, 0, 0), variant, node)
 
 
@@ -596,7 +594,7 @@ def test_constraint_violated_flag_when_nothing_fits():
 
 def test_accuracy_floor_above_all_variants():
     node = node_with_light_layers()
-    with pytest.raises(NoVariantAboveAccuracyFloor):
+    with pytest.raises(InfeasibleError, match="no variant of 'family' reaches accuracy 0.99"):
         select_variants([variant_set()], 100.0, 0.99, node, 50.0)
 
 

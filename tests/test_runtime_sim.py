@@ -20,7 +20,7 @@ from edcarb.edc_scheduler import (
     hysteresis_update,
     search_mapping,
 )
-from edcarb.errors import ValidationFailure
+from edcarb.errors import InfeasibleError, ValidationFailure
 from edcarb.runtime_sim import (
     Adapt,
     BatchDispatch,
@@ -30,7 +30,6 @@ from edcarb.runtime_sim import (
     LlmDispatch,
     LlmSelect,
     LlmVariant,
-    NoVariantUnderPowerThreshold,
     PoissonArrivals,
     Power,
     PowerGated,
@@ -39,7 +38,6 @@ from edcarb.runtime_sim import (
     SimConfigError,
     StepSample,
     TraceArrivals,
-    TraceExhausted,
     choose_batch,
     choose_concurrency,
     choose_frequency,
@@ -420,7 +418,7 @@ def test_llm_select_policy():
     choice = llm_select(LLM_VARIANTS, 9.0, "low", 100.0)
     assert choice.tps_violated
     assert choice.variant.power_w[choice.freq_idx] <= 9.0
-    with pytest.raises(NoVariantUnderPowerThreshold):
+    with pytest.raises(InfeasibleError, match="no variant runs under 1.0 W at any frequency"):
         llm_select(LLM_VARIANTS, 1.0, "low", 10.0)
 
 
@@ -458,7 +456,7 @@ def test_llm_select_matches_brute_force_on_random_variant_lists():
         floor = float(rng.randint(1, 7) * 10)
         expected = brute_force_llm_select(variants, threshold, level, floor)
         if expected is None:
-            with pytest.raises(NoVariantUnderPowerThreshold):
+            with pytest.raises(InfeasibleError, match=f"no variant runs under {threshold} W at any frequency"):
                 llm_select(variants, threshold, level, floor)
             seen["none"] += 1
             continue
@@ -511,7 +509,7 @@ def test_constant_ci_constant_power_closed_form():
 
 def test_trace_exhausted():
     config = batch_config(horizon_s=100.0)
-    with pytest.raises(TraceExhausted):
+    with pytest.raises(ValidationFailure, match="horizon 100.0 s exceeds trace coverage 50.0 s"):
         run_simulation(config, flat_trace(100.0, 50.0), TraceArrivals((), ()), table=TWO_FREQ_TABLE)
 
 

@@ -11,6 +11,11 @@ loaded, or as a string constant (``getattr`` by name, which is how
 method counts as read the same way, so a method called only by tests, or by
 nothing, is caught.
 
+A ``ToolkitError`` subclass is surface too unless it is one of the three
+exit-code bases, the library names it in an ``except`` clause or an
+``isinstance`` call, or it defines ``__init__`` to carry data: any other
+refusal raises its base class, and its message tells it apart.
+
 Matching by name lets a method pass because the library reads another
 class's member of that name. So a public method whose name another class
 also defines, as a method or as a ``self.`` attribute, is reported unless
@@ -28,6 +33,10 @@ REFERENCES = {
     "exhaustive_search": "the c03 oracle the GA is checked against",
     "system_estimate": "the pipeline model the mapping search's estimates must equal",
 }
+
+
+# The base class of each CLI exit code: 2, 3 and 4.
+EXIT_CODE_BASES = ("ValidationFailure", "InfeasibleError", "IoFailure")
 
 
 # Public method names that two classes define, with the reason the library
@@ -142,6 +151,58 @@ def unread_fields(sources: list[str]) -> list[str]:
 def unread_methods(sources: list[str]) -> list[str]:
     """``Class.method`` of each public method that the sources never read."""
     return _unread_members(sources, _public_method_name)
+
+
+def _names(node: ast.expr | None) -> list[str]:
+    """The class names an ``except`` type or an ``isinstance`` class argument holds."""
+    if isinstance(node, ast.Tuple):
+        return [name for element in node.elts for name in _names(element)]
+    if isinstance(node, ast.Name):
+        return [node.id]
+    return [node.attr] if isinstance(node, ast.Attribute) else []
+
+
+def uncaught_failure_classes(sources: list[str]) -> list[str]:
+    """``ToolkitError`` subclasses of ``sources`` besides the exit-code bases
+    that no ``except`` clause or ``isinstance`` call names and that define no
+    ``__init__``."""
+    trees = [ast.parse(source) for source in sources]
+    classes = {node.name: node for tree in trees for node in tree.body if isinstance(node, ast.ClassDef)}
+    bases = {name: {base for node in cls.bases for base in _names(node)} for name, cls in classes.items()}
+    failures = {"ToolkitError"}
+    while subclasses := {name for name in classes.keys() - failures if bases[name] & failures}:
+        failures |= subclasses
+    named = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ExceptHandler):
+                named.update(_names(node.type))
+            elif isinstance(node, ast.Call) and _names(node.func) == ["isinstance"] and len(node.args) == 2:
+                named.update(_names(node.args[1]))
+    return sorted(
+        name
+        for name in failures - {"ToolkitError", *EXIT_CODE_BASES} - named
+        if not any(isinstance(item, ast.FunctionDef) and item.name == "__init__" for item in classes[name].body)
+    )
+
+
+def test_every_failure_class_is_a_base_caught_or_carries_data():
+    sources = [path.read_text() for path in sorted(SRC.glob("*.py"))]
+    assert uncaught_failure_classes(sources) == []
+
+
+def test_failure_class_check_flags_only_bare_uncaught_subclasses():
+    a = (
+        "class ToolkitError(Exception): pass\nclass ValidationFailure(ToolkitError): pass\n"
+        "class Caught(ValidationFailure): pass\nclass Checked(errors.ToolkitError): pass\n"
+        "class Carrier(Caught):\n    def __init__(self, data):\n        self.data = data\n"
+        "class Bare(ValidationFailure): pass\nclass Deeper(Bare): pass\nclass Other(Exception): pass\n"
+    )
+    b = (
+        "try:\n    f()\nexcept (KeyError, Caught):\n    g(isinstance(e, (int, errors.Checked)))\n"
+        "except Other:\n    pass\n"
+    )
+    assert uncaught_failure_classes([a, b]) == ["Bare", "Deeper"]
 
 
 def test_every_public_definition_is_read_by_the_library():

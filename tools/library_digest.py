@@ -94,9 +94,12 @@ written with ``repr`` and so read back exactly: the loader's signature is
 the same on every tree, while ``TraceArrivals``'s constructor need not be.
 
 Each line is a case name and the SHA-256 of the ``repr`` of a projection of
-its result, or ``raises <ExceptionType>`` when the call raises. The
-projection reads each field by name, so a field that a tree no longer has
-makes the case raise instead of moving its digest:
+its result. A call that raises a ``ToolkitError`` prints ``raises exit=N``
+and the SHA-256 of its message instead, as the CLI keys a refusal by exit
+code and message; the path of a temporary directory in a message is first
+replaced by a fixed token. Any other exception prints ``raises
+<ExceptionType>``. The projection reads each field by name, so a field that
+a tree no longer has makes the case raise instead of moving its digest:
 
 - an ``EvaluatedDesign`` (the exhaustive optimum, each Pareto design) is
   its six genes in ``design_explorer._GENES`` order, then ``embodied_kg``,
@@ -129,12 +132,15 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import random
+import re
 import sys
 import tempfile
 import types
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+# a directory `_csv_arrivals` makes, as it may appear in a message
+_TEMP_DIR = re.compile(re.escape(str(Path(tempfile.gettempdir()) / "edcarb-digest-")) + r"\w+")
 
 
 _SIM_REPORT_FIELDS = (
@@ -153,9 +159,15 @@ _SIM_REPORT_FIELDS = (
 
 def _case(name: str, project, fn, *args, **kwargs):
     """Print the digest of ``project(fn(*args, **kwargs))`` under `name`."""
+    from edcarb.errors import ToolkitError
+
     try:
         value = fn(*args, **kwargs)
         digest = hashlib.sha256(repr(project(value)).encode()).hexdigest()
+    except ToolkitError as exc:  # a refusal: its exit code and message are the case's result
+        message = _TEMP_DIR.sub("TEMP_DIR", str(exc))
+        print(f"{name} raises exit={exc.exit_code} {hashlib.sha256(message.encode()).hexdigest()}")
+        return None
     except Exception as exc:  # the exception type is the case's result
         print(f"{name} raises {type(exc).__name__}")
         return None
