@@ -139,9 +139,11 @@ def embodied_carbon(
             raise ValidationFailure("a 3D stack needs at least two dies")
         bonding = tech.bonding_kg_per_cm2 * bond_interface_area_cm2
         tsv = tech.tsv_kg_per_via * tsv_count
-    # the library passes one die, or two when stacked, and with one or two
-    # terms the built-in sum, compensated from Python 3.12, equals a + b
-    return sum(die_carbon(a, tech) for a in die_areas_cm2) + tech.packaging_kg + bonding + tsv
+    # left to right from 0.0, the one float order on every Python
+    dies = 0.0
+    for area in die_areas_cm2:
+        dies += die_carbon(area, tech)
+    return dies + tech.packaging_kg + bonding + tsv
 
 
 def operational_carbon(ci_g_per_kwh: float, energy_j: float) -> float:

@@ -23,6 +23,10 @@ candidate's summary, in the fold's float order, so every score it ranks on is
 bit-identical to `system_estimate` over the same plans. Equal scores break on
 the concatenated plans, compared through each partial's and each candidate's
 position in sorted order: by unit position in the node, never by unit id.
+Once `beam_width` extensions are kept, a partial whose bound (the most
+throughput and the least power any candidate can give it) cannot beat the
+worst of them is skipped unscored; the bound is exact in floats, so the
+survivors are those of ranking every extension.
 
 Only the final filter and the local search read the power threshold, so the
 search comes in two steps. `prepare_mapping` draws the candidates, costs
@@ -56,12 +60,12 @@ MAX_VARIANT_COMBINATIONS = 1_000
 
 # Largest `SearchParams.candidate_cap`: the candidate plans kept per DNN, of
 # up to ten times as many draws. At the bound, a search of two 12-layer DNNs
-# at max_segments=12 and beam width 1 takes ~0.5 s (2-core host, Python 3.11).
+# at max_segments=12 and beam width 1 takes 0.3-0.5 s (2-core host, Python 3.11).
 MAX_CANDIDATE_CAP = 10_000
 
-# Largest `SearchParams.beam_width`: each DNN after the first ranks beam width
-# x candidate cap extensions. At both bounds, that same two-DNN search ranks
-# ~10^7 extensions and takes 6-7 s (2-core host, Python 3.11).
+# Largest `SearchParams.beam_width`: each DNN after the first ranks up to beam
+# width x candidate cap extensions, ~10^7 for that same two-DNN search at both
+# bounds, where it takes 2-3 s (2-core host, Python 3.11).
 MAX_BEAM_WIDTH = 1_024
 
 
@@ -457,40 +461,93 @@ def _positions(items: Sequence) -> list[int]:
     return positions
 
 
-def _ranked_extensions(
-    beam: list[tuple[tuple[Plan, ...], _Fold]],
-    options: list[Plan],
-    summaries: list[_Fold],
-    node: EdgeNode,
-):
-    """Rank key (-ipw, key position, plan position, i, j) of extending beam
-    partial i by candidate plan j, whose summary is summaries[j], partial by
-    partial.
+def _scores(
+    throughput: float,
+    unit_power: tuple[float, ...],
+    plan_throughput: list[float],
+    columns: list[tuple[float, ...]],
+    alone: list[list[float]],
+) -> list[float]:
+    """ipw of extending the partial with fold state (throughput, unit_power)
+    by each candidate.
 
-    ipw is the one `_folded_estimate` gives for `_fold` of the two, from the
+    It is the ipw `_folded_estimate` gives for `_fold` of the two, from the
     same floats in the same order: the per-unit max (an empty partial unit
     takes the candidate's power, or idle power when both leave it empty),
     then the units added left to right (from the first unit rather than from
     0.0, which can only flip the sign of a zero total, and `_ipw` reads a
-    zero power the same either way). The positions order the extensions
-    as their concatenated plans do: partials carry distinct plans of the same
-    DNNs, and every plan covers all its layers, so no concatenation is a
-    proper prefix of another and the first differing plan decides.
+    zero power the same either way). The division is `_ipw`'s, written out.
+    """
+    power = None
+    for a, column, empty in zip(unit_power, columns, alone):
+        unit = empty if a < 0.0 else [a if a >= b else b for b in column]
+        power = unit if power is None else list(map(operator.add, power, unit))
+    return [(throughput + t) / p if p > 0 else _ipw(throughput + t, p) for t, p in zip(plan_throughput, power)]
+
+
+def _best_extensions(
+    beam: list[tuple[tuple[Plan, ...], _Fold]],
+    options: list[Plan],
+    summaries: list[_Fold],
+    node: EdgeNode,
+    width: int,
+) -> list[tuple[int, int]]:
+    """(i, j) of the `width` best extensions of beam partial i by candidate
+    plan j, whose summary is summaries[j], best first.
+
+    An extension ranks on (-ipw, key position, plan position), where ipw is
+    `_scores`' and the positions are the partial's among the beam's plans
+    and the candidate's among the candidates, each in sorted order. They
+    order the extensions as their concatenated plans do: partials carry
+    distinct plans of the same DNNs, and every plan covers all its layers,
+    so no concatenation is a proper prefix of another and the first
+    differing plan decides. So the keys are distinct.
+
+    A bounded heap holds the best keys so far, partial by partial in beam
+    order. Once it is full, a partial is skipped unscored when even its
+    bound, the ipw of the most throughput any candidate adds over the least
+    power any candidate can leave with it, is below the worst kept ipw; and
+    only the candidates whose ipw reaches the worst kept one are pushed.
+    The bound is exact in floats: its throughput is no less than any
+    extension's and its power, summed per unit in the same order, no more,
+    and IEEE addition and division are monotone. An extension whose ipw
+    ties the worst kept one can still enter on its positions, so a partial
+    whose bound ties it is scored.
     """
     plan_throughput = [throughput for throughput, _ in summaries]
+    most_throughput = max(plan_throughput)
     # per unit in node order, each candidate's max active power, -inf when it leaves the unit empty
     columns = list(zip(*(unit_power for _, unit_power in summaries)))
     alone = [[p if p >= 0.0 else unit.idle_power_w for p in column] for column, unit in zip(columns, node.units)]
+    # per unit, the least of `alone` and the least a candidate puts there
+    least = [(min(empty), min(column)) for empty, column in zip(alone, columns)]
     key_positions = _positions([plans for plans, _ in beam])
     plan_positions = _positions(options)
     indices = range(len(summaries))
+    # (ipw, -key position, -plan position, i, j): heap[0] is the worst kept extension
+    heap: list[tuple[float, int, int, int, int]] = []
     for i, ((_, (throughput, unit_power)), key_position) in enumerate(zip(beam, key_positions)):
-        power = None
-        for a, column, empty in zip(unit_power, columns, alone):
-            unit = empty if a < 0.0 else [a if a >= b else b for b in column]
-            power = unit if power is None else list(map(operator.add, power, unit))
-        neg_ipw = [-_ipw(throughput + t, p) for t, p in zip(plan_throughput, power)]
-        yield from zip(neg_ipw, itertools.repeat(key_position), plan_positions, itertools.repeat(i), indices)
+        full = len(heap) == width
+        if full:
+            worst = heap[0][0]
+            power = 0.0
+            for a, (least_alone, least_power) in zip(unit_power, least):
+                power += least_alone if a < 0.0 else (a if a >= least_power else least_power)
+            if _ipw(throughput + most_throughput, power) < worst:
+                continue
+        ipw = _scores(throughput, unit_power, plan_throughput, columns, alone)
+        survivors = indices
+        if full:
+            if max(ipw) < worst:
+                continue
+            survivors = itertools.compress(indices, map(worst.__le__, ipw))
+        for j in survivors:
+            entry = (ipw[j], -key_position, -plan_positions[j], i, j)
+            if len(heap) < width:
+                heapq.heappush(heap, entry)
+            else:
+                heapq.heappushpop(heap, entry)
+    return [(i, j) for *_, i, j in sorted(heap, reverse=True)]
 
 
 def _check_threshold(power_threshold_w: float) -> None:
@@ -557,11 +614,13 @@ def prepare_mapping(
     the candidate's summary, a few floats per unit, without a re-estimate of
     the whole prefix. Equal ipw breaks on the partial's position among the
     beam's plans in sorted order, then on the candidate's among the
-    candidates: the order of the concatenated plans. A heap picks the
-    `beam_width` best extensions, so memory grows with the beam and not with
-    beam x candidates, and only the survivors are folded. The survivors and
-    the fallbacks form the pool that `PreparedMapping.solve` filters by the
-    threshold. Deterministic for a fixed seed.
+    candidates: the order of the concatenated plans. A bounded heap keeps
+    the `beam_width` best extensions, so memory grows with the beam and not
+    with beam x candidates, and only the survivors are folded. Once it is
+    full, a partial whose bound on ipw is below the worst kept ipw is
+    skipped without scoring its candidates (`_best_extensions`). The
+    survivors and the fallbacks form the pool that `PreparedMapping.solve`
+    filters by the threshold. Deterministic for a fixed seed.
     """
     if not workloads:
         raise ValidationFailure("search_mapping needs at least one workload")
@@ -604,11 +663,9 @@ def prepare_mapping(
     for d, variant in enumerate(workloads):
         options = candidates[d]
         summaries = [_summary(segment_costs, d, plan, variant, node) for plan in options]
-        extensions = _ranked_extensions(beam, options, summaries, node)
-        # the rank keys are distinct, so these are the first of them in sorted order
         beam = [
             (beam[i][0] + (options[j],), _fold(beam[i][1], summaries[j]))
-            for *_, i, j in heapq.nsmallest(params.beam_width, extensions)
+            for i, j in _best_extensions(beam, options, summaries, node, params.beam_width)
         ]
 
     # A fallback the beam holds repeats its plans and estimate, so the best

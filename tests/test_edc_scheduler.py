@@ -378,11 +378,11 @@ def test_one_prepared_search_solves_every_threshold_as_search_mapping_does():
     assert solved >= 100 and infeasible >= 10
 
 
-def random_instance_with_twin_units(rng: random.Random):
-    """1-3 DNNs of 1-4 layers on 1-3 units and a twin of one of them: the twin
-    has the same profile and idle power under another id and position, so a
-    plan and its mirror across the twins have the same ipw. One draw in four
-    zeroes one unit's active power."""
+def random_instance_with_twin_units(rng: random.Random, n_dnns: int | None = None):
+    """1-3 DNNs (or `n_dnns`) of 1-4 layers on 1-3 units and a twin of one of
+    them: the twin has the same profile and idle power under another id and
+    position, so a plan and its mirror across the twins have the same ipw.
+    One draw in four zeroes one unit's active power."""
     n_layers = rng.randint(1, 4)
     _, node = random_scheduler_instance(rng, n_layers=n_layers, n_units=rng.randint(1, 3), n_freqs=rng.randint(1, 2))
     units = list(node.units)
@@ -395,7 +395,7 @@ def random_instance_with_twin_units(rng: random.Random):
         ModelVariant(
             f"m{d}", 0.9, tuple(VariantLayer(f"l{i}", rng.randint(10_000, 200_000)) for i in range(rng.randint(1, n_layers)))
         )
-        for d in range(rng.randint(1, 3))
+        for d in range(n_dnns or rng.randint(1, 3))
     ]
     return workloads, dataclasses.replace(node, units=tuple(units))
 
@@ -436,6 +436,64 @@ def test_beam_keeps_the_survivors_of_sorting_every_extension():
             seen.add((len(workloads), "sampled" if n_plans > params.candidate_cap else "enumerated"))
     assert seen == {(n, kind) for n in (1, 2, 3) for kind in ("sampled", "enumerated")}
     assert tied >= 100 and solved >= 300, (tied, solved)
+
+
+def count_scored_partials(monkeypatch) -> dict[str, int]:
+    """Counts, over the searches that follow, of the beam partials offered to
+    the ranking and of those it scores."""
+    counts = {"partials": 0, "scored": 0}
+    best_extensions, scores = edc_scheduler._best_extensions, edc_scheduler._scores
+
+    def counting_best_extensions(beam, *args):
+        counts["partials"] += len(beam)
+        return best_extensions(beam, *args)
+
+    def counting_scores(*args):
+        counts["scored"] += 1
+        return scores(*args)
+
+    monkeypatch.setattr(edc_scheduler, "_best_extensions", counting_best_extensions)
+    monkeypatch.setattr(edc_scheduler, "_scores", counting_scores)
+    return counts
+
+
+def test_the_beam_skips_only_partials_whose_extensions_cannot_enter(monkeypatch):
+    # small beams over many candidates fill the heap early, so later partials
+    # can be bounded out (116 of 1,193 here); twin units make mirrored
+    # partials whose bound equals the worst kept ipw, a quarter of the draws
+    # have a 0 W unit, and half of them map 3 DNNs
+    counts = count_scored_partials(monkeypatch)
+    rng = random.Random(3502)
+    dnn_counts = set()
+    for _ in range(160):
+        workloads, node = random_instance_with_twin_units(rng, n_dnns=rng.choice((None, 3)))
+        params = SearchParams(
+            beam_width=rng.randint(1, 8),
+            local_search_moves=0,
+            max_segments=rng.choice((2, 3, 4)),
+            candidate_cap=rng.choice((16, 64, 256)),
+            rng_seed=rng.randrange(1000),
+        )
+        assert edc_scheduler.prepare_mapping(workloads, node, params) == reference_prepare_mapping(workloads, node, params)
+        dnn_counts.add(len(workloads))
+    assert dnn_counts == {1, 2, 3}
+    assert counts["partials"] - counts["scored"] >= 100, counts
+
+
+def test_the_beam_scores_few_partials_of_a_search_shaped_instance(monkeypatch):
+    # the search benchmark's shape: 2 DNNs of 3 layers on 3 units x 2
+    # frequencies, whose 294 candidates each are all enumerated; a search
+    # that stops skipping partials scores all 129, and this one scores 62
+    rng = random.Random(35)
+    workloads = []
+    while len(workloads) != 2:
+        workloads, node = random_scheduler_instance(rng, n_layers=3, n_units=3, n_freqs=2)
+    params = SearchParams(beam_width=128, candidate_cap=2048, local_search_moves=400, rng_seed=0)
+    counts = count_scored_partials(monkeypatch)
+    prepared = edc_scheduler.prepare_mapping(workloads, node, params)
+    assert counts["partials"] == 1 + 128
+    assert counts["scored"] <= 62, counts
+    assert prepared == reference_prepare_mapping(workloads, node, params)
 
 
 def test_a_solution_carries_the_bottleneck_of_each_plan():

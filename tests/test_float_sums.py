@@ -16,8 +16,6 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "edcarb"
 
 # (module, enclosing definition, the call as ast.unparse writes it) -> why it is exact
 ALLOWED_SUMS = {
-    ("carbon_model.py", "embodied_carbon", "sum((die_carbon(a, tech) for a in die_areas_cm2))"):
-        "one or two dies, and a compensated sum of one or two terms equals a + b",
     ("edc_scheduler.py", "_candidate_plans", "sum((count * len(choices) ** (k + 1) for k, count in enumerate(counts)))"):
         "integers",
     ("edc_scheduler.py", "_candidate_plans", "sum(counts)"): "integers",

@@ -86,6 +86,16 @@ same inputs:
   ``dram_bytes_per_cycle`` 4.0, ``tsv_count`` 300), planar and
   ``STACKED_3D``, for the cdp and delay fitnesses. Every earlier space
   runs at 1 GHz, so only these cases show the clock reaching latency.
+- ``prepare_mapping`` and one ``PreparedMapping.solve`` at a drawn
+  threshold (``mapping.beam128``, ``.pool`` and ``.solve``) on 8
+  ``support.random_scheduler_instance`` draws (seed 31) at the ``search``
+  workload's settings (beam 128, candidate cap 2,048, 400 moves). Every
+  second draw maps 3 DNNs: the added ones copy the first DNN's layers with
+  drawn output bytes. Then the same on two 3-DNN draws of 6 layers, 3
+  units and 2 frequencies (``mapping.beam512``) at beam 512 and candidate
+  cap 4,096, which sample their candidates. The ``select.random`` and
+  ``mapping.random`` cases run beams of 16 or less, and every earlier wide
+  beam maps two DNNs.
 
 Cases are listed in the order above; a new kind of case is added at the
 end, so the older ones keep their inputs. Explicit arrivals reach the
@@ -450,6 +460,37 @@ def _settings_searches(workloads, design_explorer, package_kind) -> None:
                 _explore(prefix, design_explorer, full, dataclasses.replace(space, stacking=stacking), fitness)
 
 
+def _large_beam_searches(support, edc_scheduler) -> None:
+    def pool(prepared) -> tuple:
+        return tuple((plans, (e.throughput_inf_per_s, e.power_w, e.ipw)) for plans, e in prepared.pool)
+
+    def run(name: str, models, node, params, threshold: float) -> None:
+        prepared = _case(f"{name}.pool", pool, edc_scheduler.prepare_mapping, models, node, params)
+        if prepared is not None:
+            _case(f"{name}.solve", _mapping, prepared.solve, threshold)
+
+    def three_dnns(rng, models):
+        # the added DNNs copy the first one's layers with drawn output bytes
+        while len(models) < 3:
+            layers = tuple(dataclasses.replace(layer, output_bytes=rng.randint(10_000, 200_000)) for layer in models[0].layers)
+            models = [*models, dataclasses.replace(models[0], name=f"m{len(models)}", layers=layers)]
+        return models
+
+    rng = random.Random(31)
+    search = edc_scheduler.SearchParams(beam_width=128, local_search_moves=400, candidate_cap=2048)
+    for i in range(8):
+        models, node = support.random_scheduler_instance(rng)
+        if i % 2 == 1:
+            models = three_dnns(rng, models)
+        params = dataclasses.replace(search, rng_seed=rng.randrange(1000))
+        run(f"mapping.beam128.{i}", models, node, params, rng.uniform(4.0, 40.0))
+    wide = dataclasses.replace(search, beam_width=512, candidate_cap=4096)
+    for i in range(2):
+        models, node = support.random_scheduler_instance(rng, n_layers=6, n_units=3, n_freqs=2)
+        params = dataclasses.replace(wide, rng_seed=rng.randrange(1000))
+        run(f"mapping.beam512.{i}", three_dnns(rng, models), node, params, rng.uniform(8.0, 40.0))
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print(__doc__.strip().splitlines()[2], file=sys.stderr)
@@ -475,6 +516,7 @@ def main(argv: list[str]) -> int:
     _trace_arrival_simulations(support, cli_io, runtime_sim)
     _ga_extremes(workloads, support, design_explorer, PackageKind)
     _settings_searches(workloads, design_explorer, PackageKind)
+    _large_beam_searches(support, edc_scheduler)
     return 0
 
 
