@@ -536,11 +536,7 @@ def _best_extensions(
             if _ipw(throughput + most_throughput, power) < worst:
                 continue
         ipw = _scores(throughput, unit_power, plan_throughput, columns, alone)
-        survivors = indices
-        if full:
-            if max(ipw) < worst:
-                continue
-            survivors = itertools.compress(indices, map(worst.__le__, ipw))
+        survivors = itertools.compress(indices, map(worst.__le__, ipw)) if full else indices
         for j in survivors:
             entry = (ipw[j], -key_position, -plan_positions[j], i, j)
             if len(heap) < width:

@@ -21,7 +21,7 @@ from edcarb.carbon_model import (
 from edcarb.edc_scheduler import EdgeNode, ProcessingUnit, UnitKind
 from edcarb.errors import ValidationFailure
 
-from support import grid_placement_count, make_tech, make_unit, only_coefficients
+from support import grid_placement_count, left_sum, make_tech, make_unit, only_coefficients
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +192,7 @@ def test_embodied_additivity_over_random_die_lists():
         bond_area = rng.uniform(0.0, 1.5)
         total = embodied_carbon(areas, tech, PackageKind.STACKED_3D, tsv_count, bond_area)
         recomputed = (
-            sum(die_carbon(a, tech) for a in areas)
+            left_sum(die_carbon(a, tech) for a in areas)
             + tech.packaging_kg
             + tech.bonding_kg_per_cm2 * bond_area
             + tech.tsv_kg_per_via * tsv_count
