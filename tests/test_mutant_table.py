@@ -3,6 +3,7 @@ occurs exactly once in its file and each test it names exists. No mutant
 runs here; ``python3 tools/mutants.py .`` runs them."""
 
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -20,6 +21,12 @@ def test_each_mutant_applies_once_and_names_tests_that_exist(mutant):
     assert mutant["new"] != mutant["old"]
     assert not mutants.stale(ROOT, mutant)
     assert mutant["tests"] and mutants.missing_tests(ROOT, mutant) == []
+
+
+def test_no_two_mutants_share_a_name_or_a_text():
+    # kill sets are compared by name, and each source text is mutated by one entry
+    for key in (lambda mutant: mutant["name"], lambda mutant: (mutant["file"], mutant["old"])):
+        assert [k for k, n in Counter(map(key, TABLE)).items() if n > 1] == []
 
 
 def test_table_check_flags_stale_texts_and_missing_tests(tmp_path):

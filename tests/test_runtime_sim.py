@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import random
+import re
 from bisect import bisect_right
 from collections import Counter
 from pathlib import Path
@@ -111,15 +112,6 @@ def test_ci_trace_step_hold_semantics():
     assert trace.ci_at(10.0) == 300.0
     assert trace.ci_at(19.0) == 300.0
     assert trace.ci_range == 200.0
-
-
-def test_ci_trace_validation():
-    with pytest.raises(ValidationFailure):
-        CiTrace(samples=((0.0, 1.0), (0.0, 2.0)), horizon_s=10.0)
-    with pytest.raises(ValidationFailure):
-        CiTrace(samples=((0.0, -1.0),), horizon_s=10.0)
-    with pytest.raises(ValidationFailure):
-        CiTrace(samples=((0.0, 1.0), (50.0, 2.0)), horizon_s=10.0)
 
 
 def linear_ci_at(samples, t_s):
@@ -287,36 +279,40 @@ def test_sim_config_reports_every_failed_check_in_order():
 # ---------------------------------------------------------------------------
 
 
-def test_table_rejects_latency_decreasing_in_batch():
-    with pytest.raises(ValidationFailure):
-        ExecLookupTable(entries={(1, 0): (5.0, 1.0), (2, 0): (4.0, 1.5)})
-
-
-def test_table_rejects_energy_per_inference_increasing():
-    with pytest.raises(ValidationFailure):
-        ExecLookupTable(entries={(1, 0): (5.0, 1.0), (2, 0): (6.0, 2.5)})
-
-
-def test_table_requires_batch_one_and_rectangularity():
-    with pytest.raises(ValidationFailure):
-        ExecLookupTable(entries={(2, 0): (5.0, 1.0)})
-    with pytest.raises(ValidationFailure):
-        ExecLookupTable(entries={(1, 0): (5.0, 1.0), (1, 1): (4.0, 1.2), (2, 0): (6.0, 1.8)})
-
-
-def test_concurrency_scale_bounds():
-    with pytest.raises(ValidationFailure):
-        ExecLookupTable(entries={(1, 0): (5.0, 1.0)}, concurrency={1: (1.0, 1.0), 2: (2.5, 1.0)})
-    with pytest.raises(ValidationFailure):
-        ExecLookupTable(entries={(1, 0): (5.0, 1.0)}, concurrency={1: (1.0, 1.0), 2: (1.5, 0.8)})
-
-
-@pytest.mark.parametrize("counts", [(1, 3), (2,), (0, 1)])
-def test_table_refuses_stream_counts_that_do_not_run_from_one_without_a_gap(counts):
-    # a dispatch runs as many streams as the groups it carves, any number up
-    # to the one chosen, so each must have its scales
-    with pytest.raises(ValidationFailure, match="stream counts must run from 1 to K with no gap"):
-        ExecLookupTable(entries={(1, 0): (5.0, 1.0)}, concurrency={k: (1.0, 1.0) for k in counts})
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        pytest.param(lambda: CiTrace(((0.0, 1.0), (0.0, 2.0)), 10.0), "CiTrace timestamps must be strictly increasing",
+                     id="trace.repeated_time"),
+        pytest.param(lambda: CiTrace(((0.0, -1.0),), 10.0), "carbon intensity must be finite and >= 0",
+                     id="trace.negative_ci"),
+        pytest.param(lambda: CiTrace(((0.0, 1.0), (50.0, 2.0)), 10.0),
+                     "horizon_s must be a number covering the last sample", id="trace.short_horizon"),
+        pytest.param(lambda: ExecLookupTable({(1, 0): (5.0, 1.0), (2, 0): (4.0, 1.5)}),
+                     "latency must be non-decreasing in batch size (freq 0)", id="table.latency"),
+        pytest.param(lambda: ExecLookupTable({(1, 0): (5.0, 1.0), (2, 0): (6.0, 2.5)}),
+                     "energy per inference must be non-increasing in batch size (freq 0)", id="table.energy"),
+        pytest.param(lambda: ExecLookupTable({(2, 0): (5.0, 1.0)}), "ExecLookupTable must contain batch size 1",
+                     id="table.no_batch_one"),
+        pytest.param(lambda: ExecLookupTable({(1, 0): (5.0, 1.0), (1, 1): (4.0, 1.2), (2, 0): (6.0, 1.8)}),
+                     "table is not rectangular: missing (b=2, f=1)", id="table.not_rectangular"),
+        pytest.param(lambda: ExecLookupTable({(1, 0): (5.0, 1.0)}, {1: (1.0, 1.0), 2: (2.5, 1.0)}),
+                     "throughput scale for k=2 must be in (0, k]", id="concurrency.throughput_scale"),
+        pytest.param(lambda: ExecLookupTable({(1, 0): (5.0, 1.0)}, {1: (1.0, 1.0), 2: (1.5, 0.8)}),
+                     "power scale for k=2 must be finite and >= 1", id="concurrency.power_scale"),
+        # a dispatch runs as many streams as the groups it carves, any number up
+        # to the one chosen, so each must have its scales
+        *(
+            pytest.param(lambda counts=counts: ExecLookupTable({(1, 0): (5.0, 1.0)}, dict.fromkeys(counts, (1.0, 1.0))),
+                         f"stream counts must run from 1 to K with no gap, got {list(counts)}",
+                         id=f"concurrency.streams{list(counts)}")
+            for counts in [(1, 3), (2,), (0, 1)]
+        ),
+    ],
+)
+def test_a_trace_or_table_refuses_with_its_message(build, message):
+    with pytest.raises(ValidationFailure, match=f"^{re.escape(message)}$"):
+        build()
 
 
 # ---------------------------------------------------------------------------
