@@ -1197,19 +1197,6 @@ def test_cli_simulate_out_that_cannot_be_created_fails_before_the_run(demo_copy,
     assert blocker.read_text() == "a file, not a directory"
 
 
-def test_decision_log_writes_one_compact_line_per_event(tmp_path):
-    with cli_io.decision_log(tmp_path / "o") as emit:
-        emit(Adapt(0.0, 15.5, 250.0, "initial"))
-        emit(BatchDispatch(1.25, [2, 1], 2, 0, 0.1, 0.5, 5.0, 1.35, 0, [0.1, 1e-07], 250.0))
-    assert {p.name: p.read_text() for p in (tmp_path / "o").iterdir()} == {
-        "decision_log.jsonl": (
-            '{"t_s":0.0,"kind":"adapt","threshold_w":15.5,"ci":250.0,"cause":"initial"}\n'
-            '{"t_s":1.25,"kind":"dispatch","batches":[2,1],"streams":2,"freq_idx":0,"duration_s":0.1,'
-            '"energy_j":0.5,"power_w":5.0,"completion_s":1.35,"misses":0,"arrivals":[0.1,1e-07],"ci":250.0}\n'
-        )
-    }
-
-
 def _with_bad(kind: str, field: str, bad: float) -> BatchDispatch | Idle:
     """A valid record of the shape a batch run logs most, with `bad` in one number."""
     if kind == "dispatch":

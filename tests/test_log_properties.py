@@ -1,5 +1,6 @@
 """Property test: every line of ``decision_log.jsonl`` is the bytes that
-``json.dumps`` writes for its event, whichever way the sink writes it.
+``json.dumps`` writes for its event, whichever way the sink writes it, and
+the log under its own name is all that the sink leaves in its folder.
 
 Records of each shape the simulator emits are drawn with numbers from a small
 pool of values that look alike to a value cache (``0.0`` and ``-0.0``;
@@ -74,6 +75,8 @@ def logged(sequence) -> str:
         with cli_io.decision_log(folder) as emit:
             for ev in sequence:
                 emit(ev)
+        # the log under its own name, and no .part file left beside it
+        assert [path.name for path in Path(folder).iterdir()] == [cli_io.DECISION_LOG_FILE]
         return (Path(folder) / cli_io.DECISION_LOG_FILE).read_text()
 
 

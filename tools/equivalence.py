@@ -16,8 +16,9 @@ library is used, besides the ``git`` command, and the interpreters need
 nothing installed besides their own.
 
 Last, the line count of each ``src/edcarb/*.py`` module is printed for
-REV and for the working tree, with the totals, so a change can quote its
-line delta; the counts do not affect the exit code.
+REV and for the working tree, with the totals, and then the total of the
+``tests/*.py`` files, so a change can quote its line delta in the library
+and in its tests; the counts do not affect the exit code.
 """
 
 from __future__ import annotations
@@ -53,15 +54,18 @@ def _version(python: str) -> str:
     return subprocess.run([python, "--version"], check=True, capture_output=True, text=True).stdout.strip()
 
 
+def _line_counts(folder: Path) -> dict[str, int]:
+    return {path.name: path.read_bytes().count(b"\n") for path in folder.glob("*.py")}
+
+
 def _print_line_counts(rev: str, base: Path) -> None:
-    before, after = (
-        {path.name: path.read_bytes().count(b"\n") for path in (tree / "src" / "edcarb").glob("*.py")}
-        for tree in (base, ROOT)
-    )
+    before, after = (_line_counts(tree / "src" / "edcarb") for tree in (base, ROOT))
     print(f"src/edcarb lines ({rev} -> working tree):")
     for name in sorted(before.keys() | after.keys()):
         print(f"  {name}: {before.get(name, '-')} -> {after.get(name, '-')}")
     print(f"  total: {sum(before.values())} -> {sum(after.values())}")
+    tests_before, tests_after = (sum(_line_counts(tree / "tests").values()) for tree in (base, ROOT))
+    print(f"tests lines ({rev} -> working tree): {tests_before} -> {tests_after}")
 
 
 def main(argv: list[str]) -> int:
